@@ -91,24 +91,6 @@ def config_payload(config: RunConfig) -> dict:
     }
 
 
-def config_from_payload(payload: dict) -> RunConfig:
-    proto = payload["protocol"]
-    spec = ProtocolSpec(
-        kind=proto["kind"],
-        num_spins=proto["num_spins"],
-        encoding=proto.get("encoding", "coherent"),
-        decoder=proto.get("decoder", ""),
-        tie_break=proto.get("tie_break", "random"),
-    )
-    return RunConfig(
-        protocol=spec,
-        trials=payload["trials"],
-        seed=payload["seed"],
-        n_theta=payload.get("n_theta"),
-        n_phi=payload.get("n_phi"),
-    )
-
-
 def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
     payload = {
         "estimates": result.estimates,

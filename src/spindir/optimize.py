@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .geometry import SphereQuadrature, sphere_quadrature
 from .groups import SignalFamily, d3_directions, repeated_equivalent_blocks
@@ -103,23 +102,13 @@ def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
             "optimal direction encoding needs integer j (an even number of spins); "
             "odd spin counts are not supported"
         )
-    n = j_max.twice_j // 2 + 1
-    if n == 1:
-        return DirectionCode(j_max=j_max, amplitudes=np.array([1.0]), fidelity=0.5,
-                             effective_dimension=1)
-    mat = direction_cos_matrix(j_max)
-    diag = np.zeros(n)
-    off = np.diag(mat, 1)
-    # bisection for the top eigenvalue, inverse iteration for its vector
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1),
-                                  lapack_driver="stebz")
-    vec = vecs[:, 0]
-    lead = np.flatnonzero(np.abs(vec) > 1e-12)[0]
-    if vec[lead] < 0:
+    vals, vecs = np.linalg.eigh(direction_cos_matrix(j_max))
+    vec = vecs[:, -1]
+    if vec[0] < 0:
         vec = -vec
-    fidelity = (1.0 + float(vals[0])) / 2.0
+    fidelity = (1.0 + float(vals[-1])) / 2.0
     return DirectionCode(j_max=j_max, amplitudes=vec, fidelity=fidelity,
-                         effective_dimension=n * n)
+                         effective_dimension=vec.size**2)
 
 
 def coherent_code(j: SpinJ) -> DirectionCode:
@@ -128,17 +117,6 @@ def coherent_code(j: SpinJ) -> DirectionCode:
     fidelity = 1.0 - 1.0 / (j.twice_j + 2.0)
     return DirectionCode(j_max=j, amplitudes=np.array([1.0]), fidelity=fidelity,
                          effective_dimension=j.twice_j + 1, carrier="coherent")
-
-
-def _legendre_rows(n_max: int, x: np.ndarray) -> np.ndarray:
-    """P_0..P_n_max evaluated on x, stacked as rows."""
-    out = np.empty((n_max + 1, len(x)))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -157,7 +135,7 @@ class ChiDensity:
             k = ((1.0 + u) / 2.0) ** (tj / 2.0)
             return math.sqrt((tj + 1.0) / (4.0 * math.pi)) * code.amplitudes[0] * k
         j_top = code.j_max.twice_j // 2
-        rows = _legendre_rows(j_top, u)
+        rows = np.polynomial.legendre.legvander(u, j_top).T
         scale = np.sqrt((2.0 * np.arange(j_top + 1) + 1.0) / (4.0 * math.pi))
         return (code.amplitudes * scale) @ rows
 

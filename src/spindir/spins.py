@@ -132,21 +132,6 @@ def wigner_d_matrix(j: SpinJ, beta: float) -> np.ndarray:
     return out
 
 
-def legendre(n: int, x):
-    """Legendre polynomial P_n(x) by the three-term recurrence; x may be an array."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev) if scalar else p_prev
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return float(p) if scalar else p
-
-
 def rotate_spin_state(
     j: SpinJ, state: StateVector, alpha: float, beta: float, gamma: float
 ) -> StateVector:

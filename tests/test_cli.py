@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +27,15 @@ def simulate_record(capsys, tmp_path, name, *args):
     code, out, err = run(capsys, "simulate", *args, "--output", str(path))
     assert code == 0, err
     return path, out
+
+
+def test_import_loads_no_scipy():
+    # the runtime is numpy and click; scipy is a test-only oracle
+    code = ("import sys, spindir.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestValidate:

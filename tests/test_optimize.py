@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from spindir.geometry import sphere_quadrature
 from spindir.groups import Block, SignalFamily, build_signal_family, dihedral_d3
@@ -106,13 +107,20 @@ class TestOptimalEncoding:
         code = optimal_direction_encoding(SpinJ(4))
         assert code.infidelity == pytest.approx((1.0 - math.sqrt(0.6)) / 2.0, abs=1e-14)
 
-    def test_fidelity_is_rayleigh_quotient(self):
-        code = optimal_direction_encoding(SpinJ(16))
+    @pytest.mark.parametrize("n", range(2, 241, 2))
+    def test_fidelity_is_rayleigh_quotient(self, n):
+        code = optimal_direction_encoding(SpinJ(n))
         a = code.amplitudes
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-        mat = direction_cos_matrix(SpinJ(16))
+        mat = direction_cos_matrix(SpinJ(n))
         assert (1.0 + a @ mat @ a) / 2.0 == pytest.approx(code.fidelity, abs=1e-12)
         assert a[0] > 0  # sign pinned on the leading entry
+        # scipy's tridiagonal solver is the test-only reference
+        vals, vecs = eigh_tridiagonal(np.diag(mat), np.diag(mat, 1), select="i",
+                                      select_range=(n // 2, n // 2))
+        assert abs(code.fidelity - (1.0 + vals[0]) / 2.0) <= 4e-16
+        ref = vecs[:, 0] * np.sign(vecs[0, 0])
+        assert np.max(np.abs(a - ref)) <= 1e-12
 
     @pytest.mark.parametrize(
         "n,value",
