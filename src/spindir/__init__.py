@@ -35,6 +35,7 @@ from .harness import (
     run_experiment,
     sample_chi,
     sample_haar_direction,
+    sample_haar_frame,
     sample_haar_rotation,
 )
 from .multispin import (

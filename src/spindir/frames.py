@@ -7,6 +7,10 @@ relating polar angles to matrix columns.  Two decoders are provided: the
 naive closed-form inversion, which ignores one equation and can fail
 outright, and a geometric best fit that first locks the y axis and then
 splits the orthogonality defect evenly between z and x.
+
+Frame, best_fit_frame, axes_to_euler and frame_infidelity work on one
+frame (3-vector axes) or on a stack of n frames ((n, 3) axes, one row per
+frame); a 3-vector call is a batch of one.
 """
 
 from __future__ import annotations
@@ -22,10 +26,34 @@ ORTHO_TOL = 1e-10
 DEGENERATE_CROSS_TOL = 1e-8
 GIMBAL_SIN_TOL = 1e-9
 
+# Frame validation: target of each checked value and its error message
+_TARGETS = np.array([[1.0], [1.0], [1.0], [0.0], [0.0], [0.0], [1.0]])
+_FAILURES = (
+    "z_axis must be unit length, |v| = {}",
+    "x_axis must be unit length, |v| = {}",
+    "y_axis must be unit length, |v| = {}",
+    "axes not orthogonal: |z.x| = {}",
+    "axes not orthogonal: |z.y| = {}",
+    "axes not orthogonal: |x.y| = {}",
+    "frame must be right-handed, x.y,z triple = {}",
+)
 
-def _wrap_pi(a: float) -> float:
-    # reduce to [-pi, pi)
+
+def _wrap_pi(a):
+    # reduce to [-pi, pi); a float or an array
     return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b with np.cross's arithmetic, without its set-up cost."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """a scaled to unit length, row by row for a stack."""
+    return (a.T / np.sqrt(np.vecdot(a, a))).T
 
 
 @dataclass(frozen=True)
@@ -33,18 +61,30 @@ class EulerAngles:
     """zxz Euler triple; the axis columns below define the convention.
 
     theta lies in [0, pi]; phi and psi are stored wrapped to [-pi, pi).
+    Each angle is a float, or an (n,) array for a stack of n rotations.
     """
 
-    phi: float
-    theta: float
-    psi: float
+    phi: float | np.ndarray
+    theta: float | np.ndarray
+    psi: float | np.ndarray
     convention: str = "zxz-column"
 
     def __post_init__(self):
-        for a in (self.phi, self.theta, self.psi):
-            if not math.isfinite(a):
-                raise ValueError("Euler angles must be finite")
-        if not 0.0 <= self.theta <= math.pi:
+        if isinstance(self.theta, float):
+            # math on floats: this runs once per naive-decoded trial
+            finite = (
+                math.isfinite(self.phi)
+                and math.isfinite(self.theta)
+                and math.isfinite(self.psi)
+            )
+            in_range = 0.0 <= self.theta <= math.pi
+        else:
+            angles = (self.phi, self.theta, self.psi)
+            finite = all(np.isfinite(a).all() for a in angles)
+            in_range = np.all((self.theta >= 0.0) & (self.theta <= math.pi))
+        if not finite:
+            raise ValueError("Euler angles must be finite")
+        if not in_range:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if self.convention != "zxz-column":
             raise ValueError("only the zxz-column convention is supported")
@@ -54,7 +94,11 @@ class EulerAngles:
 
 @dataclass(frozen=True)
 class Frame:
-    """Right-handed orthonormal triad (z_axis, x_axis, y_axis)."""
+    """Right-handed orthonormal triad (z_axis, x_axis, y_axis).
+
+    Each axis is a 3-vector, or an (n, 3) array whose rows are the axes
+    of n frames; every row is validated.
+    """
 
     z_axis: np.ndarray
     x_axis: np.ndarray
@@ -64,25 +108,30 @@ class Frame:
         axes = []
         for name in ("z_axis", "x_axis", "y_axis"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            n = float(np.linalg.norm(v))
-            if abs(n - 1.0) > ORTHO_TOL:
-                raise ValueError(f"{name} must be unit length, |v| = {n}")
+            if v.ndim not in (1, 2) or v.shape[-1] != 3:
+                raise ValueError(f"{name} must be a 3-vector or an (n, 3) stack")
             object.__setattr__(self, name, v)
             axes.append(v)
         z, x, y = axes
-        for a, b, pair in ((z, x, "z.x"), (z, y, "z.y"), (x, y, "x.y")):
-            d = abs(float(np.dot(a, b)))
-            if d > ORTHO_TOL:
-                raise ValueError(f"axes not orthogonal: |{pair}| = {d}")
-        hand = float(np.dot(np.cross(x, y), z))
-        if abs(hand - 1.0) > ORTHO_TOL:
-            raise ValueError(f"frame must be right-handed, x.y,z triple = {hand}")
+        if not z.shape == x.shape == y.shape:
+            raise ValueError("the three axes must have the same shape")
+        # one row per check, in the order the checks are reported:
+        # three norms, three |dot products|, the x.y,z triple product
+        values = np.array(
+            [np.sqrt(np.vecdot(v, v)) for v in axes]
+            + [np.abs(np.vecdot(a, b)) for a, b in ((z, x), (z, y), (x, y))]
+            + [np.vecdot(_cross(x, y), z)]
+        ).reshape(7, -1)
+        bad = np.abs(values - _TARGETS) > ORTHO_TOL
+        if bad.any():
+            # the first failing check, at the first row that fails it
+            check = int(np.argmax(bad.any(axis=1)))
+            value = float(values[check, np.argmax(bad[check])])
+            raise ValueError(_FAILURES[check].format(value))
 
     def axes_matrix(self) -> np.ndarray:
-        """Columns (x, y, z) as an orthogonal matrix."""
-        return np.column_stack([self.x_axis, self.y_axis, self.z_axis])
+        """Columns (x, y, z) as an orthogonal matrix ((n, 3, 3) for a stack)."""
+        return np.stack([self.x_axis, self.y_axis, self.z_axis], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +160,7 @@ def euler_to_axes(euler: EulerAngles) -> tuple[Frame, AxisPairEstimate]:
             sth * sphi,
         ]
     )
-    y = np.cross(z, x)
+    y = _cross(z, x)
     y = y / np.linalg.norm(y)
     frame = Frame(z_axis=z, x_axis=x / np.linalg.norm(x), y_axis=y)
     pair = AxisPairEstimate(
@@ -121,24 +170,23 @@ def euler_to_axes(euler: EulerAngles) -> tuple[Frame, AxisPairEstimate]:
 
 
 def axes_to_euler(frame: Frame) -> EulerAngles:
-    """Extract zxz Euler angles from an orthonormal frame.
+    """Extract zxz Euler angles from an orthonormal frame (or a stack).
 
     Inverse of euler_to_axes away from the gimbal-locked poles; at
     sin(theta) ~ 0 the azimuths degenerate to their sum (theta = 0) or
     difference (theta = pi), so phi is set to 0 and psi carries the
     whole in-plane rotation.
     """
-    z = np.asarray(frame.z_axis, dtype=float)
-    x = np.asarray(frame.x_axis, dtype=float)
-    y = np.asarray(frame.y_axis, dtype=float)
-    cth = min(1.0, max(-1.0, float(z[2])))
-    theta = math.acos(cth)
-    if math.sin(theta) < GIMBAL_SIN_TOL:
-        # x = (cos(psi +/- phi), -sin(psi +/- phi), 0); fold into psi
-        return EulerAngles(phi=0.0, theta=theta, psi=math.atan2(-x[1], x[0]))
-    psi = math.atan2(z[0], z[1])
-    # third-row identities: x_z = sin(theta)sin(phi), y_z = -sin(theta)cos(phi)
-    phi = math.atan2(x[2], -y[2])
+    z0, z1, z2 = frame.z_axis.T
+    x0, x1, x2 = frame.x_axis.T
+    y2 = frame.y_axis.T[2]
+    theta = np.arccos(np.clip(z2, -1.0, 1.0))
+    pole = np.sin(theta) < GIMBAL_SIN_TOL
+    # off the poles: psi from the z column; the third-row identities
+    # x_z = sin(theta)sin(phi), y_z = -sin(theta)cos(phi) give phi.
+    # At a pole x = (cos(psi +/- phi), -sin(psi +/- phi), 0); fold into psi.
+    psi = np.arctan2(np.where(pole, -x1, z0), np.where(pole, x0, z1))
+    phi = np.arctan2(np.where(pole, 0.0, x2), np.where(pole, 1.0, -y2))
     return EulerAngles(phi=phi, theta=theta, psi=psi)
 
 
@@ -188,25 +236,25 @@ def naive_euler_estimate(est: AxisPairEstimate) -> NaiveEstimate:
     )
 
 
-def best_fit_frame(est: AxisPairEstimate) -> tuple[Frame, EulerAngles]:
-    """Geometric best fit: exact y axis, then symmetrized z and x.
+def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:
+    """Geometric best fit of estimated z and x directions (or stacks of them).
 
-    y is taken along z_est x x_est, fixing the zx plane.  Within that
-    plane the two estimates are rotated toward each other by equal
-    amounts until exactly perpendicular (both axes carry the same spin
-    budget, so neither is trusted more).
+    The estimates need not be unit length.  y is taken along
+    z_est x x_est, fixing the zx plane.  Within that plane the two
+    estimates are rotated toward each other by equal amounts until
+    exactly perpendicular (both axes carry the same spin budget, so
+    neither is trusted more).  Raises ValueError if any pair is
+    (anti)parallel.
     """
-    u = est.z_dir.unit_vector
-    v = est.x_dir.unit_vector
-    cross = np.cross(u, v)
-    cn = float(np.linalg.norm(cross))
-    if cn < DEGENERATE_CROSS_TOL:
+    u = _unit_rows(np.asarray(z_est, dtype=float))
+    v = _unit_rows(np.asarray(x_est, dtype=float))
+    cross = _cross(u, v)
+    cn = np.sqrt(np.vecdot(cross, cross))
+    if (cn < DEGENERATE_CROSS_TOL).any():
         raise ValueError("z and x estimates are (anti)parallel; no plane is defined")
-    y = cross / cn
-    b = u + v
-    b = b / np.linalg.norm(b)
-    t = u - v
-    t = t / np.linalg.norm(t)
+    y = (cross.T / cn).T
+    b = _unit_rows(u + v)
+    t = _unit_rows(u - v)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     z_fit = (b + t) * inv_sqrt2
     x_fit = (b - t) * inv_sqrt2
@@ -214,10 +262,13 @@ def best_fit_frame(est: AxisPairEstimate) -> tuple[Frame, EulerAngles]:
     return frame, axes_to_euler(frame)
 
 
-def frame_infidelity(true: Frame, est: Frame) -> float:
-    """Sum over the three axes of sin^2(chi_i / 2) = (1 - r_i . r_hat_i)/2."""
+def frame_infidelity(true: Frame, est: Frame):
+    """Sum over the three axes of sin^2(chi_i / 2) = (1 - r_i . r_hat_i)/2.
+
+    A float for one frame pair, an (n,) array for stacks of n.
+    """
     total = 0.0
     for name in ("x_axis", "y_axis", "z_axis"):
-        c = float(np.dot(getattr(true, name), getattr(est, name)))
-        total += 0.5 * (1.0 - min(1.0, max(-1.0, c)))
+        c = np.vecdot(getattr(true, name), getattr(est, name))
+        total += 0.5 * (1.0 - np.minimum(1.0, np.maximum(-1.0, c)))
     return total

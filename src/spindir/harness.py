@@ -139,13 +139,21 @@ def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def sample_haar_frame(rng: np.random.Generator, size=None) -> Frame:
+    """Haar-uniform frame(s): four standard normals per rotation make a
+    uniform unit quaternion, whose matrix columns are the x, y and z axes.
+    One frame of 3-vectors when size is None, else a stack of size frames."""
+    q = rng.standard_normal((1 if size is None else int(size), 4))
+    m = _quaternion_matrices(q)
+    if size is None:
+        m = m[0]
+    return Frame(z_axis=m[..., 2], x_axis=m[..., 0], y_axis=m[..., 1])
+
+
 def sample_haar_rotation(rng: np.random.Generator) -> EulerAngles:
-    """Haar-uniform rotation as Euler angles: four standard normals make a
-    uniform unit quaternion, whose matrix is read back in the zxz convention."""
-    q = rng.standard_normal((1, 4))
-    m = _quaternion_matrices(q)[0]
-    frame = Frame(z_axis=m[:, 2], x_axis=m[:, 0], y_axis=m[:, 1])
-    return axes_to_euler(frame)
+    """One Haar-uniform rotation as zxz Euler angles (sample_haar_frame read
+    back in the zxz convention)."""
+    return axes_to_euler(sample_haar_frame(rng))
 
 
 def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
@@ -281,6 +289,46 @@ def _naive_frame(pair: AxisPairEstimate) -> tuple:
     return euler_to_axes(angles)[0], True
 
 
+def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
+    """Naive-decode each row pair through the polar angles; return the stacked
+    frames and the number of clamped trials.
+
+    This decode stays per trial: perfbench's tracer counts a clamp for each
+    naive_euler_estimate call that fails and checks that count against
+    naive_failures."""
+    axes = np.empty((3,) + z_est.shape)
+    failures = 0
+    for i in range(z_est.shape[0]):
+        pair = AxisPairEstimate(
+            z_dir=Direction.from_vector(z_est[i]),
+            x_dir=Direction.from_vector(x_est[i]),
+        )
+        frame, failed = _naive_frame(pair)
+        axes[:, i] = frame.z_axis, frame.x_axis, frame.y_axis
+        failures += int(failed)
+    return Frame(z_axis=axes[0], x_axis=axes[1], y_axis=axes[2]), failures
+
+
+def _frame_batch(rng: np.random.Generator, take: int, grid, cdf, decoder: str):
+    """One batch of frame trials: per-trial infidelities, the z and x cos(chi)
+    draws, and the number of clamped naive decodes."""
+    true = sample_haar_frame(rng, take)
+    u_z = rng.random(take)
+    az_z = rng.uniform(0.0, 2.0 * math.pi, take)
+    u_x = rng.random(take)
+    az_x = rng.uniform(0.0, 2.0 * math.pi, take)
+    cos_z = np.interp(u_z, cdf, grid)
+    cos_x = np.interp(u_x, cdf, grid)
+    z_est = _perturb_units(true.z_axis, cos_z, az_z)
+    x_est = _perturb_units(true.x_axis, cos_x, az_x)
+    failures = 0
+    if decoder == "naive-euler":
+        fitted, failures = _naive_frames(z_est, x_est)
+    else:
+        fitted, _ = best_fit_frame(z_est, x_est)
+    return frame_infidelity(true, fitted), cos_z, cos_x, failures
+
+
 def _run_frame(config: RunConfig) -> dict:
     spec = config.protocol
     proto = frame_two_axis_score(
@@ -292,35 +340,13 @@ def _run_frame(config: RunConfig) -> dict:
     axis_x = _Accumulator()
     failures = 0
     for b, take in _batches(config.trials):
-        rng = _batch_rng(config.seed, b)
-        quats = rng.standard_normal((take, 4))
-        u_z = rng.random(take)
-        az_z = rng.uniform(0.0, 2.0 * math.pi, take)
-        u_x = rng.random(take)
-        az_x = rng.uniform(0.0, 2.0 * math.pi, take)
-        mats = _quaternion_matrices(quats)
-        cos_z = np.interp(u_z, cdf, grid)
-        cos_x = np.interp(u_x, cdf, grid)
-        z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
-        x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
-        scores = np.empty(take)
-        for i in range(take):
-            true_frame = Frame(
-                z_axis=mats[i, :, 2], x_axis=mats[i, :, 0], y_axis=mats[i, :, 1]
-            )
-            pair = AxisPairEstimate(
-                z_dir=Direction.from_vector(z_est[i]),
-                x_dir=Direction.from_vector(x_est[i]),
-            )
-            if spec.decoder == "naive-euler":
-                fitted, failed = _naive_frame(pair)
-                failures += int(failed)
-            else:
-                fitted, _ = best_fit_frame(pair)
-            scores[i] = frame_infidelity(true_frame, fitted)
+        scores, cos_z, cos_x, failed = _frame_batch(
+            _batch_rng(config.seed, b), take, grid, cdf, spec.decoder
+        )
         total.add(scores)
         axis_z.add(0.5 * (1.0 - cos_z))
         axis_x.add(0.5 * (1.0 - cos_x))
+        failures += failed
     return {
         "infidelity": total,
         "per_axis": (axis_z, axis_x),

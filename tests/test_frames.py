@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spindir.frames import (
     AxisPairEstimate,
@@ -31,6 +33,13 @@ def test_euler_angle_ranges():
     assert -math.pi <= e.phi < math.pi
     assert e.phi == pytest.approx(math.pi + 0.1 - 2.0 * math.pi)
     assert e.psi == pytest.approx(-math.pi)
+    assert EulerAngles(phi=4, theta=1, psi=0).phi == pytest.approx(4.0 - 2.0 * math.pi)
+    stack = EulerAngles(phi=np.array([4.0, 0.5]), theta=np.array([1.0, 0.0]), psi=np.zeros(2))
+    np.testing.assert_allclose(stack.phi, [4.0 - 2.0 * math.pi, 0.5])
+    with pytest.raises(ValueError, match="theta"):
+        EulerAngles(phi=np.zeros(2), theta=np.array([1.0, -0.1]), psi=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        EulerAngles(phi=np.array([0.0, math.inf]), theta=np.ones(2), psi=np.zeros(2))
     with pytest.raises(ValueError):
         EulerAngles(phi=0.0, theta=-0.1, psi=0.0)
     with pytest.raises(ValueError):
@@ -49,6 +58,43 @@ def test_frame_validation():
         Frame(z_axis=v / np.linalg.norm(v), x_axis=eye[0], y_axis=eye[1])
     with pytest.raises(ValueError, match="right-handed"):
         Frame(z_axis=-eye[2], x_axis=eye[0], y_axis=eye[1])
+    with pytest.raises(ValueError, match="shape"):
+        Frame(z_axis=eye[2], x_axis=eye[:2], y_axis=eye[1:])
+
+
+def _frame_stack(n: int) -> list:
+    """Axes of n valid frames, as (n, 3) arrays z, x, y."""
+    frames = [euler_to_axes(random_euler())[0] for _ in range(n)]
+    return [np.array([getattr(f, a) for f in frames]) for a in ("z_axis", "x_axis", "y_axis")]
+
+
+@pytest.mark.parametrize(
+    "bad_z, message",
+    [
+        (2.0 * np.eye(3)[2], "unit"),
+        (np.array([0.1, 0.0, 1.0]) / math.sqrt(1.01), "orthogonal"),
+        (-np.eye(3)[2], "right-handed"),
+    ],
+)
+def test_frame_stack_validates_every_row(bad_z, message):
+    # the bad frames of test_frame_validation, as row 3 of a stack of good ones
+    eye = np.eye(3)
+    z, x, y = _frame_stack(6)
+    assert Frame(z_axis=z, x_axis=x, y_axis=y).z_axis.shape == (6, 3)
+    z[3], x[3], y[3] = bad_z, eye[0], eye[1]
+    with pytest.raises(ValueError, match=message):
+        Frame(z_axis=z, x_axis=x, y_axis=y)
+
+
+def test_best_fit_stack_rejects_one_parallel_pair():
+    frames = _frame_stack(5)
+    z, x = frames[0].copy(), frames[1].copy()
+    fit, angles = best_fit_frame(z, x)
+    assert fit.z_axis.shape == (5, 3) and angles.theta.shape == (5,)
+    for twin in (z[2], -z[2]):
+        x[2] = twin
+        with pytest.raises(ValueError, match="plane"):
+            best_fit_frame(z, x)
 
 
 def test_forward_map_produces_orthonormal_frame():
@@ -68,6 +114,7 @@ def test_identity_angles_give_lab_frame():
 
 
 def test_round_trip_away_from_poles():
+    frames = []
     for _ in range(500):
         e = random_euler()
         if math.sin(e.theta) < 1e-6:
@@ -77,16 +124,40 @@ def test_round_trip_away_from_poles():
         assert back.theta == pytest.approx(e.theta, abs=1e-9)
         assert _angle_diff(back.phi, e.phi) < 1e-9
         assert _angle_diff(back.psi, e.psi) < 1e-9
+        frames.append(frame)
+    # the same frames as one stack, with pole rows mixed in
+    for k, theta in enumerate([0.0, math.pi, 0.0]):
+        pole, _ = euler_to_axes(EulerAngles(phi=0.3 * k, theta=theta, psi=1.2 - k))
+        frames.insert(100 * k + 1, pole)
+    _assert_stack_matches_rows(frames)
 
 
 def _angle_diff(a: float, b: float) -> float:
     return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+def _assert_stack_matches_rows(frames: list[Frame]) -> EulerAngles:
+    """axes_to_euler on the stacked frames gives each frame's own angles."""
+    stack = Frame(
+        z_axis=np.array([f.z_axis for f in frames]),
+        x_axis=np.array([f.x_axis for f in frames]),
+        y_axis=np.array([f.y_axis for f in frames]),
+    )
+    got = axes_to_euler(stack)
+    assert got.theta.shape == (len(frames),)
+    for i, frame in enumerate(frames):
+        one = axes_to_euler(frame)
+        assert got.theta[i] == pytest.approx(one.theta, abs=1e-14)
+        assert _angle_diff(got.phi[i], one.phi) < 1e-14
+        assert _angle_diff(got.psi[i], one.psi) < 1e-14
+    return got
+
+
 @pytest.mark.parametrize("theta", [0.0, math.pi])
 def test_gimbal_pole_round_trip(theta):
     # at the poles only the sum (or difference) of the azimuths survives;
     # the extraction pins phi = 0 and must still reproduce the frame
+    frames = []
     for phi, psi in [(0.3, 1.2), (-2.0, 0.7), (1.0, -1.0)]:
         frame, _ = euler_to_axes(EulerAngles(phi=phi, theta=theta, psi=psi))
         back = axes_to_euler(frame)
@@ -94,6 +165,12 @@ def test_gimbal_pole_round_trip(theta):
         assert back.theta == pytest.approx(theta, abs=1e-9)
         frame2, _ = euler_to_axes(back)
         assert frame_infidelity(frame, frame2) < 1e-15
+        frames.append(frame)
+    # stacked between off-pole rows, each pole row keeps phi = 0
+    off_pole, _ = euler_to_axes(EulerAngles(phi=0.3, theta=1.0, psi=1.2))
+    frames = [off_pole] + frames[:2] + [off_pole] + frames[2:]
+    got = _assert_stack_matches_rows(frames)
+    assert (got.phi[[1, 2, 4]] == 0.0).all()
 
 
 def test_naive_estimate_exact_on_clean_data():
@@ -146,7 +223,7 @@ def test_best_fit_recovers_exact_frame():
     for _ in range(300):
         e = random_euler()
         frame, pair = euler_to_axes(e)
-        fit, angles = best_fit_frame(pair)
+        fit, angles = best_fit_frame(pair.z_dir.unit_vector, pair.x_dir.unit_vector)
         assert frame_infidelity(frame, fit) < 1e-12
         rec, _ = euler_to_axes(angles)
         assert frame_infidelity(frame, rec) < 1e-12
@@ -157,10 +234,7 @@ def test_best_fit_splits_defect_evenly():
     for delta in (0.02, 0.1, 0.2):
         z = np.array([0.0, 0.0, 1.0])
         x = np.array([math.cos(delta), 0.0, math.sin(delta)])  # tilted toward z
-        pair = AxisPairEstimate(
-            z_dir=Direction.from_vector(z), x_dir=Direction.from_vector(x)
-        )
-        fit, _ = best_fit_frame(pair)
+        fit, _ = best_fit_frame(z, x)
         gap_z = math.acos(float(np.dot(fit.z_axis, z)))
         gap_x = math.acos(float(np.dot(fit.x_axis, x)))
         assert gap_z == pytest.approx(delta / 2.0, abs=1e-6)
@@ -169,12 +243,12 @@ def test_best_fit_splits_defect_evenly():
 
 
 def test_best_fit_rejects_parallel_estimates():
-    d = Direction(theta=0.7, phi=0.3)
+    d = Direction(theta=0.7, phi=0.3).unit_vector
     with pytest.raises(ValueError, match="plane"):
-        best_fit_frame(AxisPairEstimate(z_dir=d, x_dir=d))
-    anti = Direction(theta=math.pi - 0.7, phi=0.3 + math.pi)
+        best_fit_frame(d, d)
+    anti = Direction(theta=math.pi - 0.7, phi=0.3 + math.pi).unit_vector
     with pytest.raises(ValueError, match="plane"):
-        best_fit_frame(AxisPairEstimate(z_dir=d, x_dir=anti))
+        best_fit_frame(d, anti)
 
 
 def test_best_fit_beats_naive_on_noisy_data():
@@ -195,7 +269,7 @@ def test_best_fit_beats_naive_on_noisy_data():
         noisy = AxisPairEstimate(
             z_dir=_jitter(pair.z_dir, 0.15, rng), x_dir=_jitter(pair.x_dir, 0.15, rng)
         )
-        fit, _ = best_fit_frame(noisy)
+        fit, _ = best_fit_frame(noisy.z_dir.unit_vector, noisy.x_dir.unit_vector)
         fit_err = frame_infidelity(frame, fit)
         out = naive_euler_estimate(noisy)
         if out.failed:
@@ -242,3 +316,67 @@ def test_infidelity_range_and_rotation_invariance():
         ra = Frame(z_axis=r @ fa.z_axis, x_axis=r @ fa.x_axis, y_axis=r @ fa.y_axis)
         rb = Frame(z_axis=r @ fb.z_axis, x_axis=r @ fb.x_axis, y_axis=r @ fb.y_axis)
         assert frame_infidelity(ra, rb) == pytest.approx(val, abs=1e-12)
+
+
+# Batched best fit: properties of fit(u, v) over stacks of estimate pairs.
+# Pairs closer than ~0.6 degrees to (anti)parallel are excluded: there the
+# normalisations of u + v or u - v lose digits and 1e-12 is not attainable.
+MIN_SIN = 0.01
+
+
+@st.composite
+def estimate_pairs(draw):
+    n = draw(st.integers(1, 8))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    u = draw(arrays(np.float64, (n, 3), elements=coords))
+    v = draw(arrays(np.float64, (n, 3), elements=coords))
+    nu = np.linalg.norm(u, axis=1)
+    nv = np.linalg.norm(v, axis=1)
+    assume(np.all(nu > 0.1) and np.all(nv > 0.1))
+    sin = np.linalg.norm(np.cross(u, v), axis=1) / (nu * nv)
+    assume(np.all(sin > MIN_SIN))
+    return u, v
+
+
+@st.composite
+def rotations(draw):
+    from scipy.spatial.transform import Rotation
+
+    q = draw(arrays(np.float64, 4, elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    assume(np.linalg.norm(q) > 0.1)
+    return Rotation.from_quat(q).as_matrix()
+
+
+@given(estimate_pairs(), rotations())
+def test_best_fit_rotation_equivariant(pair, r):
+    u, v = pair
+    fit, _ = best_fit_frame(u, v)
+    turned, _ = best_fit_frame(u @ r.T, v @ r.T)
+    for name in ("z_axis", "x_axis", "y_axis"):
+        np.testing.assert_allclose(
+            getattr(turned, name), getattr(fit, name) @ r.T, rtol=0.0, atol=1e-12
+        )
+
+
+@given(estimate_pairs())
+def test_best_fit_orthonormal_right_handed(pair):
+    fit, _ = best_fit_frame(*pair)
+    m = fit.axes_matrix()
+    gram = np.einsum("nij,nik->njk", m, m)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape), atol=1e-12)
+    np.testing.assert_allclose(np.linalg.det(m), 1.0, rtol=0.0, atol=1e-12)
+
+
+@given(estimate_pairs())
+def test_best_fit_y_along_cross_and_split_symmetric(pair):
+    u, v = pair
+    fit, _ = best_fit_frame(u, v)
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    normal = np.cross(u, v)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    np.testing.assert_allclose(np.sum(fit.y_axis * normal, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # each estimate is rotated by the same angle onto its fitted axis
+    np.testing.assert_allclose(
+        np.sum(fit.z_axis * u, axis=1), np.sum(fit.x_axis * v, axis=1), rtol=0.0, atol=1e-12
+    )

@@ -3,21 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from spindir.frames import euler_to_axes
+from spindir import harness
+from spindir.frames import (
+    AxisPairEstimate,
+    Frame,
+    axes_to_euler,
+    best_fit_frame,
+    euler_to_axes,
+    frame_infidelity,
+)
 from spindir.geometry import Direction
 from spindir.harness import (
     BATCH_TRIALS,
+    CHI_GRID_POINTS,
     RunConfig,
     _Accumulator,
+    _batch_rng,
+    _frame_batch,
+    _naive_frame,
+    _perturb_units,
+    _quaternion_matrices,
     perturb_direction,
     reference_score,
     run_experiment,
     sample_chi,
     sample_haar_direction,
+    sample_haar_frame,
     sample_haar_rotation,
 )
 from spindir.optimize import chi_density, coherent_code, optimal_direction_encoding
-from spindir.protocols import ProtocolSpec
+from spindir.protocols import ProtocolSpec, frame_two_axis_score
 from spindir.states import SpinJ
 
 
@@ -77,12 +92,17 @@ class TestSamplers:
         # Var[tr R] = 1
         rng = np.random.default_rng(4241)
         n = 20000
-        traces = np.empty(n)
-        for i in range(n):
-            frame, _ = euler_to_axes(sample_haar_rotation(rng))
-            traces[i] = np.trace(frame.axes_matrix())
+        frames = sample_haar_frame(rng, size=n)
+        traces = np.trace(frames.axes_matrix(), axis1=1, axis2=2)
         assert abs(traces.mean()) < 4.0 / math.sqrt(n)
         assert traces.var() == pytest.approx(1.0, abs=0.05)
+
+    def test_haar_rotation_is_first_row_of_batch(self):
+        stack = sample_haar_frame(np.random.default_rng(8), size=5)
+        one = sample_haar_frame(np.random.default_rng(8))
+        for name in ("z_axis", "x_axis", "y_axis"):
+            assert np.array_equal(getattr(one, name), getattr(stack, name)[0])
+        assert sample_haar_rotation(np.random.default_rng(8)) == axes_to_euler(one)
 
     def test_haar_rotation_axis_is_uniform(self):
         rng = np.random.default_rng(77)
@@ -249,6 +269,77 @@ class TestFrameRuns:
         # same seed, same noisy axis estimates; only the decoder differs
         assert naive.estimates["per_axis"] == best.estimates["per_axis"]
         assert best.estimates["infidelity"] < naive.estimates["infidelity"]
+
+
+def _per_trial_reference(seed: int, batch: int, take: int, grid, cdf, decoder: str):
+    """Batch `batch` of a frame run decoded one trial at a time, as the harness
+    did before it decoded whole batches: same draws in the same order, a
+    Direction round trip per estimate, a 3-vector decode and score per trial."""
+    rng = _batch_rng(seed, batch)
+    quats = rng.standard_normal((take, 4))
+    u_z = rng.random(take)
+    az_z = rng.uniform(0.0, 2.0 * math.pi, take)
+    u_x = rng.random(take)
+    az_x = rng.uniform(0.0, 2.0 * math.pi, take)
+    mats = _quaternion_matrices(quats)
+    cos_z = np.interp(u_z, cdf, grid)
+    cos_x = np.interp(u_x, cdf, grid)
+    z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
+    x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
+    scores = np.empty(take)
+    failures = 0
+    for i in range(take):
+        true_frame = Frame(
+            z_axis=mats[i, :, 2], x_axis=mats[i, :, 0], y_axis=mats[i, :, 1]
+        )
+        pair = AxisPairEstimate(
+            z_dir=Direction.from_vector(z_est[i]),
+            x_dir=Direction.from_vector(x_est[i]),
+        )
+        if decoder == "naive-euler":
+            fitted, failed = _naive_frame(pair)
+            failures += int(failed)
+        else:
+            fitted, _ = best_fit_frame(pair.z_dir.unit_vector, pair.x_dir.unit_vector)
+        scores[i] = frame_infidelity(true_frame, fitted)
+    return scores, cos_z, cos_x, failures
+
+
+class TestFrameBatchDecode:
+    TAKE = 300
+
+    @pytest.mark.parametrize("decoder", ["best-fit", "naive-euler"])
+    @pytest.mark.parametrize("encoding", ["optimal", "coherent"])
+    def test_matches_per_trial_decode(self, monkeypatch, encoding, decoder):
+        monkeypatch.setattr(harness, "BATCH_TRIALS", self.TAKE)
+        config = RunConfig(
+            protocol=spec("frame-two-axis", 4, encoding=encoding, decoder=decoder),
+            trials=2 * self.TAKE,
+            seed=22,
+        )
+        proto = frame_two_axis_score(4, encoding=encoding, fitter=decoder)
+        grid, cdf = proto.chi.cumulative_in_cos(CHI_GRID_POINTS)
+        total, axis_z, axis_x = _Accumulator(), _Accumulator(), _Accumulator()
+        failures = 0
+        for b in range(2):
+            scores, cos_z, cos_x, failed = _per_trial_reference(
+                config.seed, b, self.TAKE, grid, cdf, decoder
+            )
+            got = _frame_batch(_batch_rng(config.seed, b), self.TAKE, grid, cdf, decoder)
+            np.testing.assert_allclose(got[0], scores, rtol=0.0, atol=1e-13)
+            assert np.array_equal(got[1], cos_z) and np.array_equal(got[2], cos_x)
+            assert got[3] == failed
+            total.add(scores)
+            axis_z.add(0.5 * (1.0 - cos_z))
+            axis_x.add(0.5 * (1.0 - cos_x))
+            failures += failed
+        result = run_experiment(config)
+        assert result.estimates["per_axis"] == [axis_z.mean(), axis_x.mean()]
+        assert result.stderrs["per_axis"] == [axis_z.stderr(), axis_x.stderr()]
+        assert result.estimates["infidelity"] == pytest.approx(total.mean(), rel=1e-14)
+        if decoder == "naive-euler":
+            assert failures > 0
+            assert result.estimates["naive_failures"] == failures
 
 
 class TestStderrScaling:
