@@ -8,9 +8,10 @@ naive closed-form inversion, which ignores one equation and can fail
 outright, and a geometric best fit that first locks the y axis and then
 splits the orthogonality defect evenly between z and x.
 
-Frame, best_fit_frame, axes_to_euler and frame_infidelity work on one
-frame (3-vector axes) or on a stack of n frames ((n, 3) axes, one row per
-frame); a 3-vector call is a batch of one.
+Frame, euler_to_axes, axes_to_euler, best_fit_frame and frame_infidelity
+work on one frame (3-vector axes, float angles) or on a stack of n frames
+((n, 3) axes, one row per frame; (n,) angles); a one-frame call is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -142,31 +143,26 @@ class AxisPairEstimate:
     x_dir: Direction
 
 
-def euler_to_axes(euler: EulerAngles) -> tuple[Frame, AxisPairEstimate]:
-    """Forward map: Euler angles -> frame axes plus their polar angles.
+def euler_to_axes(euler: EulerAngles) -> Frame:
+    """Forward map: Euler angles -> frame axes (a stack for (n,) angles).
 
     The z axis is the column (sin(psi)sin(theta), cos(psi)sin(theta),
     cos(theta)); the x axis is the matching column of the zxz matrix;
     y completes the right-handed triad.
     """
-    sphi, cphi = math.sin(euler.phi), math.cos(euler.phi)
-    sth, cth = math.sin(euler.theta), math.cos(euler.theta)
-    spsi, cpsi = math.sin(euler.psi), math.cos(euler.psi)
-    z = np.array([spsi * sth, cpsi * sth, cth])
-    x = np.array(
+    sphi, cphi = np.sin(euler.phi), np.cos(euler.phi)
+    sth, cth = np.sin(euler.theta), np.cos(euler.theta)
+    spsi, cpsi = np.sin(euler.psi), np.cos(euler.psi)
+    z = np.stack([spsi * sth, cpsi * sth, cth], axis=-1)
+    x = np.stack(
         [
             cpsi * cphi - spsi * cth * sphi,
             -spsi * cphi - cpsi * cth * sphi,
             sth * sphi,
-        ]
+        ],
+        axis=-1,
     )
-    y = _cross(z, x)
-    y = y / np.linalg.norm(y)
-    frame = Frame(z_axis=z, x_axis=x / np.linalg.norm(x), y_axis=y)
-    pair = AxisPairEstimate(
-        z_dir=Direction.from_vector(z), x_dir=Direction.from_vector(x)
-    )
-    return frame, pair
+    return Frame(z_axis=z, x_axis=_unit_rows(x), y_axis=_unit_rows(_cross(z, x)))
 
 
 def axes_to_euler(frame: Frame) -> EulerAngles:

@@ -19,13 +19,15 @@ from .frames import (
     AxisPairEstimate,
     EulerAngles,
     Frame,
+    _cross,
+    _unit_rows,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import Direction, sphere_quadrature
+from .geometry import TWO_PI, Direction, sphere_quadrature
 from .groups import d3_directions
 from .optimize import ChiDensity, chi_density, coherent_code, d3_coherent_error
 from .protocols import (
@@ -179,7 +181,7 @@ def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) 
     t1 = -units * smallest[:, None]
     t1[rows, idx] += 1.0
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(units, t1)
+    t2 = _cross(units, t1)
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi * cos_chi, 0.0, None))
     tangent = np.cos(azimuth)[:, None] * t1 + np.sin(azimuth)[:, None] * t2
     return cos_chi[:, None] * units + sin_chi[:, None] * tangent
@@ -277,36 +279,43 @@ def _run_d3_coherent(config: RunConfig) -> dict:
     return {"fidelity": acc}
 
 
-def _naive_frame(pair: AxisPairEstimate) -> tuple:
-    """Decode with the closed-form inversion; clamp |sin phi| to 1 on failure
-    so every trial still yields a frame, and report whether it failed."""
-    est = naive_euler_estimate(pair)
-    if not est.failed:
-        return euler_to_axes(est.angles)[0], False
-    phi = math.copysign(0.5 * math.pi, est.sin_phi)
-    wrapped = (0.5 * math.pi - pair.z_dir.phi + math.pi) % (2.0 * math.pi) - math.pi
-    angles = EulerAngles(phi=phi, theta=pair.z_dir.theta, psi=wrapped)
-    return euler_to_axes(angles)[0], True
+def _polar_angles(units: np.ndarray) -> tuple[list, list]:
+    """Polar angles (theta, phi) of each row as lists, bit for bit as
+    Direction.from_vector computes them: libm's acos and atan2 through map,
+    since numpy's SIMD arccos and arctan2 can differ in the last bit.  phi is
+    the raw atan2 value; Direction reduces it mod 2*pi."""
+    u = _unit_rows(units)
+    theta = list(map(math.acos, np.clip(u[:, 2], -1.0, 1.0).tolist()))
+    return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
 
 
 def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     """Naive-decode each row pair through the polar angles; return the stacked
     frames and the number of clamped trials.
 
-    This decode stays per trial: perfbench's tracer counts a clamp for each
-    naive_euler_estimate call that fails and checks that count against
-    naive_failures."""
-    axes = np.empty((3,) + z_est.shape)
-    failures = 0
-    for i in range(z_est.shape[0]):
-        pair = AxisPairEstimate(
-            z_dir=Direction.from_vector(z_est[i]),
-            x_dir=Direction.from_vector(x_est[i]),
+    Only the inversion, naive_euler_estimate, runs per trial: perfbench's
+    tracer counts a clamp for each call that fails and checks that count
+    against naive_failures.  The rest runs on the whole batch.  A failed
+    trial (|sin phi| > 1) is clamped to phi = +-pi/2 so that every trial
+    still yields a frame; every row takes theta = theta_z and
+    psi = pi/2 - phi_z, as the inversion sets them."""
+    theta_z, phi_z = _polar_angles(z_est)
+    theta_x, phi_x = _polar_angles(x_est)
+    failed, sin_phi, phi = [], [], []
+    for tz, pz, tx, px in zip(theta_z, phi_z, theta_x, phi_x):
+        est = naive_euler_estimate(
+            AxisPairEstimate(z_dir=Direction(tz, pz), x_dir=Direction(tx, px))
         )
-        frame, failed = _naive_frame(pair)
-        axes[:, i] = frame.z_axis, frame.x_axis, frame.y_axis
-        failures += int(failed)
-    return Frame(z_axis=axes[0], x_axis=axes[1], y_axis=axes[2]), failures
+        failed.append(est.failed)
+        sin_phi.append(est.sin_phi)
+        phi.append(math.nan if est.failed else est.angles.phi)
+    clamped = np.array(failed)
+    angles = EulerAngles(
+        phi=np.where(clamped, np.copysign(0.5 * math.pi, sin_phi), phi),
+        theta=np.array(theta_z),
+        psi=0.5 * math.pi - np.array(phi_z) % TWO_PI,
+    )
+    return euler_to_axes(angles), int(clamped.sum())
 
 
 def _frame_batch(rng: np.random.Generator, take: int, grid, cdf, decoder: str):

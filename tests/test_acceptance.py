@@ -388,8 +388,8 @@ def test_criterion_10_property_sweeps(report):
     euler_resid = 0.0
     for _ in range(100):
         euler = sample_haar_rotation(rng)
-        frame, _ = euler_to_axes(euler)
-        again, _ = euler_to_axes(axes_to_euler(frame))
+        frame = euler_to_axes(euler)
+        again = euler_to_axes(axes_to_euler(frame))
         euler_resid = max(
             euler_resid,
             float(np.max(np.abs(frame.axes_matrix() - again.axes_matrix()))),

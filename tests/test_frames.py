@@ -28,6 +28,14 @@ def random_euler() -> EulerAngles:
     )
 
 
+def _pair(frame: Frame) -> AxisPairEstimate:
+    """The polar angles of a frame's z and x axes, as a receiver measures them."""
+    return AxisPairEstimate(
+        z_dir=Direction.from_vector(frame.z_axis),
+        x_dir=Direction.from_vector(frame.x_axis),
+    )
+
+
 def test_euler_angle_ranges():
     e = EulerAngles(phi=3.0 * math.pi + 0.1, theta=1.0, psi=-5.0 * math.pi)
     assert -math.pi <= e.phi < math.pi
@@ -64,7 +72,7 @@ def test_frame_validation():
 
 def _frame_stack(n: int) -> list:
     """Axes of n valid frames, as (n, 3) arrays z, x, y."""
-    frames = [euler_to_axes(random_euler())[0] for _ in range(n)]
+    frames = [euler_to_axes(random_euler()) for _ in range(n)]
     return [np.array([getattr(f, a) for f in frames]) for a in ("z_axis", "x_axis", "y_axis")]
 
 
@@ -99,7 +107,8 @@ def test_best_fit_stack_rejects_one_parallel_pair():
 
 def test_forward_map_produces_orthonormal_frame():
     for _ in range(200):
-        frame, pair = euler_to_axes(random_euler())
+        frame = euler_to_axes(random_euler())
+        pair = _pair(frame)
         m = frame.axes_matrix()
         np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(pair.z_dir.unit_vector, frame.z_axis, atol=1e-12)
@@ -107,10 +116,32 @@ def test_forward_map_produces_orthonormal_frame():
 
 
 def test_identity_angles_give_lab_frame():
-    frame, _ = euler_to_axes(EulerAngles(phi=0.0, theta=0.0, psi=0.0))
+    frame = euler_to_axes(EulerAngles(phi=0.0, theta=0.0, psi=0.0))
     np.testing.assert_allclose(frame.z_axis, [0.0, 0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(frame.x_axis, [1.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(frame.y_axis, [0.0, 1.0, 0.0], atol=1e-15)
+
+
+def test_forward_map_stack_matches_rows():
+    # pole rows (theta = 0, pi) mixed with off-pole rows, one stacked call
+    rows = [random_euler() for _ in range(12)]
+    for i, theta in ((0, 0.0), (3, math.pi), (4, 0.0), (11, math.pi)):
+        rows[i] = EulerAngles(phi=rows[i].phi, theta=theta, psi=rows[i].psi)
+    stack = euler_to_axes(
+        EulerAngles(
+            phi=np.array([e.phi for e in rows]),
+            theta=np.array([e.theta for e in rows]),
+            psi=np.array([e.psi for e in rows]),
+        )
+    )
+    assert stack.z_axis.shape == (12, 3)
+    for i, e in enumerate(rows):
+        one = euler_to_axes(e)
+        assert one.z_axis.shape == (3,)
+        for name in ("z_axis", "x_axis", "y_axis"):
+            np.testing.assert_allclose(
+                getattr(stack, name)[i], getattr(one, name), rtol=0.0, atol=1e-15
+            )
 
 
 def test_round_trip_away_from_poles():
@@ -119,7 +150,7 @@ def test_round_trip_away_from_poles():
         e = random_euler()
         if math.sin(e.theta) < 1e-6:
             continue
-        frame, _ = euler_to_axes(e)
+        frame = euler_to_axes(e)
         back = axes_to_euler(frame)
         assert back.theta == pytest.approx(e.theta, abs=1e-9)
         assert _angle_diff(back.phi, e.phi) < 1e-9
@@ -127,7 +158,7 @@ def test_round_trip_away_from_poles():
         frames.append(frame)
     # the same frames as one stack, with pole rows mixed in
     for k, theta in enumerate([0.0, math.pi, 0.0]):
-        pole, _ = euler_to_axes(EulerAngles(phi=0.3 * k, theta=theta, psi=1.2 - k))
+        pole = euler_to_axes(EulerAngles(phi=0.3 * k, theta=theta, psi=1.2 - k))
         frames.insert(100 * k + 1, pole)
     _assert_stack_matches_rows(frames)
 
@@ -159,15 +190,15 @@ def test_gimbal_pole_round_trip(theta):
     # the extraction pins phi = 0 and must still reproduce the frame
     frames = []
     for phi, psi in [(0.3, 1.2), (-2.0, 0.7), (1.0, -1.0)]:
-        frame, _ = euler_to_axes(EulerAngles(phi=phi, theta=theta, psi=psi))
+        frame = euler_to_axes(EulerAngles(phi=phi, theta=theta, psi=psi))
         back = axes_to_euler(frame)
         assert back.phi == 0.0
         assert back.theta == pytest.approx(theta, abs=1e-9)
-        frame2, _ = euler_to_axes(back)
+        frame2 = euler_to_axes(back)
         assert frame_infidelity(frame, frame2) < 1e-15
         frames.append(frame)
     # stacked between off-pole rows, each pole row keeps phi = 0
-    off_pole, _ = euler_to_axes(EulerAngles(phi=0.3, theta=1.0, psi=1.2))
+    off_pole = euler_to_axes(EulerAngles(phi=0.3, theta=1.0, psi=1.2))
     frames = [off_pole] + frames[:2] + [off_pole] + frames[2:]
     got = _assert_stack_matches_rows(frames)
     assert (got.phi[[1, 2, 4]] == 0.0).all()
@@ -179,10 +210,10 @@ def test_naive_estimate_exact_on_clean_data():
         e = random_euler()
         if math.sin(e.theta) < 1e-3:
             continue
-        frame, pair = euler_to_axes(e)
-        out = naive_euler_estimate(pair)
+        frame = euler_to_axes(e)
+        out = naive_euler_estimate(_pair(frame))
         assert not out.failed
-        rec, _ = euler_to_axes(out.angles)
+        rec = euler_to_axes(out.angles)
         assert frame_infidelity(frame, rec) < 1e-10
         assert _angle_diff(out.angles.phi, e.phi) < 1e-8
         assert _angle_diff(out.angles.psi, e.psi) < 1e-8
@@ -194,8 +225,7 @@ def test_naive_estimate_quadrant_choice():
     # |phi| beyond pi/2 exercises the branch that the bare arcsine misses
     for phi in (2.0, -2.5, 3.0):
         e = EulerAngles(phi=phi, theta=1.1, psi=0.4)
-        _, pair = euler_to_axes(e)
-        out = naive_euler_estimate(pair)
+        out = naive_euler_estimate(_pair(euler_to_axes(e)))
         assert not out.failed
         assert _angle_diff(out.angles.phi, phi) < 1e-9
 
@@ -222,10 +252,11 @@ def test_naive_estimate_pole_raises():
 def test_best_fit_recovers_exact_frame():
     for _ in range(300):
         e = random_euler()
-        frame, pair = euler_to_axes(e)
+        frame = euler_to_axes(e)
+        pair = _pair(frame)
         fit, angles = best_fit_frame(pair.z_dir.unit_vector, pair.x_dir.unit_vector)
         assert frame_infidelity(frame, fit) < 1e-12
-        rec, _ = euler_to_axes(angles)
+        rec = euler_to_axes(angles)
         assert frame_infidelity(frame, rec) < 1e-12
 
 
@@ -265,7 +296,8 @@ def test_best_fit_beats_naive_on_noisy_data():
             theta=math.acos(rng.uniform(-0.95, 0.95)),
             psi=rng.uniform(-math.pi, math.pi),
         )
-        frame, pair = euler_to_axes(e)
+        frame = euler_to_axes(e)
+        pair = _pair(frame)
         noisy = AxisPairEstimate(
             z_dir=_jitter(pair.z_dir, 0.15, rng), x_dir=_jitter(pair.x_dir, 0.15, rng)
         )
@@ -274,7 +306,7 @@ def test_best_fit_beats_naive_on_noisy_data():
         out = naive_euler_estimate(noisy)
         if out.failed:
             continue
-        rec, _ = euler_to_axes(out.angles)
+        rec = euler_to_axes(out.angles)
         naive_err = frame_infidelity(frame, rec)
         wins += fit_err <= naive_err + 1e-12
         total += 1
@@ -291,7 +323,7 @@ def _jitter(d: Direction, eps: float, rng) -> Direction:
 
 
 def test_infidelity_zero_on_identical_frames():
-    frame, _ = euler_to_axes(random_euler())
+    frame = euler_to_axes(random_euler())
     assert frame_infidelity(frame, frame) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -308,8 +340,8 @@ def test_infidelity_range_and_rotation_invariance():
 
     rng = np.random.default_rng(8)
     for _ in range(100):
-        fa, _ = euler_to_axes(random_euler())
-        fb, _ = euler_to_axes(random_euler())
+        fa = euler_to_axes(random_euler())
+        fb = euler_to_axes(random_euler())
         val = frame_infidelity(fa, fb)
         assert 0.0 <= val <= 3.0
         r = Rotation.random(random_state=rng).as_matrix()

@@ -6,11 +6,13 @@ import pytest
 from spindir import harness
 from spindir.frames import (
     AxisPairEstimate,
+    EulerAngles,
     Frame,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
     frame_infidelity,
+    naive_euler_estimate,
 )
 from spindir.geometry import Direction
 from spindir.harness import (
@@ -20,7 +22,7 @@ from spindir.harness import (
     _Accumulator,
     _batch_rng,
     _frame_batch,
-    _naive_frame,
+    _naive_frames,
     _perturb_units,
     _quaternion_matrices,
     perturb_direction,
@@ -108,7 +110,7 @@ class TestSamplers:
         rng = np.random.default_rng(77)
         zs = np.empty(4000)
         for i in range(zs.size):
-            frame, _ = euler_to_axes(sample_haar_rotation(rng))
+            frame = euler_to_axes(sample_haar_rotation(rng))
             zs[i] = frame.z_axis[2]
         # cos(theta) of the rotated z axis should be uniform on [-1, 1]
         assert abs(zs.mean()) < 4.0 / math.sqrt(3.0 * zs.size)
@@ -271,6 +273,37 @@ class TestFrameRuns:
         assert best.estimates["infidelity"] < naive.estimates["infidelity"]
 
 
+def _naive_frame(pair: AxisPairEstimate) -> tuple[Frame, bool]:
+    """One trial of the naive decode as the harness ran it before it decoded
+    whole batches: the closed-form inversion, |sin phi| clamped to 1 when it
+    fails, and the forward map evaluated on one frame with math."""
+    est = naive_euler_estimate(pair)
+    if est.failed:
+        angles = EulerAngles(
+            phi=math.copysign(0.5 * math.pi, est.sin_phi),
+            theta=pair.z_dir.theta,
+            psi=0.5 * math.pi - pair.z_dir.phi,
+        )
+    else:
+        angles = est.angles
+    sphi, cphi = math.sin(angles.phi), math.cos(angles.phi)
+    sth, cth = math.sin(angles.theta), math.cos(angles.theta)
+    spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
+    z = np.array([spsi * sth, cpsi * sth, cth])
+    x = np.array(
+        [
+            cpsi * cphi - spsi * cth * sphi,
+            -spsi * cphi - cpsi * cth * sphi,
+            sth * sphi,
+        ]
+    )
+    y = np.cross(z, x)
+    frame = Frame(
+        z_axis=z, x_axis=x / np.linalg.norm(x), y_axis=y / np.linalg.norm(y)
+    )
+    return frame, est.failed
+
+
 def _per_trial_reference(seed: int, batch: int, take: int, grid, cdf, decoder: str):
     """Batch `batch` of a frame run decoded one trial at a time, as the harness
     did before it decoded whole batches: same draws in the same order, a
@@ -340,6 +373,55 @@ class TestFrameBatchDecode:
         if decoder == "naive-euler":
             assert failures > 0
             assert result.estimates["naive_failures"] == failures
+
+    def test_clamp_rows_decode_to_fallback_frame(self):
+        # x at a pole and z tilted 0.1 off the equator gives
+        # |cos(theta_x)/sin(theta_z)| = 1/cos(0.1) > 1 (rows 1, 4: sin phi > 1;
+        # row 6: sin phi < -1); the other rows are noise-free frames, which
+        # decode normally
+        true = sample_haar_frame(_batch_rng(5, 0), 8)
+        z_est, x_est = true.z_axis.copy(), true.x_axis.copy()
+        tilt = math.cos(0.1)
+        for row, alpha, pole in ((1, 0.3, 1.0), (4, 2.0, 1.0), (6, -1.1, -1.0)):
+            z_est[row] = [tilt * math.cos(alpha), tilt * math.sin(alpha), math.sin(0.1)]
+            x_est[row] = [0.0, 0.0, pole]
+        frames, failures = _naive_frames(z_est, x_est)
+        assert failures == 3
+        for i in range(8):
+            pair = AxisPairEstimate(
+                z_dir=Direction.from_vector(z_est[i]),
+                x_dir=Direction.from_vector(x_est[i]),
+            )
+            want, failed = _naive_frame(pair)
+            assert failed == (i in (1, 4, 6))
+            for name in ("z_axis", "x_axis", "y_axis"):
+                np.testing.assert_allclose(
+                    getattr(frames, name)[i], getattr(want, name), rtol=0.0, atol=1e-15
+                )
+
+    def test_naive_decoder_runs_once_per_trial(self, monkeypatch):
+        # perfbench's tracer counts a clamp for each failed naive_euler_estimate
+        # call and compares that count with naive_failures
+        calls = []
+
+        def counting(pair):
+            out = naive_euler_estimate(pair)
+            calls.append(out.failed)
+            return out
+
+        monkeypatch.setattr(harness, "naive_euler_estimate", counting)
+        monkeypatch.setattr(harness, "BATCH_TRIALS", 256)
+        result = run_experiment(
+            RunConfig(
+                protocol=spec(
+                    "frame-two-axis", 4, encoding="optimal", decoder="naive-euler"
+                ),
+                trials=700,
+                seed=22,
+            )
+        )
+        assert len(calls) == 700
+        assert sum(calls) == result.estimates["naive_failures"] > 0
 
 
 class TestStderrScaling:
