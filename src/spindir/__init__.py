@@ -3,7 +3,6 @@ spin representations, covariant measurements, optimal codes, frame fitting,
 and a seeded Monte Carlo harness with a CLI front end."""
 
 from .frames import (
-    AxisPairEstimate,
     EulerAngles,
     Frame,
     NaiveEstimate,
@@ -30,7 +29,6 @@ from .groups import (
 from .harness import (
     RunConfig,
     RunResult,
-    perturb_direction,
     reference_score,
     run_experiment,
     sample_chi,
@@ -53,7 +51,6 @@ from .optimize import (
     chi_density,
     coherent_code,
     d3_coherent_error,
-    default_d3_grid,
     direction_cos_matrix,
     finite_group_optimum,
     optimal_direction_encoding,

@@ -49,7 +49,7 @@ REPORT_COLUMNS = (
     "n_sq_infidelity",
 )
 
-_INT_KEYS = ("num_spins", "trials", "seed", "n_theta", "n_phi")
+_INT_KEYS = ("num_spins", "trials", "seed")
 _KNOWN_KEYS = _INT_KEYS + ("kind", "encoding", "decoder", "tie_break", "output")
 
 
@@ -86,8 +86,6 @@ def config_payload(config: RunConfig) -> dict:
         },
         "trials": config.trials,
         "seed": config.seed,
-        "n_theta": config.n_theta,
-        "n_phi": config.n_phi,
     }
 
 
@@ -191,8 +189,6 @@ def build_run_config(settings: dict) -> RunConfig:
         protocol=spec,
         trials=settings["trials"],
         seed=settings["seed"],
-        n_theta=settings.get("n_theta"),
-        n_phi=settings.get("n_phi"),
         output_path=settings.get("output"),
     )
 
@@ -373,8 +369,6 @@ def cmd_optimize(target, num_spins, max_spins, out_path):
 @click.option("--tie-break", default=None)
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--n-theta", type=int, default=None)
-@click.option("--n-phi", type=int, default=None)
 @click.option("--output", "output", default=None, help="Record path (default: derived name in $SPINDIR_OUTPUT_DIR).")
 def cmd_simulate(config_path, **flags):
     """Run one seeded experiment and persist its result record."""

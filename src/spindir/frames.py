@@ -135,14 +135,6 @@ class Frame:
         return np.stack([self.x_axis, self.y_axis, self.z_axis], axis=-1)
 
 
-@dataclass(frozen=True)
-class AxisPairEstimate:
-    """Measured z and x directions; not required to be perpendicular."""
-
-    z_dir: Direction
-    x_dir: Direction
-
-
 def euler_to_axes(euler: EulerAngles) -> Frame:
     """Forward map: Euler angles -> frame axes (a stack for (n,) angles).
 
@@ -200,8 +192,9 @@ class NaiveEstimate:
     sin_phi: float
 
 
-def naive_euler_estimate(est: AxisPairEstimate) -> NaiveEstimate:
-    """Closed-form inversion using three of the four equations.
+def naive_euler_estimate(z_dir: Direction, x_dir: Direction) -> NaiveEstimate:
+    """Closed-form inversion of measured z and x directions (not required to
+    be perpendicular) using three of the four equations.
 
     theta = theta_z and psi = pi/2 - phi_z come from the z column alone;
     phi = asin(cos(theta_x)/sin(theta_z)) uses only the last row of the
@@ -209,16 +202,16 @@ def naive_euler_estimate(est: AxisPairEstimate) -> NaiveEstimate:
     Noisy inputs can push |sin(phi)| above 1; that is reported as a
     failure rather than clamped.
     """
-    theta = est.z_dir.theta
+    theta = z_dir.theta
     sth = math.sin(theta)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    psi = _wrap_pi(0.5 * math.pi - est.z_dir.phi)
-    s = math.cos(est.x_dir.theta) / sth
+    psi = _wrap_pi(0.5 * math.pi - z_dir.phi)
+    s = math.cos(x_dir.theta) / sth
     if abs(s) > 1.0:
         return NaiveEstimate(angles=None, failed=True, sin_phi=s)
     phi0 = math.asin(s)
-    x_first = math.sin(est.x_dir.theta) * math.cos(est.x_dir.phi)
+    x_first = math.sin(x_dir.theta) * math.cos(x_dir.phi)
     best = None
     for phi in (phi0, _wrap_pi(math.pi - phi0)):
         pred = math.cos(psi) * math.cos(phi) - math.sin(psi) * math.cos(theta) * math.sin(phi)

@@ -25,7 +25,9 @@ class Direction:
             raise ValueError("angles must be finite")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        # a tiny negative phi reduces to exactly 2*pi in floating point
+        phi = self.phi % TWO_PI
+        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
 
     @classmethod
     def from_vector(cls, v) -> "Direction":

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Direction
+from .geometry import TWO_PI, Direction
 from .states import StateVector, ProductBasis
 
-TWO_PI = 2.0 * math.pi
 MATCH_TOL = 1e-9
 BLOCK_CLUSTER_TOL = 1e-8
 _BLOCK_SEED = 0x5D1EB

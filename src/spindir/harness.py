@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import (
-    AxisPairEstimate,
     EulerAngles,
     Frame,
     _cross,
@@ -27,9 +26,9 @@ from .frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import TWO_PI, Direction, sphere_quadrature
+from .geometry import TWO_PI, Direction
 from .groups import d3_directions
-from .optimize import ChiDensity, chi_density, coherent_code, d3_coherent_error
+from .optimize import ChiDensity, chi_density, coherent_code
 from .protocols import (
     ENUMERATION_LIMIT,
     ProtocolScore,
@@ -50,18 +49,11 @@ _UINT64_SPAN = 2 ** 64
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One simulation request: protocol, sample size, stream seed.
-
-    n_theta/n_phi override the quadrature used for the deterministic
-    reference of the coherent protocol; they must resolve the overlap
-    kernel (degree 2N + 2 for N spins).
-    """
+    """One simulation request: protocol, sample size, stream seed."""
 
     protocol: ProtocolSpec
     trials: int
     seed: int
-    n_theta: int | None = None
-    n_phi: int | None = None
     output_path: str | None = None
 
     def __post_init__(self):
@@ -71,21 +63,6 @@ class RunConfig:
             raise ValueError("seed must be an integer")
         if not 0 <= self.seed < _UINT64_SPAN:
             raise ValueError("seed must fit in 64 bits")
-        sizes = (self.n_theta, self.n_phi)
-        if (sizes[0] is None) != (sizes[1] is None):
-            raise ValueError("give both quadrature sizes or neither")
-        if sizes[0] is not None:
-            if self.protocol.kind != "d3-coherent":
-                raise ValueError(
-                    "quadrature sizes only configure the d3-coherent reference"
-                )
-            quad = sphere_quadrature(self.n_theta, self.n_phi)
-            needed = 2 * self.protocol.num_spins + 2
-            if quad.max_exact_degree < needed:
-                raise ValueError(
-                    f"quadrature exact to degree {quad.max_exact_degree} cannot "
-                    f"resolve the degree-{needed} kernel"
-                )
 
 
 @dataclass(frozen=True)
@@ -185,15 +162,6 @@ def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) 
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi * cos_chi, 0.0, None))
     tangent = np.cos(azimuth)[:, None] * t1 + np.sin(azimuth)[:, None] * t2
     return cos_chi[:, None] * units + sin_chi[:, None] * tangent
-
-
-def perturb_direction(true_dir: Direction, chi: float, azimuth: float) -> Direction:
-    out = _perturb_units(
-        true_dir.unit_vector[None, :],
-        np.array([math.cos(chi)]),
-        np.array([azimuth]),
-    )
-    return Direction.from_vector(out[0])
 
 
 class _Accumulator:
@@ -303,9 +271,7 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     theta_x, phi_x = _polar_angles(x_est)
     failed, sin_phi, phi = [], [], []
     for tz, pz, tx, px in zip(theta_z, phi_z, theta_x, phi_x):
-        est = naive_euler_estimate(
-            AxisPairEstimate(z_dir=Direction(tz, pz), x_dir=Direction(tx, px))
-        )
+        est = naive_euler_estimate(Direction(tz, pz), Direction(tx, px))
         failed.append(est.failed)
         sin_phi.append(est.sin_phi)
         phi.append(math.nan if est.failed else est.angles.phi)
@@ -414,11 +380,5 @@ def reference_score(config: RunConfig) -> ProtocolScore | None:
     if spec.kind == "d3-covariant":
         return d3_covariant_two_spin_score()
     if spec.kind == "d3-coherent":
-        if config.n_theta is not None:
-            quad = sphere_quadrature(config.n_theta, config.n_phi)
-            err = d3_coherent_error(SpinJ(spec.num_spins), quad)
-            return ProtocolScore(
-                fidelity=1.0 - err, infidelity=err, method="quadrature"
-            )
         return d3_coherent_score(spec.num_spins)
     return None

@@ -11,14 +11,8 @@ import math
 
 import numpy as np
 
-from .spins import su2_from_rotation
+from .spins import PAULI, su2_from_rotation
 from .states import ProductBasis, SpinJ, StateVector
-
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def op_on_qubit(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SphereQuadrature, sphere_quadrature
+from .geometry import TWO_PI
 from .groups import SignalFamily, d3_directions, repeated_equivalent_blocks
 from .states import SpinJ
 
@@ -178,57 +178,70 @@ def chi_density(code: DirectionCode) -> ChiDensity:
     return ChiDensity(code=code)
 
 
-def default_d3_grid(j: SpinJ, scale: int = 1) -> SphereQuadrature:
-    """Quadrature sized for the six-direction decoding of a spin-j coherent
-    signal: polynomial degree at least 4j+2, with the grid sharing the signal
-    symmetry but keeping nodes off the decision boundaries.
+D3_ARC_NODES = 64
 
-    n_theta is even (odd Gauss grids put nodes on the equator, a boundary
-    between the cones) and n_phi is an odd multiple of 3 (multiples of 6 put
-    nodes on the mid-azimuths between signal directions); boundary nodes would
-    be tie-broken by index and skew the six error rates.
 
-    scale refines the grid beyond the kernel-exactness minimum.  The cell
-    boundaries are not polynomial, so node membership converges like
-    1/scale^2; scale 8 keeps the bias near 1e-4, below Monte Carlo
-    resolution at 10^6 trials.
+def _d3_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distance r(phi) from each signal direction d0 to the edge of its
+    nearest-direction cell along tangent azimuth phi, at Gauss-Legendre nodes.
+
+    Along t(phi) the great circle cos(r) d0 + sin(r) t crosses the bisector
+    plane (d0 - d_k).x = 0 once in (0, pi), at r_k = atan2(1 - d0.d_k, t.d_k);
+    the cell edge is the first crossing, min_k r_k.  The cell's vertices
+    v ~ (d0 - d_a) x (d0 - d_b) split the azimuth into arcs on which one
+    bisector is nearest, so r(phi) is analytic on each arc and each arc gets
+    its own Gauss-Legendre rule.  Returns (6, M) radii and (6, M) azimuth
+    weights summing to 2 pi per cell.
     """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    n_theta = (j.twice_j + 2 + (j.twice_j % 2)) * scale
-    if n_theta % 2:
-        n_theta += 1
-    n_phi = (2 * j.twice_j + 3) * scale
-    while n_phi % 6 != 3:
-        n_phi += 1
-    return sphere_quadrature(n_theta=n_theta, n_phi=n_phi)
+    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    radii, weights = [], []
+    for g, d0 in enumerate(dirs):
+        others = np.delete(dirs, g, axis=0)
+        diffs = d0 - others
+        e1 = np.cross(d0, diffs[0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(d0, e1)
+        # cell vertices: equidistant from d0 and two neighbours, and no
+        # nearer to any other neighbour
+        a, b = np.triu_indices(len(others), 1)
+        verts = np.cross(diffs[a], diffs[b])
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+        verts *= np.sign(verts @ d0)[:, None]
+        on_cell = verts @ d0 >= (verts @ others.T).max(axis=1) - 1e-12
+        phis = np.sort(np.arctan2(verts[on_cell] @ e2, verts[on_cell] @ e1))
+        breaks = phis[np.concatenate(([True], np.diff(phis) > 1e-9))]
+        breaks = np.append(breaks, breaks[0] + TWO_PI)
+        half = 0.5 * np.diff(breaks)
+        phi = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + half[:, None] * x
+        t = np.cos(phi).ravel()[:, None] * e1 + np.sin(phi).ravel()[:, None] * e2
+        r = np.arctan2(1.0 - others @ d0, t @ others.T).min(axis=1)
+        radii.append(r)
+        weights.append((half[:, None] * w).ravel())
+    return np.array(radii), np.array(weights)
 
 
-def d3_coherent_error(j: SpinJ, quad: SphereQuadrature) -> float:
+def _d3_cell_errors(j: SpinJ, nodes: int) -> np.ndarray:
+    """Per-direction error of the nearest-direction decode of a spin-j
+    coherent signal: the estimate leaves the cap of half-angle r with
+    probability ((1 + cos r)/2)^(2j+1), so 1 - F = (1/2pi) int over phi of
+    ((1 + cos r(phi))/2)^(2j+1)."""
+    radii, weights = _d3_cell_radii(nodes)
+    tail = ((1.0 + np.cos(radii)) / 2.0) ** (j.twice_j + 1)
+    return np.sum(weights * tail, axis=1) / TWO_PI
+
+
+def d3_coherent_error(j: SpinJ) -> float:
     """Error probability of sending a spin-j coherent state along one of the
     six dihedral directions and decoding the covariant direction measurement
     to the nearest of the six.
 
-    The estimate lands on a quadrature node; the success mass of a direction is
-    the summed node probability w_k (2j+1)/(4pi) cos^{4j}(chi_k/2) over nodes
-    whose nearest signal direction is the true one (ties go to the lowest
-    index). The six error rates must agree; their mean is returned.
+    Exact up to rounding: a one-dimensional integral over the azimuth around
+    each signal direction (see _d3_cell_errors), split at the decoding cell's
+    three vertices, with D3_ARC_NODES Gauss-Legendre nodes per arc.  The six
+    error rates must agree; their mean is returned.
     """
-    need = 2 * j.twice_j + 2
-    if quad.max_exact_degree < need:
-        raise ValueError(
-            f"quadrature exact to degree {quad.max_exact_degree} is insufficient; "
-            f"the decoding kernel needs degree {need}"
-        )
-    dirs = np.stack([d.unit_vector for d in d3_directions()])
-    cos_table = dirs @ quad.unit_vectors.T  # (6, K)
-    owner = np.argmax(cos_table, axis=0)
-    scale = (j.twice_j + 1) / (4.0 * math.pi)
-    kernel = ((1.0 + cos_table) / 2.0) ** j.twice_j  # |overlap|^2 per (dir, node)
-    node_mass = quad.weights * scale * kernel  # (6, K)
-    success = np.array([node_mass[g, owner == g].sum() for g in range(6)])
-    errors = 1.0 - success
-    spread = errors.max() - errors.min()
-    if spread > 1e-12 + 1e-9 * errors.max():
-        raise ValueError("quadrature grid breaks the six-direction symmetry")
+    errors = _d3_cell_errors(j, D3_ARC_NODES)
+    if errors.max() - errors.min() > 1e-12:
+        raise ValueError("the six decoding cells give different error rates")
     return float(errors.mean())

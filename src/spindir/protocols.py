@@ -30,7 +30,6 @@ from .optimize import (
     chi_density,
     coherent_code,
     d3_coherent_error,
-    default_d3_grid,
     finite_group_optimum,
     optimal_direction_encoding,
 )
@@ -60,7 +59,6 @@ _ALLOWED_DECODERS = {
     "frame-two-axis": ("naive-euler", "best-fit"),
 }
 ENUMERATION_LIMIT = 9
-COHERENT_GRID_SCALE = 8
 
 
 @dataclass(frozen=True)
@@ -326,16 +324,12 @@ def d3_covariant_two_spin_score() -> ProtocolScore:
     return _score(fid, "exact", coefficients=coeffs)
 
 
-def d3_coherent_score(
-    num_spins: int, grid_scale: int = COHERENT_GRID_SCALE
-) -> ProtocolScore:
+def d3_coherent_score(num_spins: int) -> ProtocolScore:
     """Coherent strategy: all spins aligned with the signalled direction,
     continuous direction estimate decoded to the nearest of the six."""
     if num_spins < 1:
         raise ValueError("need at least one spin")
-    j = SpinJ(num_spins)
-    err = d3_coherent_error(j, default_d3_grid(j, scale=grid_scale))
-    return _score(1.0 - err, "quadrature")
+    return _score(1.0 - d3_coherent_error(SpinJ(num_spins)), "quadrature")
 
 
 def d3_coherent_crossover(max_spins: int = 24) -> int:

@@ -255,7 +255,7 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1 - c) * np.outer(n, n)
 
 
-_SIGMA = (
+PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
@@ -266,5 +266,5 @@ def su2_from_rotation(rot) -> np.ndarray:
     """SU(2) element exp(-i angle n.sigma/2) for a rotation matrix, with the
     canonical axis-angle pinning so the lift (and its sign) is deterministic."""
     axis, angle = axis_angle_from_matrix(rot)
-    ndots = axis[0] * _SIGMA[0] + axis[1] * _SIGMA[1] + axis[2] * _SIGMA[2]
+    ndots = axis[0] * PAULI[0] + axis[1] * PAULI[1] + axis[2] * PAULI[2]
     return math.cos(angle / 2) * np.eye(2, dtype=complex) - 1j * math.sin(angle / 2) * ndots

@@ -277,25 +277,23 @@ class TestSimulate:
         assert a["estimates"] == b["estimates"]
         assert a["stderrs"] == b["stderrs"]
 
-    def test_quadrature_override_accepted(self, capsys, tmp_path):
-        _, out = simulate_record(
-            capsys,
-            tmp_path,
-            "fine.json",
-            "--kind",
-            "d3-coherent",
-            "--num-spins",
-            "4",
-            "--trials",
-            "2000",
-            "--seed",
-            "5",
-            "--n-theta",
-            "48",
-            "--n-phi",
-            "87",
+    def test_quadrature_size_flags_are_gone(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--kind", "d3-coherent", "--num-spins", "4",
+            "--trials", "100", "--seed", "5", "--n-theta", "10",
         )
-        assert "quadrature reference" in out
+        assert code == 1
+        assert "--n-theta" in err
+
+    def test_quadrature_size_setting_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(
+            "[protocol]\nkind = d3-coherent\nnum-spins = 4\n"
+            "[run]\ntrials = 100\nseed = 5\nn-theta = 48\n"
+        )
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert "unknown setting 'n_theta'" in err
 
 
 class TestRecords:
@@ -387,6 +385,26 @@ class TestReport:
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_reads_record_with_quadrature_sizes(self, capsys, tmp_path):
+        # schema-1 records written while the coherent reference took grid
+        # sizes carry them in config; report still tabulates them
+        fresh, _ = simulate_record(
+            capsys, tmp_path, "coh.json",
+            "--kind", "d3-coherent", "--num-spins", "4",
+            "--trials", "2000", "--seed", "5",
+        )
+        body = json.loads(fresh.read_text())
+        assert "n_theta" not in body["config"] and "n_phi" not in body["config"]
+        body["config"].update(n_theta=48, n_phi=87)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(body))
+        code, out, _ = run(capsys, "report", str(old), str(fresh))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert rows[1] == rows[2]
+        assert rows[1][:3] == ["d3-coherent", "4", "coherent"]
 
     def test_mixed_schema_versions_refused(self, capsys, tmp_path, two_records):
         single, frame = two_records

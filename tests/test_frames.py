@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spindir.frames import (
-    AxisPairEstimate,
     EulerAngles,
     Frame,
     axes_to_euler,
@@ -28,12 +27,9 @@ def random_euler() -> EulerAngles:
     )
 
 
-def _pair(frame: Frame) -> AxisPairEstimate:
+def _pair(frame: Frame) -> tuple[Direction, Direction]:
     """The polar angles of a frame's z and x axes, as a receiver measures them."""
-    return AxisPairEstimate(
-        z_dir=Direction.from_vector(frame.z_axis),
-        x_dir=Direction.from_vector(frame.x_axis),
-    )
+    return Direction.from_vector(frame.z_axis), Direction.from_vector(frame.x_axis)
 
 
 def test_euler_angle_ranges():
@@ -108,11 +104,11 @@ def test_best_fit_stack_rejects_one_parallel_pair():
 def test_forward_map_produces_orthonormal_frame():
     for _ in range(200):
         frame = euler_to_axes(random_euler())
-        pair = _pair(frame)
+        z_dir, x_dir = _pair(frame)
         m = frame.axes_matrix()
         np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(pair.z_dir.unit_vector, frame.z_axis, atol=1e-12)
-        np.testing.assert_allclose(pair.x_dir.unit_vector, frame.x_axis, atol=1e-12)
+        np.testing.assert_allclose(z_dir.unit_vector, frame.z_axis, atol=1e-12)
+        np.testing.assert_allclose(x_dir.unit_vector, frame.x_axis, atol=1e-12)
 
 
 def test_identity_angles_give_lab_frame():
@@ -211,7 +207,7 @@ def test_naive_estimate_exact_on_clean_data():
         if math.sin(e.theta) < 1e-3:
             continue
         frame = euler_to_axes(e)
-        out = naive_euler_estimate(_pair(frame))
+        out = naive_euler_estimate(*_pair(frame))
         assert not out.failed
         rec = euler_to_axes(out.angles)
         assert frame_infidelity(frame, rec) < 1e-10
@@ -225,7 +221,7 @@ def test_naive_estimate_quadrant_choice():
     # |phi| beyond pi/2 exercises the branch that the bare arcsine misses
     for phi in (2.0, -2.5, 3.0):
         e = EulerAngles(phi=phi, theta=1.1, psi=0.4)
-        out = naive_euler_estimate(_pair(euler_to_axes(e)))
+        out = naive_euler_estimate(*_pair(euler_to_axes(e)))
         assert not out.failed
         assert _angle_diff(out.angles.phi, phi) < 1e-9
 
@@ -235,26 +231,23 @@ def test_naive_estimate_failure_fixture():
     # measured z inward by 0.1 gives cos(theta_x)/sin(theta_z) = 1/cos(0.1) > 1
     z_dir = Direction(theta=0.5 * math.pi - 0.1, phi=0.0)
     x_dir = Direction(theta=0.0, phi=0.5 * math.pi)
-    out = naive_euler_estimate(AxisPairEstimate(z_dir=z_dir, x_dir=x_dir))
+    out = naive_euler_estimate(z_dir, x_dir)
     assert out.failed
     assert out.angles is None
     assert out.sin_phi == pytest.approx(1.0 / math.cos(0.1), abs=1e-12)
 
 
 def test_naive_estimate_pole_raises():
-    pair = AxisPairEstimate(
-        z_dir=Direction(theta=0.0, phi=0.0), x_dir=Direction(theta=0.5, phi=0.2)
-    )
     with pytest.raises(ValueError, match="pole"):
-        naive_euler_estimate(pair)
+        naive_euler_estimate(Direction(theta=0.0, phi=0.0), Direction(theta=0.5, phi=0.2))
 
 
 def test_best_fit_recovers_exact_frame():
     for _ in range(300):
         e = random_euler()
         frame = euler_to_axes(e)
-        pair = _pair(frame)
-        fit, angles = best_fit_frame(pair.z_dir.unit_vector, pair.x_dir.unit_vector)
+        z_dir, x_dir = _pair(frame)
+        fit, angles = best_fit_frame(z_dir.unit_vector, x_dir.unit_vector)
         assert frame_infidelity(frame, fit) < 1e-12
         rec = euler_to_axes(angles)
         assert frame_infidelity(frame, rec) < 1e-12
@@ -297,13 +290,11 @@ def test_best_fit_beats_naive_on_noisy_data():
             psi=rng.uniform(-math.pi, math.pi),
         )
         frame = euler_to_axes(e)
-        pair = _pair(frame)
-        noisy = AxisPairEstimate(
-            z_dir=_jitter(pair.z_dir, 0.15, rng), x_dir=_jitter(pair.x_dir, 0.15, rng)
-        )
-        fit, _ = best_fit_frame(noisy.z_dir.unit_vector, noisy.x_dir.unit_vector)
+        z_dir, x_dir = _pair(frame)
+        noisy = (_jitter(z_dir, 0.15, rng), _jitter(x_dir, 0.15, rng))
+        fit, _ = best_fit_frame(noisy[0].unit_vector, noisy[1].unit_vector)
         fit_err = frame_infidelity(frame, fit)
-        out = naive_euler_estimate(noisy)
+        out = naive_euler_estimate(*noisy)
         if out.failed:
             continue
         rec = euler_to_axes(out.angles)

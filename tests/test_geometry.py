@@ -23,6 +23,16 @@ def test_direction_phi_wraps():
     assert d.phi == pytest.approx(2.0 * math.pi - 0.5)
 
 
+def test_direction_tiny_negative_phi_stays_below_two_pi():
+    # -1e-20 % (2 pi) rounds to exactly 2 pi; it must come back as 0
+    assert Direction.from_vector([1.0, -1e-20, 0.0]).phi == 0.0
+    for tiny in (-1e-300, -1e-20, -1e-16, -4e-16):
+        phi = Direction(1.0, tiny).phi
+        assert 0.0 <= phi < 2.0 * math.pi
+    assert Direction(1.0, -1e-15).phi == pytest.approx(2.0 * math.pi - 1e-15, abs=1e-18)
+    assert Direction(1.0, 2.0 * math.pi).phi == 0.0
+
+
 def test_unit_vector_and_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(100):

@@ -5,7 +5,6 @@ import pytest
 
 from spindir import harness
 from spindir.frames import (
-    AxisPairEstimate,
     EulerAngles,
     Frame,
     axes_to_euler,
@@ -25,7 +24,6 @@ from spindir.harness import (
     _naive_frames,
     _perturb_units,
     _quaternion_matrices,
-    perturb_direction,
     reference_score,
     run_experiment,
     sample_chi,
@@ -33,7 +31,12 @@ from spindir.harness import (
     sample_haar_frame,
     sample_haar_rotation,
 )
-from spindir.optimize import chi_density, coherent_code, optimal_direction_encoding
+from spindir.optimize import (
+    chi_density,
+    coherent_code,
+    d3_coherent_error,
+    optimal_direction_encoding,
+)
 from spindir.protocols import ProtocolSpec, frame_two_axis_score
 from spindir.states import SpinJ
 
@@ -52,25 +55,6 @@ class TestRunConfig:
         for bad in (-1, 2**64, 1.5):
             with pytest.raises(ValueError):
                 RunConfig(protocol=spec(), trials=10, seed=bad)
-
-    def test_quadrature_sizes_come_in_pairs(self):
-        with pytest.raises(ValueError, match="both"):
-            RunConfig(
-                protocol=spec("d3-coherent", 4), trials=10, seed=1, n_theta=10
-            )
-
-    def test_quadrature_sizes_only_for_coherent(self):
-        with pytest.raises(ValueError, match="d3-coherent"):
-            RunConfig(protocol=spec(), trials=10, seed=1, n_theta=10, n_phi=21)
-
-    def test_quadrature_sizes_must_resolve_kernel(self):
-        with pytest.raises(ValueError, match="degree"):
-            RunConfig(
-                protocol=spec("d3-coherent", 8), trials=10, seed=1, n_theta=5, n_phi=9
-            )
-        RunConfig(
-            protocol=spec("d3-coherent", 8), trials=10, seed=1, n_theta=10, n_phi=19
-        )
 
 
 class TestSamplers:
@@ -139,19 +123,18 @@ class TestSamplers:
     def test_perturb_direction_exact_angle(self, chi):
         # compare cosines: arccos near the endpoints turns 1e-16 of dot
         # product into 1e-8 of angle
-        base = Direction(theta=0.9, phi=2.2)
-        for azimuth in (0.0, 1.0, 4.5):
-            moved = perturb_direction(base, chi, azimuth)
-            v = moved.unit_vector
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            dot = float(base.unit_vector @ v)
-            assert dot == pytest.approx(math.cos(chi), abs=1e-12)
+        base = Direction(theta=0.9, phi=2.2).unit_vector
+        azimuths = np.array([0.0, 1.0, 4.5])
+        moved = _perturb_units(np.tile(base, (3, 1)), np.full(3, math.cos(chi)), azimuths)
+        np.testing.assert_allclose(np.linalg.norm(moved, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(moved @ base, math.cos(chi), atol=1e-12)
 
     def test_perturb_direction_azimuth_spreads(self):
-        base = Direction(theta=0.0, phi=0.0)
-        a = perturb_direction(base, 0.5, 0.0)
-        b = perturb_direction(base, 0.5, math.pi / 2.0)
-        assert a.angle_to(b) > 0.1
+        base = Direction(theta=0.0, phi=0.0).unit_vector
+        a, b = _perturb_units(
+            np.tile(base, (2, 1)), np.full(2, math.cos(0.5)), np.array([0.0, math.pi / 2.0])
+        )
+        assert Direction.from_vector(a).angle_to(Direction.from_vector(b)) > 0.1
 
 
 class TestAccumulator:
@@ -273,16 +256,16 @@ class TestFrameRuns:
         assert best.estimates["infidelity"] < naive.estimates["infidelity"]
 
 
-def _naive_frame(pair: AxisPairEstimate) -> tuple[Frame, bool]:
+def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
     """One trial of the naive decode as the harness ran it before it decoded
     whole batches: the closed-form inversion, |sin phi| clamped to 1 when it
     fails, and the forward map evaluated on one frame with math."""
-    est = naive_euler_estimate(pair)
+    est = naive_euler_estimate(z_dir, x_dir)
     if est.failed:
         angles = EulerAngles(
             phi=math.copysign(0.5 * math.pi, est.sin_phi),
-            theta=pair.z_dir.theta,
-            psi=0.5 * math.pi - pair.z_dir.phi,
+            theta=z_dir.theta,
+            psi=0.5 * math.pi - z_dir.phi,
         )
     else:
         angles = est.angles
@@ -325,15 +308,13 @@ def _per_trial_reference(seed: int, batch: int, take: int, grid, cdf, decoder: s
         true_frame = Frame(
             z_axis=mats[i, :, 2], x_axis=mats[i, :, 0], y_axis=mats[i, :, 1]
         )
-        pair = AxisPairEstimate(
-            z_dir=Direction.from_vector(z_est[i]),
-            x_dir=Direction.from_vector(x_est[i]),
-        )
+        z_dir = Direction.from_vector(z_est[i])
+        x_dir = Direction.from_vector(x_est[i])
         if decoder == "naive-euler":
-            fitted, failed = _naive_frame(pair)
+            fitted, failed = _naive_frame(z_dir, x_dir)
             failures += int(failed)
         else:
-            fitted, _ = best_fit_frame(pair.z_dir.unit_vector, pair.x_dir.unit_vector)
+            fitted, _ = best_fit_frame(z_dir.unit_vector, x_dir.unit_vector)
         scores[i] = frame_infidelity(true_frame, fitted)
     return scores, cos_z, cos_x, failures
 
@@ -388,11 +369,9 @@ class TestFrameBatchDecode:
         frames, failures = _naive_frames(z_est, x_est)
         assert failures == 3
         for i in range(8):
-            pair = AxisPairEstimate(
-                z_dir=Direction.from_vector(z_est[i]),
-                x_dir=Direction.from_vector(x_est[i]),
+            want, failed = _naive_frame(
+                Direction.from_vector(z_est[i]), Direction.from_vector(x_est[i])
             )
-            want, failed = _naive_frame(pair)
             assert failed == (i in (1, 4, 6))
             for name in ("z_axis", "x_axis", "y_axis"):
                 np.testing.assert_allclose(
@@ -404,8 +383,8 @@ class TestFrameBatchDecode:
         # call and compares that count with naive_failures
         calls = []
 
-        def counting(pair):
-            out = naive_euler_estimate(pair)
+        def counting(z_dir, x_dir):
+            out = naive_euler_estimate(z_dir, x_dir)
             calls.append(out.failed)
             return out
 
@@ -448,16 +427,13 @@ class TestReferenceScore:
         config = RunConfig(protocol=spec("d3-repeated", 12), trials=10, seed=1)
         assert reference_score(config) is None
 
-    def test_coherent_reference_honors_grid_override(self):
-        base = RunConfig(protocol=spec("d3-coherent", 4), trials=10, seed=1)
-        fine = RunConfig(
-            protocol=spec("d3-coherent", 4), trials=10, seed=1, n_theta=48, n_phi=87
-        )
-        a = reference_score(base)
-        b = reference_score(fine)
-        assert a.method == b.method == "quadrature"
-        assert a.fidelity != b.fidelity
-        assert abs(a.fidelity - b.fidelity) < 1e-3
+    def test_coherent_reference_is_the_exact_integral(self):
+        config = RunConfig(protocol=spec("d3-coherent", 4), trials=10, seed=1)
+        ref = reference_score(config)
+        assert ref.method == "quadrature"
+        assert ref.fidelity == 1.0 - d3_coherent_error(SpinJ(4))
+        with pytest.raises(TypeError):
+            RunConfig(protocol=spec("d3-coherent", 4), trials=10, seed=1, n_theta=48)
 
     def test_exact_references(self):
         assert reference_score(

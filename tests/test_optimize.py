@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from spindir.geometry import sphere_quadrature
-from spindir.groups import Block, SignalFamily, build_signal_family, dihedral_d3
+from spindir.geometry import SphereQuadrature, sphere_quadrature
+from spindir.groups import (
+    Block,
+    SignalFamily,
+    build_signal_family,
+    d3_directions,
+    dihedral_d3,
+)
 from spindir.optimize import (
+    D3_ARC_NODES,
     ChiDensity,
     DirectionCode,
+    _d3_cell_errors,
+    _d3_cell_radii,
     chi_density,
     coherent_code,
     d3_coherent_error,
-    default_d3_grid,
     direction_cos_matrix,
     finite_group_optimum,
     optimal_direction_encoding,
@@ -209,32 +217,86 @@ class TestChiDensity:
         assert u[0] == -1.0 and u[-1] == 1.0
 
 
+def _d3_grid(j: SpinJ, scale: int = 1) -> SphereQuadrature:
+    """Tensor grid for the grid oracle below: polynomial degree at least
+    4j+2, sharing the signal symmetry but keeping nodes off the decision
+    boundaries.
+
+    n_theta is even (odd Gauss grids put nodes on the equator, a boundary
+    between the cones) and n_phi is an odd multiple of 3 (multiples of 6 put
+    nodes on the mid-azimuths between signal directions); boundary nodes would
+    be tie-broken by index and skew the six error rates.  The cell boundaries
+    are not polynomial, so the oracle converges like 1/scale^2.
+    """
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    n_theta = (j.twice_j + 2 + (j.twice_j % 2)) * scale
+    if n_theta % 2:
+        n_theta += 1
+    n_phi = (2 * j.twice_j + 3) * scale
+    while n_phi % 6 != 3:
+        n_phi += 1
+    return sphere_quadrature(n_theta=n_theta, n_phi=n_phi)
+
+
+def _grid_d3_error(j: SpinJ, quad: SphereQuadrature) -> float:
+    """Grid oracle for d3_coherent_error: the estimate lands on a node; the
+    success mass of a direction is the summed node probability
+    w_k (2j+1)/(4pi) cos^{4j}(chi_k/2) over nodes whose nearest signal
+    direction is the true one (ties go to the lowest index)."""
+    need = 2 * j.twice_j + 2
+    if quad.max_exact_degree < need:
+        raise ValueError(
+            f"quadrature exact to degree {quad.max_exact_degree} is insufficient; "
+            f"the decoding kernel needs degree {need}"
+        )
+    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    cos_table = dirs @ quad.unit_vectors.T  # (6, K)
+    owner = np.argmax(cos_table, axis=0)
+    scale = (j.twice_j + 1) / (4.0 * math.pi)
+    kernel = ((1.0 + cos_table) / 2.0) ** j.twice_j  # |overlap|^2 per (dir, node)
+    node_mass = quad.weights * scale * kernel  # (6, K)
+    errors = 1.0 - np.array([node_mass[g, owner == g].sum() for g in range(6)])
+    if errors.max() - errors.min() > 1e-12 + 1e-9 * errors.max():
+        raise ValueError("quadrature grid breaks the six-direction symmetry")
+    return float(errors.mean())
+
+
+# d3_coherent_error pinned where the grid oracle confirms it (see
+# test_grid_refinement_converges)
+EXACT_D3_ERRORS = {
+    4: 0.4204489193341643,
+    8: 0.22423415582149944,
+    24: 0.02416752857411919,
+}
+
+
 class TestSixDirectionDecoding:
     def test_default_grid_shape_rules(self):
         for twice_j, scale in [(4, 1), (4, 2), (8, 1), (24, 8), (2, 3)]:
-            quad = default_d3_grid(SpinJ(twice_j), scale=scale)
+            quad = _d3_grid(SpinJ(twice_j), scale=scale)
             n_theta = len(np.unique(np.round(quad.unit_vectors[:, 2], 14)))
             assert n_theta % 2 == 0
             assert quad.max_exact_degree >= 2 * twice_j + 2
 
     def test_default_grid_phi_count(self):
-        quad = default_d3_grid(SpinJ(4))
+        quad = _d3_grid(SpinJ(4))
         # 6 even thetas x 15 azimuths (first count with 2n-1 >= 10, 15 = 3 mod 6)
         assert quad.size == 6 * 15
 
     def test_default_grid_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            default_d3_grid(SpinJ(4), scale=0)
+            _d3_grid(SpinJ(4), scale=0)
 
     def test_error_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="degree"):
-            d3_coherent_error(SpinJ(8), sphere_quadrature(5, 9))
+            _grid_d3_error(SpinJ(8), sphere_quadrature(5, 9))
 
     def test_error_rejects_boundary_nodes(self):
         # odd n_theta puts nodes on the equator, tie-broken by index, which
         # skews the six per-direction rates
         with pytest.raises(ValueError, match="symmetry"):
-            d3_coherent_error(SpinJ(4), sphere_quadrature(11, 21))
+            _grid_d3_error(SpinJ(4), sphere_quadrature(11, 21))
 
     @pytest.mark.parametrize(
         "twice_j,value",
@@ -245,23 +307,50 @@ class TestSixDirectionDecoding:
         ],
     )
     def test_frozen_scale8_errors(self, twice_j, value):
+        # value is the grid oracle at scale 8; the exact error lies above it
+        # by the oracle's O(h^2) boundary bias
         j = SpinJ(twice_j)
-        err = d3_coherent_error(j, default_d3_grid(j, scale=8))
-        assert err == pytest.approx(value, rel=1e-10)
+        assert _grid_d3_error(j, _d3_grid(j, scale=8)) == pytest.approx(value, rel=1e-10)
+        exact = d3_coherent_error(j)
+        assert exact == pytest.approx(EXACT_D3_ERRORS[twice_j], rel=1e-13)
+        assert 0.0 < exact - value < 2.5e-4
 
     def test_error_decreases_with_spins(self):
-        errs = [
-            d3_coherent_error(SpinJ(n), default_d3_grid(SpinJ(n), scale=4))
-            for n in (2, 4, 8, 12)
-        ]
+        errs = [d3_coherent_error(SpinJ(n)) for n in (2, 4, 8, 12)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_grid_refinement_converges(self):
-        # boundary-exact reference for the four-spin code; node membership
-        # converges like 1/scale^2 toward it
-        truth = 0.4204489202377
-        j = SpinJ(4)
-        d8 = abs(d3_coherent_error(j, default_d3_grid(j, scale=8)) - truth)
-        d16 = abs(d3_coherent_error(j, default_d3_grid(j, scale=16)) - truth)
-        assert d8 < 5e-4
-        assert d16 < d8 / 3.0
+        # the grid oracle converges like 1/scale^2 toward the exact value:
+        # each doubling divides its error by about 4
+        for twice_j in (1, 4):
+            j = SpinJ(twice_j)
+            exact = d3_coherent_error(j)
+            gaps = [
+                abs(_grid_d3_error(j, _d3_grid(j, scale=s)) - exact) for s in (8, 16, 32)
+            ]
+            assert gaps[0] < 5e-4
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 3.0 <= coarse / fine <= 5.0
+
+    def test_matches_boundary_exact_constant(self):
+        assert abs(d3_coherent_error(SpinJ(4)) - 0.4204489202377) < 2e-9
+
+    def test_node_doubling_residual(self):
+        for n in range(1, 61):
+            j = SpinJ(n)
+            fine = float(np.mean(_d3_cell_errors(j, 2 * D3_ARC_NODES)))
+            assert abs(fine - d3_coherent_error(j)) <= 1e-14
+
+    def test_cells_are_triangles_between_the_caps(self):
+        # the edge distance r(phi) lies between the inradius (bisector with
+        # an upper-cone neighbour, cos r = sqrt(5/8)) and the circumradius
+        # (a vertex, cos r = 1/(2 sqrt 2)); both bounds are attained
+        radii, weights = _d3_cell_radii(D3_ARC_NODES)
+        assert radii.shape == (6, 3 * D3_ARC_NODES)
+        np.testing.assert_allclose(weights.sum(axis=1), 2.0 * math.pi, rtol=1e-14)
+        inner = math.acos(math.sqrt(5.0 / 8.0))
+        outer = math.acos(1.0 / (2.0 * math.sqrt(2.0)))
+        assert radii.min() >= inner - 1e-12
+        assert radii.max() <= outer + 1e-12
+        assert radii.min() == pytest.approx(inner, abs=1e-4)
+        assert radii.max() == pytest.approx(outer, abs=1e-3)
