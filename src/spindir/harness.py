@@ -368,8 +368,10 @@ def run_experiment(config: RunConfig) -> RunResult:
 
 def reference_score(config: RunConfig) -> ProtocolScore | None:
     """The deterministic (exact or quadrature) score for the configured
-    protocol, when one exists; None for frame runs, whose full-frame score
-    is only defined by sampling."""
+    protocol, when one exists.  None for frame runs, whose full-frame score
+    is only defined by sampling, and for d3-repeated votes over more than
+    ENUMERATION_LIMIT (12) shots, beyond which the exact int64 enumeration
+    could overflow."""
     spec = config.protocol
     if spec.kind == "d3-single":
         return d3_single_spin_score()

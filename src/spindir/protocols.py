@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -58,7 +57,12 @@ _ALLOWED_DECODERS = {
     "d3-coherent": ("nearest-direction",),
     "frame-two-axis": ("naive-euler", "best-fit"),
 }
-ENUMERATION_LIMIT = 9
+# The vote enumeration sums integer weights in int64.  The weights of all
+# count vectors sum to 24^n (multinomial theorem on the table's numerators),
+# and each weight is scaled by a share of at most 60, so every partial sum is
+# at most 60 * 24^n: below 2^63 for n <= 12 (2.19e18), above it at n = 13
+# (5.26e19).
+ENUMERATION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -248,66 +252,67 @@ def d3_single_spin_score() -> ProtocolScore:
 
 
 @lru_cache(maxsize=1)
-def _exact_single_spin_table() -> tuple:
-    """The 6x6 outcome table as exact rationals.
+def _single_spin_numerators() -> np.ndarray:
+    """The 6x6 outcome table in units of 1/24, as read-only int64.
 
     The six directions pairwise dot to 1, 1/4, 0 or -3/4, so every entry of
-    (1 + n.m)/6 is a quarter-integer over 6; arithmetic over tuples of
-    outcome counts can then be done without rounding."""
-    dirs = d3_directions()
-    units = [d.unit_vector for d in dirs]
-    table = []
-    for a in units:
-        row = []
-        for b in units:
-            dot4 = round(4.0 * float(np.dot(a, b)))
-            if abs(4.0 * float(np.dot(a, b)) - dot4) > 1e-12:
-                raise RuntimeError("direction dot product is not a quarter integer")
-            row.append(Fraction(4 + dot4, 24))
-        table.append(tuple(row))
-    return tuple(table)
+    (1 + n.m)/6 is an integer over 24 (each row is a permutation of
+    8, 5, 5, 4, 1, 1); vote weights can then be summed without rounding."""
+    units = np.array([d.unit_vector for d in d3_directions()])
+    dot4 = 4.0 * (units @ units.T)
+    rounded = np.round(dot4)
+    if np.max(np.abs(dot4 - rounded)) > 1e-12:
+        raise RuntimeError("direction dot product is not a quarter integer")
+    table = 4 + rounded.astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore:
     """Plurality vote over n independent single-spin measurements.
 
-    Exact enumeration over outcome count vectors (multinomial weights as
-    rationals).  With the random tie-break a tie among k leaders containing
-    the true direction contributes 1/k; lowest-index always awards the tied
-    set's smallest index.  n above ENUMERATION_LIMIT is refused; sampling
-    at that size belongs to the Monte Carlo harness.
+    Exact enumeration over the C(n+5, 5) outcome count vectors in int64:
+    a count vector c has weight n!/prod(c_k!) * prod(num_k^c_k) over 24^n,
+    with num the true direction's row of table numerators.  With the random
+    tie-break a tie among k leaders containing the true direction
+    contributes 1/k, counted as 60 // k over lcm(1..6) = 60; lowest-index
+    always awards the tied set's smallest index.  n above ENUMERATION_LIMIT
+    is refused, because the int64 sums could overflow; sampling at that size
+    belongs to the Monte Carlo harness.
     """
     if n < 1:
         raise ValueError("need at least one measurement")
+    vectors = math.comb(n + 5, 5)
     if n > ENUMERATION_LIMIT:
         raise ValueError(
-            f"enumeration over 6^{n} outcomes refused; use the Monte Carlo path"
+            f"enumeration over {vectors} outcome count vectors refused; "
+            "use the Monte Carlo path"
         )
     if tie_break not in ("random", "lowest-index"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    table = _exact_single_spin_table()
-    fact = [math.factorial(k) for k in range(n + 1)]
-    total = Fraction(0)
+    num = _single_spin_numerators()
+    # stars and bars: the positions of 5 bars among n + 5 slots
+    bars = np.fromiter(
+        combinations(range(n + 5), 5), dtype=np.dtype((np.int8, 5)), count=vectors
+    )
+    counts = (np.diff(bars, axis=1, prepend=-1, append=n + 5) - 1).astype(np.int64)
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+    multinomial = fact[n] // np.prod(fact[counts], axis=1)
+    # scores[i, t]: count vector i scores for true direction t, worth share/60
+    scores = counts == counts.max(axis=1, keepdims=True)
+    if tie_break == "random":
+        share = 60 // scores.sum(axis=1)
+    else:
+        scores &= np.cumsum(scores, axis=1, dtype=np.int8) == 1
+        share = 60
+    total = 0
     for true in range(6):
-        probs = table[true]
-        for combo in combinations_with_replacement(range(6), n):
-            counts = [0] * 6
-            for c in combo:
-                counts[c] += 1
-            weight = Fraction(fact[n])
-            for k, ck in enumerate(counts):
-                if ck:
-                    weight = weight * probs[k] ** ck / fact[ck]
-            top = max(counts)
-            winners = [k for k, ck in enumerate(counts) if ck == top]
-            if tie_break == "random":
-                if true in winners:
-                    total += weight / len(winners)
-            else:
-                if winners[0] == true:
-                    total += weight
-    fid = total / 6
-    return _score(float(fid), "exact")
+        weight = multinomial.copy()
+        for k in range(6):
+            weight *= num[true, k] ** counts[:, k]
+        total += int(np.sum(weight * share, where=scores[:, true]))
+    # int / int rounds the exact rational to the nearest float, once
+    return _score(total / (6 * 60 * 24**n), "exact")
 
 
 def d3_covariant_two_spin_score() -> ProtocolScore:

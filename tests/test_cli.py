@@ -208,6 +208,22 @@ class TestSimulate:
         assert code == 1
         assert "trials" in err
 
+    def test_vote_at_enumeration_limit_prints_exact_reference(self, capsys, tmp_path):
+        _, out = simulate_record(
+            capsys,
+            tmp_path,
+            "vote.json",
+            "--kind",
+            "d3-repeated",
+            "--num-spins",
+            "12",
+            "--trials",
+            "2000",
+            "--seed",
+            "5",
+        )
+        assert "exact reference 0.538290" in out
+
     def test_frame_naive_prints_clamp_count(self, capsys, tmp_path):
         _, out = simulate_record(
             capsys,

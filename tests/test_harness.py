@@ -37,7 +37,7 @@ from spindir.optimize import (
     d3_coherent_error,
     optimal_direction_encoding,
 )
-from spindir.protocols import ProtocolSpec, frame_two_axis_score
+from spindir.protocols import ENUMERATION_LIMIT, ProtocolSpec, frame_two_axis_score
 from spindir.states import SpinJ
 
 
@@ -206,6 +206,19 @@ class TestAgainstReferences:
                 seed=14,
             )
         )
+
+    @pytest.mark.parametrize("tie_break,seed", [("random", 16), ("lowest-index", 17)])
+    def test_repeated_vote_at_enumeration_limit(self, tie_break, seed):
+        config = RunConfig(
+            protocol=spec("d3-repeated", ENUMERATION_LIMIT, tie_break=tie_break),
+            trials=200000,
+            seed=seed,
+        )
+        result = run_experiment(config)
+        ref = reference_score(config)
+        assert ref.method == "exact"
+        z = (result.estimates["fidelity"] - ref.fidelity) / result.stderrs["fidelity"]
+        assert abs(z) <= 5.0
 
     def test_coherent_six_spins(self):
         # quadrature reference carries a small node-membership bias
@@ -424,7 +437,7 @@ class TestReferenceScore:
         assert reference_score(config) is None
 
     def test_large_vote_has_no_reference(self):
-        config = RunConfig(protocol=spec("d3-repeated", 12), trials=10, seed=1)
+        config = RunConfig(protocol=spec("d3-repeated", 13), trials=10, seed=1)
         assert reference_score(config) is None
 
     def test_coherent_reference_is_the_exact_integral(self):

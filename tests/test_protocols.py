@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from spindir.protocols import (
     d3_two_spin_comparison,
     d3_two_spin_povm,
     frame_two_axis_score,
+    _single_spin_numerators,
 )
 from spindir.spins import coherent_state
 from spindir.states import SpinJ
@@ -127,7 +129,56 @@ class TestSingleSpin:
         assert score.infidelity == pytest.approx(2.0 / 3.0, abs=1e-14)
 
 
+def _fraction_vote_score(n: int, tie_break: str) -> Fraction:
+    """Exact-rational oracle for the plurality vote: walks every outcome
+    multiset in Fraction arithmetic, with the table built from the direction
+    dot products (1 + n.m)/6 independently of the package's int64 table.
+    Only the true directions that a multiset scores for are weighted."""
+    units = [d.unit_vector for d in d3_directions()]
+    table = [
+        [Fraction(4 + round(4.0 * float(np.dot(a, b))), 24) for b in units]
+        for a in units
+    ]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    total = Fraction(0)
+    for combo in combinations_with_replacement(range(6), n):
+        counts = [combo.count(k) for k in range(6)]
+        top = max(counts)
+        winners = [k for k, ck in enumerate(counts) if ck == top]
+        scoring = winners if tie_break == "random" else winners[:1]
+        for true in scoring:
+            weight = Fraction(fact[n])
+            for k, ck in enumerate(counts):
+                if ck:
+                    weight = weight * table[true][k] ** ck / fact[ck]
+            total += weight / len(winners) if tie_break == "random" else weight
+    return total / 6
+
+
 class TestRepeatedVote:
+    def test_integer_table_is_the_outcome_matrix(self):
+        num = _single_spin_numerators()
+        assert num.dtype == np.int64
+        matrix = d3_outcome_matrix(1)
+        for i in range(6):
+            assert num[i].sum() == 24
+            assert sorted(num[i].tolist()) == [1, 1, 4, 5, 5, 8]
+            assert np.max(np.abs(num[i] / 24 - matrix[i])) <= 1e-15
+
+    def test_limit_is_the_int64_bound(self):
+        # every int64 partial sum is at most 60 * 24^n
+        assert 60 * 24**ENUMERATION_LIMIT < 2**63 <= 60 * 24 ** (ENUMERATION_LIMIT + 1)
+
+    @pytest.mark.parametrize(
+        "n,rule",
+        [(n, rule) for n in range(1, 10) for rule in ("random", "lowest-index")]
+        + [(ENUMERATION_LIMIT, "random")],
+    )
+    def test_matches_fraction_oracle(self, n, rule):
+        score = d3_repeated_single_score(n, rule)
+        assert score.method == "exact"
+        assert score.fidelity == float(_fraction_vote_score(n, rule))
+
     def test_one_and_two_shots_stay_at_one_third(self):
         for n in (1, 2):
             for rule in ("random", "lowest-index"):
@@ -145,7 +196,7 @@ class TestRepeatedVote:
         assert lowest.fidelity < random_rule.fidelity
 
     def test_vote_improves_with_more_shots(self):
-        values = [d3_repeated_single_score(n).fidelity for n in (1, 3, 5, 7)]
+        values = [d3_repeated_single_score(n).fidelity for n in (1, 3, 5, 7, 9, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_enumeration_refusal(self):
