@@ -30,6 +30,7 @@ from .protocols import (
     d3_covariant_two_spin_score,
     d3_single_spin_povm,
     d3_two_spin_povm,
+    is_integer,
 )
 from .states import ProductBasis, SpinJ, StateVector
 
@@ -105,14 +106,17 @@ def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
     )
 
 
-def record_to_json(record: ResultRecord) -> str:
-    body = {
+def _record_body(record: ResultRecord) -> dict:
+    return {
         "schema_version": record.schema_version,
         "timestamp": record.timestamp,
         "config": record.config,
         "result": record.result,
     }
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+
+
+def record_to_json(record: ResultRecord) -> str:
+    return json.dumps(_record_body(record), sort_keys=True, indent=2) + "\n"
 
 
 def write_record(record: ResultRecord, path: str) -> None:
@@ -150,6 +154,8 @@ def load_settings(path: str) -> dict:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object")
         sections = [data.get("protocol", {}), data.get("run", {})]
+        if not all(isinstance(section, dict) for section in sections):
+            raise ValueError(f"{path}: the protocol and run sections must be JSON objects")
     else:
         parser = configparser.ConfigParser()
         try:
@@ -165,7 +171,7 @@ def load_settings(path: str) -> dict:
             key = str(key).replace("-", "_")
             if key not in _KNOWN_KEYS:
                 raise ValueError(f"unknown setting {key!r} in {path}")
-            if key in _INT_KEYS and value is not None and not isinstance(value, int):
+            if key in _INT_KEYS and value is not None and not is_integer(value):
                 try:
                     value = int(str(value), 10)
                 except ValueError:
@@ -438,16 +444,7 @@ def _csv_report(records) -> str:
 
 
 def _json_report(records) -> str:
-    body = [
-        {
-            "schema_version": r.schema_version,
-            "timestamp": r.timestamp,
-            "config": r.config,
-            "result": r.result,
-        }
-        for r in records
-    ]
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return json.dumps([_record_body(r) for r in records], sort_keys=True, indent=2) + "\n"
 
 
 @cli.command("report")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TWO_PI, Direction
+from .multispin import tensor_power
 from .states import StateVector, ProductBasis
 
 MATCH_TOL = 1e-9
@@ -61,6 +62,14 @@ class FiniteGroup:
     element_rotations: tuple | None = None
     names: tuple | None = None
 
+    @classmethod
+    def from_table(cls, table, rotations=None, names=None) -> FiniteGroup:
+        """Group from its table, deriving inverses and classes (not validated)."""
+        table = np.asarray(table, dtype=int)
+        return cls(order=table.shape[0], mult_table=table, inverse=_inverses(table),
+                   classes=tuple(conjugacy_classes(table)),
+                   element_rotations=rotations, names=names)
+
     def rotation_matrix(self, i: int) -> np.ndarray:
         if self.element_rotations is None:
             raise ValueError("group has no element rotations")
@@ -100,9 +109,20 @@ class FiniteGroup:
                         raise ValueError("rotations do not follow the table")
 
 
+def _inverses(table: np.ndarray) -> tuple:
+    """Each element's inverse: the column holding the identity in its row."""
+    out = []
+    for g, row in enumerate(table):
+        hits = np.flatnonzero(row == 0)
+        if hits.size == 0:
+            raise ValueError(f"element {g} has no inverse: its table row lacks the identity 0")
+        out.append(int(hits[0]))
+    return tuple(out)
+
+
 def conjugacy_classes(table: np.ndarray) -> list:
     n = table.shape[0]
-    inv = [int(np.where(table[g] == 0)[0][0]) for g in range(n)]
+    inv = _inverses(table)
     seen = set()
     classes = []
     for g in range(n):
@@ -163,15 +183,9 @@ def dihedral_d3() -> tuple:
         (2.0 * TWO_PI / 3.0, 0.0, 0.0),
     )
     mats = [euler_zyz_matrix(*e) for e in eulers]
-    table = _mult_table_from_rotations(mats)
-    inverse = tuple(int(np.where(table[g] == 0)[0][0]) for g in range(6))
-    classes = tuple(conjugacy_classes(table))
-    group = FiniteGroup(
-        order=6,
-        mult_table=table,
-        inverse=inverse,
-        classes=classes,
-        element_rotations=eulers,
+    group = FiniteGroup.from_table(
+        _mult_table_from_rotations(mats),
+        rotations=eulers,
         names=("E", "A", "B", "C", "D", "F"),
     )
 
@@ -191,7 +205,7 @@ def dihedral_d3() -> tuple:
             tuple(np.array([[alt[g]]]) for g in range(6)),
             two_dim,
         ),
-        classes=classes,
+        classes=group.classes,
         names=("trivial", "alternating", "two_dim"),
     )
     return group, irreps
@@ -288,14 +302,7 @@ class SignalFamily:
 
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
     """Per-element unitaries u(g)^{tensor num_spins} on the 2^N product space."""
-    out = []
-    for g in range(group.order):
-        u = group.su2_matrix(g)
-        full = u
-        for _ in range(num_spins - 1):
-            full = np.kron(full, u)
-        out.append(full)
-    return tuple(out)
+    return tuple(tensor_power(group.su2_matrix(g), num_spins) for g in range(group.order))
 
 
 def find_invariant_blocks(matrices, tol: float = BLOCK_CLUSTER_TOL, seed: int = _BLOCK_SEED) -> list:
@@ -329,15 +336,18 @@ def find_invariant_blocks(matrices, tol: float = BLOCK_CLUSTER_TOL, seed: int = 
     return blocks
 
 
+def _block_character(basis: np.ndarray, matrices) -> np.ndarray:
+    """Character vector tr(B^dagger U_g B) of the block spanned by basis."""
+    return np.array([np.trace(basis.conj().T @ u @ basis) for u in matrices])
+
+
 def _tag_block(basis: np.ndarray, matrices, irreps: IrrepData, group: FiniteGroup) -> int:
-    chi = np.array([np.trace(basis.conj().T @ u @ basis) for u in matrices])
-    per_el = characters_per_element(irreps, group)
-    mults = per_el.conj() @ chi / group.order
-    ints = np.round(mults.real)
-    if np.max(np.abs(mults - ints)) < 1e-6 and np.all(ints >= 0):
-        hits = [i for i in range(irreps.n_irreps) if ints[i] == 1]
-        if len(hits) == 1 and np.sum(ints) == 1:
-            return hits[0]
+    try:
+        mults = irrep_content(_block_character(basis, matrices), irreps, group)
+    except ValueError:
+        mults = ()
+    if sum(mults) == 1:
+        return mults.index(1)
     # projective block (half-integer total spin): characters need not match any
     # linear irrep; tag by dimension when that is unambiguous, else -1
     dim_hits = [i for i, d in enumerate(irreps.dims) if d == basis.shape[1]]
@@ -349,11 +359,7 @@ def _tag_block(basis: np.ndarray, matrices, irreps: IrrepData, group: FiniteGrou
 def block_characters(family: SignalFamily) -> list:
     """Per-block character vectors tr(B^dagger U_g B); equal vectors mean
     equivalent blocks (same irrep of the lifted group, phase-pinned lift)."""
-    out = []
-    for block in family.block_structure:
-        b = block.basis
-        out.append(np.array([np.trace(b.conj().T @ u @ b) for u in family.rep_matrices]))
-    return out
+    return [_block_character(b.basis, family.rep_matrices) for b in family.block_structure]
 
 
 def repeated_equivalent_blocks(family: SignalFamily, tol: float = 1e-6) -> bool:
@@ -459,9 +465,6 @@ def load_group_file(path) -> FiniteGroup:
             raise ValueError(f"unexpected line in group file: {word!r}")
     if table is None:
         raise ValueError("group file has no multiplication table")
-    inverse = tuple(int(np.where(table[g] == 0)[0][0]) for g in range(n))
-    classes = tuple(conjugacy_classes(table))
-    group = FiniteGroup(order=n, mult_table=table, inverse=inverse, classes=classes,
-                        element_rotations=rotations, names=names)
+    group = FiniteGroup.from_table(table, rotations=rotations, names=names)
     group.validate()
     return group

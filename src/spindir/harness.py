@@ -39,6 +39,7 @@ from .protocols import (
     d3_repeated_single_score,
     d3_single_spin_score,
     frame_two_axis_score,
+    is_integer,
 )
 from .spins import SpinJ
 
@@ -57,9 +58,9 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not is_integer(self.seed):
             raise ValueError("seed must be an integer")
         if not 0 <= self.seed < _UINT64_SPAN:
             raise ValueError("seed must fit in 64 bits")

@@ -88,15 +88,20 @@ def validate_povm(povm: Povm, tol: float = 1e-10) -> PovmValidation:
     return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig, tol=tol)
 
 
+def _clamp_probability(p: float) -> float:
+    if p < -NEGATIVE_PROB_TOL:
+        raise ValueError(f"negative probability {p:.3e} from a non-positive element")
+    return min(1.0, max(0.0, p))
+
+
 def outcome_probability(element: PovmElement, state: StateVector) -> float:
     """Born probability <psi|E|psi>, clamped into [0, 1] after a small-negative
     tolerance check; negatives beyond the tolerance raise."""
     if element.dim != state.dim:
         raise ValueError("element and state dimensions differ")
-    p = float(np.real(np.vdot(state.amplitudes, element.operator @ state.amplitudes)))
-    if p < -NEGATIVE_PROB_TOL:
-        raise ValueError(f"negative probability {p:.3e} from a non-positive element")
-    return min(1.0, max(0.0, p))
+    return _clamp_probability(
+        float(np.real(np.vdot(state.amplitudes, element.operator @ state.amplitudes)))
+    )
 
 
 def trace_probability(element: PovmElement, rho: np.ndarray) -> float:
@@ -104,10 +109,7 @@ def trace_probability(element: PovmElement, rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != element.operator.shape:
         raise ValueError("element and density matrix dimensions differ")
-    p = float(np.real(np.trace(element.operator @ rho)))
-    if p < -NEGATIVE_PROB_TOL:
-        raise ValueError(f"negative probability {p:.3e} from a non-positive element")
-    return min(1.0, max(0.0, p))
+    return _clamp_probability(float(np.real(np.trace(element.operator @ rho))))
 
 
 def state_probabilities(povm: Povm, state: StateVector) -> np.ndarray:

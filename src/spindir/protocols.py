@@ -65,6 +65,11 @@ _ALLOWED_DECODERS = {
 ENUMERATION_LIMIT = 12
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bool is refused, though Python counts it."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """What is sent, how many spins, and how the receiver decodes."""
@@ -78,7 +83,7 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        if not isinstance(self.num_spins, (int, np.integer)) or self.num_spins < 1:
+        if not is_integer(self.num_spins) or self.num_spins < 1:
             raise ValueError("num_spins must be a positive integer")
         if self.decoder == "":
             object.__setattr__(self, "decoder", _DEFAULT_DECODERS[self.kind])
@@ -133,8 +138,7 @@ def _score(fidelity: float, method: str, **kw) -> ProtocolScore:
 
 @lru_cache(maxsize=1)
 def _d3() -> tuple:
-    group, irreps = dihedral_d3()
-    return group, irreps
+    return dihedral_d3()
 
 
 @lru_cache(maxsize=1)
@@ -157,6 +161,18 @@ def _element_to_direction() -> tuple:
     return tuple(out)
 
 
+def _direction_orbit_povm(unitaries, fiducial: StateVector, what: str) -> Povm:
+    """Orbit POVM of the fiducial under the D3 unitaries, its elements
+    ordered by the direction label of each group element, validated."""
+    labels = list(_element_to_direction())
+    povm = covariant_povm_finite(unitaries, fiducial, labels=labels)
+    order = np.argsort(labels)
+    povm = Povm(elements=tuple(povm.elements[i] for i in order), kind=povm.kind)
+    if not validate_povm(povm).passed:
+        raise RuntimeError(f"{what} dihedral POVM failed validation")
+    return povm
+
+
 @lru_cache(maxsize=1)
 def d3_single_spin_povm() -> Povm:
     """Covariant one-spin POVM: orbit of sqrt(1/3) times the spin-1/2 coherent
@@ -166,14 +182,7 @@ def d3_single_spin_povm() -> Povm:
     fid = coherent_state(SpinJ(1), dirs[0])
     fid = StateVector(basis=fid.basis, amplitudes=fid.amplitudes / math.sqrt(3.0))
     unitaries = [group.su2_matrix(g) for g in range(group.order)]
-    labels = list(_element_to_direction())
-    povm = covariant_povm_finite(unitaries, fid, labels=labels)
-    order = np.argsort(labels)
-    povm = Povm(elements=tuple(povm.elements[i] for i in order), kind=povm.kind)
-    report = validate_povm(povm)
-    if not report.passed:
-        raise RuntimeError("one-spin dihedral POVM failed validation")
-    return povm
+    return _direction_orbit_povm(unitaries, fid, "one-spin")
 
 
 @lru_cache(maxsize=1)
@@ -209,14 +218,7 @@ def _d3_two_spin_family() -> tuple:
 def d3_two_spin_povm() -> Povm:
     """Orbit POVM of the Schur fiducial on the four-dim two-spin space."""
     family, _ = _d3_two_spin_family()
-    labels = list(_element_to_direction())
-    povm = covariant_povm_finite(family.rep_matrices, family.fiducial, labels=labels)
-    order = np.argsort(labels)
-    povm = Povm(elements=tuple(povm.elements[i] for i in order), kind=povm.kind)
-    report = validate_povm(povm)
-    if not report.passed:
-        raise RuntimeError("two-spin dihedral POVM failed validation")
-    return povm
+    return _direction_orbit_povm(family.rep_matrices, family.fiducial, "two-spin")
 
 
 def d3_outcome_matrix(num_spins: int) -> np.ndarray:

@@ -21,14 +21,6 @@ import numpy as np
 from .geometry import Direction
 from .states import SpinBasis, SpinJ, StateVector
 
-# The explicit factorial sum is accurate to ~1e-13 up to 2j = 20; past that its
-# alternating terms cancel catastrophically at mid angles, so large j switches to
-# exponentiating Jy through its eigendecomposition (cached per j; backward
-# stable at any angle). Near the poles the sum has a single dominant term and
-# stays benign at any j, so the pole band keeps the cheap sum.
-_SUM_MAX_TWICE_J = 20
-_POLE_BAND = 0.1
-
 
 def _check_m(j: SpinJ, m: float) -> int:
     twice_m = round(2 * m)
@@ -42,66 +34,22 @@ def _check_m(j: SpinJ, m: float) -> int:
     return twice_m
 
 
-def _sign_pow(base: float, exponent: int) -> float:
-    # sign(base)**exponent with 0**0 == 1
-    if exponent == 0:
-        return 1.0
-    if base > 0:
-        return 1.0
-    if base < 0:
-        return -1.0 if exponent % 2 else 1.0
-    return 0.0
-
-
-def _d_sum(tj: int, tm1: int, tm2: int, beta: float) -> float:
-    """Explicit factorial sum for d^j_{m1,m2}(beta), factorials in log space."""
-    ch = math.cos(beta / 2)
-    sh = math.sin(beta / 2)
-    s_min = max(0, (tm2 - tm1) // 2)
-    s_max = min((tj + tm2) // 2, (tj - tm1) // 2)
-    pref = 0.5 * (
-        lgamma((tj + tm1) // 2 + 1)
-        + lgamma((tj - tm1) // 2 + 1)
-        + lgamma((tj + tm2) // 2 + 1)
-        + lgamma((tj - tm2) // 2 + 1)
-    )
-    terms = []
-    for s in range(s_min, s_max + 1):
-        e_cos = tj + (tm2 - tm1) // 2 - 2 * s
-        e_sin = (tm1 - tm2) // 2 + 2 * s
-        sign = _sign_pow(ch, e_cos) * _sign_pow(sh, e_sin)
-        if sign == 0.0:
-            continue
-        if ((tm1 - tm2) // 2 + s) % 2:
-            sign = -sign
-        lmag = (
-            pref
-            - lgamma((tj + tm2) // 2 - s + 1)
-            - lgamma(s + 1)
-            - lgamma((tm1 - tm2) // 2 + s + 1)
-            - lgamma((tj - tm1) // 2 - s + 1)
-        )
-        if e_cos:
-            lmag += e_cos * math.log(abs(ch))
-        if e_sin:
-            lmag += e_sin * math.log(abs(sh))
-        terms.append(sign * math.exp(lmag))
-    return math.fsum(terms)
-
-
 _JY_EIG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _d_eig(tj: int, beta: float) -> np.ndarray:
-    """d^j(beta) = V exp(-i beta m) V^H from the (cached) eigensystem of Jy.
+def wigner_d_matrix(j: SpinJ, beta: float) -> np.ndarray:
+    """Full d^j(beta) matrix, rows/columns ordered m = j down to -j.
 
-    A three-term recurrence in m was tried first, seeded from the closed-form
-    m2 = -j edge, but the physical row is the recessive solution of that
-    recurrence and forward recursion loses all digits past 2j ~ 20. The
-    eigendecomposition is backward stable at every angle.
+    Computed as V exp(-i beta m) V^H from the eigensystem of Jy, cached per j
+    (exact diagonalisation, Feng et al., Phys. Rev. E 92, 043307 (2015)); it
+    is backward stable at every j and angle, poles included. A three-term
+    recurrence in m was tried first, seeded from the closed-form m2 = -j edge,
+    but the physical row is the recessive solution of that recurrence and
+    forward recursion loses all digits past 2j ~ 20.
     """
+    tj = j.twice_j
     if tj not in _JY_EIG_CACHE:
-        _JY_EIG_CACHE[tj] = np.linalg.eigh(jy_matrix(SpinJ(tj)))
+        _JY_EIG_CACHE[tj] = np.linalg.eigh(jy_matrix(j))
     vals, vecs = _JY_EIG_CACHE[tj]
     return ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
 
@@ -111,25 +59,7 @@ def wigner_small_d(j: SpinJ, m1: float, m2: float, beta: float) -> float:
     tm1 = _check_m(j, m1)
     tm2 = _check_m(j, m2)
     tj = j.twice_j
-    near_pole = min(abs(math.sin(beta / 2)), abs(math.cos(beta / 2))) < _POLE_BAND
-    if tj <= _SUM_MAX_TWICE_J or near_pole:
-        return _d_sum(tj, tm1, tm2, beta)
-    return float(_d_eig(tj, beta)[(tj - tm1) // 2, (tj - tm2) // 2])
-
-
-def wigner_d_matrix(j: SpinJ, beta: float) -> np.ndarray:
-    """Full d^j(beta) matrix, rows/columns ordered m = j down to -j."""
-    tj = j.twice_j
-    dim = j.dim
-    near_pole = min(abs(math.sin(beta / 2)), abs(math.cos(beta / 2))) < _POLE_BAND
-    if tj > _SUM_MAX_TWICE_J and not near_pole:
-        return _d_eig(tj, beta)
-    out = np.empty((dim, dim))
-    for i1 in range(dim):
-        tm1 = tj - 2 * i1
-        for i2 in range(dim):
-            out[i1, i2] = _d_sum(tj, tm1, tj - 2 * i2, beta)
-    return out
+    return float(wigner_d_matrix(j, beta)[(tj - tm1) // 2, (tj - tm2) // 2])
 
 
 def rotate_spin_state(

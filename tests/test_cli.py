@@ -187,6 +187,34 @@ class TestSimulate:
         assert code == 1
         assert "unknown setting 'shots'" in err
 
+    @pytest.mark.parametrize("section", [["d3-single"], None, "d3-single"])
+    def test_config_section_must_be_object(self, capsys, tmp_path, section):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"protocol": section, "run": {"trials": 10, "seed": 1}}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(cfg) in err and "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "protocol,run_section,key",
+        [
+            ({"kind": "d3-single", "num_spins": True}, {"trials": 10, "seed": 1}, "num_spins"),
+            ({"kind": "d3-single", "num_spins": 1}, {"trials": True, "seed": 1}, "trials"),
+            ({"kind": "d3-single", "num_spins": 1}, {"trials": 10, "seed": False}, "seed"),
+        ],
+    )
+    def test_bool_setting_is_not_an_integer(self, capsys, tmp_path, protocol, run_section, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"protocol": protocol, "run": run_section}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert f"{key} must be an integer" in err
+        assert not out_dir.exists()
+
     def test_missing_required_settings(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "d3-single")
         assert code == 1
@@ -383,6 +411,9 @@ class TestReport:
         assert code == 0
         body = json.loads(out)
         assert [r["schema_version"] for r in body] == [1, 1]
+        # byte for byte the records' own bodies, as one sorted, indented list
+        files = [json.loads(single.read_text()), json.loads(frame.read_text())]
+        assert out == json.dumps(files, sort_keys=True, indent=2) + "\n"
         assert body[0]["config"]["protocol"]["kind"] == "d3-single"
 
     def test_out_file(self, capsys, tmp_path, two_records):

@@ -5,8 +5,10 @@ import pytest
 
 from spindir.groups import (
     FiniteGroup,
+    block_characters,
     build_signal_family,
     characters_per_element,
+    conjugacy_classes,
     d3_directions,
     dihedral_d3,
     find_invariant_blocks,
@@ -194,6 +196,21 @@ def test_three_spin_blocks_repeat():
         schur_fiducial(family, weights)
 
 
+@pytest.mark.parametrize("num_spins", [1, 2, 3, 4, 5, 6])
+def test_block_tags_follow_block_characters(num_spins):
+    # even N: a block is tagged by the one irrep its character contains;
+    # odd N (projective): by dimension, 2 for the unique two-dim irrep and -1
+    # for one-dim blocks, which the two one-dim irreps leave ambiguous
+    family = build_signal_family(GROUP, num_spins, qubit_fiducial(num_spins), IRREPS)
+    for block, chi in zip(family.block_structure, block_characters(family)):
+        if num_spins % 2 == 0:
+            content = irrep_content(chi, IRREPS, GROUP)
+            assert sum(content) == 1
+            assert block.irrep == content.index(1)
+        else:
+            assert block.irrep == {1: -1, 2: 2}[block.dim]
+
+
 def test_schur_fiducial_norms_and_completeness():
     family = build_signal_family(GROUP, 2, qubit_fiducial(2), IRREPS)
     weights = []
@@ -296,6 +313,7 @@ def test_load_group_file_without_rotations(tmp_path):
         ("order 2\ntable\n0 1\n1 2\n", "bad multiplication table"),
         ("order 2\nnames a\ntable\n0 1\n1 0\n", "one name per element"),
         ("order 2\nspin up\n", "unexpected line"),
+        ("order 2\ntable\n0 1\n1 1\n", "element 1 has no inverse"),
     ],
 )
 def test_load_group_file_rejects_malformed(tmp_path, text, message):
@@ -303,6 +321,17 @@ def test_load_group_file_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_group_file(path)
+
+
+def test_from_table_derives_inverses_and_classes():
+    group = FiniteGroup.from_table(
+        GROUP.mult_table.tolist(), rotations=GROUP.element_rotations, names=GROUP.names
+    )
+    np.testing.assert_array_equal(group.mult_table, GROUP.mult_table)
+    assert group.order == 6
+    assert group.inverse == GROUP.inverse == (0, 1, 2, 3, 5, 4)
+    assert group.classes == GROUP.classes == tuple(conjugacy_classes(GROUP.mult_table))
+    group.validate()
 
 
 def test_load_group_file_checks_rotation_consistency(tmp_path):

@@ -47,12 +47,12 @@ def spec(kind="d3-single", num_spins=1, **kw) -> ProtocolSpec:
 
 class TestRunConfig:
     def test_rejects_bad_trials(self):
-        for bad in (0, -5, 2.5):
+        for bad in (0, -5, 2.5, True):
             with pytest.raises(ValueError):
                 RunConfig(protocol=spec(), trials=bad, seed=1)
 
     def test_rejects_bad_seed(self):
-        for bad in (-1, 2**64, 1.5):
+        for bad in (-1, 2**64, 1.5, True, False):
             with pytest.raises(ValueError):
                 RunConfig(protocol=spec(), trials=10, seed=bad)
 

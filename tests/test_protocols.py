@@ -44,7 +44,7 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match="kind"):
             ProtocolSpec(kind="d3-parallel", num_spins=1)
 
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3"])
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3", True])
     def test_bad_spin_count(self, bad):
         with pytest.raises(ValueError):
             ProtocolSpec(kind="d3-coherent", num_spins=bad)

@@ -73,20 +73,32 @@ def test_d_matrix_against_matrix_exponential():
 
 
 def test_large_j_path_consistent_with_sum():
-    # the eigen path agrees with the factorial sum up to the sum's own
-    # cancellation noise (~5e-10 at j = 22 for middle m)
+    # large j against the matrix exponential, entry by entry
     j = SpinJ(44)
     beta = 1.1
     d_fast = wigner_d_matrix(j, beta)
-    from spindir.spins import _d_sum
-
+    oracle = expm(-1j * beta * jy_matrix(j)).real
     for tm1, tm2 in ((44, 44), (44, 0), (0, 0), (-2, 6)):
         i1, i2 = (44 - tm1) // 2, (44 - tm2) // 2
-        assert d_fast[i1, i2] == pytest.approx(_d_sum(44, tm1, tm2, beta), abs=1e-9)
+        assert d_fast[i1, i2] == pytest.approx(oracle[i1, i2], abs=1e-13)
     # and with numpy's Legendre series at full precision
     assert d_fast[22, 22] == pytest.approx(
         np.polynomial.legendre.legval(math.cos(beta), [0] * 22 + [1]), abs=1e-13
     )
+
+
+SWEEP_ANGLES = (0.0, 1e-8, 1e-3, 0.05, 0.3, 1.1, math.pi / 2, 2.5, math.pi - 1e-3, math.pi)
+
+
+def test_d_matrix_sweep_against_matrix_exponential():
+    # every j up to 30 at every angle class, both poles included
+    for twice_j in range(1, 61):
+        j = SpinJ(twice_j)
+        jy = jy_matrix(j)
+        for beta in SWEEP_ANGLES:
+            oracle = expm(-1j * beta * jy).real
+            dev = np.max(np.abs(wigner_d_matrix(j, beta) - oracle))
+            assert dev <= 1e-13, (twice_j, beta, dev)
 
 
 def test_rotate_zero_angles_is_identity():
