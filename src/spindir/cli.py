@@ -30,9 +30,8 @@ from .protocols import (
     d3_covariant_two_spin_score,
     d3_single_spin_povm,
     d3_two_spin_povm,
-    is_integer,
 )
-from .states import ProductBasis, SpinJ, StateVector
+from .states import ProductBasis, SpinJ, StateVector, is_integer
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_VAR = "SPINDIR_OUTPUT_DIR"
@@ -176,6 +175,8 @@ def load_settings(path: str) -> dict:
                     value = int(str(value), 10)
                 except ValueError:
                     raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            if key == "output" and value is not None and not (isinstance(value, str) and value):
+                raise ValueError(f"{path}: output must be a non-empty string, got {value!r}")
             settings[key] = value
     return settings
 

@@ -39,9 +39,9 @@ from .protocols import (
     d3_repeated_single_score,
     d3_single_spin_score,
     frame_two_axis_score,
-    is_integer,
 )
 from .spins import SpinJ
+from .states import is_integer
 
 BATCH_TRIALS = 8192
 CHI_GRID_POINTS = 2048
@@ -147,22 +147,32 @@ def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
     return float(chi[0]) if size is None else chi
 
 
-def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Tilt each unit row away by chi at the given tangent azimuth.
+def _tangent_basis(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal tangent pair (t1, t2) for each unit row.
 
-    The tangent basis comes from the coordinate axis with the smallest
-    |component| (deterministic, never parallel to the direction)."""
-    n = units.shape[0]
-    rows = np.arange(n)
+    t1 comes from the coordinate axis with the smallest |component|
+    (deterministic, never parallel to the direction); t2 = unit x t1."""
+    rows = np.arange(units.shape[0])
     idx = np.argmin(np.abs(units), axis=1)
     smallest = units[rows, idx]
     t1 = -units * smallest[:, None]
     t1[rows, idx] += 1.0
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = _cross(units, t1)
+    return t1, _cross(units, t1)
+
+
+def _tilt(
+    units: np.ndarray, t1: np.ndarray, t2: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray
+) -> np.ndarray:
+    """Tilt each unit row away by chi towards cos(azimuth) t1 + sin(azimuth) t2."""
     sin_chi = np.sqrt(np.clip(1.0 - cos_chi * cos_chi, 0.0, None))
     tangent = np.cos(azimuth)[:, None] * t1 + np.sin(azimuth)[:, None] * t2
     return cos_chi[:, None] * units + sin_chi[:, None] * tangent
+
+
+def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Tilt each unit row away by chi at the given tangent azimuth."""
+    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
 
 
 class _Accumulator:
@@ -200,32 +210,44 @@ def _batches(trials: int):
         yield full, rem
 
 
+def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
+    """The most frequent outcome of each row of shots.  A tie goes to the
+    lowest index, or, given the row's uniform tie draw, to a uniformly
+    chosen leader."""
+    take = outcomes.shape[0]
+    cells = 6 * np.arange(take)[:, None] + outcomes
+    counts = np.bincount(cells.ravel(), minlength=6 * take).reshape(take, 6)
+    is_win = counts == counts.max(axis=1)[:, None]
+    if tie is None:
+        return np.argmax(is_win, axis=1)
+    pick = np.floor(tie * is_win.sum(axis=1)).astype(int)
+    order = np.cumsum(is_win, axis=1)
+    return np.argmax(order == (pick + 1)[:, None], axis=1)
+
+
 def _run_d3_finite(config: RunConfig) -> dict:
     spec = config.protocol
     matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
-    cum = np.cumsum(matrix, axis=1)
+    # the outcome is the number of a row's first five cumulative boundaries
+    # below the draw, 0..5; the sixth is 1 only to rounding, and a draw past
+    # one that rounded below 1 is outcome 5
+    bounds = np.cumsum(matrix, axis=1)[:, :5]
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
+    random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
         draws = rng.random((take, repeats))
-        tie = rng.random(take)
-        row_cum = cum[true]
-        counts = np.zeros((take, 6))
-        rows = np.arange(take)
-        for k in range(repeats):
-            outcome = (draws[:, k, None] > row_cum).sum(axis=1)
-            counts[rows, outcome] += 1.0
-        top = counts.max(axis=1)
-        is_win = counts == top[:, None]
-        if spec.kind == "d3-repeated" and spec.tie_break == "random":
-            n_win = is_win.sum(axis=1)
-            pick = np.floor(tie * n_win).astype(int)
-            order = np.cumsum(is_win, axis=1)
-            guess = np.argmax(order == (pick + 1)[:, None], axis=1)
+        row_bounds = bounds[true]
+        outcomes = np.zeros((take, repeats), dtype=np.intp)
+        for j in range(5):
+            outcomes += draws > row_bounds[:, j, None]
+        if repeats == 1:
+            guess = outcomes[:, 0]
         else:
-            guess = np.argmax(is_win, axis=1)
+            # the tie draw is the batch's last, so skipping it moves nothing
+            guess = _plurality(outcomes, rng.random(take) if random_ties else None)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}
 
@@ -235,6 +257,7 @@ def _run_d3_coherent(config: RunConfig) -> dict:
     density = chi_density(coherent_code(SpinJ(spec.num_spins)))
     grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
     units = np.array([d.unit_vector for d in d3_directions()])
+    t1, t2 = _tangent_basis(units)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
@@ -242,7 +265,7 @@ def _run_d3_coherent(config: RunConfig) -> dict:
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
         cos_chi = np.interp(u_chi, cdf, grid)
-        est = _perturb_units(units[true], cos_chi, azimuth)
+        est = _tilt(units[true], t1[true], t2[true], cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}

@@ -34,7 +34,7 @@ from .optimize import (
 )
 from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
 from .spins import SpinJ, coherent_state
-from .states import ProductBasis, StateVector
+from .states import ProductBasis, StateVector, is_integer
 
 PROTOCOL_KINDS = (
     "d3-single",
@@ -63,11 +63,6 @@ _ALLOWED_DECODERS = {
 # at most 60 * 24^n: below 2^63 for n <= 12 (2.19e18), above it at n = 13
 # (5.26e19).
 ENUMERATION_LIMIT = 12
-
-
-def is_integer(value) -> bool:
-    """A Python or numpy integer; bool is refused, though Python counts it."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bool is refused, though Python counts it."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpinJ:
     """Angular momentum quantum number, stored as 2j so half-integers stay exact."""
@@ -22,7 +27,7 @@ class SpinJ:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
+        if not is_integer(self.twice_j) or self.twice_j < 0:
             raise ValueError(f"2j must be a non-negative integer, got {self.twice_j!r}")
 
     @classmethod

@@ -215,6 +215,24 @@ class TestSimulate:
         assert f"{key} must be an integer" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("output", [1, True, [], ""])
+    def test_output_setting_must_be_a_path(self, capsys, tmp_path, output):
+        # an integer output was opened as a file descriptor: 1 wrote the
+        # record to stdout and closed it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "protocol": {"kind": "d3-single", "num_spins": 1},
+                    "run": {"trials": 10, "seed": 1, "output": output},
+                }
+            )
+        )
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: output must be a non-empty string")
+        assert out == ""
+
     def test_missing_required_settings(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "d3-single")
         assert code == 1

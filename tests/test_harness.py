@@ -14,12 +14,14 @@ from spindir.frames import (
     naive_euler_estimate,
 )
 from spindir.geometry import Direction
+from spindir.groups import d3_directions
 from spindir.harness import (
     BATCH_TRIALS,
     CHI_GRID_POINTS,
     RunConfig,
     _Accumulator,
     _batch_rng,
+    _batches,
     _frame_batch,
     _naive_frames,
     _perturb_units,
@@ -37,7 +39,12 @@ from spindir.optimize import (
     d3_coherent_error,
     optimal_direction_encoding,
 )
-from spindir.protocols import ENUMERATION_LIMIT, ProtocolSpec, frame_two_axis_score
+from spindir.protocols import (
+    ENUMERATION_LIMIT,
+    ProtocolSpec,
+    d3_outcome_matrix,
+    frame_two_axis_score,
+)
 from spindir.states import SpinJ
 
 
@@ -172,6 +179,129 @@ class TestReproducibility:
         config = RunConfig(protocol=spec(), trials=BATCH_TRIALS + 7, seed=5)
         result = run_experiment(config)
         assert result.trials == BATCH_TRIALS + 7
+
+
+def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
+    """A d3-single, d3-covariant or d3-repeated run as the harness ran it
+    before it counted whole batches: every batch draws true, shots and tie,
+    and each shot is compared with all six cumulative boundaries of its row
+    and scattered into float counts."""
+    spec = config.protocol
+    matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
+    cum = np.cumsum(matrix, axis=1)
+    repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
+    acc = _Accumulator()
+    for b, take in _batches(config.trials):
+        rng = _batch_rng(config.seed, b)
+        true = rng.integers(0, 6, take)
+        draws = rng.random((take, repeats))
+        tie = rng.random(take)
+        row_cum = cum[true]
+        counts = np.zeros((take, 6))
+        rows = np.arange(take)
+        for k in range(repeats):
+            outcome = (draws[:, k, None] > row_cum).sum(axis=1)
+            counts[rows, outcome] += 1.0
+        top = counts.max(axis=1)
+        is_win = counts == top[:, None]
+        if spec.kind == "d3-repeated" and spec.tie_break == "random":
+            n_win = is_win.sum(axis=1)
+            pick = np.floor(tie * n_win).astype(int)
+            order = np.cumsum(is_win, axis=1)
+            guess = np.argmax(order == (pick + 1)[:, None], axis=1)
+        else:
+            guess = np.argmax(is_win, axis=1)
+        acc.add((guess == true).astype(float))
+    return acc
+
+
+def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
+    """A d3-coherent run as the harness ran it before it built the tangent
+    basis once per run: the basis of every trial's true direction is built
+    again in each batch."""
+    density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
+    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
+    units = np.array([d.unit_vector for d in d3_directions()])
+    acc = _Accumulator()
+    for b, take in _batches(config.trials):
+        rng = _batch_rng(config.seed, b)
+        true = rng.integers(0, 6, take)
+        u_chi = rng.random(take)
+        azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
+        cos_chi = np.interp(u_chi, cdf, grid)
+        est = _perturb_units(units[true], cos_chi, azimuth)
+        guess = np.argmax(est @ units.T, axis=1)
+        acc.add((guess == true).astype(float))
+    return acc
+
+
+_D3_SPECS = (
+    [spec(), spec("d3-covariant", 2)]
+    + [
+        spec("d3-repeated", n, tie_break=tie_break)
+        for n in (1, 2, 3, 5, 9, 12, 20)
+        for tie_break in ("random", "lowest-index")
+    ]
+    + [spec("d3-coherent", n) for n in (1, 2, 4, 8, 24, 60)]
+)
+
+
+class TestD3BatchKernels:
+    # 20001 trials end in a 3617-trial remainder batch
+    @pytest.mark.parametrize(
+        "protocol", _D3_SPECS, ids=lambda p: f"{p.kind}-{p.num_spins}-{p.tie_break}"
+    )
+    def test_runs_match_the_per_shot_oracle(self, protocol):
+        oracle = (
+            _per_batch_basis_d3_coherent
+            if protocol.kind == "d3-coherent"
+            else _per_shot_d3_finite
+        )
+        for seed in (0, 5, 123456789):
+            for trials in (1, 7, BATCH_TRIALS, 20001):
+                config = RunConfig(protocol=protocol, trials=trials, seed=seed)
+                want = oracle(config)
+                got = run_experiment(config)
+                assert got.estimates == {
+                    "fidelity": want.mean(),
+                    "infidelity": 1.0 - want.mean(),
+                }
+                assert got.stderrs == {"fidelity": want.stderr()}
+
+    def test_one_spin_boundaries_cover_every_draw(self):
+        # the kernels compare with the first five cumulative boundaries only;
+        # the sixth of the one-spin table is never below 1, so no draw in
+        # [0, 1) passes it and dropping it moves no outcome
+        cum = np.cumsum(d3_outcome_matrix(1), axis=1)
+        assert np.all(cum[:, -1] >= 1.0)
+
+    def test_two_spin_last_boundary_is_one_to_rounding(self):
+        cum = np.cumsum(d3_outcome_matrix(2), axis=1)
+        assert np.all(np.abs(cum[:, -1] - 1.0) <= 8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("row", range(6))
+    def test_draw_past_every_boundary_is_outcome_five(self, monkeypatch, row):
+        # some two-spin rows sum to a few ulps below 1; the largest draw
+        # random() returns passed all six boundaries of such a row, and the
+        # six-boundary compare scattered it to a seventh count (IndexError)
+        top = np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, top))
+        result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
+        assert result.estimates["fidelity"] == float(row == 5)
+
+
+class _FixedStream:
+    """A batch stream whose true directions are all `row` and whose uniform
+    draws are all `value`."""
+
+    def __init__(self, row: int, value: float):
+        self.row, self.value = row, value
+
+    def integers(self, low, high, size):
+        return np.full(size, self.row)
+
+    def random(self, size):
+        return np.full(size, self.value)
 
 
 class TestAgainstReferences:

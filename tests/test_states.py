@@ -23,7 +23,7 @@ def test_spinj_basics():
     np.testing.assert_allclose(SpinJ(3).m_values(), [1.5, 0.5, -0.5, -1.5])
 
 
-@pytest.mark.parametrize("bad", [-1, 0.5, "2"])
+@pytest.mark.parametrize("bad", [-1, 0.5, "2", True, False])
 def test_spinj_rejects_bad_twice_j(bad):
     with pytest.raises(ValueError):
         SpinJ(bad)
