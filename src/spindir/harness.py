@@ -30,7 +30,6 @@ from .geometry import TWO_PI, Direction
 from .groups import d3_directions
 from .optimize import ChiDensity, chi_density, coherent_code
 from .protocols import (
-    ENUMERATION_LIMIT,
     ProtocolScore,
     ProtocolSpec,
     d3_coherent_score,
@@ -393,15 +392,11 @@ def run_experiment(config: RunConfig) -> RunResult:
 def reference_score(config: RunConfig) -> ProtocolScore | None:
     """The deterministic (exact or quadrature) score for the configured
     protocol, when one exists.  None for frame runs, whose full-frame score
-    is only defined by sampling, and for d3-repeated votes over more than
-    ENUMERATION_LIMIT (12) shots, beyond which the exact int64 enumeration
-    could overflow."""
+    is only defined by sampling."""
     spec = config.protocol
     if spec.kind == "d3-single":
         return d3_single_spin_score()
     if spec.kind == "d3-repeated":
-        if spec.num_spins > ENUMERATION_LIMIT:
-            return None
         return d3_repeated_single_score(spec.num_spins, tie_break=spec.tie_break)
     if spec.kind == "d3-covariant":
         return d3_covariant_two_spin_score()

@@ -1,7 +1,7 @@
 """End-to-end transmission protocols over the six dihedral directions and
 the two-axis frame scheme.
 
-Deterministic evaluators live here: exact enumeration for the finite-outcome
+Deterministic evaluators live here: exact sums for the finite-outcome
 strategies, quadrature for the coherent one.  Monte Carlo execution is the
 simulation harness's job; this module only assembles what it needs (outcome
 matrices, chi densities, decoders).
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -57,12 +56,6 @@ _ALLOWED_DECODERS = {
     "d3-coherent": ("nearest-direction",),
     "frame-two-axis": ("naive-euler", "best-fit"),
 }
-# The vote enumeration sums integer weights in int64.  The weights of all
-# count vectors sum to 24^n (multinomial theorem on the table's numerators),
-# and each weight is scaled by a share of at most 60, so every partial sum is
-# at most 60 * 24^n: below 2^63 for n <= 12 (2.19e18), above it at n = 13
-# (5.26e19).
-ENUMERATION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -216,9 +209,11 @@ def d3_two_spin_povm() -> Povm:
     return _direction_orbit_povm(family.rep_matrices, family.fiducial, "two-spin")
 
 
+@lru_cache(maxsize=2)
 def d3_outcome_matrix(num_spins: int) -> np.ndarray:
     """Row i: probabilities of the six guessed directions given true direction
-    i, for the covariant strategy on num_spins spins (1 or 2)."""
+    i, for the covariant strategy on num_spins spins (1 or 2).  Cached and
+    read-only."""
     if num_spins == 1:
         povm = d3_single_spin_povm()
         dirs = d3_directions()
@@ -236,8 +231,9 @@ def d3_outcome_matrix(num_spins: int) -> np.ndarray:
             )
     else:
         raise ValueError("outcome matrices exist for the 1- and 2-spin strategies")
-    rows = [state_probabilities(povm, signals[i]) for i in range(6)]
-    return np.array(rows)
+    matrix = np.array([state_probabilities(povm, signals[i]) for i in range(6)])
+    matrix.flags.writeable = False
+    return matrix
 
 
 def d3_single_spin_score() -> ProtocolScore:
@@ -250,66 +246,74 @@ def d3_single_spin_score() -> ProtocolScore:
 
 @lru_cache(maxsize=1)
 def _single_spin_numerators() -> np.ndarray:
-    """The 6x6 outcome table in units of 1/24, as read-only int64.
+    """The single-spin outcome table in units of 1/24, as read-only int64.
 
     The six directions pairwise dot to 1, 1/4, 0 or -3/4, so every entry of
     (1 + n.m)/6 is an integer over 24 (each row is a permutation of
     8, 5, 5, 4, 1, 1); vote weights can then be summed without rounding."""
-    units = np.array([d.unit_vector for d in d3_directions()])
-    dot4 = 4.0 * (units @ units.T)
-    rounded = np.round(dot4)
-    if np.max(np.abs(dot4 - rounded)) > 1e-12:
-        raise RuntimeError("direction dot product is not a quarter integer")
-    table = 4 + rounded.astype(np.int64)
+    scaled = 24.0 * d3_outcome_matrix(1)
+    rounded = np.round(scaled)
+    if np.max(np.abs(scaled - rounded)) > 1e-12:
+        raise RuntimeError("outcome probability is not an integer over 24")
+    table = rounded.astype(np.int64)
     table.flags.writeable = False
     return table
 
 
-def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore:
-    """Plurality vote over n independent single-spin measurements.
+def _vote_wins(n: int, row: list, true: int, ties: bool) -> int:
+    """Weight of the n-shot votes won by direction ``true`` of outcome
+    numerators ``row``, in units of 1/(60 * 24^n).
 
-    Exact enumeration over the C(n+5, 5) outcome count vectors in int64:
-    a count vector c has weight n!/prod(c_k!) * prod(num_k^c_k) over 24^n,
-    with num the true direction's row of table numerators.  With the random
-    tie-break a tie among k leaders containing the true direction
-    contributes 1/k, counted as 60 // k over lcm(1..6) = 60; lowest-index
-    always awards the tied set's smallest index.  n above ENUMERATION_LIMIT
-    is refused, because the int64 sums could overflow; sampling at that size
-    belongs to the Monte Carlo harness.
+    Levin's representation of the multinomial maximum (Ann. Stat. 9, 1123,
+    1981): condition on the true count m, of weight C(n, m) row[true]^m, and
+    place the other n - m shots one outcome at a time.  w[e][s] is the weight
+    s!/prod(c_k!) prod(row[k]^c_k) of s shots over the outcomes placed so
+    far, e of which tie the true one at m; counts are capped at m.  With
+    ``ties`` a win shared by e + 1 leaders is worth 60 // (e + 1); without,
+    lower-index outcomes are capped at m - 1 and e stays 0 (worth 60)."""
+    binom = [[math.comb(s, c) for c in range(s + 1)] for s in range(n + 1)]
+    total = 0
+    for m in range(n + 1):
+        rest = n - m
+        w = [[1] + [0] * rest]
+        for k, num in enumerate(row):
+            if k == true:
+                continue
+            cap = min(m - 1 if k < true and not ties else m, rest)
+            power = [num**c for c in range(cap + 1)]
+            new = [[0] * (rest + 1) for _ in range(len(w) + ties)]
+            for e, placed in enumerate(w):
+                for s, x in enumerate(placed):
+                    if x:
+                        for c in range(min(cap, rest - s) + 1):
+                            tied = e + 1 if ties and c == m else e
+                            new[tied][s + c] += x * binom[s + c][c] * power[c]
+            w = new
+        won = sum(60 // (e + 1) * placed[rest] for e, placed in enumerate(w))
+        total += math.comb(n, m) * row[true] ** m * won
+    return total
+
+
+def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore:
+    """Plurality vote over n independent single-spin measurements, exact for
+    every n: the fidelity is an integer over 6 * 60 * 24^n (`_vote_wins`).
+    With the random tie-break a tie among k leaders containing the true
+    direction scores 1/k; lowest-index awards the tied set's smallest index.
     """
-    if n < 1:
-        raise ValueError("need at least one measurement")
-    vectors = math.comb(n + 5, 5)
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration over {vectors} outcome count vectors refused; "
-            "use the Monte Carlo path"
-        )
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"need a positive integer number of measurements, got {n!r}")
     if tie_break not in ("random", "lowest-index"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    num = _single_spin_numerators()
-    # stars and bars: the positions of 5 bars among n + 5 slots
-    bars = np.fromiter(
-        combinations(range(n + 5), 5), dtype=np.dtype((np.int8, 5)), count=vectors
-    )
-    counts = (np.diff(bars, axis=1, prepend=-1, append=n + 5) - 1).astype(np.int64)
-    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
-    multinomial = fact[n] // np.prod(fact[counts], axis=1)
-    # scores[i, t]: count vector i scores for true direction t, worth share/60
-    scores = counts == counts.max(axis=1, keepdims=True)
+    n = int(n)
+    num = _single_spin_numerators().tolist()
     if tie_break == "random":
-        share = 60 // scores.sum(axis=1)
+        # every row is a permutation of 8, 5, 5, 4, 1, 1 with 8 on the
+        # diagonal, and the random rule does not see the order of the others
+        wins = 6 * _vote_wins(n, num[0], 0, True)
     else:
-        scores &= np.cumsum(scores, axis=1, dtype=np.int8) == 1
-        share = 60
-    total = 0
-    for true in range(6):
-        weight = multinomial.copy()
-        for k in range(6):
-            weight *= num[true, k] ** counts[:, k]
-        total += int(np.sum(weight * share, where=scores[:, true]))
+        wins = sum(_vote_wins(n, num[t], t, False) for t in range(6))
     # int / int rounds the exact rational to the nearest float, once
-    return _score(total / (6 * 60 * 24**n), "exact")
+    return _score(wins / (6 * 60 * 24**n), "exact")
 
 
 def d3_covariant_two_spin_score() -> ProtocolScore:

@@ -255,6 +255,7 @@ class TestSimulate:
         assert "trials" in err
 
     def test_vote_at_enumeration_limit_prints_exact_reference(self, capsys, tmp_path):
+        # 13 shots: past n = 12, the largest vote whose weights int64 can sum
         _, out = simulate_record(
             capsys,
             tmp_path,
@@ -262,13 +263,13 @@ class TestSimulate:
             "--kind",
             "d3-repeated",
             "--num-spins",
-            "12",
+            "13",
             "--trials",
             "2000",
             "--seed",
             "5",
         )
-        assert "exact reference 0.538290" in out
+        assert "exact reference 0.550564" in out
 
     def test_frame_naive_prints_clamp_count(self, capsys, tmp_path):
         _, out = simulate_record(

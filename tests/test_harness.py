@@ -40,7 +40,6 @@ from spindir.optimize import (
     optimal_direction_encoding,
 )
 from spindir.protocols import (
-    ENUMERATION_LIMIT,
     ProtocolSpec,
     d3_outcome_matrix,
     frame_two_axis_score,
@@ -337,10 +336,15 @@ class TestAgainstReferences:
             )
         )
 
-    @pytest.mark.parametrize("tie_break,seed", [("random", 16), ("lowest-index", 17)])
-    def test_repeated_vote_at_enumeration_limit(self, tie_break, seed):
+    @pytest.mark.parametrize(
+        "n,tie_break,seed",
+        [(12, "random", 16), (12, "lowest-index", 17)]
+        + [(n, "random", 31) for n in (13, 24, 48)]
+        + [(n, "lowest-index", 32) for n in (13, 24, 48)],
+    )
+    def test_repeated_vote_matches_exact_reference(self, n, tie_break, seed):
         config = RunConfig(
-            protocol=spec("d3-repeated", ENUMERATION_LIMIT, tie_break=tie_break),
+            protocol=spec("d3-repeated", n, tie_break=tie_break),
             trials=200000,
             seed=seed,
         )
@@ -566,9 +570,9 @@ class TestReferenceScore:
         )
         assert reference_score(config) is None
 
-    def test_large_vote_has_no_reference(self):
+    def test_large_vote_has_exact_reference(self):
         config = RunConfig(protocol=spec("d3-repeated", 13), trials=10, seed=1)
-        assert reference_score(config) is None
+        assert reference_score(config).method == "exact"
 
     def test_coherent_reference_is_the_exact_integral(self):
         config = RunConfig(protocol=spec("d3-coherent", 4), trials=10, seed=1)

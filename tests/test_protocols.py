@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from spindir.groups import d3_directions
 from spindir.povm import state_probabilities, validate_povm
 from spindir.protocols import (
-    ENUMERATION_LIMIT,
     PROTOCOL_KINDS,
     FrameTwoAxisProtocol,
     ProtocolScore,
@@ -122,6 +121,14 @@ class TestSingleSpin:
                 want = (1.0 + float(np.dot(units[i], units[k]))) / 6.0
                 assert matrix[i, k] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("num_spins", [1, 2])
+    def test_outcome_matrix_is_cached_and_read_only(self, num_spins):
+        matrix = d3_outcome_matrix(num_spins)
+        assert d3_outcome_matrix(num_spins) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
     def test_score_is_one_third(self):
         score = d3_single_spin_score()
         assert score.method == "exact"
@@ -155,6 +162,35 @@ def _fraction_vote_score(n: int, tie_break: str) -> Fraction:
     return total / 6
 
 
+def _int64_vote_score(n: int, tie_break: str) -> float:
+    """Second oracle for the plurality vote: sums the int64 weights
+    n!/prod(c_k!) prod(num_k^c_k) over all C(n+5, 5) outcome count vectors
+    (stars and bars).  Every partial sum is at most 60 * 24^n, below 2^63
+    only for n <= 12."""
+    assert n <= 12
+    num = _single_spin_numerators()
+    vectors = math.comb(n + 5, 5)
+    bars = np.fromiter(
+        combinations(range(n + 5), 5), dtype=np.dtype((np.int8, 5)), count=vectors
+    )
+    counts = (np.diff(bars, axis=1, prepend=-1, append=n + 5) - 1).astype(np.int64)
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+    multinomial = fact[n] // np.prod(fact[counts], axis=1)
+    scores = counts == counts.max(axis=1, keepdims=True)
+    if tie_break == "random":
+        share = 60 // scores.sum(axis=1)
+    else:
+        scores &= np.cumsum(scores, axis=1, dtype=np.int8) == 1
+        share = 60
+    total = 0
+    for true in range(6):
+        weight = multinomial.copy()
+        for k in range(6):
+            weight *= num[true, k] ** counts[:, k]
+        total += int(np.sum(weight * share, where=scores[:, true]))
+    return total / (6 * 60 * 24**n)
+
+
 class TestRepeatedVote:
     def test_integer_table_is_the_outcome_matrix(self):
         num = _single_spin_numerators()
@@ -165,19 +201,21 @@ class TestRepeatedVote:
             assert sorted(num[i].tolist()) == [1, 1, 4, 5, 5, 8]
             assert np.max(np.abs(num[i] / 24 - matrix[i])) <= 1e-15
 
-    def test_limit_is_the_int64_bound(self):
-        # every int64 partial sum is at most 60 * 24^n
-        assert 60 * 24**ENUMERATION_LIMIT < 2**63 <= 60 * 24 ** (ENUMERATION_LIMIT + 1)
-
     @pytest.mark.parametrize(
         "n,rule",
         [(n, rule) for n in range(1, 10) for rule in ("random", "lowest-index")]
-        + [(ENUMERATION_LIMIT, "random")],
+        + [(12, "random")],
     )
     def test_matches_fraction_oracle(self, n, rule):
         score = d3_repeated_single_score(n, rule)
         assert score.method == "exact"
         assert score.fidelity == float(_fraction_vote_score(n, rule))
+
+    @pytest.mark.parametrize(
+        "n,rule", [(n, rule) for n in (10, 11, 12) for rule in ("random", "lowest-index")]
+    )
+    def test_matches_int64_oracle(self, n, rule):
+        assert d3_repeated_single_score(n, rule).fidelity == _int64_vote_score(n, rule)
 
     def test_one_and_two_shots_stay_at_one_third(self):
         for n in (1, 2):
@@ -196,14 +234,14 @@ class TestRepeatedVote:
         assert lowest.fidelity < random_rule.fidelity
 
     def test_vote_improves_with_more_shots(self):
-        values = [d3_repeated_single_score(n).fidelity for n in (1, 3, 5, 7, 9, 11)]
+        shots = (1, 3, 5, 7, 9, 11, 13, 24, 48)
+        values = [d3_repeated_single_score(n).fidelity for n in shots]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_enumeration_refusal(self):
-        with pytest.raises(ValueError, match="refused"):
-            d3_repeated_single_score(ENUMERATION_LIMIT + 1)
-        with pytest.raises(ValueError):
-            d3_repeated_single_score(0)
+        for bad in (0, True, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                d3_repeated_single_score(bad)
         with pytest.raises(ValueError, match="tie_break"):
             d3_repeated_single_score(3, "coin-flip")
 
