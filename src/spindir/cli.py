@@ -125,16 +125,16 @@ def write_record(record: ResultRecord, path: str) -> None:
 
 def read_record(path: str) -> ResultRecord:
     with open(path) as fh:
-        body = json.load(fh)
-    try:
-        return ResultRecord(
-            schema_version=body["schema_version"],
-            timestamp=body["timestamp"],
-            config=body["config"],
-            result=body["result"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a result record ({exc})") from exc
+        try:
+            body = json.load(fh)
+            return ResultRecord(
+                schema_version=body["schema_version"],
+                timestamp=body["timestamp"],
+                config=body["config"],
+                result=body["result"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise ValueError(f"{path} is not a result record ({exc})") from exc
 
 
 # ----------------------------------------------------------- configuration

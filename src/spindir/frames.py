@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction
+from .geometry import Direction, unit_rows
 
 ORTHO_TOL = 1e-10
 DEGENERATE_CROSS_TOL = 1e-8
@@ -52,11 +52,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """a scaled to unit length, row by row for a stack."""
-    return (a.T / np.sqrt(np.vecdot(a, a))).T
-
-
 @dataclass(frozen=True)
 class EulerAngles:
     """zxz Euler triple; the axis columns below define the convention.
@@ -68,7 +63,6 @@ class EulerAngles:
     phi: float | np.ndarray
     theta: float | np.ndarray
     psi: float | np.ndarray
-    convention: str = "zxz-column"
 
     def __post_init__(self):
         if isinstance(self.theta, float):
@@ -87,8 +81,6 @@ class EulerAngles:
             raise ValueError("Euler angles must be finite")
         if not in_range:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.convention != "zxz-column":
-            raise ValueError("only the zxz-column convention is supported")
         object.__setattr__(self, "phi", _wrap_pi(self.phi))
         object.__setattr__(self, "psi", _wrap_pi(self.psi))
 
@@ -123,7 +115,8 @@ class Frame:
             + [np.abs(np.vecdot(a, b)) for a, b in ((z, x), (z, y), (x, y))]
             + [np.vecdot(_cross(x, y), z)]
         ).reshape(7, -1)
-        bad = np.abs(values - _TARGETS) > ORTHO_TOL
+        # written as not-within so that a NaN value fails its check
+        bad = ~(np.abs(values - _TARGETS) <= ORTHO_TOL)
         if bad.any():
             # the first failing check, at the first row that fails it
             check = int(np.argmax(bad.any(axis=1)))
@@ -154,7 +147,7 @@ def euler_to_axes(euler: EulerAngles) -> Frame:
         ],
         axis=-1,
     )
-    return Frame(z_axis=z, x_axis=_unit_rows(x), y_axis=_unit_rows(_cross(z, x)))
+    return Frame(z_axis=z, x_axis=unit_rows(x), y_axis=unit_rows(_cross(z, x)))
 
 
 def axes_to_euler(frame: Frame) -> EulerAngles:
@@ -235,15 +228,15 @@ def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:
     neither is trusted more).  Raises ValueError if any pair is
     (anti)parallel.
     """
-    u = _unit_rows(np.asarray(z_est, dtype=float))
-    v = _unit_rows(np.asarray(x_est, dtype=float))
+    u = unit_rows(np.asarray(z_est, dtype=float))
+    v = unit_rows(np.asarray(x_est, dtype=float))
     cross = _cross(u, v)
     cn = np.sqrt(np.vecdot(cross, cross))
     if (cn < DEGENERATE_CROSS_TOL).any():
         raise ValueError("z and x estimates are (anti)parallel; no plane is defined")
     y = (cross.T / cn).T
-    b = _unit_rows(u + v)
-    t = _unit_rows(u - v)
+    b = unit_rows(u + v)
+    t = unit_rows(u - v)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     z_fit = (b + t) * inv_sqrt2
     x_fit = (b - t) * inv_sqrt2

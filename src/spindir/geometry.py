@@ -10,6 +10,22 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """a scaled to unit length, row by row for a stack."""
+    return (a.T / np.sqrt(np.vecdot(a, a))).T
+
+
+def polar_angles(vectors: np.ndarray) -> tuple[list, list]:
+    """Polar angles (theta, phi) of the direction of each row, as lists.
+
+    libm's acos and atan2 run through map, since numpy's SIMD arccos and
+    arctan2 can differ in the last bit.  phi is the raw atan2 value in
+    [-pi, pi]; Direction reduces it mod 2*pi."""
+    u = unit_rows(vectors)
+    theta = list(map(math.acos, np.clip(u[:, 2], -1.0, 1.0).tolist()))
+    return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
+
+
 @dataclass(frozen=True)
 class Direction:
     """A point on the unit sphere stored as polar angles.
@@ -37,9 +53,7 @@ class Direction:
         norm = float(np.linalg.norm(v))
         if not math.isfinite(norm) or norm < 1e-12:
             raise ValueError("cannot take the direction of a (near-)zero vector")
-        v = v / norm
-        theta = math.acos(min(1.0, max(-1.0, v[2])))
-        phi = math.atan2(v[1], v[0])
+        (theta,), (phi,) = polar_angles(v[None])
         return cls(theta, phi)
 
     @property

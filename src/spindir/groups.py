@@ -80,7 +80,7 @@ class FiniteGroup:
             raise ValueError("group has no element rotations")
         return su2_from_euler(*self.element_rotations[i])
 
-    def validate(self, tol: float = MATCH_TOL) -> None:
+    def validate(self) -> None:
         t = np.asarray(self.mult_table)
         n = self.order
         if t.shape != (n, n):
@@ -105,7 +105,7 @@ class FiniteGroup:
             for g in range(n):
                 for h in range(n):
                     prod = self.rotation_matrix(g) @ self.rotation_matrix(h)
-                    if np.max(np.abs(prod - self.rotation_matrix(t[g, h]))) > tol:
+                    if np.max(np.abs(prod - self.rotation_matrix(t[g, h]))) > MATCH_TOL:
                         raise ValueError("rotations do not follow the table")
 
 
@@ -150,13 +150,13 @@ class IrrepData:
         return len(self.dims)
 
 
-def _mult_table_from_rotations(mats: list, tol: float = MATCH_TOL) -> np.ndarray:
+def _mult_table_from_rotations(mats: list) -> np.ndarray:
     n = len(mats)
     table = np.zeros((n, n), dtype=int)
     for a in range(n):
         for b in range(n):
             prod = mats[a] @ mats[b]
-            hits = [c for c in range(n) if np.max(np.abs(prod - mats[c])) < tol]
+            hits = [c for c in range(n) if np.max(np.abs(prod - mats[c])) < MATCH_TOL]
             if len(hits) != 1:
                 raise ValueError("rotation set is not closed under products")
             table[a, b] = hits[0]
@@ -305,7 +305,7 @@ def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
     return tuple(tensor_power(group.su2_matrix(g), num_spins) for g in range(group.order))
 
 
-def find_invariant_blocks(matrices, tol: float = BLOCK_CLUSTER_TOL, seed: int = _BLOCK_SEED) -> list:
+def find_invariant_blocks(matrices) -> list:
     """Simultaneous invariant subspaces of a set of unitaries.
 
     Diagonalizes the conjugation average of a fixed-seed random Hermitian; the
@@ -314,7 +314,7 @@ def find_invariant_blocks(matrices, tol: float = BLOCK_CLUSTER_TOL, seed: int = 
     isotypic multiplicity, so each cluster is a single irreducible block.
     """
     dim = matrices[0].shape[0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_BLOCK_SEED))
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = h + h.conj().T
     avg = np.zeros((dim, dim), dtype=complex)
@@ -325,7 +325,7 @@ def find_invariant_blocks(matrices, tol: float = BLOCK_CLUSTER_TOL, seed: int = 
     blocks = []
     start = 0
     for k in range(1, dim + 1):
-        if k == dim or evals[k] - evals[k - 1] > tol:
+        if k == dim or evals[k] - evals[k - 1] > BLOCK_CLUSTER_TOL:
             blocks.append(vecs[:, start:k].copy())
             start = k
     for basis in blocks:
@@ -362,11 +362,11 @@ def block_characters(family: SignalFamily) -> list:
     return [_block_character(b.basis, family.rep_matrices) for b in family.block_structure]
 
 
-def repeated_equivalent_blocks(family: SignalFamily, tol: float = 1e-6) -> bool:
+def repeated_equivalent_blocks(family: SignalFamily) -> bool:
     chars = block_characters(family)
     for i in range(len(chars)):
         for k in range(i + 1, len(chars)):
-            if np.max(np.abs(chars[i] - chars[k])) < tol:
+            if np.max(np.abs(chars[i] - chars[k])) < 1e-6:
                 return True
     return False
 

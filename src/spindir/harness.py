@@ -19,16 +19,15 @@ from .frames import (
     EulerAngles,
     Frame,
     _cross,
-    _unit_rows,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import TWO_PI, Direction
+from .geometry import TWO_PI, Direction, polar_angles
 from .groups import d3_directions
-from .optimize import ChiDensity, chi_density, coherent_code
+from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
     ProtocolScore,
     ProtocolSpec,
@@ -42,8 +41,7 @@ from .protocols import (
 from .spins import SpinJ
 from .states import is_integer
 
-BATCH_TRIALS = 8192
-CHI_GRID_POINTS = 2048
+BATCH_TRIALS = 8192  # with CHI_GRID_POINTS (from optimize), a run's sampling settings
 _UINT64_SPAN = 2 ** 64
 
 
@@ -92,13 +90,15 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_haar_direction(rng: np.random.Generator, size=None):
-    """Uniform direction(s): cos(theta) uniform on [-1,1], phi uniform."""
+def sample_haar_direction(rng: np.random.Generator, size=None) -> np.ndarray:
+    """Uniform direction(s) as unit rows: cos(theta) uniform on [-1, 1], phi
+    uniform.  One 3-vector when size is None, else a (size, 3) stack."""
     n = 1 if size is None else int(size)
     c = rng.uniform(-1.0, 1.0, n)
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    dirs = [Direction(theta=math.acos(ci), phi=pi) for ci, pi in zip(c, phi)]
-    return dirs[0] if size is None else dirs
+    s = np.sqrt(1.0 - c * c)
+    units = np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+    return units[0] if size is None else units
 
 
 def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
@@ -136,14 +136,13 @@ def sample_haar_rotation(rng: np.random.Generator) -> EulerAngles:
 
 
 def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
-    """Draw chi from a direction-code density by inverse CDF on a fixed
-    cumulative grid in cos(chi) with linear interpolation."""
-    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
+    """Draw cos(chi) from a direction-code density: one uniform per draw,
+    inverted by linear interpolation in the density's cumulative table.
+    A float when size is None, else a (size,) array."""
+    grid, cdf = density.cdf_table
     n = 1 if size is None else int(size)
-    u = rng.random(n)
-    c = np.interp(u, cdf, grid)
-    chi = np.arccos(np.clip(c, -1.0, 1.0))
-    return float(chi[0]) if size is None else chi
+    c = np.interp(rng.random(n), cdf, grid)
+    return float(c[0]) if size is None else c
 
 
 def _tangent_basis(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +168,14 @@ def _tilt(
     return cos_chi[:, None] * units + sin_chi[:, None] * tangent
 
 
-def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Tilt each unit row away by chi at the given tangent azimuth."""
-    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
+def _noisy_units(rng: np.random.Generator, density: ChiDensity, units, t1, t2) -> tuple:
+    """The measured estimate of each unit row: tilted by a chi drawn from
+    density (cos chi first) towards a uniform tangent azimuth (drawn next).
+    Returns the estimates and their cos(chi) draws."""
+    take = units.shape[0]
+    cos_chi = sample_chi(density, rng, take)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
+    return _tilt(units, t1, t2, cos_chi, azimuth), cos_chi
 
 
 class _Accumulator:
@@ -254,30 +258,16 @@ def _run_d3_finite(config: RunConfig) -> dict:
 def _run_d3_coherent(config: RunConfig) -> dict:
     spec = config.protocol
     density = chi_density(coherent_code(SpinJ(spec.num_spins)))
-    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
     units = np.array([d.unit_vector for d in d3_directions()])
     t1, t2 = _tangent_basis(units)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        u_chi = rng.random(take)
-        azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
-        cos_chi = np.interp(u_chi, cdf, grid)
-        est = _tilt(units[true], t1[true], t2[true], cos_chi, azimuth)
+        est, _ = _noisy_units(rng, density, units[true], t1[true], t2[true])
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}
-
-
-def _polar_angles(units: np.ndarray) -> tuple[list, list]:
-    """Polar angles (theta, phi) of each row as lists, bit for bit as
-    Direction.from_vector computes them: libm's acos and atan2 through map,
-    since numpy's SIMD arccos and arctan2 can differ in the last bit.  phi is
-    the raw atan2 value; Direction reduces it mod 2*pi."""
-    u = _unit_rows(units)
-    theta = list(map(math.acos, np.clip(u[:, 2], -1.0, 1.0).tolist()))
-    return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
 
 
 def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
@@ -290,8 +280,8 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     trial (|sin phi| > 1) is clamped to phi = +-pi/2 so that every trial
     still yields a frame; every row takes theta = theta_z and
     psi = pi/2 - phi_z, as the inversion sets them."""
-    theta_z, phi_z = _polar_angles(z_est)
-    theta_x, phi_x = _polar_angles(x_est)
+    theta_z, phi_z = polar_angles(z_est)
+    theta_x, phi_x = polar_angles(x_est)
     failed, sin_phi, phi = [], [], []
     for tz, pz, tx, px in zip(theta_z, phi_z, theta_x, phi_x):
         est = naive_euler_estimate(Direction(tz, pz), Direction(tx, px))
@@ -307,18 +297,12 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     return euler_to_axes(angles), int(clamped.sum())
 
 
-def _frame_batch(rng: np.random.Generator, take: int, grid, cdf, decoder: str):
+def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decoder: str):
     """One batch of frame trials: per-trial infidelities, the z and x cos(chi)
     draws, and the number of clamped naive decodes."""
     true = sample_haar_frame(rng, take)
-    u_z = rng.random(take)
-    az_z = rng.uniform(0.0, 2.0 * math.pi, take)
-    u_x = rng.random(take)
-    az_x = rng.uniform(0.0, 2.0 * math.pi, take)
-    cos_z = np.interp(u_z, cdf, grid)
-    cos_x = np.interp(u_x, cdf, grid)
-    z_est = _perturb_units(true.z_axis, cos_z, az_z)
-    x_est = _perturb_units(true.x_axis, cos_x, az_x)
+    z_est, cos_z = _noisy_units(rng, density, true.z_axis, *_tangent_basis(true.z_axis))
+    x_est, cos_x = _noisy_units(rng, density, true.x_axis, *_tangent_basis(true.x_axis))
     failures = 0
     if decoder == "naive-euler":
         fitted, failures = _naive_frames(z_est, x_est)
@@ -332,14 +316,13 @@ def _run_frame(config: RunConfig) -> dict:
     proto = frame_two_axis_score(
         spec.num_spins, encoding=spec.encoding, fitter=spec.decoder
     )
-    grid, cdf = proto.chi.cumulative_in_cos(CHI_GRID_POINTS)
     total = _Accumulator()
     axis_z = _Accumulator()
     axis_x = _Accumulator()
     failures = 0
     for b, take in _batches(config.trials):
         scores, cos_z, cos_x, failed = _frame_batch(
-            _batch_rng(config.seed, b), take, grid, cdf, spec.decoder
+            _batch_rng(config.seed, b), take, proto.chi, spec.decoder
         )
         total.add(scores)
         axis_z.add(0.5 * (1.0 - cos_z))

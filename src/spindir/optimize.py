@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,9 @@ def coherent_code(j: SpinJ) -> DirectionCode:
                          effective_dimension=j.twice_j + 1, carrier="coherent")
 
 
+CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that sample_chi inverts on
+
+
 @dataclass(frozen=True)
 class ChiDensity:
     """Distribution of the angle chi between true and estimated directions for
@@ -165,13 +169,18 @@ class ChiDensity:
     def expected_infidelity(self) -> float:
         return 1.0 - self.expected_fidelity()
 
-    def cumulative_in_cos(self, n: int = 2048) -> tuple:
-        """(u grid, CDF values) for inverse-CDF sampling, trapezoid cumulative."""
+    def cumulative_in_cos(self, n: int) -> tuple:
+        """(u grid, CDF values) on n points even in cos chi, trapezoid cumulative."""
         u = np.linspace(-1.0, 1.0, n)
         p = self.pdf_cos(u)
         cdf = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(u))))
         cdf /= cdf[-1]
         return u, cdf
+
+    @cached_property
+    def cdf_table(self) -> tuple:
+        """sample_chi's inverse-CDF table, built once per density."""
+        return self.cumulative_in_cos(CHI_GRID_POINTS)
 
 
 def chi_density(code: DirectionCode) -> ChiDensity:

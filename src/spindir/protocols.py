@@ -394,10 +394,7 @@ def frame_two_axis_score(
     which needs N/2 even.  fitter picks the decoder the harness applies.
     """
     spec = ProtocolSpec(
-        kind="frame-two-axis",
-        num_spins=num_spins,
-        encoding=encoding,
-        decoder="naive-euler" if fitter == "naive" else fitter,
+        kind="frame-two-axis", num_spins=num_spins, encoding=encoding, decoder=fitter
     )
     per_axis = spec.num_spins // 2
     if encoding == "coherent":

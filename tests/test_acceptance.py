@@ -26,7 +26,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from spindir.frames import axes_to_euler, euler_to_axes
-from spindir.geometry import sphere_quadrature
+from spindir.geometry import Direction, sphere_quadrature
 from spindir.harness import (
     RunConfig,
     run_experiment,
@@ -144,9 +144,8 @@ def test_criterion_03_repeated_pair_enumeration_and_mc(report):
 def test_criterion_04_coherent_overlap_law(report):
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
-    pairs = [
-        (sample_haar_direction(rng), sample_haar_direction(rng)) for _ in range(1000)
-    ]
+    ends = [sample_haar_direction(rng, size=1000) for _ in range(2)]
+    pairs = [(Direction.from_vector(a), Direction.from_vector(b)) for a, b in zip(*ends)]
     worst = 0.0
     for tj in range(1, 21):  # j = 1/2 .. 10
         j = SpinJ(tj)
@@ -175,8 +174,7 @@ def test_criterion_05_optimal_code_jmax_one(report):
     eig_err = abs(code.fidelity - (1.0 + 1.0 / math.sqrt(3.0)) / 2.0)
     target_err = abs(code.infidelity - 0.21132)
     rng = np.random.default_rng(1005)
-    chi = sample_chi(chi_density(code), rng, size=10**5)
-    draws = 0.5 * (1.0 - np.cos(chi))
+    draws = 0.5 * (1.0 - sample_chi(chi_density(code), rng, size=10**5))
     mc = float(draws.mean())
     sigma = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     mc_dev = abs(mc - code.infidelity)

@@ -481,6 +481,18 @@ class TestReport:
         assert code == 1
         assert "mix schema versions" in err
 
+    @pytest.mark.parametrize(
+        "body", [b'{"schema_version": 1,\n\t"x": "a\x01"}', b'{"a": "\xff\xfe"}'],
+        ids=["malformed-json", "not-utf8"],
+    )
+    def test_broken_record_is_named(self, capsys, tmp_path, two_records, body):
+        single, _ = two_records
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        code, _, err = run(capsys, "report", str(single), str(bad))
+        assert code == 1
+        assert f"{bad} is not a result record" in err
+
 
 class TestEntryPoint:
     def test_help_exits_zero(self, capsys):

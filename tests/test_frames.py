@@ -48,8 +48,6 @@ def test_euler_angle_ranges():
         EulerAngles(phi=0.0, theta=-0.1, psi=0.0)
     with pytest.raises(ValueError):
         EulerAngles(phi=math.nan, theta=1.0, psi=0.0)
-    with pytest.raises(ValueError):
-        EulerAngles(phi=0.0, theta=1.0, psi=0.0, convention="zyz")
 
 
 def test_frame_validation():
@@ -64,6 +62,9 @@ def test_frame_validation():
         Frame(z_axis=-eye[2], x_axis=eye[0], y_axis=eye[1])
     with pytest.raises(ValueError, match="shape"):
         Frame(z_axis=eye[2], x_axis=eye[:2], y_axis=eye[1:])
+    # NaN compares false with any tolerance; it must still fail a check
+    with pytest.raises(ValueError, match=r"z_axis must be unit length, \|v\| = nan"):
+        Frame(z_axis=[math.nan] * 3, x_axis=eye[0], y_axis=eye[1])
 
 
 def _frame_stack(n: int) -> list:
@@ -78,6 +79,7 @@ def _frame_stack(n: int) -> list:
         (2.0 * np.eye(3)[2], "unit"),
         (np.array([0.1, 0.0, 1.0]) / math.sqrt(1.01), "orthogonal"),
         (-np.eye(3)[2], "right-handed"),
+        (np.full(3, math.nan), r"z_axis must be unit length, \|v\| = nan"),
     ],
 )
 def test_frame_stack_validates_every_row(bad_z, message):

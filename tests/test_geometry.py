@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spindir.geometry import Direction, sphere_quadrature
+from spindir.geometry import Direction, polar_angles, sphere_quadrature
 
 FOUR_PI = 4.0 * math.pi
 
@@ -51,6 +51,38 @@ def test_from_vector_normalizes_and_rejects_zero():
         Direction.from_vector([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         Direction.from_vector([1.0, 2.0])
+    with pytest.raises(ValueError, match="zero"):
+        Direction.from_vector([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="zero"):
+        Direction.from_vector([math.inf, 0.0, 1.0])
+
+
+def _libm_polar(v: np.ndarray) -> tuple[float, float]:
+    """The raw polar angles of one vector computed with math alone, as
+    Direction.from_vector did before it became a batch of one."""
+    v = v / np.linalg.norm(v)
+    return math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0])
+
+
+def test_polar_angles_match_the_one_vector_map_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    scales = (1e-3, 1e-1, 1.0, 1e2, 1e5)
+    special = [
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1e-3], [0.0, 0.0, -7e4],
+        [1e-17, 0.0, 1.0], [-1e-17, -1e-17, -1.0],
+        # a tiny negative y puts phi just below 0, which Direction reduces to 0
+        [1.0, -1e-20, 0.0], [3.0, -1e-300, 0.5], [2.0, -0.0, -1.0],
+    ]
+    rows = np.concatenate(
+        [rng.standard_normal((20000, 3)) * s for s in scales] + [np.array(special)]
+    )
+    theta, phi = polar_angles(rows)
+    assert list(zip(theta, phi)) == [_libm_polar(v) for v in rows]
+    # from_vector is the batch of one; every 10th row and the special rows
+    picked = list(range(0, rows.shape[0], 10)) + list(range(-len(special), 0))
+    got = [Direction.from_vector(rows[i]) for i in picked]
+    assert got == [Direction(theta[i], phi[i]) for i in picked]
+    assert all(d.phi == 0.0 for d in got[-3:])
 
 
 def test_angles_between_directions():

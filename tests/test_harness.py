@@ -17,15 +17,15 @@ from spindir.geometry import Direction
 from spindir.groups import d3_directions
 from spindir.harness import (
     BATCH_TRIALS,
-    CHI_GRID_POINTS,
     RunConfig,
     _Accumulator,
     _batch_rng,
     _batches,
     _frame_batch,
     _naive_frames,
-    _perturb_units,
     _quaternion_matrices,
+    _tangent_basis,
+    _tilt,
     reference_score,
     run_experiment,
     sample_chi,
@@ -34,6 +34,8 @@ from spindir.harness import (
     sample_haar_rotation,
 )
 from spindir.optimize import (
+    CHI_GRID_POINTS,
+    ChiDensity,
     chi_density,
     coherent_code,
     d3_coherent_error,
@@ -51,6 +53,19 @@ def spec(kind="d3-single", num_spins=1, **kw) -> ProtocolSpec:
     return ProtocolSpec(kind=kind, num_spins=num_spins, **kw)
 
 
+def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Tilt each unit row away by chi at the given tangent azimuth, with the
+    tangent basis built for these rows: the tilt of a frame run."""
+    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
+
+
+def _interp_cos_chi(density: ChiDensity, u: np.ndarray) -> np.ndarray:
+    """cos(chi) for the uniforms u, inverted inline on a freshly built table,
+    as the runs drew it before sample_chi was their one chi draw."""
+    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
+    return np.interp(u, cdf, grid)
+
+
 class TestRunConfig:
     def test_rejects_bad_trials(self):
         for bad in (0, -5, 2.5, True):
@@ -66,18 +81,18 @@ class TestRunConfig:
 class TestSamplers:
     def test_haar_direction_moments(self):
         rng = np.random.default_rng(5150)
-        dirs = sample_haar_direction(rng, size=20000)
-        vecs = np.array([d.unit_vector for d in dirs])
+        vecs = sample_haar_direction(rng, size=20000)
+        assert vecs.shape == (20000, 3)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
         # each component: mean 0, variance 1/3
-        sigma = math.sqrt(1.0 / 3.0 / len(dirs))
+        sigma = math.sqrt(1.0 / 3.0 / len(vecs))
         assert np.max(np.abs(vecs.mean(axis=0))) < 4.0 * sigma
         assert np.mean(vecs[:, 2] ** 2) == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_haar_direction_scalar_form(self):
-        rng = np.random.default_rng(3)
-        d = sample_haar_direction(rng)
-        assert isinstance(d, Direction)
+        one = sample_haar_direction(np.random.default_rng(3))
+        assert one.shape == (3,)
+        assert float(np.linalg.norm(one)) == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_rotation_trace_mean_zero(self):
         # angle density (1 - cos)/pi makes E[tr R] = E[1 + 2 cos] = 0 and
@@ -114,16 +129,16 @@ class TestSamplers:
         var = float(np.sum(w * p * x * x)) - mean * mean
         assert mean == pytest.approx(2.0 * 0.9 - 1.0, abs=1e-9)
         rng = np.random.default_rng(99)
-        chi = sample_chi(density, rng, size=40000)
-        sample_mean = float(np.mean(np.cos(chi)))
-        assert abs(sample_mean - mean) < 4.0 * math.sqrt(var / chi.size) + 1e-3
+        cos_chi = sample_chi(density, rng, size=40000)
+        sample_mean = float(np.mean(cos_chi))
+        assert abs(sample_mean - mean) < 4.0 * math.sqrt(var / cos_chi.size) + 1e-3
 
     def test_sample_chi_scalar_form(self):
         density = chi_density(optimal_direction_encoding(SpinJ(4)))
-        rng = np.random.default_rng(12)
-        chi = sample_chi(density, rng)
-        assert isinstance(chi, float)
-        assert 0.0 <= chi <= math.pi
+        cos_chi = sample_chi(density, np.random.default_rng(12))
+        assert isinstance(cos_chi, float)
+        assert -1.0 <= cos_chi <= 1.0
+        assert cos_chi == sample_chi(density, np.random.default_rng(12), size=3)[0]
 
     @pytest.mark.parametrize("chi", [0.0, 0.3, 1.2, math.pi / 2, 2.9, math.pi])
     def test_perturb_direction_exact_angle(self, chi):
@@ -219,7 +234,6 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     basis once per run: the basis of every trial's true direction is built
     again in each batch."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
-    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
     units = np.array([d.unit_vector for d in d3_directions()])
     acc = _Accumulator()
     for b, take in _batches(config.trials):
@@ -227,7 +241,7 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
         true = rng.integers(0, 6, take)
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
-        cos_chi = np.interp(u_chi, cdf, grid)
+        cos_chi = _interp_cos_chi(density, u_chi)
         est = _perturb_units(units[true], cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
@@ -434,7 +448,7 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
     return frame, est.failed
 
 
-def _per_trial_reference(seed: int, batch: int, take: int, grid, cdf, decoder: str):
+def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, decoder: str):
     """Batch `batch` of a frame run decoded one trial at a time, as the harness
     did before it decoded whole batches: same draws in the same order, a
     Direction round trip per estimate, a 3-vector decode and score per trial."""
@@ -445,8 +459,8 @@ def _per_trial_reference(seed: int, batch: int, take: int, grid, cdf, decoder: s
     u_x = rng.random(take)
     az_x = rng.uniform(0.0, 2.0 * math.pi, take)
     mats = _quaternion_matrices(quats)
-    cos_z = np.interp(u_z, cdf, grid)
-    cos_x = np.interp(u_x, cdf, grid)
+    cos_z = _interp_cos_chi(density, u_z)
+    cos_x = _interp_cos_chi(density, u_x)
     z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
     x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
     scores = np.empty(take)
@@ -479,14 +493,13 @@ class TestFrameBatchDecode:
             seed=22,
         )
         proto = frame_two_axis_score(4, encoding=encoding, fitter=decoder)
-        grid, cdf = proto.chi.cumulative_in_cos(CHI_GRID_POINTS)
         total, axis_z, axis_x = _Accumulator(), _Accumulator(), _Accumulator()
         failures = 0
         for b in range(2):
             scores, cos_z, cos_x, failed = _per_trial_reference(
-                config.seed, b, self.TAKE, grid, cdf, decoder
+                config.seed, b, self.TAKE, proto.chi, decoder
             )
-            got = _frame_batch(_batch_rng(config.seed, b), self.TAKE, grid, cdf, decoder)
+            got = _frame_batch(_batch_rng(config.seed, b), self.TAKE, proto.chi, decoder)
             np.testing.assert_allclose(got[0], scores, rtol=0.0, atol=1e-13)
             assert np.array_equal(got[1], cos_z) and np.array_equal(got[2], cos_x)
             assert got[3] == failed
@@ -548,6 +561,31 @@ class TestFrameBatchDecode:
         )
         assert len(calls) == 700
         assert sum(calls) == result.estimates["naive_failures"] > 0
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        spec("d3-coherent", 4),
+        spec("frame-two-axis", 4, encoding="optimal"),
+        spec("frame-two-axis", 8, encoding="coherent", decoder="naive-euler"),
+    ],
+    ids=lambda p: f"{p.kind}-{p.encoding}-{p.decoder}",
+)
+def test_chi_table_is_built_once_per_run(monkeypatch, protocol):
+    # every batch draws through sample_chi, which reads the density's table;
+    # building it again per batch would cost each short run a grid evaluation
+    calls = []
+    build = ChiDensity.cumulative_in_cos
+
+    def counting(self, n):
+        calls.append(n)
+        return build(self, n)
+
+    monkeypatch.setattr(ChiDensity, "cumulative_in_cos", counting)
+    monkeypatch.setattr(harness, "BATCH_TRIALS", 256)
+    run_experiment(RunConfig(protocol=protocol, trials=3 * 256, seed=1))
+    assert calls == [CHI_GRID_POINTS]
 
 
 class TestStderrScaling:

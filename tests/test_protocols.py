@@ -323,10 +323,6 @@ class TestFrameProtocol:
             proto.axis_code.fidelity, abs=1e-12
         )
 
-    def test_naive_fitter_alias(self):
-        proto = frame_two_axis_score(4, encoding="coherent", fitter="naive")
-        assert proto.fitter == "naive-euler"
-
     def test_spin_count_rules_propagate(self):
         with pytest.raises(ValueError, match="even N"):
             frame_two_axis_score(5)
