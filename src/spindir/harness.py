@@ -92,10 +92,12 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
 
 def sample_haar_direction(rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform direction(s) as unit rows: cos(theta) uniform on [-1, 1], phi
-    uniform.  One 3-vector when size is None, else a (size, 3) stack."""
+    uniform, from one uniform pair per row.  One 3-vector when size is None
+    (the first row of a stack at the same seed), else a (size, 3) stack."""
     n = 1 if size is None else int(size)
-    c = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    u = rng.random((n, 2))
+    c = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(1.0 - c * c)
     units = np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
     return units[0] if size is None else units
@@ -214,43 +216,42 @@ def _batches(trials: int):
 
 
 def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
-    """The most frequent outcome of each row of shots.  A tie goes to the
-    lowest index, or, given the row's uniform tie draw, to a uniformly
-    chosen leader."""
-    take = outcomes.shape[0]
-    cells = 6 * np.arange(take)[:, None] + outcomes
-    counts = np.bincount(cells.ravel(), minlength=6 * take).reshape(take, 6)
-    is_win = counts == counts.max(axis=1)[:, None]
+    """The most frequent outcome of each (repeats, take) column of shots.  A
+    tie goes to the lowest index, or, given the column's uniform tie draw, to
+    the floor(tie * #leaders)-th leader, counted from 0."""
+    counts = np.empty((6, outcomes.shape[1]), dtype=np.min_scalar_type(outcomes.shape[0]))
+    for k in range(6):
+        np.add.reduce(outcomes == k, axis=0, dtype=counts.dtype, out=counts[k])
+    lead = counts == counts.max(axis=0)
     if tie is None:
-        return np.argmax(is_win, axis=1)
-    pick = np.floor(tie * is_win.sum(axis=1)).astype(int)
-    order = np.cumsum(is_win, axis=1)
-    return np.argmax(order == (pick + 1)[:, None], axis=1)
+        return np.argmax(lead, axis=0)
+    pick = (tie * lead.sum(axis=0, dtype=np.uint8)).astype(np.uint8)  # floors: tie >= 0
+    seen, winner = np.zeros((2, pick.size), dtype=np.uint8)
+    for row in lead:  # the winner is the number of outcomes with <= pick leaders up to them
+        seen += row
+        winner += seen <= pick
+    return winner
 
 
 def _run_d3_finite(config: RunConfig) -> dict:
     spec = config.protocol
-    matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
-    # the outcome is the number of a row's first five cumulative boundaries
-    # below the draw, 0..5; the sixth is 1 only to rounding, and a draw past
-    # one that rounded below 1 is outcome 5
-    bounds = np.cumsum(matrix, axis=1)[:, :5]
+    # shots lie in (repeats, take) rows; an outcome is the number of the true
+    # row's first five cumulative boundaries below the draw; the sixth is 1
+    # only to rounding, and a draw past one that rounded below 1 is outcome 5
+    bounds = np.cumsum(d3_outcome_matrix(2 if spec.kind == "d3-covariant" else 1), axis=1)[:, :5].T
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        draws = rng.random((take, repeats))
-        row_bounds = bounds[true]
-        outcomes = np.zeros((take, repeats), dtype=np.intp)
+        draws = np.ascontiguousarray(rng.random((take, repeats)).T)
+        outcomes = np.zeros((repeats, take), dtype=np.uint8)
         for j in range(5):
-            outcomes += draws > row_bounds[:, j, None]
-        if repeats == 1:
-            guess = outcomes[:, 0]
-        else:
-            # the tie draw is the batch's last, so skipping it moves nothing
-            guess = _plurality(outcomes, rng.random(take) if random_ties else None)
+            outcomes += draws > bounds[j][true]
+        # the tie draw is the batch's last, so skipping it moves nothing
+        tie = rng.random(take) if random_ties else None
+        guess = outcomes[0] if repeats == 1 else _plurality(outcomes, tie)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}
 
@@ -259,12 +260,13 @@ def _run_d3_coherent(config: RunConfig) -> dict:
     spec = config.protocol
     density = chi_density(coherent_code(SpinJ(spec.num_spins)))
     units = np.array([d.unit_vector for d in d3_directions()])
-    t1, t2 = _tangent_basis(units)
+    # (3, 6) copies: a batch gathers (3, take) rows and tilts (take, 3) views
+    columns = [a.T.copy() for a in (units, *_tangent_basis(units))]
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        est, _ = _noisy_units(rng, density, units[true], t1[true], t2[true])
+        est, _ = _noisy_units(rng, density, *(np.take(c, true, axis=1).T for c in columns))
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}

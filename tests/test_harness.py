@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from spindir.harness import (
     _batches,
     _frame_batch,
     _naive_frames,
+    _plurality,
     _quaternion_matrices,
     _tangent_basis,
     _tilt,
@@ -93,6 +95,8 @@ class TestSamplers:
         one = sample_haar_direction(np.random.default_rng(3))
         assert one.shape == (3,)
         assert float(np.linalg.norm(one)) == pytest.approx(1.0, abs=1e-12)
+        # a batch of one: the first row of a stack drawn at the same seed
+        assert np.array_equal(one, sample_haar_direction(np.random.default_rng(3), size=5)[0])
 
     def test_haar_rotation_trace_mean_zero(self):
         # angle density (1 - cos)/pi makes E[tr R] = E[1 + 2 cos] = 0 and
@@ -252,7 +256,7 @@ _D3_SPECS = (
     [spec(), spec("d3-covariant", 2)]
     + [
         spec("d3-repeated", n, tie_break=tie_break)
-        for n in (1, 2, 3, 5, 9, 12, 20)
+        for n in (1, 2, 3, 5, 9, 12, 20, 255, 256, 300)
         for tie_break in ("random", "lowest-index")
     ]
     + [spec("d3-coherent", n) for n in (1, 2, 4, 8, 24, 60)]
@@ -301,6 +305,36 @@ class TestD3BatchKernels:
         monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, top))
         result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
         assert result.estimates["fidelity"] == float(row == 5)
+
+
+def _counter_vote(column, tie) -> int:
+    """The plurality of one column of shots by collections.Counter: the
+    leaders in index order, then the first, or the floor(tie * #leaders)-th."""
+    counts = Counter(int(o) for o in column)
+    top = max(counts.values())
+    leaders = [k for k in range(6) if counts[k] == top]
+    return leaders[0] if tie is None else leaders[math.floor(tie * len(leaders))]
+
+
+_VOTE_COLUMNS = {
+    "six-way-tie": [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]],
+    "two-way-tie-from-0": [[0, 3, 3, 0, 1, 2], [4, 0, 0, 4, 5, 1]],
+    "two-way-tie-to-5": [[5, 2, 5, 2, 1, 0], [5, 5, 0, 3, 0, 4]],
+    "unanimous": [[k] * 6 for k in range(6)],
+    # past 255 shots the counts leave uint8: a unanimous column counts 256
+    "unanimous-256": [[4] * 256, [0] * 255 + [5]],
+}
+
+
+class TestPlurality:
+    @pytest.mark.parametrize("name", sorted(_VOTE_COLUMNS))
+    @pytest.mark.parametrize("tie", [None, 0.0, 0.5, np.nextafter(1.0, 0.0)])
+    def test_matches_a_counter_vote(self, name, tie):
+        columns = _VOTE_COLUMNS[name]
+        outcomes = np.array(columns, dtype=np.uint8).T.copy()  # (repeats, take)
+        draws = None if tie is None else np.full(len(columns), tie)
+        got = _plurality(outcomes, draws)
+        assert got.tolist() == [_counter_vote(c, tie) for c in columns]
 
 
 class _FixedStream:
