@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Direction, unit_rows
+from .geometry import unit_rows
 
 ORTHO_TOL = 1e-10
 DEGENERATE_CROSS_TOL = 1e-8
@@ -65,21 +66,9 @@ class EulerAngles:
     psi: float | np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.theta, float):
-            # math on floats: this runs once per naive-decoded trial
-            finite = (
-                math.isfinite(self.phi)
-                and math.isfinite(self.theta)
-                and math.isfinite(self.psi)
-            )
-            in_range = 0.0 <= self.theta <= math.pi
-        else:
-            angles = (self.phi, self.theta, self.psi)
-            finite = all(np.isfinite(a).all() for a in angles)
-            in_range = np.all((self.theta >= 0.0) & (self.theta <= math.pi))
-        if not finite:
+        if not all(np.isfinite(a).all() for a in (self.phi, self.theta, self.psi)):
             raise ValueError("Euler angles must be finite")
-        if not in_range:
+        if not np.all((self.theta >= 0.0) & (self.theta <= math.pi)):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", _wrap_pi(self.phi))
         object.__setattr__(self, "psi", _wrap_pi(self.psi))
@@ -171,51 +160,57 @@ def axes_to_euler(frame: Frame) -> EulerAngles:
     return EulerAngles(phi=phi, theta=theta, psi=psi)
 
 
-@dataclass(frozen=True)
-class NaiveEstimate:
-    """Outcome of the closed-form inversion.
+class NaiveEstimate(NamedTuple):
+    """Outcome of the closed-form inversion, as floats.
 
-    angles is None exactly when failed is True, which happens when the
-    measured directions imply |sin(phi)| > 1 and the arcsine has no
-    real solution.
+    failed is True when the measured directions imply |sin(phi)| > 1 and
+    the arcsine has no real solution; phi is then clamped to
+    copysign(pi/2, sin_phi).  phi and psi are wrapped to [-pi, pi).
     """
 
-    angles: EulerAngles | None
+    phi: float
+    theta: float
+    psi: float
     failed: bool
     sin_phi: float
 
+    @property
+    def angles(self) -> EulerAngles | None:
+        """The estimate as EulerAngles; None when the inversion failed."""
+        return None if self.failed else EulerAngles(self.phi, self.theta, self.psi)
 
-def naive_euler_estimate(z_dir: Direction, x_dir: Direction) -> NaiveEstimate:
+
+def naive_euler_estimate(
+    theta_z: float, phi_z: float, theta_x: float, phi_x: float
+) -> NaiveEstimate:
     """Closed-form inversion of measured z and x directions (not required to
-    be perpendicular) using three of the four equations.
+    be perpendicular), given by their polar angles, using three of the four
+    equations.  Each azimuth must already lie in [0, 2*pi), as
+    geometry.reduce_azimuth leaves it.
 
     theta = theta_z and psi = pi/2 - phi_z come from the z column alone;
     phi = asin(cos(theta_x)/sin(theta_z)) uses only the last row of the
     x column.  The ignored first-row equation resolves the asin quadrant.
     Noisy inputs can push |sin(phi)| above 1; that is reported as a
-    failure rather than clamped.
+    failure.  Raises ValueError when theta_z is at a pole.
     """
-    theta = z_dir.theta
-    sth = math.sin(theta)
+    sth = math.sin(theta_z)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    psi = _wrap_pi(0.5 * math.pi - z_dir.phi)
-    s = math.cos(x_dir.theta) / sth
+    psi = _wrap_pi(0.5 * math.pi - phi_z)
+    s = math.cos(theta_x) / sth
     if abs(s) > 1.0:
-        return NaiveEstimate(angles=None, failed=True, sin_phi=s)
+        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True, s)
     phi0 = math.asin(s)
-    x_first = math.sin(x_dir.theta) * math.cos(x_dir.phi)
-    best = None
-    for phi in (phi0, _wrap_pi(math.pi - phi0)):
-        pred = math.cos(psi) * math.cos(phi) - math.sin(psi) * math.cos(theta) * math.sin(phi)
-        r = abs(pred - x_first)
-        if best is None or r < best[0]:
-            best = (r, phi)
-    return NaiveEstimate(
-        angles=EulerAngles(phi=best[1], theta=theta, psi=psi),
-        failed=False,
-        sin_phi=s,
-    )
+    phi1 = _wrap_pi(math.pi - phi0)
+    # the first row of the x column predicted by each branch, against the
+    # measured sin(theta_x)cos(phi_x); phi0 wins ties
+    cpsi, spsi_cth = math.cos(psi), math.sin(psi) * math.cos(theta_z)
+    x_first = math.sin(theta_x) * math.cos(phi_x)
+    r0 = abs(cpsi * math.cos(phi0) - spsi_cth * math.sin(phi0) - x_first)
+    r1 = abs(cpsi * math.cos(phi1) - spsi_cth * math.sin(phi1) - x_first)
+    phi = phi1 if r1 < r0 else phi0
+    return NaiveEstimate(_wrap_pi(phi), theta_z, psi, False, s)
 
 
 def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:

@@ -15,12 +15,21 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     return (a.T / np.sqrt(np.vecdot(a, a))).T
 
 
+def reduce_azimuth(phi):
+    """phi mod 2*pi in [0, 2*pi); a float or an array.
+
+    A tiny negative phi reduces to exactly 2*pi in floating point; that
+    value, and only that one, becomes 0.0 (2*pi - 2*pi)."""
+    phi = phi % TWO_PI
+    return phi - TWO_PI * (phi == TWO_PI)
+
+
 def polar_angles(vectors: np.ndarray) -> tuple[list, list]:
     """Polar angles (theta, phi) of the direction of each row, as lists.
 
     libm's acos and atan2 run through map, since numpy's SIMD arccos and
     arctan2 can differ in the last bit.  phi is the raw atan2 value in
-    [-pi, pi]; Direction reduces it mod 2*pi."""
+    [-pi, pi]; reduce_azimuth takes it into [0, 2*pi)."""
     u = unit_rows(vectors)
     theta = list(map(math.acos, np.clip(u[:, 2], -1.0, 1.0).tolist()))
     return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
@@ -41,9 +50,7 @@ class Direction:
             raise ValueError("angles must be finite")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        # a tiny negative phi reduces to exactly 2*pi in floating point
-        phi = self.phi % TWO_PI
-        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
+        object.__setattr__(self, "phi", reduce_azimuth(self.phi))
 
     @classmethod
     def from_vector(cls, v) -> "Direction":

@@ -25,7 +25,7 @@ from .frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import TWO_PI, Direction, polar_angles
+from .geometry import polar_angles, reduce_azimuth
 from .groups import d3_directions
 from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
@@ -273,30 +273,21 @@ def _run_d3_coherent(config: RunConfig) -> dict:
 
 
 def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
-    """Naive-decode each row pair through the polar angles; return the stacked
-    frames and the number of clamped trials.
+    """Naive-decode each row pair; return the stacked frames and the number
+    of failed (clamped) trials.
 
-    Only the inversion, naive_euler_estimate, runs per trial: perfbench's
-    tracer counts a clamp for each call that fails and checks that count
-    against naive_failures.  The rest runs on the whole batch.  A failed
-    trial (|sin phi| > 1) is clamped to phi = +-pi/2 so that every trial
-    still yields a frame; every row takes theta = theta_z and
-    psi = pi/2 - phi_z, as the inversion sets them."""
+    The polar angles and their azimuth reduction run on the whole batch,
+    then naive_euler_estimate runs once per trial on four floats:
+    perfbench's tracer counts a clamp for each call that fails and checks
+    that count against naive_failures.  A failed trial comes back with
+    phi clamped to +-pi/2, so every trial still yields a frame; one
+    stacked forward map builds them all."""
     theta_z, phi_z = polar_angles(z_est)
     theta_x, phi_x = polar_angles(x_est)
-    failed, sin_phi, phi = [], [], []
-    for tz, pz, tx, px in zip(theta_z, phi_z, theta_x, phi_x):
-        est = naive_euler_estimate(Direction(tz, pz), Direction(tx, px))
-        failed.append(est.failed)
-        sin_phi.append(est.sin_phi)
-        phi.append(math.nan if est.failed else est.angles.phi)
-    clamped = np.array(failed)
-    angles = EulerAngles(
-        phi=np.where(clamped, np.copysign(0.5 * math.pi, sin_phi), phi),
-        theta=np.array(theta_z),
-        psi=0.5 * math.pi - np.array(phi_z) % TWO_PI,
-    )
-    return euler_to_axes(angles), int(clamped.sum())
+    phi_z, phi_x = (reduce_azimuth(np.array(p)).tolist() for p in (phi_z, phi_x))
+    phi, theta, psi, failed, _ = zip(*map(naive_euler_estimate, theta_z, phi_z, theta_x, phi_x))
+    angles = EulerAngles(phi=np.array(phi), theta=np.array(theta), psi=np.array(psi))
+    return euler_to_axes(angles), sum(failed)
 
 
 def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decoder: str):

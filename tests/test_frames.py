@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spindir.frames import (
+    GIMBAL_SIN_TOL,
     EulerAngles,
     Frame,
+    _wrap_pi,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
     frame_infidelity,
     naive_euler_estimate,
 )
-from spindir.geometry import Direction
+from spindir.geometry import Direction, polar_angles, reduce_azimuth
 
 RNG = np.random.default_rng(977)
 
@@ -30,6 +33,11 @@ def random_euler() -> EulerAngles:
 def _pair(frame: Frame) -> tuple[Direction, Direction]:
     """The polar angles of a frame's z and x axes, as a receiver measures them."""
     return Direction.from_vector(frame.z_axis), Direction.from_vector(frame.x_axis)
+
+
+def _angles(z_dir: Direction, x_dir: Direction) -> tuple[float, float, float, float]:
+    """The four floats naive_euler_estimate takes."""
+    return z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi
 
 
 def test_euler_angle_ranges():
@@ -209,7 +217,7 @@ def test_naive_estimate_exact_on_clean_data():
         if math.sin(e.theta) < 1e-3:
             continue
         frame = euler_to_axes(e)
-        out = naive_euler_estimate(*_pair(frame))
+        out = naive_euler_estimate(*_angles(*_pair(frame)))
         assert not out.failed
         rec = euler_to_axes(out.angles)
         assert frame_infidelity(frame, rec) < 1e-10
@@ -223,7 +231,7 @@ def test_naive_estimate_quadrant_choice():
     # |phi| beyond pi/2 exercises the branch that the bare arcsine misses
     for phi in (2.0, -2.5, 3.0):
         e = EulerAngles(phi=phi, theta=1.1, psi=0.4)
-        out = naive_euler_estimate(*_pair(euler_to_axes(e)))
+        out = naive_euler_estimate(*_angles(*_pair(euler_to_axes(e))))
         assert not out.failed
         assert _angle_diff(out.angles.phi, phi) < 1e-9
 
@@ -231,17 +239,125 @@ def test_naive_estimate_quadrant_choice():
 def test_naive_estimate_failure_fixture():
     # phi = pi/2 puts the x axis at the pole and z on the equator; tilting the
     # measured z inward by 0.1 gives cos(theta_x)/sin(theta_z) = 1/cos(0.1) > 1
-    z_dir = Direction(theta=0.5 * math.pi - 0.1, phi=0.0)
-    x_dir = Direction(theta=0.0, phi=0.5 * math.pi)
-    out = naive_euler_estimate(z_dir, x_dir)
+    out = naive_euler_estimate(0.5 * math.pi - 0.1, 0.0, 0.0, 0.5 * math.pi)
     assert out.failed
     assert out.angles is None
+    assert out.phi == 0.5 * math.pi
     assert out.sin_phi == pytest.approx(1.0 / math.cos(0.1), abs=1e-12)
 
 
 def test_naive_estimate_pole_raises():
     with pytest.raises(ValueError, match="pole"):
-        naive_euler_estimate(Direction(theta=0.0, phi=0.0), Direction(theta=0.5, phi=0.2))
+        naive_euler_estimate(0.0, 0.0, 0.5, 0.2)
+
+
+@dataclass(frozen=True)
+class _DirectionNaiveEstimate:
+    """Outcome of the closed-form inversion.
+
+    angles is None exactly when failed is True, which happens when the
+    measured directions imply |sin(phi)| > 1 and the arcsine has no
+    real solution.
+    """
+
+    angles: EulerAngles | None
+    failed: bool
+    sin_phi: float
+
+
+def _direction_naive_estimate(z_dir: Direction, x_dir: Direction) -> _DirectionNaiveEstimate:
+    """Test-only oracle: the inversion on a Direction pair, as the package
+    computed it before it took four floats."""
+    theta = z_dir.theta
+    sth = math.sin(theta)
+    if sth < GIMBAL_SIN_TOL:
+        raise ValueError("z estimate at a pole: naive inversion is degenerate")
+    psi = _wrap_pi(0.5 * math.pi - z_dir.phi)
+    s = math.cos(x_dir.theta) / sth
+    if abs(s) > 1.0:
+        return _DirectionNaiveEstimate(angles=None, failed=True, sin_phi=s)
+    phi0 = math.asin(s)
+    x_first = math.sin(x_dir.theta) * math.cos(x_dir.phi)
+    best = None
+    for phi in (phi0, _wrap_pi(math.pi - phi0)):
+        pred = math.cos(psi) * math.cos(phi) - math.sin(psi) * math.cos(theta) * math.sin(phi)
+        r = abs(pred - x_first)
+        if best is None or r < best[0]:
+            best = (r, phi)
+    return _DirectionNaiveEstimate(
+        angles=EulerAngles(phi=best[1], theta=theta, psi=psi),
+        failed=False,
+        sin_phi=s,
+    )
+
+
+def _check_against_oracle(theta_z, phi_z, theta_x, phi_x):
+    """naive_euler_estimate on the reduced azimuths against the oracle on a
+    Direction pair built from the raw ones, bit for bit in every field.  A
+    failed trial is compared with the clamp the harness applied before the
+    inversion returned it: phi = +-pi/2, theta = theta_z, psi = pi/2 - phi_z."""
+    z_dir, x_dir = Direction(theta_z, phi_z), Direction(theta_x, phi_x)
+    got = naive_euler_estimate(theta_z, reduce_azimuth(phi_z), theta_x, reduce_azimuth(phi_x))
+    want = _direction_naive_estimate(z_dir, x_dir)
+    assert (got.failed, got.sin_phi.hex()) == (want.failed, want.sin_phi.hex())
+    assert got.angles == want.angles
+    if want.failed:
+        angles = (
+            math.copysign(0.5 * math.pi, want.sin_phi),
+            z_dir.theta,
+            _wrap_pi(0.5 * math.pi - z_dir.phi),
+        )
+    else:
+        angles = (want.angles.phi, want.angles.theta, want.angles.psi)
+    assert [a.hex() for a in got[:3]] == [a.hex() for a in angles]
+    return got
+
+
+def test_naive_estimate_matches_direction_oracle():
+    rng = np.random.default_rng(2024)
+    n = 10_000
+    theta_z, phi_z = polar_angles(rng.standard_normal((n, 3)))
+    theta_x, phi_x = polar_angles(rng.standard_normal((n, 3)))
+    outs = [_check_against_oracle(*args) for args in zip(theta_z, phi_z, theta_x, phi_x)]
+    ok = [o for o in outs if not o.failed]
+    failed = [o for o in outs if o.failed]
+    # both quadrant branches and both failure signs occur
+    assert sum(abs(o.phi) > 0.5 * math.pi for o in ok) > 1000
+    assert sum(abs(o.phi) < 0.5 * math.pi for o in ok) > 1000
+    assert sum(o.sin_phi > 1.0 for o in failed) > 1000
+    assert sum(o.sin_phi < -1.0 for o in failed) > 1000
+
+
+@pytest.mark.parametrize(
+    "theta_z, phi_z, theta_x, phi_x",
+    [
+        # |phi| > pi/2: the quadrant branch
+        *(
+            _angles(*_pair(euler_to_axes(EulerAngles(phi=phi, theta=1.1, psi=0.4))))
+            for phi in (2.0, -2.5, 3.0)
+        ),
+        # psi = +-pi/2: both branches predict the same first row, phi0 wins
+        (1.977, 0.0, 0.589, 1.407),
+        (1.302, math.pi, 0.602, 3.403),
+        # x at a pole, z tilted off the equator: sin phi = +-1/cos(0.1)
+        (0.5 * math.pi - 0.1, 0.0, 0.0, 0.5 * math.pi),
+        (0.5 * math.pi - 0.1, 1.0, math.pi, 0.5 * math.pi),
+        # azimuths that reduce to exactly 2*pi, hence 0.0
+        (1.0, -1e-20, 1.2, -1e-300),
+        (0.5 * math.pi - 0.1, -1e-20, 0.0, -5e-324),
+        (2.0, -4 * math.pi, 1.0, -1e-17),
+    ],
+)
+def test_naive_estimate_matches_direction_oracle_on_edge_cases(theta_z, phi_z, theta_x, phi_x):
+    _check_against_oracle(theta_z, phi_z, theta_x, phi_x)
+
+
+@pytest.mark.parametrize("theta_z", [0.0, 1e-12, math.pi])
+def test_naive_estimate_pole_raises_as_the_oracle(theta_z):
+    with pytest.raises(ValueError, match="pole"):
+        _direction_naive_estimate(Direction(theta_z, 0.3), Direction(0.5, 0.2))
+    with pytest.raises(ValueError, match="pole"):
+        naive_euler_estimate(theta_z, 0.3, 0.5, 0.2)
 
 
 def test_best_fit_recovers_exact_frame():
@@ -296,7 +412,7 @@ def test_best_fit_beats_naive_on_noisy_data():
         noisy = (_jitter(z_dir, 0.15, rng), _jitter(x_dir, 0.15, rng))
         fit, _ = best_fit_frame(noisy[0].unit_vector, noisy[1].unit_vector)
         fit_err = frame_infidelity(frame, fit)
-        out = naive_euler_estimate(*noisy)
+        out = naive_euler_estimate(*_angles(*noisy))
         if out.failed:
             continue
         rec = euler_to_axes(out.angles)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spindir.geometry import Direction, polar_angles, sphere_quadrature
+from spindir.geometry import TWO_PI, Direction, polar_angles, reduce_azimuth, sphere_quadrature
 
 FOUR_PI = 4.0 * math.pi
 
@@ -31,6 +31,22 @@ def test_direction_tiny_negative_phi_stays_below_two_pi():
         assert 0.0 <= phi < 2.0 * math.pi
     assert Direction(1.0, -1e-15).phi == pytest.approx(2.0 * math.pi - 1e-15, abs=1e-18)
     assert Direction(1.0, 2.0 * math.pi).phi == 0.0
+
+
+def test_reduce_azimuth_scalar_and_array_agree():
+    tiny = 5e-324
+    values = [-0.0, 0.0, tiny, -tiny, -1e-20, math.pi, -math.pi,
+              math.nextafter(TWO_PI, 0.0), TWO_PI, FOUR_PI, -FOUR_PI]
+    scalar = [reduce_azimuth(v) for v in values]
+    array = reduce_azimuth(np.array(values))
+    assert all(type(v) is float for v in scalar)
+    assert [v.hex() for v in scalar] == [v.hex() for v in array.tolist()]
+    assert all(0.0 <= v < TWO_PI for v in scalar)
+    # -0.0 and the values that round to exactly 2 pi come back as +0.0
+    for i in (0, 3, 4, 8, 9, 10):
+        assert scalar[i].hex() == "0x0.0p+0"
+    assert scalar[7] == math.nextafter(TWO_PI, 0.0)
+    assert [Direction(1.0, v).phi.hex() for v in values] == [v.hex() for v in scalar]
 
 
 def test_unit_vector_and_round_trip():

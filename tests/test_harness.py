@@ -455,7 +455,7 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
     """One trial of the naive decode as the harness ran it before it decoded
     whole batches: the closed-form inversion, |sin phi| clamped to 1 when it
     fails, and the forward map evaluated on one frame with math."""
-    est = naive_euler_estimate(z_dir, x_dir)
+    est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
     if est.failed:
         angles = EulerAngles(
             phi=math.copysign(0.5 * math.pi, est.sin_phi),
@@ -563,10 +563,14 @@ class TestFrameBatchDecode:
         frames, failures = _naive_frames(z_est, x_est)
         assert failures == 3
         for i in range(8):
-            want, failed = _naive_frame(
-                Direction.from_vector(z_est[i]), Direction.from_vector(x_est[i])
-            )
+            z_dir, x_dir = Direction.from_vector(z_est[i]), Direction.from_vector(x_est[i])
+            want, failed = _naive_frame(z_dir, x_dir)
             assert failed == (i in (1, 4, 6))
+            # the inversion itself returns the clamped phi of a failed trial
+            est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
+            if failed:
+                assert est.phi == math.copysign(0.5 * math.pi, est.sin_phi)
+                assert est.sin_phi > 1.0 if i in (1, 4) else est.sin_phi < -1.0
             for name in ("z_axis", "x_axis", "y_axis"):
                 np.testing.assert_allclose(
                     getattr(frames, name)[i], getattr(want, name), rtol=0.0, atol=1e-15
@@ -577,8 +581,8 @@ class TestFrameBatchDecode:
         # call and compares that count with naive_failures
         calls = []
 
-        def counting(z_dir, x_dir):
-            out = naive_euler_estimate(z_dir, x_dir)
+        def counting(*args):
+            out = naive_euler_estimate(*args)
             calls.append(out.failed)
             return out
 
