@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,12 +83,21 @@ def direction_cos_matrix(j_max: SpinJ) -> np.ndarray:
     if not j_max.is_integer:
         raise ValueError("direction codes use integer j blocks")
     n = j_max.twice_j // 2 + 1
+    k = np.arange(n - 1)
+    off = (k + 1.0) / np.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0))
     mat = np.zeros((n, n))
-    for k in range(n - 1):
-        off = (k + 1.0) / math.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0))
-        mat[k, k + 1] = off
-        mat[k + 1, k] = off
+    mat[k, k + 1] = off
+    mat[k + 1, k] = off
     return mat
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1], by
+    Golub-Welsch: the nodes are the eigenvalues of the n x n Legendre Jacobi
+    matrix (direction_cos_matrix of 2n - 2 spins) and the weights are 2 v_0^2,
+    with v_0 the first component of each unit eigenvector."""
+    x, vecs = np.linalg.eigh(direction_cos_matrix(SpinJ(2 * n - 2)))
+    return x, 2.0 * vecs[0] ** 2
 
 
 def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
@@ -152,18 +161,21 @@ class ChiDensity:
         chi = np.atleast_1d(np.asarray(chi, dtype=float))
         return np.sin(chi) * self.pdf_cos(np.cos(chi))
 
-    def _gauss(self):
-        tj = self.code.j_max.twice_j
-        n = max(16, tj + 4)
-        return np.polynomial.legendre.leggauss(n)
+    @cached_property
+    def gauss_rule(self) -> tuple:
+        """The gauss_legendre rule on n = twice_j // 2 + 2 nodes, exact to
+        degree 2n - 1 >= twice_j + 2.  The density is a polynomial of degree
+        twice_j in cos chi, so both moments below are exact up to rounding,
+        for either carrier and for odd twice_j too."""
+        return gauss_legendre(self.code.j_max.twice_j // 2 + 2)
 
     def normalization(self) -> float:
-        x, w = self._gauss()
+        x, w = self.gauss_rule
         return float(np.sum(w * self.pdf_cos(x)))
 
     def expected_fidelity(self) -> float:
         """<cos^2(chi/2)> = (1 + <cos chi>)/2 under this density."""
-        x, w = self._gauss()
+        x, w = self.gauss_rule
         return float(np.sum(w * self.pdf_cos(x) * (1.0 + x) / 2.0))
 
     def expected_infidelity(self) -> float:
@@ -190,6 +202,7 @@ def chi_density(code: DirectionCode) -> ChiDensity:
 D3_ARC_NODES = 64
 
 
+@lru_cache(maxsize=2)
 def _d3_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Distance r(phi) from each signal direction d0 to the edge of its
     nearest-direction cell along tangent azimuth phi, at Gauss-Legendre nodes.
@@ -200,7 +213,7 @@ def _d3_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     v ~ (d0 - d_a) x (d0 - d_b) split the azimuth into arcs on which one
     bisector is nearest, so r(phi) is analytic on each arc and each arc gets
     its own Gauss-Legendre rule.  Returns (6, M) radii and (6, M) azimuth
-    weights summing to 2 pi per cell.
+    weights summing to 2 pi per cell.  Cached per node count and read-only.
     """
     dirs = np.stack([d.unit_vector for d in d3_directions()])
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -227,7 +240,10 @@ def _d3_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
         r = np.arctan2(1.0 - others @ d0, t @ others.T).min(axis=1)
         radii.append(r)
         weights.append((half[:, None] * w).ravel())
-    return np.array(radii), np.array(weights)
+    radii, weights = np.array(radii), np.array(weights)
+    radii.flags.writeable = False
+    weights.flags.writeable = False
+    return radii, weights
 
 
 def _d3_cell_errors(j: SpinJ, nodes: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from spindir.geometry import SphereQuadrature, sphere_quadrature
+from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
 from spindir.groups import (
     Block,
     SignalFamily,
@@ -23,6 +23,7 @@ from spindir.optimize import (
     d3_coherent_error,
     direction_cos_matrix,
     finite_group_optimum,
+    gauss_legendre,
     optimal_direction_encoding,
 )
 from spindir.states import ProductBasis, SpinBasis, SpinJ, StateVector
@@ -96,6 +97,43 @@ class TestCosMatrix:
     def test_rejects_half_integer(self):
         with pytest.raises(ValueError):
             direction_cos_matrix(SpinJ(3))
+
+    def test_matches_loop_formula(self):
+        # the per-row loop the array build replaced, kept as the reference
+        for j in range(121):
+            want = np.zeros((j + 1, j + 1))
+            for k in range(j):
+                off = (k + 1.0) / math.sqrt((2.0 * k + 1.0) * (2.0 * k + 3.0))
+                want[k, k + 1] = off
+                want[k + 1, k] = off
+            assert np.array_equal(direction_cos_matrix(SpinJ(2 * j)), want)
+
+
+class TestGaussLegendre:
+    def test_matches_leggauss(self):
+        # numpy's leggauss (Newton-polished roots) is the test-only oracle
+        for n in range(1, 131):
+            x, w = gauss_legendre(n)
+            want_x, want_w = np.polynomial.legendre.leggauss(n)
+            assert np.max(np.abs(x - want_x)) <= 1e-14
+            assert np.max(np.abs(w / want_w - 1.0)) <= 1e-10
+
+    def test_optimal_code_moments_at_every_size(self):
+        for n in range(2, 241, 2):
+            density = chi_density(optimal_direction_encoding(SpinJ(n)))
+            assert abs(density.normalization() - 1.0) <= 1e-11
+            assert abs(density.expected_fidelity() - density.code.fidelity) <= 1e-11
+
+    def test_coherent_code_moments_at_every_size(self):
+        for twice_j in range(1, 241):
+            density = chi_density(coherent_code(SpinJ(twice_j)))
+            assert abs(density.normalization() - 1.0) <= 1e-11
+            assert abs(density.expected_fidelity() - density.code.fidelity) <= 1e-11
+
+    def test_rule_sized_to_the_density_degree(self):
+        for twice_j in (0, 1, 2, 7, 240):
+            x, w = chi_density(coherent_code(SpinJ(twice_j))).gauss_rule
+            assert x.size == w.size == twice_j // 2 + 2
 
 
 class TestOptimalEncoding:
@@ -340,6 +378,21 @@ class TestSixDirectionDecoding:
             j = SpinJ(n)
             fine = float(np.mean(_d3_cell_errors(j, 2 * D3_ARC_NODES)))
             assert abs(fine - d3_coherent_error(j)) <= 1e-14
+
+    def test_cell_geometry_is_cached_and_read_only(self):
+        radii, weights = _d3_cell_radii(D3_ARC_NODES)
+        again = _d3_cell_radii(D3_ARC_NODES)
+        assert again[0] is radii and again[1] is weights
+        for arr in (radii, weights):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_cached_geometry_matches_a_rebuild(self):
+        radii, weights = _d3_cell_radii.__wrapped__(D3_ARC_NODES)
+        for n in range(1, 61):
+            tail = ((1.0 + np.cos(radii)) / 2.0) ** (n + 1)
+            rebuilt = float(np.mean(np.sum(weights * tail, axis=1) / TWO_PI))
+            assert d3_coherent_error(SpinJ(n)).hex() == rebuilt.hex()
 
     def test_cells_are_triangles_between_the_caps(self):
         # the edge distance r(phi) lies between the inradius (bisector with
