@@ -40,7 +40,6 @@ from .multispin import (
     attainable_spins,
     decompose_multispin,
     j_squared,
-    lift_rotation,
     total_j_projector,
     total_spin_ops,
 )
@@ -79,18 +78,12 @@ from .protocols import (
     frame_two_axis_score,
 )
 from .spins import (
-    axis_angle_from_matrix,
-    coherent_overlap_sq,
     coherent_state,
     jx_matrix,
     jy_matrix,
     jz_matrix,
-    n_dot_j,
     rotate_spin_state,
-    rotation_about,
-    su2_from_rotation,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from .states import (
     ProductBasis,

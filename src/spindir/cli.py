@@ -119,8 +119,9 @@ def record_to_json(record: ResultRecord) -> str:
 
 
 def write_record(record: ResultRecord, path: str) -> None:
+    text = record_to_json(record)  # a record that cannot serialise leaves no file
     with open(path, "w") as fh:
-        fh.write(record_to_json(record))
+        fh.write(text)
 
 
 def read_record(path: str) -> ResultRecord:

@@ -222,14 +222,6 @@ def d3_directions() -> list:
     return out
 
 
-def rotation_characters(group: FiniteGroup) -> np.ndarray:
-    """Per-element character of the vector (spin-1) embedding, 1 + 2 cos Phi,
-    read off as the trace of each rotation matrix."""
-    if group.element_rotations is None:
-        raise ValueError("group has no element rotations")
-    return np.array([np.trace(group.rotation_matrix(g)) for g in range(group.order)])
-
-
 def characters_per_element(irreps: IrrepData, group: FiniteGroup) -> np.ndarray:
     """Expand the per-class character table to per-element columns."""
     out = np.zeros((irreps.n_irreps, group.order))

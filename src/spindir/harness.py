@@ -59,6 +59,9 @@ class RunConfig:
             raise ValueError("trials must be a positive integer")
         if not is_integer(self.seed):
             raise ValueError("seed must be an integer")
+        # numpy integers are accepted but stored as int, so records serialise
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < _UINT64_SPAN:
             raise ValueError("seed must fit in 64 bits")
 

@@ -1,17 +1,15 @@
 """Total angular momentum on registers of spin-1/2 systems.
 
-Projectors onto total-spin-j eigenspaces of N qubits, block decomposition of
-register states, and the per-qubit tensor lift of classical rotations. Dense
-matrices throughout; intended for small registers (N <= 12 or so).
+Projectors onto total-spin-j eigenspaces of N qubits and block decomposition
+of register states. Dense matrices throughout; intended for small registers
+(N <= 12 or so).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .spins import PAULI, su2_from_rotation
+from .spins import PAULI
 from .states import ProductBasis, SpinJ, StateVector
 
 
@@ -95,12 +93,3 @@ def decompose_multispin(state: StateVector) -> list[tuple[SpinJ, StateVector]]:
         out.append((j, StateVector(state.basis, comp)))
     return out
 
-
-def lift_rotation(rot: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Per-qubit tensor power of the SU(2) lift of a rotation matrix.
-
-    For even N this is an honest linear representation of any rotation group;
-    for odd N it is projective (defined up to sign), with the sign pinned by the
-    canonical axis-angle choice in su2_from_rotation.
-    """
-    return tensor_power(su2_from_rotation(rot), num_qubits)

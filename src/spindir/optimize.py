@@ -24,7 +24,6 @@ from .states import SpinJ
 class CovariantOptimum:
     fidelity: float
     optimal_coefficients: tuple
-    score_rule: str
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ def finite_group_optimum(family: SignalFamily) -> CovariantOptimum:
     order = family.group.order
     fidelity = float(np.sum(dims) / order)
     coeffs = np.sqrt(dims / np.sum(dims))
-    return CovariantOptimum(fidelity=fidelity, optimal_coefficients=tuple(coeffs),
-                            score_rule="zero-one")
+    return CovariantOptimum(fidelity=fidelity, optimal_coefficients=tuple(coeffs))
 
 
 def direction_cos_matrix(j_max: SpinJ) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import SphereQuadrature
 from .spins import coherent_state
-from .states import SpinBasis, SpinJ, StateVector
+from .states import SpinJ, StateVector
 
 NEGATIVE_PROB_TOL = 1e-12
 
@@ -88,28 +88,15 @@ def validate_povm(povm: Povm, tol: float = 1e-10) -> PovmValidation:
     return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig, tol=tol)
 
 
-def _clamp_probability(p: float) -> float:
-    if p < -NEGATIVE_PROB_TOL:
-        raise ValueError(f"negative probability {p:.3e} from a non-positive element")
-    return min(1.0, max(0.0, p))
-
-
 def outcome_probability(element: PovmElement, state: StateVector) -> float:
     """Born probability <psi|E|psi>, clamped into [0, 1] after a small-negative
     tolerance check; negatives beyond the tolerance raise."""
     if element.dim != state.dim:
         raise ValueError("element and state dimensions differ")
-    return _clamp_probability(
-        float(np.real(np.vdot(state.amplitudes, element.operator @ state.amplitudes)))
-    )
-
-
-def trace_probability(element: PovmElement, rho: np.ndarray) -> float:
-    """Born probability tr(E rho) for a density matrix (same clamping rules)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != element.operator.shape:
-        raise ValueError("element and density matrix dimensions differ")
-    return _clamp_probability(float(np.real(np.trace(element.operator @ rho))))
+    p = float(np.real(np.vdot(state.amplitudes, element.operator @ state.amplitudes)))
+    if p < -NEGATIVE_PROB_TOL:
+        raise ValueError(f"negative probability {p:.3e} from a non-positive element")
+    return min(1.0, max(0.0, p))
 
 
 def state_probabilities(povm: Povm, state: StateVector) -> np.ndarray:

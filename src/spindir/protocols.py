@@ -73,6 +73,7 @@ class ProtocolSpec:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if not is_integer(self.num_spins) or self.num_spins < 1:
             raise ValueError("num_spins must be a positive integer")
+        object.__setattr__(self, "num_spins", int(self.num_spins))
         if self.decoder == "":
             object.__setattr__(self, "decoder", _DEFAULT_DECODERS[self.kind])
         if self.decoder not in _ALLOWED_DECODERS[self.kind]:

@@ -4,16 +4,21 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spindir.cli import (
     OUTPUT_DIR_VAR,
     REPORT_COLUMNS,
+    ResultRecord,
     main,
     read_record,
+    record_from_run,
     record_to_json,
     write_record,
 )
+from spindir.harness import RunConfig, run_experiment
+from spindir.protocols import ProtocolSpec
 
 
 def run(capsys, *args):
@@ -380,6 +385,22 @@ class TestRecords:
         write_record(record, str(again))
         assert again.read_text() == first
         assert record_to_json(record) == first
+
+    def test_numpy_integer_config_round_trips(self, tmp_path):
+        config = RunConfig(ProtocolSpec("d3-single", np.int64(1)), np.int64(100),
+                           np.int64(3))
+        path = tmp_path / "np.json"
+        write_record(record_from_run(config, run_experiment(config)), str(path))
+        saved = read_record(str(path)).config
+        assert (saved["protocol"]["num_spins"], saved["trials"], saved["seed"]) == (1, 100, 3)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        record = ResultRecord(schema_version=1, timestamp="t",
+                              config={"trials": np.int64(1)}, result={})
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            write_record(record, str(path))
+        assert not path.exists()
 
     def test_read_record_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "foreign.json"

@@ -202,8 +202,8 @@ class TestReproducibility:
 def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
     """A d3-single, d3-covariant or d3-repeated run as the harness ran it
     before it counted whole batches: every batch draws true, shots and tie,
-    and each shot is compared with all six cumulative boundaries of its row
-    and scattered into float counts."""
+    each shot's outcome is the number of its true row's six cumulative
+    boundaries below the draw, and one bincount tallies the outcomes."""
     spec = config.protocol
     matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
     cum = np.cumsum(matrix, axis=1)
@@ -214,12 +214,14 @@ def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
         true = rng.integers(0, 6, take)
         draws = rng.random((take, repeats))
         tie = rng.random(take)
-        row_cum = cum[true]
-        counts = np.zeros((take, 6))
-        rows = np.arange(take)
-        for k in range(repeats):
-            outcome = (draws[:, k, None] > row_cum).sum(axis=1)
-            counts[rows, outcome] += 1.0
+        outcome = np.empty((take, repeats), dtype=np.intp)
+        for row in range(6):
+            mask = true == row
+            outcome[mask] = np.searchsorted(cum[row], draws[mask], side="left")
+        if outcome.max() > 5:
+            raise AssertionError("a shot passed all six boundaries of its row")
+        flat = (6 * np.arange(take))[:, None] + outcome
+        counts = np.bincount(flat.ravel(), minlength=6 * take).reshape(take, 6)
         top = counts.max(axis=1)
         is_win = counts == top[:, None]
         if spec.kind == "d3-repeated" and spec.tie_break == "random":

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from spindir.geometry import Direction
+from spindir.groups import dihedral_d3, lift_to_qubits
 from spindir.multispin import (
     attainable_spins,
     decompose_multispin,
     j_squared,
-    lift_rotation,
     total_j_projector,
     total_spin_ops,
 )
-from spindir.spins import coherent_state, rotation_about
+from spindir.spins import coherent_state
 from spindir.states import (
     ProductBasis,
     SpinJ,
@@ -139,22 +139,21 @@ def test_decompose_requires_product_basis():
 
 
 def test_lift_rotation_acts_per_qubit():
-    rot = rotation_about([0.3, -1.0, 0.8], 1.234)
-    lifted = lift_rotation(rot, 3)
+    # the runtime lift of each D3 element is its SU(2) matrix on every qubit
+    group, _ = dihedral_d3()
     rng = np.random.default_rng(8)
     singles = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
     singles = [s / np.linalg.norm(s) for s in singles]
-    from spindir.spins import su2_from_rotation
-
-    u = su2_from_rotation(rot)
-    rotated = product_state([u @ s for s in singles])
-    direct = lifted @ product_state(singles).amplitudes
-    np.testing.assert_allclose(direct, rotated.amplitudes, atol=1e-12)
+    for g, lifted in enumerate(lift_to_qubits(group, 3)):
+        u = group.su2_matrix(g)
+        rotated = product_state([u @ s for s in singles])
+        direct = lifted @ product_state(singles).amplitudes
+        np.testing.assert_allclose(direct, rotated.amplitudes, atol=1e-12)
 
 
 def test_lift_rotation_commutes_with_projectors():
-    rot = rotation_about([1.0, 0.2, -0.4], 0.77)
-    lifted = lift_rotation(rot, 3)
-    for j in attainable_spins(3):
-        p = total_j_projector(3, j)
-        np.testing.assert_allclose(lifted @ p, p @ lifted, atol=1e-10)
+    group, _ = dihedral_d3()
+    for lifted in lift_to_qubits(group, 3):
+        for j in attainable_spins(3):
+            p = total_j_projector(3, j)
+            np.testing.assert_allclose(lifted @ p, p @ lifted, atol=1e-10)

@@ -43,7 +43,6 @@ class TestFiniteGroupOptimum:
         opt = finite_group_optimum(family_on_qubits(1))
         assert opt.fidelity == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert opt.optimal_coefficients == (1.0,)
-        assert opt.score_rule == "zero-one"
 
     def test_two_spins_two_thirds(self):
         opt = finite_group_optimum(family_on_qubits(2))

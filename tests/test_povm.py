@@ -13,7 +13,6 @@ from spindir.povm import (
     covariant_povm_finite,
     outcome_probability,
     state_probabilities,
-    trace_probability,
     validate_povm,
 )
 from spindir.spins import coherent_state
@@ -85,16 +84,6 @@ def test_outcome_probability_dimension_mismatch():
     state = coherent_state(SpinJ(1), Direction(0.0, 0.0))
     with pytest.raises(ValueError):
         outcome_probability(PovmElement(operator=np.eye(3), label=0), state)
-
-
-def test_trace_probability_agrees_on_pure_states():
-    state = coherent_state(SpinJ(2), Direction(1.0, 2.0))
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    povm = covariant_direction_povm(SpinJ(2), sphere_quadrature(4, 7))
-    for e in povm.elements[:5]:
-        assert trace_probability(e, rho) == pytest.approx(
-            outcome_probability(e, state), abs=1e-12
-        )
 
 
 def test_covariant_povm_finite_six_rank_one_elements():

@@ -5,21 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from spindir.geometry import Direction
+from spindir.groups import euler_zyz_matrix, su2_from_euler
 from spindir.spins import (
-    axis_angle_from_matrix,
-    coherent_overlap_sq,
     coherent_state,
-    jminus_matrix,
-    jplus_matrix,
     jx_matrix,
     jy_matrix,
     jz_matrix,
-    n_dot_j,
     rotate_spin_state,
-    rotation_about,
-    su2_from_rotation,
     wigner_d_matrix,
-    wigner_small_d,
 )
 from spindir.states import SpinBasis, SpinJ, StateVector, spin_basis_state
 
@@ -31,13 +24,19 @@ def random_direction(rng=RNG) -> Direction:
     return Direction(math.acos(u), rng.uniform(0.0, 2.0 * math.pi))
 
 
+def random_euler(rng=RNG) -> tuple:
+    return (rng.uniform(0.0, 2.0 * math.pi), math.acos(rng.uniform(-1.0, 1.0)),
+            rng.uniform(0.0, 2.0 * math.pi))
+
+
 def test_small_d_identity_rotation():
-    assert wigner_small_d(SpinJ(1), 0.5, 0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert wigner_d_matrix(SpinJ(1), 0.0)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_small_d_j1_middle_is_cos():
     for beta in np.linspace(0.0, math.pi, 17):
-        assert wigner_small_d(SpinJ(2), 0.0, 0.0, beta) == pytest.approx(
+        # d^1_00 sits at row and column m = 0, index 1
+        assert wigner_d_matrix(SpinJ(2), beta)[1, 1] == pytest.approx(
             math.cos(beta), abs=1e-13
         )
 
@@ -47,14 +46,8 @@ def test_small_d_highest_weight_power_law(twice_j):
     j = SpinJ(twice_j)
     for beta in (0.1, 0.7, 1.9, 2.9):
         expected = math.cos(beta / 2.0) ** twice_j
-        assert wigner_small_d(j, j.j, j.j, beta) == pytest.approx(expected, abs=1e-12)
-
-
-def test_small_d_rejects_bad_m():
-    with pytest.raises(ValueError):
-        wigner_small_d(SpinJ(2), 0.5, 0.0, 1.0)  # wrong integrality
-    with pytest.raises(ValueError):
-        wigner_small_d(SpinJ(2), 2.0, 0.0, 1.0)  # |m| > j
+        # d^j_jj is the top-left entry in the m-descending order
+        assert wigner_d_matrix(j, beta)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("twice_j", [1, 3, 8, 17])
@@ -137,25 +130,30 @@ def test_rotation_unitary_preserves_inner_products(twice_j):
     assert ra.inner(rb) == pytest.approx(sa.inner(sb), abs=1e-12)
 
 
-def test_rotation_composition_matches_matrix_product():
-    # composing two spin rotations equals the rotation of the composed matrix,
-    # up to a global sign for half-integer j
-    j = SpinJ(3)
-    e1, e2 = (0.3, 0.8, -0.5), (1.1, 0.4, 2.0)
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 8, 17])
+def test_euler_rotation_moves_coherent_state_by_zyz_matrix(twice_j):
+    # the groups convention: the triple (alpha, beta, gamma) acts on spin states
+    # as rotate_spin_state and on directions as euler_zyz_matrix
+    rng = np.random.default_rng(40 + twice_j)
+    j = SpinJ(twice_j)
+    for _ in range(20):
+        d, euler = random_direction(rng), random_euler(rng)
+        rotated = rotate_spin_state(j, coherent_state(j, d), *euler).amplitudes
+        moved = Direction.from_vector(euler_zyz_matrix(*euler) @ d.unit_vector)
+        expected = coherent_state(j, moved).amplitudes
+        phase = np.vdot(expected, rotated)
+        np.testing.assert_allclose(rotated, phase / abs(phase) * expected, atol=1e-13)
 
-    def zyz_matrix(a, b, g):
-        return rotation_about([0, 0, 1], a) @ rotation_about([0, 1, 0], b) @ rotation_about([0, 0, 1], g)
 
-    state = coherent_state(j, Direction(1.0, 0.3))
-    once = rotate_spin_state(j, rotate_spin_state(j, state, *e2), *e1)
-    composed = zyz_matrix(*e1) @ zyz_matrix(*e2)
-    axis, angle = axis_angle_from_matrix(composed)
-    # re-express the composed rotation in zyz angles via its action on the state
-    # oracle: exp(-i angle n.J)
-    u = expm(-1j * angle * n_dot_j(j, Direction.from_vector(axis)))
-    direct = u @ state.amplitudes
-    overlap = abs(np.vdot(direct, once.amplitudes))
-    assert overlap == pytest.approx(1.0, abs=1e-11)
+def test_su2_from_euler_is_the_spin_half_rotation():
+    rng = np.random.default_rng(41)
+    j = SpinJ(1)
+    for _ in range(50):
+        euler = random_euler(rng)
+        columns = [rotate_spin_state(j, spin_basis_state(j, m), *euler).amplitudes
+                   for m in (0.5, -0.5)]
+        dev = np.max(np.abs(su2_from_euler(*euler) - np.column_stack(columns)))
+        assert dev <= 1e-15
 
 
 def test_coherent_state_along_z():
@@ -183,27 +181,33 @@ def test_coherent_state_highest_weight_eigenvector():
         j = SpinJ(twice_j)
         d = random_direction(rng)
         s = coherent_state(j, d)
-        resid = n_dot_j(j, d) @ s.amplitudes - j.j * s.amplitudes
+        n = d.unit_vector
+        n_j = n[0] * jx_matrix(j) + n[1] * jy_matrix(j) + n[2] * jz_matrix(j)
+        resid = n_j @ s.amplitudes - j.j * s.amplitudes
         assert np.linalg.norm(resid) < 1e-10
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
         assert s.amplitudes[0].imag == pytest.approx(0.0, abs=1e-15)
         assert s.amplitudes[0].real >= 0.0
 
 
+def overlap_sq(j: SpinJ, d1: Direction, d2: Direction) -> float:
+    return abs(coherent_state(j, d1).inner(coherent_state(j, d2))) ** 2
+
+
 def test_overlap_trivial_cases():
     d = Direction(0.7, 1.1)
-    assert coherent_overlap_sq(SpinJ(6), d, d) == pytest.approx(1.0, abs=1e-15)
-    assert coherent_overlap_sq(SpinJ(1), d, d.antipode()) == pytest.approx(0.0, abs=1e-15)
+    assert overlap_sq(SpinJ(6), d, d) == pytest.approx(1.0, abs=1e-15)
+    assert overlap_sq(SpinJ(1), d, d.antipode()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_overlap_matches_inner_product():
+    # |<n1|n2>|^2 = ((1 + n1.n2)/2)^{2j}
     rng = np.random.default_rng(5)
     for twice_j in range(1, 21):
         j = SpinJ(twice_j)
         d1, d2 = random_direction(rng), random_direction(rng)
-        s1, s2 = coherent_state(j, d1), coherent_state(j, d2)
-        direct = abs(s1.inner(s2)) ** 2
-        assert coherent_overlap_sq(j, d1, d2) == pytest.approx(direct, abs=1e-10)
+        closed = (0.5 * (1.0 + d1.cos_angle_to(d2))) ** twice_j
+        assert overlap_sq(j, d1, d2) == pytest.approx(closed, abs=1e-10)
 
 
 def test_overlap_rotation_invariant_and_symmetric():
@@ -211,19 +215,20 @@ def test_overlap_rotation_invariant_and_symmetric():
     j = SpinJ(7)
     for _ in range(25):
         d1, d2 = random_direction(rng), random_direction(rng)
-        rot = rotation_about(rng.standard_normal(3), rng.uniform(0, 2 * math.pi))
+        rot = euler_zyz_matrix(*random_euler(rng))
         r1 = Direction.from_vector(rot @ d1.unit_vector)
         r2 = Direction.from_vector(rot @ d2.unit_vector)
-        base = coherent_overlap_sq(j, d1, d2)
-        assert coherent_overlap_sq(j, r1, r2) == pytest.approx(base, abs=1e-10)
-        assert coherent_overlap_sq(j, d2, d1) == pytest.approx(base, abs=1e-12)
+        base = overlap_sq(j, d1, d2)
+        assert overlap_sq(j, r1, r2) == pytest.approx(base, abs=1e-10)
+        assert overlap_sq(j, d2, d1) == pytest.approx(base, abs=1e-12)
 
 
 def test_legendre_matches_wigner_d00():
     for n in (2, 5, 9):
         for x in (-0.8, 0.3, 0.99):
+            # d^n_00 sits at row and column m = 0, index n
             assert np.polynomial.legendre.legval(x, [0] * n + [1]) == pytest.approx(
-                wigner_small_d(SpinJ(2 * n), 0.0, 0.0, math.acos(x)), abs=1e-10
+                wigner_d_matrix(SpinJ(2 * n), math.acos(x))[n, n], abs=1e-10
             )
 
 
@@ -233,44 +238,3 @@ def test_spin_operator_algebra():
     np.testing.assert_allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-12)
     jj = jx @ jx + jy @ jy + jz @ jz
     np.testing.assert_allclose(jj, j.j * (j.j + 1) * np.eye(j.dim), atol=1e-12)
-    np.testing.assert_allclose(jplus_matrix(j), jminus_matrix(j).conj().T, atol=1e-15)
-
-
-def test_axis_angle_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        axis = rng.standard_normal(3)
-        angle = rng.uniform(0.05, math.pi - 0.05)
-        rot = rotation_about(axis, angle)
-        got_axis, got_angle = axis_angle_from_matrix(rot)
-        assert got_angle == pytest.approx(angle, abs=1e-10)
-        np.testing.assert_allclose(got_axis, axis / np.linalg.norm(axis), atol=1e-9)
-
-
-def test_axis_angle_handles_pi_rotations():
-    for axis in ([1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, -2.0, 0.5]):
-        rot = rotation_about(axis, math.pi)
-        got_axis, got_angle = axis_angle_from_matrix(rot)
-        assert got_angle == pytest.approx(math.pi, abs=1e-9)
-        unit = np.asarray(axis) / np.linalg.norm(axis)
-        assert abs(np.dot(got_axis, unit)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_axis_angle_rejects_improper():
-    with pytest.raises(ValueError):
-        axis_angle_from_matrix(-np.eye(3))
-
-
-def test_su2_lift_is_homomorphic_up_to_sign():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        r1 = rotation_about(rng.standard_normal(3), rng.uniform(0.1, 3.0))
-        r2 = rotation_about(rng.standard_normal(3), rng.uniform(0.1, 3.0))
-        u1, u2 = su2_from_rotation(r1), su2_from_rotation(r2)
-        u12 = su2_from_rotation(r1 @ r2)
-        dev = min(
-            np.max(np.abs(u1 @ u2 - u12)),
-            np.max(np.abs(u1 @ u2 + u12)),
-        )
-        assert dev < 1e-10
-        np.testing.assert_allclose(u1 @ u1.conj().T, np.eye(2), atol=1e-12)
