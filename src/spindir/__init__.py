@@ -56,11 +56,9 @@ from .optimize import (
 )
 from .povm import (
     Povm,
-    PovmElement,
     coarse_grain_povm,
     covariant_direction_povm,
     covariant_povm_finite,
-    outcome_probability,
     state_probabilities,
     validate_povm,
 )

@@ -23,7 +23,7 @@ from .groups import build_signal_family, dihedral_d3
 from .harness import RunConfig, RunResult, reference_score, run_experiment
 from .multispin import attainable_spins, total_j_projector
 from .optimize import finite_group_optimum, optimal_direction_encoding
-from .povm import _direction_povm_nodes, covariant_direction_povm, validate_povm
+from .povm import covariant_direction_povm, validate_povm
 from .protocols import (
     PROTOCOL_KINDS,
     ProtocolSpec,
@@ -125,15 +125,18 @@ def write_record(record: ResultRecord, path: str) -> None:
 
 
 def read_record(path: str) -> ResultRecord:
+    """Load a record, refusing one whose fields a report row cannot read."""
     with open(path) as fh:
         try:
             body = json.load(fh)
-            return ResultRecord(
+            record = ResultRecord(
                 schema_version=body["schema_version"],
                 timestamp=body["timestamp"],
                 config=body["config"],
                 result=body["result"],
             )
+            _report_row(record)
+            return record
         except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise ValueError(f"{path} is not a result record ({exc})") from exc
 
@@ -260,20 +263,9 @@ def cli():
 
 
 @cli.command("validate")
-@click.option(
-    "--break-quadrature",
-    is_flag=True,
-    help="Build the sampled direction measurement on a grid too coarse for its "
-    "kernel; the completeness check must then fail.",
-)
-def cmd_validate(break_quadrature: bool):
+def cmd_validate():
     """Run the self-check suite and print one line per invariant."""
-    j = SpinJ(4)
-    if break_quadrature:
-        grid = sphere_quadrature(2, 3)  # exact to degree 2 only; kernel needs 4
-        sampled = _direction_povm_nodes(j, grid)
-    else:
-        sampled = covariant_direction_povm(j, sphere_quadrature(5, 9))
+    sampled = covariant_direction_povm(SpinJ(4), sphere_quadrature(5, 9))
     checks = [
         ("group axioms", _check_group_axioms),
         ("character table", _check_characters),

@@ -153,10 +153,8 @@ def _element_to_direction() -> tuple:
 def _direction_orbit_povm(unitaries, fiducial: StateVector, what: str) -> Povm:
     """Orbit POVM of the fiducial under the D3 unitaries, its elements
     ordered by the direction label of each group element, validated."""
-    labels = list(_element_to_direction())
-    povm = covariant_povm_finite(unitaries, fiducial, labels=labels)
-    order = np.argsort(labels)
-    povm = Povm(elements=tuple(povm.elements[i] for i in order), kind=povm.kind)
+    order = np.argsort(_element_to_direction())
+    povm = Povm(covariant_povm_finite(unitaries, fiducial).operators[order], range(6))
     if not validate_povm(povm).passed:
         raise RuntimeError(f"{what} dihedral POVM failed validation")
     return povm

@@ -99,7 +99,7 @@ def test_criterion_02_two_spin_optimum(report):
     want = np.sort([0.5, 0.5, math.sqrt(0.5)])
     got = np.sort(np.abs(np.asarray(score.coefficients, dtype=complex)))
     coeff_err = float(np.max(np.abs(got - want)))
-    resid = float(np.max(np.abs(povm.element_sum() - np.eye(povm.dim))))
+    resid = float(np.max(np.abs(povm.operators.sum(axis=0) - np.eye(povm.dim))))
     ok = (
         fid_err < 1e-9
         and coeff_err < 1e-9

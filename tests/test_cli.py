@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from spindir import cli
 from spindir.cli import (
     OUTPUT_DIR_VAR,
     REPORT_COLUMNS,
@@ -18,6 +19,7 @@ from spindir.cli import (
     write_record,
 )
 from spindir.harness import RunConfig, run_experiment
+from spindir.povm import Povm
 from spindir.protocols import ProtocolSpec
 
 
@@ -34,13 +36,28 @@ def simulate_record(capsys, tmp_path, name, *args):
     return path, out
 
 
-def test_import_loads_no_scipy():
-    # the runtime is numpy and click; scipy is a test-only oracle
-    code = ("import sys, spindir.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+def test_import_loads_no_scipy(tmp_path):
+    # the runtime is numpy and click; scipy and hypothesis are test-only, so
+    # every command must run with both imports blocked
+    code = ("import json, sys; "
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None; "
+            "from spindir.cli import main; "
+            "print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))")
+    simulate = [
+        ("d3-single", "1"), ("d3-repeated", "3"), ("d3-covariant", "2"), ("d3-coherent", "4"),
+        ("frame-two-axis", "4", "--decoder", "best-fit"),
+        ("frame-two-axis", "4", "--decoder", "naive-euler"),
+    ]
+    records = [str(tmp_path / f"r{k}.json") for k in range(len(simulate))]
+    runs = [["validate"], ["optimize", "direction"], ["optimize", "dihedral", "--num-spins", "2"]]
+    for (kind, n, *extra), path in zip(simulate, records):
+        runs.append(["simulate", "--kind", kind, "--num-spins", n, *extra,
+                     "--trials", "500", "--seed", "1", "--output", path])
+    runs.append(["report", *records])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
 
 
 class TestValidate:
@@ -52,8 +69,15 @@ class TestValidate:
         assert all(l.startswith("PASS") for l in lines)
         assert "all 7 checks passed" in out
 
-    def test_broken_quadrature_fails(self, capsys):
-        code, out, err = run(capsys, "validate", "--break-quadrature")
+    def test_broken_quadrature_fails(self, capsys, monkeypatch):
+        real = cli.covariant_direction_povm
+
+        def incomplete(j, quad):
+            povm = real(j, quad)
+            return Povm(1.01 * povm.operators, povm.labels)
+
+        monkeypatch.setattr(cli, "covariant_direction_povm", incomplete)
+        code, out, err = run(capsys, "validate")
         assert code == 1
         assert any(
             l.startswith("FAIL") and "sampled direction POVM" in l
@@ -513,6 +537,21 @@ class TestReport:
         code, _, err = run(capsys, "report", str(single), str(bad))
         assert code == 1
         assert f"{bad} is not a result record" in err
+
+
+    @pytest.mark.parametrize("field", ["protocol", "estimate"])
+    def test_incomplete_record_is_named(self, capsys, tmp_path, two_records, field):
+        single, _ = two_records
+        if field == "protocol":
+            body = {"schema_version": 1, "timestamp": "x", "config": {}, "result": {}}
+        else:
+            body = json.loads(single.read_text())
+            body["result"]["estimates"]["fidelity"] = "high"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        code, _, err = run(capsys, "report", str(single), str(bad))
+        assert code == 1
+        assert f"error: {bad} is not a result record" in err
 
 
 class TestEntryPoint:

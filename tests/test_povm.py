@@ -7,11 +7,9 @@ from spindir.geometry import Direction, sphere_quadrature
 from spindir.groups import d3_directions, dihedral_d3
 from spindir.povm import (
     Povm,
-    PovmElement,
     coarse_grain_povm,
     covariant_direction_povm,
     covariant_povm_finite,
-    outcome_probability,
     state_probabilities,
     validate_povm,
 )
@@ -21,11 +19,8 @@ from spindir.states import SpinBasis, SpinJ, StateVector
 
 def six_direction_povm() -> Povm:
     # E_m = (1 + m.sigma)/6 realized as (1/3)|n_m><n_m| on spin 1/2
-    elements = []
-    for k, d in enumerate(d3_directions()):
-        v = coherent_state(SpinJ(1), d).amplitudes
-        elements.append(PovmElement(operator=np.outer(v, v.conj()) / 3.0, label=k))
-    return Povm(elements=tuple(elements))
+    vecs = np.array([coherent_state(SpinJ(1), d).amplitudes for d in d3_directions()])
+    return Povm(vecs[:, :, None] * vecs.conj()[:, None, :] / 3.0, range(6))
 
 
 def test_six_direction_povm_passes():
@@ -37,18 +32,45 @@ def test_six_direction_povm_passes():
 
 def test_validation_flags_scaled_element():
     povm = six_direction_povm()
-    bad = list(povm.elements)
-    bad[0] = PovmElement(operator=1.01 * bad[0].operator, label=bad[0].label)
-    report = validate_povm(Povm(elements=tuple(bad)))
+    bad = povm.operators.copy()
+    bad[0] *= 1.01
+    report = validate_povm(Povm(bad, povm.labels))
     assert not report.passed
     assert report.max_completeness_dev > 1e-3
 
 
 def test_validation_rejects_mixed_dimensions():
-    good = PovmElement(operator=np.eye(2), label=0)
-    other = PovmElement(operator=np.eye(3), label=1)
     with pytest.raises(ValueError):
-        Povm(elements=(good, other))
+        Povm([np.eye(2), np.eye(3)], (0, 1))
+
+
+@pytest.mark.parametrize(
+    "operators,labels",
+    [(np.zeros((0, 2, 2)), ()), (np.zeros((2, 2, 3)), (0, 1)), (np.eye(2), (0, 1)),
+     (np.stack([np.eye(2), np.eye(2)]), (0,))],
+    ids=["empty", "non-square", "unstacked", "label-count"],
+)
+def test_povm_rejects_malformed_stack(operators, labels):
+    with pytest.raises(ValueError):
+        Povm(operators, labels)
+
+
+def test_povm_operators_are_read_only_copies():
+    ops = np.stack([np.eye(2), np.zeros((2, 2))])
+    povm = Povm(ops, ("a", "b"))
+    ops[0, 0, 0] = 5.0  # the caller's array stays its own
+    assert povm.operators[0, 0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        povm.operators[0, 0, 0] += 1.0
+
+
+def test_validation_reports_first_non_hermitian_element():
+    ops = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+    ops[1, 0, 1] = 0.25
+    ops[2, 0, 1] = 0.5
+    report = validate_povm(Povm(ops, range(3)))
+    assert report.min_eigenvalue == -0.25
+    assert not report.passed
 
 
 def test_outcome_probability_six_directions():
@@ -67,23 +89,23 @@ def test_outcome_probability_six_directions():
 
 def test_outcome_probability_identity_element():
     state = coherent_state(SpinJ(3), Direction(0.5, 1.0))
-    ident = PovmElement(operator=np.eye(4), label="all")
-    assert outcome_probability(ident, state) == pytest.approx(1.0, abs=1e-12)
+    ident = Povm(np.eye(4)[None], ("all",))
+    assert state_probabilities(ident, state)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_probability_clamps_rounding():
     state = coherent_state(SpinJ(1), Direction(0.0, 0.0))
-    tiny = PovmElement(operator=-1e-14 * np.eye(2), label=0)
-    assert outcome_probability(tiny, state) == 0.0
-    large_negative = PovmElement(operator=-1e-6 * np.eye(2), label=0)
-    with pytest.raises(ValueError):
-        outcome_probability(large_negative, state)
+    tiny = Povm(-1e-14 * np.eye(2)[None], (0,))
+    assert state_probabilities(tiny, state)[0] == 0.0
+    large_negative = Povm(-1e-6 * np.eye(2)[None], (0,))
+    with pytest.raises(ValueError, match="negative probability"):
+        state_probabilities(large_negative, state)
 
 
 def test_outcome_probability_dimension_mismatch():
     state = coherent_state(SpinJ(1), Direction(0.0, 0.0))
     with pytest.raises(ValueError):
-        outcome_probability(PovmElement(operator=np.eye(3), label=0), state)
+        state_probabilities(Povm(np.eye(3)[None], (0,)), state)
 
 
 def test_covariant_povm_finite_six_rank_one_elements():
@@ -91,11 +113,17 @@ def test_covariant_povm_finite_six_rank_one_elements():
     fid = coherent_state(SpinJ(1), d3_directions()[0])
     fid = StateVector(fid.basis, fid.amplitudes / math.sqrt(3.0))
     povm = covariant_povm_finite([group.su2_matrix(g) for g in range(6)], fid)
-    assert len(povm.elements) == 6
-    for e in povm.elements:
-        vals = np.linalg.eigvalsh(e.operator)
+    assert povm.operators.shape == (6, 2, 2)
+    for op in povm.operators:
+        vals = np.linalg.eigvalsh(op)
         assert np.sum(vals > 1e-12) == 1  # rank one
     assert validate_povm(povm, tol=1e-10).passed
+
+
+def test_covariant_povm_finite_rejects_mismatched_unitaries():
+    fid = coherent_state(SpinJ(1), d3_directions()[0])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        covariant_povm_finite([np.eye(3)], fid)
 
 
 def test_covariant_povm_wrong_norm_fails_validation():
@@ -146,16 +174,15 @@ def test_born_probabilities_sum_to_one_random_states():
 def test_coarse_grain_identity_decode():
     povm = six_direction_povm()
     same = coarse_grain_povm(povm, {k: k for k in range(6)})
-    assert same.labels() == povm.labels()
-    for a, b in zip(same.elements, povm.elements):
-        np.testing.assert_allclose(a.operator, b.operator, atol=1e-15)
+    assert same.labels == povm.labels
+    np.testing.assert_allclose(same.operators, povm.operators, atol=1e-15)
 
 
 def test_coarse_grain_all_to_one():
     povm = six_direction_povm()
     merged = coarse_grain_povm(povm, lambda k: "any")
-    assert len(merged.elements) == 1
-    np.testing.assert_allclose(merged.elements[0].operator, np.eye(2), atol=1e-12)
+    assert merged.labels == ("any",)
+    np.testing.assert_allclose(merged.operators[0], np.eye(2), atol=1e-12)
 
 
 def test_coarse_grain_requires_total_decode():
@@ -182,7 +209,7 @@ def test_coarse_grain_commutes_with_probability():
     state = StateVector(SpinBasis(j), a / np.linalg.norm(a))
     fine = state_probabilities(povm, state)
     grouped = state_probabilities(merged, state)
-    for idx, label in enumerate(merged.labels()):
+    for idx, label in enumerate(merged.labels):
         manual = sum(fine[k] for k in range(quad.size) if nearest(k) == label)
         assert grouped[idx] == pytest.approx(manual, abs=1e-12)
 

@@ -107,10 +107,10 @@ class TestProtocolScore:
 class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
         povm = d3_single_spin_povm()
-        assert povm.labels() == list(range(6))
+        assert povm.labels == tuple(range(6))
         assert validate_povm(povm, tol=1e-12).passed
-        for e in povm.elements:
-            assert np.trace(e.operator).real == pytest.approx(1.0 / 3.0, abs=1e-12)
+        for op in povm.operators:
+            assert np.trace(op).real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_outcome_matrix_is_overlap_law(self):
         matrix = d3_outcome_matrix(1)
@@ -128,6 +128,14 @@ class TestSingleSpin:
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("build", [d3_single_spin_povm, d3_two_spin_povm])
+    def test_cached_orbit_povm_is_read_only(self, build):
+        povm = build()
+        with pytest.raises(ValueError, match="read-only"):
+            povm.operators[0, 0, 0] += 1.0
+        assert build() is povm
+        assert validate_povm(povm).passed
 
     def test_score_is_one_third(self):
         score = d3_single_spin_score()
@@ -249,7 +257,7 @@ class TestRepeatedVote:
 class TestCovariantTwoSpin:
     def test_povm_completeness(self):
         povm = d3_two_spin_povm()
-        assert povm.labels() == list(range(6))
+        assert povm.labels == tuple(range(6))
         assert validate_povm(povm, tol=1e-10).passed
 
     def test_score_two_thirds_with_coefficients(self):
