@@ -74,7 +74,7 @@ class EulerAngles:
         object.__setattr__(self, "psi", _wrap_pi(self.psi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Right-handed orthonormal triad (z_axis, x_axis, y_axis).
 

@@ -81,7 +81,7 @@ class Direction:
         return Direction(math.pi - self.theta, self.phi + math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Gauss-Legendre x uniform-azimuth product grid on the sphere.
 

@@ -46,7 +46,7 @@ def su2_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
     return (pa[:, None] * uy) * pg[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite group of rotations: multiplication table plus concrete geometry.
 
@@ -135,7 +135,7 @@ def conjugacy_classes(table: np.ndarray) -> list:
     return classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrrepData:
     """Irreducible representation data, characters indexed by (irrep, class)."""
 
@@ -258,7 +258,7 @@ def irrep_content(characters, irreps: IrrepData, group: FiniteGroup) -> tuple:
     return tuple(mult)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
     """One invariant subspace: columns of basis span it; irrep tags its type.
 
@@ -274,7 +274,7 @@ class Block:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalFamily:
     """Group orbit of a fiducial state under a (possibly projective) unitary
     representation, with its invariant-block decomposition."""

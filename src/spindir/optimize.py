@@ -4,7 +4,9 @@ Two settings share this module: the closed-form optimum for finite signal
 orbits (zero-one scoring over a group orbit, maximized jointly over signal
 coefficients and the Schur-weighted fiducial), and direction encoding on the
 sphere, where the fidelity <cos^2(chi/2)> of a multi-block code is an
-eigenvalue problem for a symmetric tridiagonal matrix.
+eigenvalue problem for a symmetric tridiagonal matrix, the Legendre Jacobi
+matrix, whose top eigenpair follows from the largest root of a Legendre
+polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class CovariantOptimum:
     optimal_coefficients: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionCode:
     """Direction-encoding state written in total-spin blocks.
 
@@ -98,9 +100,30 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 * vecs[0] ** 2
 
 
+BESSEL_J0_FIRST_ZERO = 2.404825557695773
+NEWTON_MAX_STEPS = 20
+NEWTON_RTOL = 1e-8
+
+
+def _legendre_values(x: float, n: int) -> list:
+    """[P_0(x), ..., P_n(x)] by the three-term recurrence, in Python floats."""
+    p = [1.0, x]
+    for k in range(1, n):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p
+
+
 def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
     """Best fidelity F = (1 + lambda_max)/2 over codes with blocks up to j_max
     (N = 2 j_max spins), with the top eigenvector as amplitudes.
+
+    The eigenvalues of direction_cos_matrix are the roots of P_n, n = j_max + 1
+    (Golub-Welsch), so lambda_max = cos(theta) for the smallest root theta of
+    P_n(cos theta).  Newton finds it in theta from the Bessel-zero estimate
+    j_{0,1} / sqrt((n + 1/2)^2 + 1/4), with dP_n/dtheta = n (x P_n - P_{n-1})
+    / sin(theta); the eigenvector is sqrt(2k + 1) P_k(lambda_max),
+    k = 0..j_max, normalized (its leading entry P_0 = 1 keeps it positive),
+    and F = 1 - sin^2(theta/2).
 
     Only integer j_max is supported: odd spin counts would need a half-integer
     carrier with a different kernel recurrence.
@@ -110,13 +133,28 @@ def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
             "optimal direction encoding needs integer j (an even number of spins); "
             "odd spin counts are not supported"
         )
-    vals, vecs = np.linalg.eigh(direction_cos_matrix(j_max))
-    vec = vecs[:, -1]
-    if vec[0] < 0:
-        vec = -vec
-    fidelity = (1.0 + float(vals[-1])) / 2.0
+    n = j_max.twice_j // 2 + 1
+    if n == 1:  # P_1 = x: the single-block code, F = 1/2 exactly
+        return DirectionCode(j_max=j_max, amplitudes=np.array([1.0]), fidelity=0.5,
+                             effective_dimension=1)
+    theta = BESSEL_J0_FIRST_ZERO / math.sqrt((n + 0.5) ** 2 + 0.25)
+    for _ in range(NEWTON_MAX_STEPS):
+        x = math.cos(theta)
+        p = _legendre_values(x, n)
+        step = p[n] * math.sin(theta) / (n * (x * p[n] - p[n - 1]))
+        theta -= step
+        # near the root a step of relative size r leaves about r^2/2, so
+        # r <= 1e-8 puts theta at the recurrence's rounding floor
+        if abs(step) <= NEWTON_RTOL * theta:
+            break
+    else:
+        raise RuntimeError(f"Newton did not converge on the top root of P_{n}")
+    p = _legendre_values(math.cos(theta), n)
+    vec = np.sqrt(2.0 * np.arange(n) + 1.0) * p[:n]
+    vec /= math.sqrt(vec @ vec)
+    fidelity = 1.0 - math.sin(theta / 2.0) ** 2
     return DirectionCode(j_max=j_max, amplitudes=vec, fidelity=fidelity,
-                         effective_dimension=vec.size**2)
+                         effective_dimension=n**2)
 
 
 def coherent_code(j: SpinJ) -> DirectionCode:
@@ -130,7 +168,7 @@ def coherent_code(j: SpinJ) -> DirectionCode:
 CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that sample_chi inverts on
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiDensity:
     """Distribution of the angle chi between true and estimated directions for
     a direction code measured with the covariant direction POVM:

@@ -21,7 +21,7 @@ from .states import SpinJ, StateVector
 NEGATIVE_PROB_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Labeled POVM: operators is a read-only complex (K, d, d) array and
     labels a tuple with one outcome label per operator."""

@@ -106,7 +106,7 @@ class SpinBasis:
         return (self.spin.twice_j - int(twice_m)) // 2
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Complex amplitudes over a labeled basis."""
 

@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
 from spindir.groups import (
     Block,
@@ -13,6 +15,7 @@ from spindir.groups import (
     dihedral_d3,
 )
 from spindir.optimize import (
+    BESSEL_J0_FIRST_ZERO,
     D3_ARC_NODES,
     ChiDensity,
     DirectionCode,
@@ -135,6 +138,34 @@ class TestGaussLegendre:
             assert x.size == w.size == twice_j // 2 + 2
 
 
+def _legendre_top_root_decimal(n: int) -> tuple:
+    """(1 - F, amplitudes) of the optimal code with n blocks, by the Newton
+    solve at 40 significant digits: x from the same Bessel-zero start,
+    dP_n/dx = n (x P_n - P_{n-1}) / (x^2 - 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def legendre(x):
+            p = [Decimal(1), x]
+            for k in range(1, n):
+                p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+            return p
+
+        x = Decimal(math.cos(BESSEL_J0_FIRST_ZERO / math.sqrt((n + 0.5) ** 2 + 0.25)))
+        for _ in range(20):
+            p = legendre(x)
+            step = p[n] * (x * x - 1) / (n * (x * p[n] - p[n - 1]))
+            x -= step
+            if abs(step) < Decimal("1e-25"):  # the next step is below 1e-40
+                break
+        else:
+            raise AssertionError(f"decimal Newton did not converge for n = {n}")
+        p = legendre(x)
+        amps = [Decimal(2 * k + 1).sqrt() * p[k] for k in range(n)]
+        norm = sum(a * a for a in amps).sqrt()
+        return float((1 - x) / 2), np.array([float(a / norm) for a in amps])
+
+
 class TestOptimalEncoding:
     def test_trivial_code(self):
         code = optimal_direction_encoding(SpinJ(0))
@@ -167,6 +198,13 @@ class TestOptimalEncoding:
         ref = vecs[:, 0] * np.sign(vecs[0, 0])
         assert np.max(np.abs(a - ref)) <= 1e-12
 
+    def test_matches_forty_digit_newton(self):
+        for n in range(2, 481, 2):
+            infidelity, amps = _legendre_top_root_decimal(n // 2 + 1)
+            code = optimal_direction_encoding(SpinJ(n))
+            assert abs(code.infidelity / infidelity - 1.0) <= 1e-11
+            assert np.max(np.abs(code.amplitudes - amps)) <= 1e-12
+
     @pytest.mark.parametrize(
         "n,value",
         [(40, 4.99826350368835), (50, 5.14287356797899), (60, 5.24253272494093)],
@@ -185,6 +223,11 @@ class TestOptimalEncoding:
     def test_rejects_odd_spin_count(self):
         with pytest.raises(ValueError, match="integer j"):
             optimal_direction_encoding(SpinJ(3))
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        monkeypatch.setattr(optimize, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            optimal_direction_encoding(SpinJ(40))
 
     def test_beats_coherent_at_same_size(self):
         for n in (6, 10, 20):

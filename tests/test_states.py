@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from spindir.frames import Frame
+from spindir.geometry import sphere_quadrature
+from spindir.groups import Block, build_signal_family, dihedral_d3
+from spindir.optimize import chi_density, optimal_direction_encoding
+from spindir.povm import Povm
 from spindir.states import (
     ProductBasis,
     SpinBasis,
@@ -105,3 +110,35 @@ def test_normalize_zero_state_fails():
     z = StateVector(basis=ProductBasis(1), amplitudes=np.zeros(2))
     with pytest.raises(ValueError):
         z.normalized()
+
+
+def _signal_family():
+    group, irreps = dihedral_d3()
+    fid = StateVector(basis=ProductBasis(1), amplitudes=np.array([1.0, 0.0]))
+    return build_signal_family(group, 1, fid, irreps)
+
+
+# builders of every record type whose fields hold arrays
+ARRAY_RECORDS = {
+    "StateVector": lambda: StateVector(SpinBasis(SpinJ(1)), np.array([1.0, 0.0])),
+    "Povm": lambda: Povm(np.eye(2)[None], ("a",)),
+    "DirectionCode": lambda: optimal_direction_encoding(SpinJ(4)),
+    "ChiDensity": lambda: chi_density(optimal_direction_encoding(SpinJ(4))),
+    "Frame": lambda: Frame(z_axis=np.array([0.0, 0.0, 1.0]),
+                           x_axis=np.array([1.0, 0.0, 0.0]),
+                           y_axis=np.array([0.0, 1.0, 0.0])),
+    "SphereQuadrature": lambda: sphere_quadrature(3, 4),
+    "Block": lambda: Block(irrep=0, basis=np.eye(2, dtype=complex)),
+    "IrrepData": lambda: dihedral_d3()[1],
+    "FiniteGroup": lambda: dihedral_d3()[0],
+    "SignalFamily": _signal_family,
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_RECORDS))
+def test_array_records_compare_by_identity_and_hash(name):
+    # a field-wise == would compare arrays elementwise and raise
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert a == a
+    assert (a == b) is False
+    assert len({a, b, a}) == 2
