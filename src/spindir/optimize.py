@@ -165,7 +165,7 @@ def coherent_code(j: SpinJ) -> DirectionCode:
                          effective_dimension=j.twice_j + 1, carrier="coherent")
 
 
-CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that sample_chi inverts on
+CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that sample_chi inverts m0 codes on
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +227,8 @@ class ChiDensity:
 
     @cached_property
     def cdf_table(self) -> tuple:
-        """sample_chi's inverse-CDF table, built once per density."""
+        """sample_chi's inverse-CDF table for the m0 carrier, built once per
+        density (a coherent code is inverted exactly and never reads it)."""
         return self.cumulative_in_cos(CHI_GRID_POINTS)
 
 

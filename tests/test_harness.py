@@ -61,9 +61,13 @@ def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) 
     return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
 
 
-def _interp_cos_chi(density: ChiDensity, u: np.ndarray) -> np.ndarray:
-    """cos(chi) for the uniforms u, inverted inline on a freshly built table,
-    as the runs drew it before sample_chi was their one chi draw."""
+def _inverse_cos_chi(density: ChiDensity, u: np.ndarray) -> np.ndarray:
+    """cos(chi) for the uniforms u, inverted inline per carrier: a coherent
+    code by its exact inverse 2 u^(1/(2j+1)) - 1, an m0 code by a plain
+    (unsorted) lookup in a freshly built table."""
+    code = density.code
+    if code.carrier == "coherent":
+        return 2.0 * u ** (1.0 / (code.j_max.twice_j + 1)) - 1.0
     grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
     return np.interp(u, cdf, grid)
 
@@ -143,6 +147,49 @@ class TestSamplers:
         assert isinstance(cos_chi, float)
         assert -1.0 <= cos_chi <= 1.0
         assert cos_chi == sample_chi(density, np.random.default_rng(12), size=3)[0]
+
+    @pytest.mark.parametrize("n_spins", [1, 2, 8, 24, 96, 192, 400])
+    def test_coherent_inverse_round_trip(self, n_spins):
+        # U = 0 gives cos chi = -1 with no RuntimeWarning (an error here);
+        # 1 - 2^-53 is the largest uniform random() returns
+        u = np.concatenate(
+            ([0.0], np.logspace(-6.0, -1.0, 21), np.linspace(0.1, 1.0, 91)[:-1], [1.0 - 2.0**-53])
+        )
+        density = chi_density(coherent_code(SpinJ(n_spins)))
+        c = sample_chi(density, _GivenUniforms(u), size=u.size)
+        assert c[0] == -1.0
+        assert np.all(np.diff(c) >= 0.0) and c[-1] <= 1.0
+        np.testing.assert_allclose(((1.0 + c) / 2.0) ** (n_spins + 1), u, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_spins", [1, 8, 96, 401])
+    def test_coherent_inverse_inverts_the_density(self, n_spins):
+        # the closed-form CDF is the integral of pdf_cos, a polynomial of
+        # degree n_spins that the Gauss rule integrates exactly on [-1, u]
+        density = chi_density(coherent_code(SpinJ(n_spins)))
+        x, w = np.polynomial.legendre.leggauss(n_spins // 2 + 2)
+        for u in (-0.5, 0.0, 0.7, 0.99, 0.999):
+            half = (u + 1.0) / 2.0
+            integral = half * float(np.sum(w * density.pdf_cos(half * x + half - 1.0)))
+            assert integral == pytest.approx(((1.0 + u) / 2.0) ** (n_spins + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 8192, 10**5])
+    @pytest.mark.parametrize("n_spins", [4, 96])
+    def test_m0_sorted_lookup_equals_plain_interp(self, n_spins, n):
+        density = chi_density(optimal_direction_encoding(SpinJ(n_spins)))
+        grid, cdf = density.cdf_table
+        for seed in (0, 7, 31337):
+            want = np.interp(np.random.default_rng(seed).random(n), cdf, grid)
+            assert np.array_equal(sample_chi(density, np.random.default_rng(seed), size=n), want)
+
+    @pytest.mark.parametrize("n", [None, 1, 300, BATCH_TRIALS])
+    @pytest.mark.parametrize("carrier", ["m0", "coherent"])
+    def test_sample_chi_takes_one_uniform_per_draw(self, carrier, n):
+        j = SpinJ(8)
+        code = optimal_direction_encoding(j) if carrier == "m0" else coherent_code(j)
+        rng = np.random.default_rng(404)
+        sample_chi(chi_density(code), rng, size=n)
+        taken = 1 if n is None else n
+        assert rng.random() == np.random.default_rng(404).random(taken + 1)[taken]
 
     @pytest.mark.parametrize("chi", [0.0, 0.3, 1.2, math.pi / 2, 2.9, math.pi])
     def test_perturb_direction_exact_angle(self, chi):
@@ -247,7 +294,7 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
         true = rng.integers(0, 6, take)
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
-        cos_chi = _interp_cos_chi(density, u_chi)
+        cos_chi = _inverse_cos_chi(density, u_chi)
         est = _perturb_units(units[true], cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
@@ -337,6 +384,17 @@ class TestPlurality:
         draws = None if tie is None else np.full(len(columns), tie)
         got = _plurality(outcomes, draws)
         assert got.tolist() == [_counter_vote(c, tie) for c in columns]
+
+
+class _GivenUniforms:
+    """A stream whose one random(size) draw returns the given uniforms."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
 
 
 class _FixedStream:
@@ -495,8 +553,8 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     u_x = rng.random(take)
     az_x = rng.uniform(0.0, 2.0 * math.pi, take)
     mats = _quaternion_matrices(quats)
-    cos_z = _interp_cos_chi(density, u_z)
-    cos_x = _interp_cos_chi(density, u_x)
+    cos_z = _inverse_cos_chi(density, u_z)
+    cos_x = _inverse_cos_chi(density, u_x)
     z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
     x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
     scores = np.empty(take)
@@ -613,8 +671,9 @@ class TestFrameBatchDecode:
     ids=lambda p: f"{p.kind}-{p.encoding}-{p.decoder}",
 )
 def test_chi_table_is_built_once_per_run(monkeypatch, protocol):
-    # every batch draws through sample_chi, which reads the density's table;
-    # building it again per batch would cost each short run a grid evaluation
+    # every batch draws through sample_chi; an m0 code reads the density's
+    # table, and building it again per batch would cost each short run a grid
+    # evaluation; a coherent code is inverted exactly and builds no table
     calls = []
     build = ChiDensity.cumulative_in_cos
 
@@ -625,7 +684,7 @@ def test_chi_table_is_built_once_per_run(monkeypatch, protocol):
     monkeypatch.setattr(ChiDensity, "cumulative_in_cos", counting)
     monkeypatch.setattr(harness, "BATCH_TRIALS", 256)
     run_experiment(RunConfig(protocol=protocol, trials=3 * 256, seed=1))
-    assert calls == [CHI_GRID_POINTS]
+    assert calls == ([] if protocol.encoding == "coherent" else [CHI_GRID_POINTS])
 
 
 class TestStderrScaling:
