@@ -141,23 +141,11 @@ def sample_haar_rotation(rng: np.random.Generator) -> EulerAngles:
 
 
 def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
-    """Draw cos(chi) from a direction-code density by inversion, one uniform
-    per draw.  The coherent code's CDF ((1 + c)/2)^(2j+1) has the exact
-    inverse c = 2 U^(1/(2j+1)) - 1.  The m0 code interpolates in the
-    density's cumulative table, with the uniforms looked up in sorted order:
-    each still lands in the one cell that holds it, so the values equal an
-    unsorted lookup bit for bit, and the search walks the table once.
+    """Draw cos(chi) from a direction-code density by inversion: one uniform
+    per draw, mapped through density.quantile_cos.
     A float when size is None, else a (size,) array."""
     n = 1 if size is None else int(size)
-    r = rng.random(n)
-    code = density.code
-    if code.carrier == "coherent":
-        c = 2.0 * r ** (1.0 / (code.j_max.twice_j + 1)) - 1.0
-    else:
-        grid, cdf = density.cdf_table
-        order = np.argsort(r)
-        c = np.empty(n)
-        c[order] = np.interp(r[order], cdf, grid)
+    c = density.quantile_cos(rng.random(n))
     return float(c[0]) if size is None else c
 
 

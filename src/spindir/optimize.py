@@ -165,7 +165,7 @@ def coherent_code(j: SpinJ) -> DirectionCode:
                          effective_dimension=j.twice_j + 1, carrier="coherent")
 
 
-CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that sample_chi inverts m0 codes on
+CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that quantile_cos inverts m0 codes on
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +187,16 @@ class ChiDensity:
         rows = np.polynomial.legendre.legvander(u, j_top).T
         scale = np.sqrt((2.0 * np.arange(j_top + 1) + 1.0) / (4.0 * math.pi))
         return (code.amplitudes * scale) @ rows
+
+    def quantile_cos(self, p) -> np.ndarray:
+        """cos chi at CDF values p in [0, 1): sample_chi's inverse.  The
+        coherent CDF ((1 + u)/2)^(2j+1) inverts exactly, p = 0 giving -1; an
+        m0 code interpolates in cdf_table."""
+        code = self.code
+        if code.carrier == "coherent":
+            return 2.0 * np.asarray(p, dtype=float) ** (1.0 / (code.j_max.twice_j + 1)) - 1.0
+        grid, cdf = self.cdf_table
+        return np.interp(p, cdf, grid)
 
     def pdf_cos(self, u) -> np.ndarray:
         """Density in u = cos chi on [-1, 1]."""
@@ -227,8 +237,8 @@ class ChiDensity:
 
     @cached_property
     def cdf_table(self) -> tuple:
-        """sample_chi's inverse-CDF table for the m0 carrier, built once per
-        density (a coherent code is inverted exactly and never reads it)."""
+        """quantile_cos's table for the m0 carrier, built once per density
+        (a coherent code is inverted exactly and never reads it)."""
         return self.cumulative_in_cos(CHI_GRID_POINTS)
 
 

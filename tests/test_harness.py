@@ -61,17 +61,6 @@ def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) 
     return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
 
 
-def _inverse_cos_chi(density: ChiDensity, u: np.ndarray) -> np.ndarray:
-    """cos(chi) for the uniforms u, inverted inline per carrier: a coherent
-    code by its exact inverse 2 u^(1/(2j+1)) - 1, an m0 code by a plain
-    (unsorted) lookup in a freshly built table."""
-    code = density.code
-    if code.carrier == "coherent":
-        return 2.0 * u ** (1.0 / (code.j_max.twice_j + 1)) - 1.0
-    grid, cdf = density.cumulative_in_cos(CHI_GRID_POINTS)
-    return np.interp(u, cdf, grid)
-
-
 class TestRunConfig:
     def test_rejects_bad_trials(self):
         for bad in (0, -5, 2.5, True):
@@ -155,8 +144,7 @@ class TestSamplers:
         u = np.concatenate(
             ([0.0], np.logspace(-6.0, -1.0, 21), np.linspace(0.1, 1.0, 91)[:-1], [1.0 - 2.0**-53])
         )
-        density = chi_density(coherent_code(SpinJ(n_spins)))
-        c = sample_chi(density, _GivenUniforms(u), size=u.size)
+        c = chi_density(coherent_code(SpinJ(n_spins))).quantile_cos(u)
         assert c[0] == -1.0
         assert np.all(np.diff(c) >= 0.0) and c[-1] <= 1.0
         np.testing.assert_allclose(((1.0 + c) / 2.0) ** (n_spins + 1), u, rtol=1e-12, atol=0.0)
@@ -171,15 +159,6 @@ class TestSamplers:
             half = (u + 1.0) / 2.0
             integral = half * float(np.sum(w * density.pdf_cos(half * x + half - 1.0)))
             assert integral == pytest.approx(((1.0 + u) / 2.0) ** (n_spins + 1), rel=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 7, 128, 8192, 10**5])
-    @pytest.mark.parametrize("n_spins", [4, 96])
-    def test_m0_sorted_lookup_equals_plain_interp(self, n_spins, n):
-        density = chi_density(optimal_direction_encoding(SpinJ(n_spins)))
-        grid, cdf = density.cdf_table
-        for seed in (0, 7, 31337):
-            want = np.interp(np.random.default_rng(seed).random(n), cdf, grid)
-            assert np.array_equal(sample_chi(density, np.random.default_rng(seed), size=n), want)
 
     @pytest.mark.parametrize("n", [None, 1, 300, BATCH_TRIALS])
     @pytest.mark.parametrize("carrier", ["m0", "coherent"])
@@ -294,7 +273,7 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
         true = rng.integers(0, 6, take)
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
-        cos_chi = _inverse_cos_chi(density, u_chi)
+        cos_chi = density.quantile_cos(u_chi)
         est = _perturb_units(units[true], cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
@@ -384,17 +363,6 @@ class TestPlurality:
         draws = None if tie is None else np.full(len(columns), tie)
         got = _plurality(outcomes, draws)
         assert got.tolist() == [_counter_vote(c, tie) for c in columns]
-
-
-class _GivenUniforms:
-    """A stream whose one random(size) draw returns the given uniforms."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def random(self, size):
-        assert size == self.values.size
-        return self.values.copy()
 
 
 class _FixedStream:
@@ -553,8 +521,8 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     u_x = rng.random(take)
     az_x = rng.uniform(0.0, 2.0 * math.pi, take)
     mats = _quaternion_matrices(quats)
-    cos_z = _inverse_cos_chi(density, u_z)
-    cos_x = _inverse_cos_chi(density, u_x)
+    cos_z = density.quantile_cos(u_z)
+    cos_x = density.quantile_cos(u_x)
     z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
     x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
     scores = np.empty(take)
