@@ -14,7 +14,6 @@ from .frames import (
 )
 from .geometry import Direction, SphereQuadrature, sphere_quadrature
 from .groups import (
-    Block,
     FiniteGroup,
     IrrepData,
     SignalFamily,
@@ -22,8 +21,6 @@ from .groups import (
     d3_directions,
     dihedral_d3,
     find_invariant_blocks,
-    irrep_content,
-    load_group_file,
     schur_fiducial,
 )
 from .harness import (

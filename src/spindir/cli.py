@@ -31,7 +31,7 @@ from .protocols import (
     d3_single_spin_povm,
     d3_two_spin_povm,
 )
-from .states import ProductBasis, SpinJ, StateVector, is_integer
+from .states import SpinJ, is_integer
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_VAR = "SPINDIR_OUTPUT_DIR"
@@ -200,12 +200,10 @@ def build_run_config(settings: dict) -> RunConfig:
         protocol=spec,
         trials=settings["trials"],
         seed=settings["seed"],
-        output_path=settings.get("output"),
     )
 
 
-def _resolve_output(config: RunConfig, explicit) -> str:
-    path = explicit or config.output_path
+def _resolve_output(config: RunConfig, path) -> str:
     if path:
         return path
     p = config.protocol
@@ -325,9 +323,8 @@ def _dihedral_profile(num_spins) -> list:
         score = d3_covariant_two_spin_score()
         fidelity, coeffs = score.fidelity, score.coefficients
     elif n == 1:
-        group, irreps = dihedral_d3()
-        seed = StateVector(basis=ProductBasis(1), amplitudes=np.array([1.0, 0.0]))
-        optimum = finite_group_optimum(build_signal_family(group, 1, seed, irreps))
+        group, _ = dihedral_d3()
+        optimum = finite_group_optimum(build_signal_family(group, 1))
         fidelity, coeffs = optimum.fidelity, optimum.optimal_coefficients
     else:
         raise ValueError("the dihedral profile is computed for 1 or 2 spins")

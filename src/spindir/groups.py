@@ -1,9 +1,9 @@
 """Finite rotation groups and their representations.
 
-Covers the dihedral group D3 realized as concrete SO(3) rotations, character
-tables, character-based irrep content of reducible representations, lifts to
-N-qubit product spaces, numeric invariant-block decomposition, and the
-Schur-weighted fiducial whose group orbit forms a complete POVM.
+Covers the dihedral group D3 realized as concrete SO(3) rotations, its
+character table, lifts to N-qubit product spaces, numeric invariant-block
+decomposition, and the Schur-weighted fiducial whose group orbit forms a
+complete POVM.
 
 Element rotations are stored as zyz Euler angles (alpha, beta, gamma) in
 [0, 2pi), the same convention as rotate_spin_state; the SU(2) lift is composed
@@ -59,11 +59,11 @@ class FiniteGroup:
     mult_table: np.ndarray = field(repr=False)
     inverse: tuple
     classes: tuple
-    element_rotations: tuple | None = None
-    names: tuple | None = None
+    element_rotations: tuple
+    names: tuple
 
     @classmethod
-    def from_table(cls, table, rotations=None, names=None) -> FiniteGroup:
+    def from_table(cls, table, rotations, names) -> FiniteGroup:
         """Group from its table, deriving inverses and classes (not validated)."""
         table = np.asarray(table, dtype=int)
         return cls(order=table.shape[0], mult_table=table, inverse=_inverses(table),
@@ -71,13 +71,9 @@ class FiniteGroup:
                    element_rotations=rotations, names=names)
 
     def rotation_matrix(self, i: int) -> np.ndarray:
-        if self.element_rotations is None:
-            raise ValueError("group has no element rotations")
         return euler_zyz_matrix(*self.element_rotations[i])
 
     def su2_matrix(self, i: int) -> np.ndarray:
-        if self.element_rotations is None:
-            raise ValueError("group has no element rotations")
         return su2_from_euler(*self.element_rotations[i])
 
     def validate(self) -> None:
@@ -101,12 +97,11 @@ class FiniteGroup:
         got = tuple(tuple(sorted(cl)) for cl in self.classes)
         if tuple(sorted(got)) != tuple(sorted(expected)):
             raise ValueError("classes inconsistent with conjugation")
-        if self.element_rotations is not None:
-            for g in range(n):
-                for h in range(n):
-                    prod = self.rotation_matrix(g) @ self.rotation_matrix(h)
-                    if np.max(np.abs(prod - self.rotation_matrix(t[g, h]))) > MATCH_TOL:
-                        raise ValueError("rotations do not follow the table")
+        for g in range(n):
+            for h in range(n):
+                prod = self.rotation_matrix(g) @ self.rotation_matrix(h)
+                if np.max(np.abs(prod - self.rotation_matrix(t[g, h]))) > MATCH_TOL:
+                    raise ValueError("rotations do not follow the table")
 
 
 def _inverses(table: np.ndarray) -> tuple:
@@ -140,14 +135,7 @@ class IrrepData:
     """Irreducible representation data, characters indexed by (irrep, class)."""
 
     dims: tuple
-    characters: np.ndarray = field(repr=False)  # (n_irreps, n_classes)
-    matrices: tuple = field(repr=False)  # matrices[i][g] unitary
-    classes: tuple = ()
-    names: tuple | None = None
-
-    @property
-    def n_irreps(self) -> int:
-        return len(self.dims)
+    characters: np.ndarray = field(repr=False)
 
 
 def _mult_table_from_rotations(mats: list) -> np.ndarray:
@@ -188,11 +176,6 @@ def dihedral_d3() -> tuple:
         rotations=eulers,
         names=("E", "A", "B", "C", "D", "F"),
     )
-
-    # two-dimensional irrep: the in-plane 2x2 block of the rotation matrices
-    # (the xy-plane is invariant under every element)
-    two_dim = tuple(m[:2, :2].copy() for m in mats)
-    alt = (1.0, -1.0, -1.0, -1.0, 1.0, 1.0)
     irreps = IrrepData(
         dims=(1, 1, 2),
         characters=np.array([
@@ -200,13 +183,6 @@ def dihedral_d3() -> tuple:
             [1.0, 1.0, -1.0],
             [2.0, -1.0, 0.0],
         ]),
-        matrices=(
-            tuple(np.array([[1.0]]) for _ in range(6)),
-            tuple(np.array([[alt[g]]]) for g in range(6)),
-            two_dim,
-        ),
-        classes=group.classes,
-        names=("trivial", "alternating", "two_dim"),
     )
     return group, irreps
 
@@ -222,74 +198,15 @@ def d3_directions() -> list:
     return out
 
 
-def characters_per_element(irreps: IrrepData, group: FiniteGroup) -> np.ndarray:
-    """Expand the per-class character table to per-element columns."""
-    out = np.zeros((irreps.n_irreps, group.order))
-    for ci, cl in enumerate(group.classes):
-        for g in cl:
-            out[:, g] = irreps.characters[:, ci]
-    return out
-
-
-def irrep_content(characters, irreps: IrrepData, group: FiniteGroup) -> tuple:
-    """Multiplicities of each irrep in a representation given per-element
-    characters, via the character inner product.
-
-    The character vector must be constant on conjugacy classes (1e-9) and the
-    multiplicities must come out as non-negative integers within 1e-6.
-    """
-    chi = np.asarray(characters, dtype=complex)
-    if chi.shape != (group.order,):
-        raise ValueError("need one character per element")
-    for cl in group.classes:
-        vals = chi[list(cl)]
-        if np.max(np.abs(vals - vals[0])) > 1e-9:
-            raise ValueError("characters are not constant on conjugacy classes")
-    per_el = characters_per_element(irreps, group)
-    mult = []
-    for i in range(irreps.n_irreps):
-        m = np.sum(np.conj(per_el[i]) * chi) / group.order
-        if abs(m.imag) > 1e-6 or abs(m.real - round(m.real)) > 1e-6 or round(m.real) < 0:
-            raise ValueError(
-                f"multiplicity of irrep {i} is {m:.6g}, not a non-negative integer; "
-                "character vector is inconsistent with this group"
-            )
-        mult.append(int(round(m.real)))
-    return tuple(mult)
-
-
-@dataclass(frozen=True, eq=False)
-class Block:
-    """One invariant subspace: columns of basis span it; irrep tags its type.
-
-    irrep is an index into the group's IrrepData, or -1 for a projective block
-    (half-integer total spin) that matches no linear irrep and whose dimension
-    alone does not single one out."""
-
-    irrep: int
-    basis: np.ndarray = field(repr=False)  # (dim, block_dim), orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class SignalFamily:
-    """Group orbit of a fiducial state under a (possibly projective) unitary
-    representation, with its invariant-block decomposition."""
+    """A (possibly projective) unitary representation of a group on qubits,
+    with its invariant-block decomposition: one (dim, block_dim) array of
+    orthonormal columns per block."""
 
     group: FiniteGroup
     rep_matrices: tuple = field(repr=False)
-    fiducial: StateVector
-    block_structure: tuple
-
-    def signal(self, g: int) -> StateVector:
-        amps = self.rep_matrices[g] @ self.fiducial.amplitudes
-        return StateVector(basis=self.fiducial.basis, amplitudes=amps)
-
-    def signals(self) -> list:
-        return [self.signal(g) for g in range(self.group.order)]
+    block_structure: tuple = field(repr=False)
 
 
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
@@ -328,30 +245,11 @@ def find_invariant_blocks(matrices) -> list:
     return blocks
 
 
-def _block_character(basis: np.ndarray, matrices) -> np.ndarray:
-    """Character vector tr(B^dagger U_g B) of the block spanned by basis."""
-    return np.array([np.trace(basis.conj().T @ u @ basis) for u in matrices])
-
-
-def _tag_block(basis: np.ndarray, matrices, irreps: IrrepData, group: FiniteGroup) -> int:
-    try:
-        mults = irrep_content(_block_character(basis, matrices), irreps, group)
-    except ValueError:
-        mults = ()
-    if sum(mults) == 1:
-        return mults.index(1)
-    # projective block (half-integer total spin): characters need not match any
-    # linear irrep; tag by dimension when that is unambiguous, else -1
-    dim_hits = [i for i, d in enumerate(irreps.dims) if d == basis.shape[1]]
-    if len(dim_hits) == 1:
-        return dim_hits[0]
-    return -1
-
-
 def block_characters(family: SignalFamily) -> list:
     """Per-block character vectors tr(B^dagger U_g B); equal vectors mean
     equivalent blocks (same irrep of the lifted group, phase-pinned lift)."""
-    return [_block_character(b.basis, family.rep_matrices) for b in family.block_structure]
+    return [np.array([np.trace(b.conj().T @ u @ b) for u in family.rep_matrices])
+            for b in family.block_structure]
 
 
 def repeated_equivalent_blocks(family: SignalFamily) -> bool:
@@ -363,17 +261,12 @@ def repeated_equivalent_blocks(family: SignalFamily) -> bool:
     return False
 
 
-def build_signal_family(group: FiniteGroup, num_spins: int, fiducial: StateVector,
-                        irreps: IrrepData) -> SignalFamily:
-    """Lift the group to num_spins qubits, orbit the fiducial, and decompose
-    the space into irrep-tagged invariant blocks."""
-    if fiducial.dim != 2 ** num_spins:
-        raise ValueError("fiducial does not live on the product space")
+def build_signal_family(group: FiniteGroup, num_spins: int) -> SignalFamily:
+    """Lift the group to num_spins qubits and decompose the space into
+    invariant blocks."""
     rep = lift_to_qubits(group, num_spins)
-    bases = find_invariant_blocks(rep)
-    blocks = tuple(Block(irrep=_tag_block(b, rep, irreps, group), basis=b) for b in bases)
-    return SignalFamily(group=group, rep_matrices=rep, fiducial=fiducial,
-                        block_structure=blocks)
+    return SignalFamily(group=group, rep_matrices=rep,
+                        block_structure=tuple(find_invariant_blocks(rep)))
 
 
 def schur_fiducial(family: SignalFamily, block_weights) -> StateVector:
@@ -390,73 +283,16 @@ def schur_fiducial(family: SignalFamily, block_weights) -> StateVector:
         raise ValueError("signal space contains repeated equivalent blocks")
     if len(block_weights) != len(blocks):
         raise ValueError(f"need one weight vector per block ({len(blocks)})")
-    dim = family.fiducial.dim
+    dim = family.rep_matrices[0].shape[0]
     amps = np.zeros(dim, dtype=complex)
     for block, w in zip(blocks, block_weights):
         if w is None:
             raise ValueError("missing block direction")
         w = np.asarray(w, dtype=complex)
-        if w.shape != (block.dim,):
+        if w.shape != (block.shape[1],):
             raise ValueError("weight vector shape does not match block dimension")
         if abs(np.linalg.norm(w) - 1.0) > 1e-9:
             raise ValueError("block weight vectors must be unit")
-        amps += math.sqrt(block.dim / family.group.order) * (block.basis @ w)
+        amps += math.sqrt(block.shape[1] / family.group.order) * (block @ w)
     return StateVector(basis=ProductBasis(num_qubits=int(math.log2(dim))), amplitudes=amps)
 
-
-def load_group_file(path) -> FiniteGroup:
-    """Read a finite rotation group from the plain-text table format.
-
-    Lines (after stripping comments starting with '#'):
-      order N
-      names n0 n1 ...        (optional)
-      table                  followed by N rows of N indices
-      rotations              followed by N rows "alpha beta gamma" (zyz, radians)
-    The rotations block is optional. Classes are recomputed from the table and
-    the whole structure is validated.
-    """
-    with open(path) as fh:
-        lines = []
-        for raw in fh:
-            txt = raw.split("#", 1)[0].strip()
-            if txt:
-                lines.append(txt)
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("group file ended early")
-        out = lines[pos]
-        pos += 1
-        return out
-
-    head = take().split()
-    if len(head) != 2 or head[0] != "order":
-        raise ValueError("group file must start with 'order N'")
-    n = int(head[1])
-    names = None
-    table = None
-    rotations = None
-    while pos < len(lines):
-        word = take()
-        if word.startswith("names"):
-            names = tuple(word.split()[1:])
-            if len(names) != n:
-                raise ValueError("names line must list one name per element")
-        elif word == "table":
-            rows = [list(map(int, take().split())) for _ in range(n)]
-            table = np.array(rows, dtype=int)
-            if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
-                raise ValueError("bad multiplication table")
-        elif word == "rotations":
-            rotations = tuple(tuple(map(float, take().split())) for _ in range(n))
-            if any(len(r) != 3 for r in rotations):
-                raise ValueError("each rotation line needs three Euler angles")
-        else:
-            raise ValueError(f"unexpected line in group file: {word!r}")
-    if table is None:
-        raise ValueError("group file has no multiplication table")
-    group = FiniteGroup.from_table(table, rotations=rotations, names=names)
-    group.validate()
-    return group

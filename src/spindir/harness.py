@@ -52,7 +52,6 @@ class RunConfig:
     protocol: ProtocolSpec
     trials: int
     seed: int
-    output_path: str | None = None
 
     def __post_init__(self):
         if not is_integer(self.trials) or self.trials < 1:

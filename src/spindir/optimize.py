@@ -69,7 +69,7 @@ def finite_group_optimum(family: SignalFamily) -> CovariantOptimum:
     """
     if repeated_equivalent_blocks(family):
         raise ValueError("repeated equivalent irreps are not supported")
-    dims = np.array([b.dim for b in family.block_structure], dtype=float)
+    dims = np.array([b.shape[1] for b in family.block_structure], dtype=float)
     order = family.group.order
     fidelity = float(np.sum(dims) / order)
     coeffs = np.sqrt(dims / np.sum(dims))

@@ -19,6 +19,7 @@ from .spins import coherent_state
 from .states import SpinJ, StateVector
 
 NEGATIVE_PROB_TOL = 1e-12
+POVM_TOL = 1e-10  # validate_povm's bound on completeness, positivity and hermiticity
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +50,13 @@ class Povm:
 class PovmValidation:
     max_completeness_dev: float
     min_eigenvalue: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_completeness_dev <= self.tol and self.min_eigenvalue >= -self.tol
+        return self.max_completeness_dev <= POVM_TOL and self.min_eigenvalue >= -POVM_TOL
 
 
-def validate_povm(povm: Povm, tol: float = 1e-10) -> PovmValidation:
+def validate_povm(povm: Povm) -> PovmValidation:
     """Check completeness (max |sum E - 1| entry) and positivity (global min
     eigenvalue over elements, after symmetrizing away roundoff). If an element
     is not Hermitian, min_eigenvalue is minus the first such deviation."""
@@ -64,11 +64,11 @@ def validate_povm(povm: Povm, tol: float = 1e-10) -> PovmValidation:
     dev = float(np.max(np.abs(ops.sum(axis=0) - np.eye(povm.dim))))
     adjoints = ops.conj().transpose(0, 2, 1)
     herm_devs = np.max(np.abs(ops - adjoints), axis=(1, 2))
-    non_hermitian = np.flatnonzero(herm_devs > tol)
+    non_hermitian = np.flatnonzero(herm_devs > POVM_TOL)
     if non_hermitian.size:
-        return PovmValidation(dev, -float(herm_devs[non_hermitian[0]]), tol)
+        return PovmValidation(dev, -float(herm_devs[non_hermitian[0]]))
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (ops + adjoints))[:, 0]))
-    return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig, tol=tol)
+    return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig)
 
 
 def state_probabilities(povm: Povm, state: StateVector) -> np.ndarray:

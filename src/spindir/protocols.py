@@ -15,13 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import (
-    SignalFamily,
-    build_signal_family,
-    d3_directions,
-    dihedral_d3,
-    schur_fiducial,
-)
+from .groups import build_signal_family, d3_directions, dihedral_d3, schur_fiducial
 from .optimize import (
     ChiDensity,
     DirectionCode,
@@ -33,7 +27,7 @@ from .optimize import (
 )
 from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
 from .spins import SpinJ, coherent_state
-from .states import ProductBasis, StateVector, is_integer
+from .states import StateVector, is_integer
 
 PROTOCOL_KINDS = (
     "d3-single",
@@ -42,19 +36,13 @@ PROTOCOL_KINDS = (
     "d3-coherent",
     "frame-two-axis",
 )
-_DEFAULT_DECODERS = {
-    "d3-single": "covariant",
-    "d3-repeated": "covariant",
-    "d3-covariant": "covariant",
-    "d3-coherent": "nearest-direction",
-    "frame-two-axis": "best-fit",
-}
-_ALLOWED_DECODERS = {
+# decoders each kind accepts; the first is its default
+_DECODERS = {
     "d3-single": ("covariant",),
     "d3-repeated": ("covariant",),
     "d3-covariant": ("covariant",),
     "d3-coherent": ("nearest-direction",),
-    "frame-two-axis": ("naive-euler", "best-fit"),
+    "frame-two-axis": ("best-fit", "naive-euler"),
 }
 
 
@@ -75,8 +63,8 @@ class ProtocolSpec:
             raise ValueError("num_spins must be a positive integer")
         object.__setattr__(self, "num_spins", int(self.num_spins))
         if self.decoder == "":
-            object.__setattr__(self, "decoder", _DEFAULT_DECODERS[self.kind])
-        if self.decoder not in _ALLOWED_DECODERS[self.kind]:
+            object.__setattr__(self, "decoder", _DECODERS[self.kind][0])
+        if self.decoder not in _DECODERS[self.kind]:
             raise ValueError(
                 f"decoder {self.decoder!r} does not apply to {self.kind}"
             )
@@ -174,38 +162,23 @@ def d3_single_spin_povm() -> Povm:
 
 @lru_cache(maxsize=1)
 def _d3_two_spin_family() -> tuple:
-    """Signal family for the optimal two-spin strategy plus its optimum.
+    """(family, fiducial, optimum) of the optimal two-spin strategy.
 
     The fiducial spreads Schur weight sqrt(d_i/6) over the three invariant
     blocks of the two-qubit representation; per-block unit weights are the
     first basis column of each block (any choice works up to block phases).
     """
-    group, irreps = _d3()
-    placeholder = StateVector(
-        basis=ProductBasis(2), amplitudes=np.array([1.0, 0.0, 0.0, 0.0])
-    )
-    family = build_signal_family(group, 2, placeholder, irreps)
-    weights = []
-    for block in family.block_structure:
-        w = np.zeros(block.dim)
-        w[0] = 1.0
-        weights.append(w)
-    fid = schur_fiducial(family, weights)
-    family = SignalFamily(
-        group=group,
-        rep_matrices=family.rep_matrices,
-        fiducial=fid,
-        block_structure=family.block_structure,
-    )
-    optimum = finite_group_optimum(family)
-    return family, optimum
+    group, _ = _d3()
+    family = build_signal_family(group, 2)
+    weights = [np.eye(block.shape[1])[0] for block in family.block_structure]
+    return family, schur_fiducial(family, weights), finite_group_optimum(family)
 
 
 @lru_cache(maxsize=1)
 def d3_two_spin_povm() -> Povm:
     """Orbit POVM of the Schur fiducial on the four-dim two-spin space."""
-    family, _ = _d3_two_spin_family()
-    return _direction_orbit_povm(family.rep_matrices, family.fiducial, "two-spin")
+    family, fid, _ = _d3_two_spin_family()
+    return _direction_orbit_povm(family.rep_matrices, fid, "two-spin")
 
 
 @lru_cache(maxsize=2)
@@ -219,15 +192,13 @@ def d3_outcome_matrix(num_spins: int) -> np.ndarray:
         signals = {i: coherent_state(SpinJ(1), d) for i, d in enumerate(dirs)}
     elif num_spins == 2:
         povm = d3_two_spin_povm()
-        family, _ = _d3_two_spin_family()
+        family, fid, _ = _d3_two_spin_family()
         e2d = _element_to_direction()
-        norm = family.fiducial.norm()
-        signals = {}
-        for g in range(family.group.order):
-            sig = family.signal(g)
-            signals[e2d[g]] = StateVector(
-                basis=sig.basis, amplitudes=sig.amplitudes / norm
-            )
+        norm = fid.norm()
+        signals = {
+            e2d[g]: StateVector(basis=fid.basis, amplitudes=u @ fid.amplitudes / norm)
+            for g, u in enumerate(family.rep_matrices)
+        }
     else:
         raise ValueError("outcome matrices exist for the 1- and 2-spin strategies")
     matrix = np.array([state_probabilities(povm, signals[i]) for i in range(6)])
@@ -317,12 +288,12 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
 
 def d3_covariant_two_spin_score() -> ProtocolScore:
     """Optimal covariant two-spin strategy: Schur-weighted fiducial orbit."""
-    family, optimum = _d3_two_spin_family()
+    family, _, optimum = _d3_two_spin_family()
     matrix = d3_outcome_matrix(2)
     fid = float(np.mean(np.diag(matrix)))
     if abs(fid - optimum.fidelity) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")
-    dims = [b.dim for b in family.block_structure]
+    dims = [b.shape[1] for b in family.block_structure]
     coeffs = tuple(
         c for _, c in sorted(zip(dims, optimum.optimal_coefficients))
     )

@@ -7,7 +7,6 @@ multiplet (``SpinBasis``, ordered m = j down to -j).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -92,7 +92,7 @@ def test_criterion_02_two_spin_optimum(report):
     t0 = time.perf_counter()
     score = d3_covariant_two_spin_score()
     povm = d3_two_spin_povm()
-    check = validate_povm(povm, tol=1e-10)
+    check = validate_povm(povm)
     elapsed = time.perf_counter() - t0
     fid_err = abs(score.fidelity - 2.0 / 3.0)
     # block phases are free, so compare coefficient magnitudes as a multiset
@@ -345,7 +345,7 @@ def test_criterion_10_property_sweeps(report):
     povms.append(
         coarse_grain_povm(povms[3], lambda label: 0)  # merge-all keeps completeness
     )
-    povm_ok = all(validate_povm(p, tol=1e-10).passed for p in povms)
+    povm_ok = all(validate_povm(p).passed for p in povms)
 
     proj_resid = 0.0
     for nq in (2, 3, 4):

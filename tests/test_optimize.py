@@ -7,13 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
-from spindir.groups import (
-    Block,
-    SignalFamily,
-    build_signal_family,
-    d3_directions,
-    dihedral_d3,
-)
+from spindir.groups import SignalFamily, build_signal_family, d3_directions, dihedral_d3
 from spindir.optimize import (
     BESSEL_J0_FIRST_ZERO,
     D3_ARC_NODES,
@@ -29,26 +23,19 @@ from spindir.optimize import (
     gauss_legendre,
     optimal_direction_encoding,
 )
-from spindir.states import ProductBasis, SpinBasis, SpinJ, StateVector
+from spindir.states import SpinJ
 
-GROUP, IRREPS = dihedral_d3()
-
-
-def family_on_qubits(num_spins: int) -> SignalFamily:
-    amps = np.zeros(2**num_spins, dtype=complex)
-    amps[0] = 1.0
-    fid = StateVector(basis=ProductBasis(num_qubits=num_spins), amplitudes=amps)
-    return build_signal_family(GROUP, num_spins, fid, IRREPS)
+GROUP, _ = dihedral_d3()
 
 
 class TestFiniteGroupOptimum:
     def test_single_spin_third(self):
-        opt = finite_group_optimum(family_on_qubits(1))
+        opt = finite_group_optimum(build_signal_family(GROUP, 1))
         assert opt.fidelity == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert opt.optimal_coefficients == (1.0,)
 
     def test_two_spins_two_thirds(self):
-        opt = finite_group_optimum(family_on_qubits(2))
+        opt = finite_group_optimum(build_signal_family(GROUP, 2))
         assert opt.fidelity == pytest.approx(2.0 / 3.0, abs=1e-15)
         got = sorted(opt.optimal_coefficients)
         want = sorted([0.5, 0.5, math.sqrt(0.5)])
@@ -57,18 +44,14 @@ class TestFiniteGroupOptimum:
     def test_single_trivial_block_one_sixth(self):
         # six copies of the identity on a one-dimensional space
         rep = tuple(np.eye(1, dtype=complex) for _ in range(6))
-        fid = StateVector(basis=SpinBasis(SpinJ(0)), amplitudes=np.array([1.0]))
         family = SignalFamily(
-            group=GROUP,
-            rep_matrices=rep,
-            fiducial=fid,
-            block_structure=(Block(irrep=0, basis=np.eye(1, dtype=complex)),),
+            group=GROUP, rep_matrices=rep, block_structure=(np.eye(1, dtype=complex),)
         )
         assert finite_group_optimum(family).fidelity == pytest.approx(1.0 / 6.0)
 
     def test_repeated_blocks_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
-            finite_group_optimum(family_on_qubits(3))
+            finite_group_optimum(build_signal_family(GROUP, 3))
 
 
 class TestCosMatrix:

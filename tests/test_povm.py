@@ -24,8 +24,11 @@ def six_direction_povm() -> Povm:
 
 
 def test_six_direction_povm_passes():
-    report = validate_povm(six_direction_povm(), tol=1e-12)
+    povm = six_direction_povm()
+    report = validate_povm(povm)
     assert report.passed
+    ops = povm.operators
+    np.testing.assert_allclose(ops, ops.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
     assert report.max_completeness_dev < 1e-12
     assert report.min_eigenvalue > -1e-12
 
@@ -117,7 +120,7 @@ def test_covariant_povm_finite_six_rank_one_elements():
     for op in povm.operators:
         vals = np.linalg.eigvalsh(op)
         assert np.sum(vals > 1e-12) == 1  # rank one
-    assert validate_povm(povm, tol=1e-10).passed
+    assert validate_povm(povm).passed
 
 
 def test_covariant_povm_finite_rejects_mismatched_unitaries():
@@ -137,7 +140,7 @@ def test_covariant_povm_wrong_norm_fails_validation():
 def test_direction_povm_completeness(twice_j, n_theta, n_phi, tol):
     j = SpinJ(twice_j)
     povm = covariant_direction_povm(j, sphere_quadrature(n_theta, n_phi))
-    report = validate_povm(povm, tol=tol)
+    report = validate_povm(povm)
     assert report.passed
     assert report.max_completeness_dev < tol
 
@@ -203,7 +206,7 @@ def test_coarse_grain_commutes_with_probability():
         return int(np.argmax(targets @ nodes[k]))
 
     merged = coarse_grain_povm(povm, nearest)
-    assert validate_povm(merged, tol=1e-10).passed
+    assert validate_povm(merged).passed
     rng = np.random.default_rng(15)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     state = StateVector(SpinBasis(j), a / np.linalg.norm(a))

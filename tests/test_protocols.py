@@ -108,7 +108,10 @@ class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
         povm = d3_single_spin_povm()
         assert povm.labels == tuple(range(6))
-        assert validate_povm(povm, tol=1e-12).passed
+        report = validate_povm(povm)
+        assert report.max_completeness_dev <= 1e-12 and report.min_eigenvalue >= -1e-12
+        ops = povm.operators
+        np.testing.assert_allclose(ops, ops.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
         for op in povm.operators:
             assert np.trace(op).real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -258,7 +261,7 @@ class TestCovariantTwoSpin:
     def test_povm_completeness(self):
         povm = d3_two_spin_povm()
         assert povm.labels == tuple(range(6))
-        assert validate_povm(povm, tol=1e-10).passed
+        assert validate_povm(povm).passed
 
     def test_score_two_thirds_with_coefficients(self):
         score = d3_covariant_two_spin_score()

@@ -3,7 +3,7 @@ import pytest
 
 from spindir.frames import Frame
 from spindir.geometry import sphere_quadrature
-from spindir.groups import Block, build_signal_family, dihedral_d3
+from spindir.groups import build_signal_family, dihedral_d3
 from spindir.optimize import chi_density, optimal_direction_encoding
 from spindir.povm import Povm
 from spindir.states import (
@@ -112,12 +112,6 @@ def test_normalize_zero_state_fails():
         z.normalized()
 
 
-def _signal_family():
-    group, irreps = dihedral_d3()
-    fid = StateVector(basis=ProductBasis(1), amplitudes=np.array([1.0, 0.0]))
-    return build_signal_family(group, 1, fid, irreps)
-
-
 # builders of every record type whose fields hold arrays
 ARRAY_RECORDS = {
     "StateVector": lambda: StateVector(SpinBasis(SpinJ(1)), np.array([1.0, 0.0])),
@@ -128,10 +122,9 @@ ARRAY_RECORDS = {
                            x_axis=np.array([1.0, 0.0, 0.0]),
                            y_axis=np.array([0.0, 1.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
-    "Block": lambda: Block(irrep=0, basis=np.eye(2, dtype=complex)),
     "IrrepData": lambda: dihedral_d3()[1],
     "FiniteGroup": lambda: dihedral_d3()[0],
-    "SignalFamily": _signal_family,
+    "SignalFamily": lambda: build_signal_family(dihedral_d3()[0], 1),
 }
 
 
