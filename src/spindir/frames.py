@@ -22,13 +22,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import unit_rows
+from .geometry import TWO_PI, unit_rows
 
 ORTHO_TOL = 1e-10
 DEGENERATE_CROSS_TOL = 1e-8
 GIMBAL_SIN_TOL = 1e-9
 
-# Frame validation: target of each checked value and its error message
+# Frame validation: the Gram entries (z, x, y = 0, 1, 2; entry 3a + b) of
+# the checked dot products zx, zy and xy, the cyclic component shifts of a
+# cross product, and the target of each checked value and its error message
+_DOTS = np.array([1, 2, 5])
+_AHEAD = np.array([1, 2, 0])
+_BEHIND = np.array([2, 0, 1])
 _TARGETS = np.array([[1.0], [1.0], [1.0], [0.0], [0.0], [0.0], [1.0]])
 _FAILURES = (
     "z_axis must be unit length, |v| = {}",
@@ -43,7 +48,7 @@ _FAILURES = (
 
 def _wrap_pi(a):
     # reduce to [-pi, pi); a float or an array
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
+    return (a + math.pi) % TWO_PI - math.pi
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,17 +102,25 @@ class Frame:
         z, x, y = axes
         if not z.shape == x.shape == y.shape:
             raise ValueError("the three axes must have the same shape")
+        # (axis, component, frame) columns: numpy's per-row dot over three
+        # components is its slow path
+        c = np.array((z.T, x.T, y.T)).reshape(3, 3, -1)
+        gram = np.einsum("ajk,bjk->abk", c, c).reshape(9, -1)
         # one row per check, in the order the checks are reported:
         # three norms, three |dot products|, the x.y,z triple product
-        values = np.array(
-            [np.sqrt(np.vecdot(v, v)) for v in axes]
-            + [np.abs(np.vecdot(a, b)) for a, b in ((z, x), (z, y), (x, y))]
-            + [np.vecdot(_cross(x, y), z)]
-        ).reshape(7, -1)
+        values = np.empty((7, c.shape[-1]))
+        np.sqrt(gram[::4], out=values[:3])
+        np.abs(gram.take(_DOTS, axis=0), out=values[3:6])
+        # z . (x cross y), the cross product from cyclically shifted components
+        cross = c[1].take(_AHEAD, axis=0) * c[2].take(_BEHIND, axis=0)
+        cross -= c[1].take(_BEHIND, axis=0) * c[2].take(_AHEAD, axis=0)
+        cross *= c[0]
+        cross.sum(axis=0, out=values[6])
         # written as not-within so that a NaN value fails its check
-        bad = ~(np.abs(values - _TARGETS) <= ORTHO_TOL)
-        if bad.any():
+        within = np.abs(values - _TARGETS) <= ORTHO_TOL
+        if not within.all():
             # the first failing check, at the first row that fails it
+            bad = ~within
             check = int(np.argmax(bad.any(axis=1)))
             value = float(values[check, np.argmax(bad[check])])
             raise ValueError(_FAILURES[check].format(value))
@@ -197,12 +210,13 @@ def naive_euler_estimate(
     sth = math.sin(theta_z)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    psi = _wrap_pi(0.5 * math.pi - phi_z)
+    # the wraps to [-pi, pi) are _wrap_pi written out, three calls fewer per trial
+    psi = (0.5 * math.pi - phi_z + math.pi) % TWO_PI - math.pi
     s = math.cos(theta_x) / sth
     if abs(s) > 1.0:
         return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True, s)
     phi0 = math.asin(s)
-    phi1 = _wrap_pi(math.pi - phi0)
+    phi1 = (math.pi - phi0 + math.pi) % TWO_PI - math.pi
     # the first row of the x column predicted by each branch, against the
     # measured sin(theta_x)cos(phi_x); phi0 wins ties
     cpsi, spsi_cth = math.cos(psi), math.sin(psi) * math.cos(theta_z)
@@ -210,7 +224,7 @@ def naive_euler_estimate(
     r0 = abs(cpsi * math.cos(phi0) - spsi_cth * math.sin(phi0) - x_first)
     r1 = abs(cpsi * math.cos(phi1) - spsi_cth * math.sin(phi1) - x_first)
     phi = phi1 if r1 < r0 else phi0
-    return NaiveEstimate(_wrap_pi(phi), theta_z, psi, False, s)
+    return NaiveEstimate((phi + math.pi) % TWO_PI - math.pi, theta_z, psi, False, s)
 
 
 def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:

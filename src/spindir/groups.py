@@ -60,15 +60,14 @@ class FiniteGroup:
     inverse: tuple
     classes: tuple
     element_rotations: tuple
-    names: tuple
 
     @classmethod
-    def from_table(cls, table, rotations, names) -> FiniteGroup:
+    def from_table(cls, table, rotations) -> FiniteGroup:
         """Group from its table, deriving inverses and classes (not validated)."""
         table = np.asarray(table, dtype=int)
         return cls(order=table.shape[0], mult_table=table, inverse=_inverses(table),
                    classes=tuple(conjugacy_classes(table)),
-                   element_rotations=rotations, names=names)
+                   element_rotations=rotations)
 
     def rotation_matrix(self, i: int) -> np.ndarray:
         return euler_zyz_matrix(*self.element_rotations[i])
@@ -171,11 +170,7 @@ def dihedral_d3() -> tuple:
         (2.0 * TWO_PI / 3.0, 0.0, 0.0),
     )
     mats = [euler_zyz_matrix(*e) for e in eulers]
-    group = FiniteGroup.from_table(
-        _mult_table_from_rotations(mats),
-        rotations=eulers,
-        names=("E", "A", "B", "C", "D", "F"),
-    )
+    group = FiniteGroup.from_table(_mult_table_from_rotations(mats), rotations=eulers)
     irreps = IrrepData(
         dims=(1, 1, 2),
         characters=np.array([

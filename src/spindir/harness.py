@@ -105,21 +105,33 @@ def sample_haar_direction(rng: np.random.Generator, size=None) -> np.ndarray:
     return units[0] if size is None else units
 
 
+# _quaternion_matrices: entry k of the row-major 3x3 matrix is
+# mult * (A + sign * B), plus 1 on the diagonal, where A and B are products
+# q_a q_b of quaternion components (w, x, y, z) = (0, 1, 2, 3), stored at
+# a * 4 + b of the flattened outer product
+_QUAT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # yy xy xz xy xx yz xz yz xx
+_QUAT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # zz wz wy wz zz wx wy wx yy
+_QUAT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+_QUAT_MULT = np.array([-2.0, 2.0, 2.0, 2.0, -2.0, 2.0, 2.0, 2.0, -2.0])[:, None]
+
+
 def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices for unit quaternion rows (w, x, y, z)."""
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((q.shape[0], 3, 3))
-    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    out[:, 0, 1] = 2 * (x * y - w * z)
-    out[:, 0, 2] = 2 * (x * z + w * y)
-    out[:, 1, 0] = 2 * (x * y + w * z)
-    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    out[:, 1, 2] = 2 * (y * z - w * x)
-    out[:, 2, 0] = 2 * (x * z - w * y)
-    out[:, 2, 1] = 2 * (y * z + w * x)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
+    """Rotation matrices for unit quaternion rows (w, x, y, z).
+
+    Built component-major from one (4, 4, n) outer product of the
+    normalised quaternions, so the returned (n, 3, 3) stack is a view whose
+    entries are each contiguous over the n rotations."""
+    q = q.T.copy()  # a copy even where q.T is already contiguous (one row)
+    c0, c1, c2, c3 = q * q
+    q /= np.sqrt(((c0 + c1) + c2) + c3)
+    outer = (q[:, None] * q).reshape(16, -1)
+    out = outer[_QUAT_A]
+    b = outer[_QUAT_B]
+    b *= _QUAT_SIGN
+    out += b
+    out *= _QUAT_MULT
+    out[::4] += 1.0
+    return out.T.reshape(-1, 3, 3)
 
 
 def sample_haar_frame(rng: np.random.Generator, size=None) -> Frame:
@@ -151,15 +163,21 @@ def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
 def _tangent_basis(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal tangent pair (t1, t2) for each unit row.
 
-    t1 comes from the coordinate axis with the smallest |component|
-    (deterministic, never parallel to the direction); t2 = unit x t1."""
-    rows = np.arange(units.shape[0])
-    idx = np.argmin(np.abs(units), axis=1)
-    smallest = units[rows, idx]
-    t1 = -units * smallest[:, None]
-    t1[rows, idx] += 1.0
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    return t1, _cross(units, t1)
+    t1 comes from the coordinate axis with the smallest |component|, the
+    first of tied ones (deterministic, never parallel to the direction);
+    t2 = unit x t1.  Worked on the three component columns: a per-row
+    argmin or norm over three components is numpy's slow path."""
+    u = units.T
+    a0, a1, a2 = np.abs(u)
+    axis = np.empty(u.shape, dtype=bool)  # axis[k]: component k is the smallest
+    np.logical_and(a0 <= a1, a0 <= a2, out=axis[0])
+    np.greater(a1 <= a2, axis[0], out=axis[1])
+    np.logical_not(axis[0] | axis[1], out=axis[2])
+    along = u * -np.where(axis[0], u[0], np.where(axis[1], u[1], u[2]))
+    t1 = np.where(axis, along + 1.0, along)
+    sq = t1 * t1
+    t1 /= np.sqrt((sq[0] + sq[1]) + sq[2])
+    return t1.T, _cross(units, t1.T)
 
 
 def _tilt(
@@ -171,13 +189,17 @@ def _tilt(
     return cos_chi[:, None] * units + sin_chi[:, None] * tangent
 
 
+def _tilt_draws(rng: np.random.Generator, density: ChiDensity, take: int) -> tuple:
+    """cos(chi) of take tilts drawn from density, then their uniform tangent
+    azimuths."""
+    return sample_chi(density, rng, take), rng.uniform(0.0, 2.0 * math.pi, take)
+
+
 def _noisy_units(rng: np.random.Generator, density: ChiDensity, units, t1, t2) -> tuple:
     """The measured estimate of each unit row: tilted by a chi drawn from
     density (cos chi first) towards a uniform tangent azimuth (drawn next).
     Returns the estimates and their cos(chi) draws."""
-    take = units.shape[0]
-    cos_chi = sample_chi(density, rng, take)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
+    cos_chi, azimuth = _tilt_draws(rng, density, units.shape[0])
     return _tilt(units, t1, t2, cos_chi, azimuth), cos_chi
 
 
@@ -295,8 +317,13 @@ def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decod
     """One batch of frame trials: per-trial infidelities, the z and x cos(chi)
     draws, and the number of clamped naive decodes."""
     true = sample_haar_frame(rng, take)
-    z_est, cos_z = _noisy_units(rng, density, true.z_axis, *_tangent_basis(true.z_axis))
-    x_est, cos_x = _noisy_units(rng, density, true.x_axis, *_tangent_basis(true.x_axis))
+    # the z rows then the x rows, tilted in one pass; the draws keep the
+    # per-axis order cos chi_z, azimuth_z, cos chi_x, azimuth_x
+    units = np.concatenate((true.z_axis.T, true.x_axis.T), axis=1).T
+    draws = np.concatenate([_tilt_draws(rng, density, take) for _ in range(2)], axis=1)
+    est = _tilt(units, *_tangent_basis(units), *draws)
+    z_est, x_est = est[:take], est[take:]
+    cos_z, cos_x = draws[0, :take], draws[0, take:]
     failures = 0
     if decoder == "naive-euler":
         fitted, failures = _naive_frames(z_est, x_est)

@@ -167,11 +167,16 @@ def _d3_two_spin_family() -> tuple:
     The fiducial spreads Schur weight sqrt(d_i/6) over the three invariant
     blocks of the two-qubit representation; per-block unit weights are the
     first basis column of each block (any choice works up to block phases).
+    Cached, so the block arrays, rep_matrices and the fiducial's amplitudes
+    are read-only.
     """
     group, _ = _d3()
     family = build_signal_family(group, 2)
     weights = [np.eye(block.shape[1])[0] for block in family.block_structure]
-    return family, schur_fiducial(family, weights), finite_group_optimum(family)
+    fiducial = schur_fiducial(family, weights)
+    for a in (*family.block_structure, *family.rep_matrices, fiducial.amplitudes):
+        a.flags.writeable = False
+    return family, fiducial, finite_group_optimum(family)
 
 
 @lru_cache(maxsize=1)

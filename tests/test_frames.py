@@ -100,6 +100,54 @@ def test_frame_stack_validates_every_row(bad_z, message):
         Frame(z_axis=z, x_axis=x, y_axis=y)
 
 
+# each Frame check in the order they are reported, and a fault that fails it
+# after every earlier check passes: (message, axis to change, faulty axis as
+# a function of the fault size a, the value the message names)
+_FRAME_CHECKS = [
+    (r"z_axis must be unit length, \|v\|", 0, lambda a: (1.0 + a) * np.eye(3)[2], lambda a: 1.0 + a),
+    (r"x_axis must be unit length, \|v\|", 1, lambda a: (1.0 + a) * np.eye(3)[0], lambda a: 1.0 + a),
+    (r"y_axis must be unit length, \|v\|", 2, lambda a: (1.0 + a) * np.eye(3)[1], lambda a: 1.0 + a),
+    (r"axes not orthogonal: \|z.x\|", 1, lambda a: np.array([math.cos(a), 0.0, math.sin(a)]), math.sin),
+    (r"axes not orthogonal: \|z.y\|", 2, lambda a: np.array([0.0, math.cos(a), math.sin(a)]), math.sin),
+    (r"axes not orthogonal: \|x.y\|", 2, lambda a: np.array([math.sin(a), math.cos(a), 0.0]), math.sin),
+    ("frame must be right-handed, x.y,z triple", 2, lambda a: -np.eye(3)[1], lambda a: -1.0),
+    (r"z_axis must be unit length, \|v\|", 0, lambda a: np.array([math.nan, 0.0, 1.0]), lambda a: math.nan),
+]
+
+
+def _message_value(err: pytest.ExceptionInfo) -> float:
+    return float(str(err.value).rsplit("= ", 1)[1])
+
+
+@pytest.mark.parametrize("n", [1, 128])
+@pytest.mark.parametrize("check", range(len(_FRAME_CHECKS)), ids=[
+    "z-norm", "x-norm", "y-norm", "zx-dot", "zy-dot", "xy-dot", "triple", "nan"
+])
+def test_each_frame_check_names_its_first_failing_row(check, n):
+    # the lab frame with one axis replaced fails exactly this check (and maybe
+    # later ones); in a stack, rows 40 and 90 carry the fault with different
+    # sizes, and row 10 fails only the last check, which is reported later
+    message, axis, faulty, value = _FRAME_CHECKS[check]
+    eye = np.eye(3)
+    if n == 1:
+        axes = [eye[2].copy(), eye[0].copy(), eye[1].copy()]
+        axes[axis] = faulty(0.25)
+    else:
+        axes = _frame_stack(n)
+        for row, a in ((40, 0.25), (90, 0.5)):
+            axes[0][row], axes[1][row], axes[2][row] = eye[2], eye[0], eye[1]
+            axes[axis][row] = faulty(a)
+        if check != 6:
+            axes[0][10], axes[1][10], axes[2][10] = eye[2], eye[0], -eye[1]
+    with pytest.raises(ValueError, match=f"^{message} = ") as err:
+        Frame(z_axis=axes[0], x_axis=axes[1], y_axis=axes[2])
+    got, want = _message_value(err), value(0.25)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
 def test_best_fit_stack_rejects_one_parallel_pair():
     frames = _frame_stack(5)
     z, x = frames[0].copy(), frames[1].copy()

@@ -25,7 +25,6 @@ GROUP, IRREPS = dihedral_d3()
 def test_d3_structure():
     GROUP.validate()
     assert GROUP.order == 6
-    assert GROUP.names == ("E", "A", "B", "C", "D", "F")
     assert tuple(tuple(sorted(cl)) for cl in GROUP.classes) == ((0,), (4, 5), (1, 2, 3))
     assert GROUP.inverse[0] == 0
     # flips are involutions, the two turns invert each other
@@ -213,9 +212,7 @@ def test_scaled_block_breaks_completeness():
 
 
 def test_from_table_derives_inverses_and_classes():
-    group = FiniteGroup.from_table(
-        GROUP.mult_table.tolist(), rotations=GROUP.element_rotations, names=GROUP.names
-    )
+    group = FiniteGroup.from_table(GROUP.mult_table.tolist(), rotations=GROUP.element_rotations)
     np.testing.assert_array_equal(group.mult_table, GROUP.mult_table)
     assert group.order == 6
     assert group.inverse == GROUP.inverse == (0, 1, 2, 3, 5, 4)
@@ -225,14 +222,13 @@ def test_from_table_derives_inverses_and_classes():
 
 def test_from_table_rejects_missing_inverse():
     with pytest.raises(ValueError, match="element 1 has no inverse"):
-        FiniteGroup.from_table([[0, 1], [1, 1]], rotations=GROUP.element_rotations[:2],
-                               names=("e", "a"))
+        FiniteGroup.from_table([[0, 1], [1, 1]], rotations=GROUP.element_rotations[:2])
 
 
 def test_validate_checks_rotation_consistency():
     # the table says A is an involution; a z-turn in its rotation row is not
     rotations = list(GROUP.element_rotations)
     rotations[1] = (0.3, 0.0, 0.0)
-    group = FiniteGroup.from_table(GROUP.mult_table, rotations=tuple(rotations), names=GROUP.names)
+    group = FiniteGroup.from_table(GROUP.mult_table, rotations=tuple(rotations))
     with pytest.raises(ValueError, match="rotations do not follow the table"):
         group.validate()

@@ -8,6 +8,7 @@ from spindir import harness
 from spindir.frames import (
     EulerAngles,
     Frame,
+    _cross,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
@@ -24,6 +25,7 @@ from spindir.harness import (
     _batches,
     _frame_batch,
     _naive_frames,
+    _noisy_units,
     _plurality,
     _quaternion_matrices,
     _tangent_basis,
@@ -59,6 +61,97 @@ def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) 
     """Tilt each unit row away by chi at the given tangent azimuth, with the
     tangent basis built for these rows: the tilt of a frame run."""
     return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
+
+
+def _quaternion_matrices_by_entry(q: np.ndarray) -> np.ndarray:
+    """The rotation matrices of quaternion rows (w, x, y, z), entry by entry:
+    the row-major form _quaternion_matrices must equal bit for bit."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((q.shape[0], 3, 3))
+    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    out[:, 0, 1] = 2 * (x * y - w * z)
+    out[:, 0, 2] = 2 * (x * z + w * y)
+    out[:, 1, 0] = 2 * (x * y + w * z)
+    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    out[:, 1, 2] = 2 * (y * z - w * x)
+    out[:, 2, 0] = 2 * (x * z - w * y)
+    out[:, 2, 1] = 2 * (y * z + w * x)
+    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
+
+
+def _tangent_basis_by_argmin(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tangent basis by a per-row argmin and norm: the form _tangent_basis
+    must equal bit for bit."""
+    rows = np.arange(units.shape[0])
+    idx = np.argmin(np.abs(units), axis=1)
+    smallest = units[rows, idx]
+    t1 = -units * smallest[:, None]
+    t1[rows, idx] += 1.0
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    return t1, _cross(units, t1)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray):
+    # array_equal, and the sign of every zero
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_EDGE_UNITS = np.array(
+    [
+        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+        [-0.0, 1.0, 0.0], [1.0, -0.0, -0.0], [-0.0, -0.0, -1.0],
+        [0.6, 0.8, 0.0], [0.6, -0.0, -0.8], [-0.0, 0.6, 0.8],
+        [0.5, 0.5, math.sqrt(0.5)], [0.5, math.sqrt(0.5), -0.5],
+        [math.sqrt(0.5), -0.5, 0.5], [-0.5, -0.5, -math.sqrt(0.5)],
+    ]
+    + [[s0 / math.sqrt(3.0), s1 / math.sqrt(3.0), s2 / math.sqrt(3.0)]
+       for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)]
+    + [[0.0, s1 / math.sqrt(2.0), s2 / math.sqrt(2.0)] for s1 in (1, -1) for s2 in (1, -1)]
+)
+
+_EDGE_QUATERNIONS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -0.0, -1.0],
+        [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [-2.0, 2.0, -2.0, 2.0],
+        [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -3.0, 3.0], [1e-150, 0.0, 0.0, 0.0],
+        [1e150, 1e150, 0.0, -0.0], [3.0, -4.0, 0.0, 12.0],
+    ]
+)
+
+
+class TestColumnKernels:
+    # the column forms of the tangent basis and the quaternion matrices are
+    # the same arithmetic as the per-row forms above, so every bit matches
+
+    @pytest.mark.parametrize("n", [1, 128, 8193])
+    def test_quaternion_matrices_match_entrywise_form(self, n):
+        q = np.random.default_rng(n).standard_normal((n, 4))
+        drawn = q.copy()
+        _assert_same_bits(_quaternion_matrices(q), _quaternion_matrices_by_entry(q))
+        _assert_same_bits(q, drawn)  # the input rows are not normalised in place
+
+    def test_quaternion_matrices_edge_rows(self):
+        q = _EDGE_QUATERNIONS
+        _assert_same_bits(_quaternion_matrices(q), _quaternion_matrices_by_entry(q))
+
+    @pytest.mark.parametrize("n", [1, 128, 8193])
+    def test_tangent_basis_matches_argmin_form(self, n):
+        units = sample_haar_direction(np.random.default_rng(n), size=n)
+        for got, want in zip(_tangent_basis(units), _tangent_basis_by_argmin(units)):
+            _assert_same_bits(got, want)
+
+    def test_tangent_basis_edge_rows(self):
+        # axis-aligned units, equal-|component| ties (argmin's first index
+        # wins) and negative zeros, as rows and as column views
+        for units in (_EDGE_UNITS, np.ascontiguousarray(_EDGE_UNITS.T).T):
+            for got, want in zip(_tangent_basis(units), _tangent_basis_by_argmin(units)):
+                _assert_same_bits(got, want)
 
 
 class TestRunConfig:
@@ -542,6 +635,25 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     return scores, cos_z, cos_x, failures
 
 
+def _frame_batch_per_axis(rng, take: int, density: ChiDensity, decoder: str):
+    """_frame_batch with the z and x rows tilted in separate passes, each with
+    its own tangent basis, as before they were stacked; the same draws in the
+    same order."""
+    true = sample_haar_frame(rng, take)
+    z_est, cos_z = _noisy_units(rng, density, true.z_axis, *_tangent_basis(true.z_axis))
+    x_est, cos_x = _noisy_units(rng, density, true.x_axis, *_tangent_basis(true.x_axis))
+    failures = 0
+    if decoder == "naive-euler":
+        fitted, failures = _naive_frames(z_est, x_est)
+    else:
+        fitted, _ = best_fit_frame(z_est, x_est)
+    return frame_infidelity(true, fitted), cos_z, cos_x, failures
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 class TestFrameBatchDecode:
     TAKE = 300
 
@@ -576,6 +688,22 @@ class TestFrameBatchDecode:
         if decoder == "naive-euler":
             assert failures > 0
             assert result.estimates["naive_failures"] == failures
+
+    @pytest.mark.parametrize("decoder", ["best-fit", "naive-euler"])
+    @pytest.mark.parametrize("encoding", ["optimal", "coherent"])
+    def test_stacked_pass_matches_per_axis_passes(self, encoding, decoder):
+        # one tangent basis and tilt over the stacked z and x rows gives the
+        # per-axis passes' scores, cos(chi) draws and clamp count bit for bit
+        failures = 0
+        for num_spins, take, seed in ((4, 1, 3), (4, 300, 22), (24, 257, 5)):
+            density = frame_two_axis_score(num_spins, encoding=encoding, fitter=decoder).chi
+            got = _frame_batch(_batch_rng(seed, 1), take, density, decoder)
+            want = _frame_batch_per_axis(_batch_rng(seed, 1), take, density, decoder)
+            for g, w in zip(got[:3], want[:3]):
+                assert _hex(g) == _hex(w)
+            assert got[3] == want[3]
+            failures += got[3]
+        assert (failures > 0) == (decoder == "naive-euler")
 
     def test_clamp_rows_decode_to_fallback_frame(self):
         # x at a pole and z tilted 0.1 off the equator gives

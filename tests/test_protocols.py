@@ -22,6 +22,7 @@ from spindir.protocols import (
     d3_two_spin_comparison,
     d3_two_spin_povm,
     frame_two_axis_score,
+    _d3_two_spin_family,
     _single_spin_numerators,
 )
 from spindir.spins import coherent_state
@@ -139,6 +140,17 @@ class TestSingleSpin:
             povm.operators[0, 0, 0] += 1.0
         assert build() is povm
         assert validate_povm(povm).passed
+
+    def test_cached_two_spin_family_is_read_only(self):
+        # every caller shares these arrays; a write would change the two-spin
+        # POVM, outcome matrix and score for the rest of the process
+        family, fiducial, _ = _d3_two_spin_family()
+        arrays = [*family.block_structure, *family.rep_matrices, fiducial.amplitudes]
+        assert len(arrays) == 3 + 6 + 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] += 1.0
+        assert _d3_two_spin_family()[0] is family
 
     def test_score_is_one_third(self):
         score = d3_single_spin_score()
