@@ -35,7 +35,6 @@ from .harness import (
 )
 from .multispin import (
     attainable_spins,
-    decompose_multispin,
     j_squared,
     total_j_projector,
     total_spin_ops,
@@ -53,7 +52,6 @@ from .optimize import (
 )
 from .povm import (
     Povm,
-    coarse_grain_povm,
     covariant_direction_povm,
     covariant_povm_finite,
     state_probabilities,
@@ -62,7 +60,6 @@ from .povm import (
 from .protocols import (
     ProtocolScore,
     ProtocolSpec,
-    d3_coherent_crossover,
     d3_coherent_score,
     d3_covariant_two_spin_score,
     d3_outcome_matrix,
@@ -72,24 +69,8 @@ from .protocols import (
     d3_two_spin_povm,
     frame_two_axis_score,
 )
-from .spins import (
-    coherent_state,
-    jx_matrix,
-    jy_matrix,
-    jz_matrix,
-    rotate_spin_state,
-    wigner_d_matrix,
-)
-from .states import (
-    ProductBasis,
-    SpinBasis,
-    SpinJ,
-    StateVector,
-    basis_state,
-    product_state,
-    spin_basis_state,
-    state_from_terms,
-)
+from .spins import coherent_states
+from .states import SpinJ
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

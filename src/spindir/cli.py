@@ -50,7 +50,8 @@ REPORT_COLUMNS = (
 )
 
 _INT_KEYS = ("num_spins", "trials", "seed")
-_KNOWN_KEYS = _INT_KEYS + ("kind", "encoding", "decoder", "tie_break", "output")
+_STR_KEYS = ("kind", "encoding", "decoder", "tie_break")
+_KNOWN_KEYS = _INT_KEYS + _STR_KEYS + ("output",)
 
 
 class _ExitStatus(Exception):
@@ -179,6 +180,8 @@ def load_settings(path: str) -> dict:
                     value = int(str(value), 10)
                 except ValueError:
                     raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            if key in _STR_KEYS and value is not None and not isinstance(value, str):
+                raise ValueError(f"{path}: {key} must be a string, got {value!r}")
             if key == "output" and value is not None and not (isinstance(value, str) and value):
                 raise ValueError(f"{path}: output must be a non-empty string, got {value!r}")
             settings[key] = value

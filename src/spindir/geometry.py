@@ -74,12 +74,6 @@ class Direction:
         c = float(np.dot(self.unit_vector, other.unit_vector))
         return min(1.0, max(-1.0, c))
 
-    def angle_to(self, other: "Direction") -> float:
-        return math.acos(self.cos_angle_to(other))
-
-    def antipode(self) -> "Direction":
-        return Direction(math.pi - self.theta, self.phi + math.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:
@@ -97,18 +91,8 @@ class SphereQuadrature:
     weights: np.ndarray = field(repr=False)  # (K,)
 
     @property
-    def size(self) -> int:
-        return self.weights.size
-
-    @property
     def max_exact_degree(self) -> int:
         return min(2 * self.n_theta - 1, self.n_phi - 1)
-
-    def integrate(self, values) -> float | complex:
-        values = np.asarray(values)
-        if values.shape[-1] != self.size:
-            raise ValueError("values do not match the node count")
-        return values @ self.weights
 
     def nodes(self) -> list[Direction]:
         return [Direction.from_vector(v) for v in self.unit_vectors]

@@ -6,8 +6,10 @@ decomposition, and the Schur-weighted fiducial whose group orbit forms a
 complete POVM.
 
 Element rotations are stored as zyz Euler angles (alpha, beta, gamma) in
-[0, 2pi), the same convention as rotate_spin_state; the SU(2) lift is composed
-directly from those angles, which pins the projective phase deterministically.
+[0, 2pi), the active rotation e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz};
+the SU(2) lift is composed directly from those angles, which pins the
+projective phase deterministically. States, fiducials included, are plain
+complex amplitude arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .geometry import TWO_PI, Direction
 from .multispin import tensor_power
-from .states import StateVector, ProductBasis
 
 MATCH_TOL = 1e-9
 BLOCK_CLUSTER_TOL = 1e-8
@@ -264,7 +265,7 @@ def build_signal_family(group: FiniteGroup, num_spins: int) -> SignalFamily:
                         block_structure=tuple(find_invariant_blocks(rep)))
 
 
-def schur_fiducial(family: SignalFamily, block_weights) -> StateVector:
+def schur_fiducial(family: SignalFamily, block_weights) -> np.ndarray:
     """Fiducial |B> = sum_i sqrt(d_i/|G|) basis_i w_i over the family's blocks.
 
     block_weights supplies one unit vector per block (in block coordinates).
@@ -278,8 +279,7 @@ def schur_fiducial(family: SignalFamily, block_weights) -> StateVector:
         raise ValueError("signal space contains repeated equivalent blocks")
     if len(block_weights) != len(blocks):
         raise ValueError(f"need one weight vector per block ({len(blocks)})")
-    dim = family.rep_matrices[0].shape[0]
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros(family.rep_matrices[0].shape[0], dtype=complex)
     for block, w in zip(blocks, block_weights):
         if w is None:
             raise ValueError("missing block direction")
@@ -289,5 +289,5 @@ def schur_fiducial(family: SignalFamily, block_weights) -> StateVector:
         if abs(np.linalg.norm(w) - 1.0) > 1e-9:
             raise ValueError("block weight vectors must be unit")
         amps += math.sqrt(block.shape[1] / family.group.order) * (block @ w)
-    return StateVector(basis=ProductBasis(num_qubits=int(math.log2(dim))), amplitudes=amps)
+    return amps
 

@@ -1,8 +1,8 @@
 """Total angular momentum on registers of spin-1/2 systems.
 
-Projectors onto total-spin-j eigenspaces of N qubits and block decomposition
-of register states. Dense matrices throughout; intended for small registers
-(N <= 12 or so).
+Collective spin operators and projectors onto the total-spin-j eigenspaces of
+N qubits; qubit k is bit k of the amplitude index. Dense matrices throughout;
+intended for small registers (N <= 12 or so).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spins import PAULI
-from .states import ProductBasis, SpinJ, StateVector
+from .states import SpinJ
 
 
 def op_on_qubit(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
@@ -76,20 +76,4 @@ def total_j_projector(num_qubits: int, j: SpinJ) -> np.ndarray:
         other = k.j * (k.j + 1)
         proj = proj @ (j2 - other * eye) / (target - other)
     return proj
-
-
-def decompose_multispin(state: StateVector) -> list[tuple[SpinJ, StateVector]]:
-    """Split a register state into its total-spin-j components.
-
-    Components are returned for every attainable j (descending), still expressed
-    in the product basis; they sum to the input and their squared norms sum to
-    the input's squared norm.
-    """
-    if not isinstance(state.basis, ProductBasis):
-        raise ValueError("expected a state over a qubit product basis")
-    out = []
-    for j in attainable_spins(state.basis.num_qubits):
-        comp = total_j_projector(state.basis.num_qubits, j) @ state.amplitudes
-        out.append((j, StateVector(state.basis, comp)))
-    return out
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SphereQuadrature
-from .spins import coherent_state
-from .states import SpinJ, StateVector
+from .spins import coherent_states
+from .states import SpinJ
 
 NEGATIVE_PROB_TOL = 1e-12
 POVM_TOL = 1e-10  # validate_povm's bound on completeness, positivity and hermiticity
@@ -71,13 +71,15 @@ def validate_povm(povm: Povm) -> PovmValidation:
     return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig)
 
 
-def state_probabilities(povm: Povm, state: StateVector) -> np.ndarray:
-    """Born probabilities <psi|E_k|psi>, clamped into [0, 1] after a
-    small-negative tolerance check; negatives beyond the tolerance raise."""
-    if povm.dim != state.dim:
-        raise ValueError("POVM and state dimensions differ")
-    psi = state.amplitudes
-    probs = np.real(np.vecdot(psi, povm.operators @ psi))
+def state_probabilities(povm: Povm, states: np.ndarray) -> np.ndarray:
+    """Born probabilities <psi_i|E_k|psi_i> of an (M, d) stack of states, as
+    an (M, K) array, clamped into [0, 1] after a small-negative tolerance
+    check; negatives beyond the tolerance raise."""
+    psi = np.asarray(states)
+    if psi.ndim != 2 or psi.shape[1] != povm.dim:
+        raise ValueError(f"states must be an (M, {povm.dim}) stack, got shape {psi.shape}")
+    images = (povm.operators[None] @ psi[:, None, :, None])[..., 0]  # (M, K, d): E_k psi_i
+    probs = np.real(np.vecdot(psi[:, None, :], images))
     if probs.min() < -NEGATIVE_PROB_TOL:
         raise ValueError(f"negative probability {probs.min():.3e} from a non-positive element")
     return np.minimum(1.0, np.maximum(0.0, probs))
@@ -88,7 +90,7 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
     return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
-def covariant_povm_finite(unitaries, fiducial: StateVector) -> Povm:
+def covariant_povm_finite(unitaries, fiducial: np.ndarray) -> Povm:
     """Orbit POVM E_g = U(g) |B><B| U(g)^dagger, labeled g, over a list of unitaries.
 
     The fiducial's normalization is the caller's responsibility (a Schur-weighted
@@ -96,9 +98,10 @@ def covariant_povm_finite(unitaries, fiducial: StateVector) -> Povm:
     not here.
     """
     unitaries = np.asarray(unitaries, dtype=complex)
-    if unitaries.shape[1:] != (fiducial.dim, fiducial.dim):
+    fiducial = np.asarray(fiducial)
+    if fiducial.ndim != 1 or unitaries.shape[1:] != (fiducial.size, fiducial.size):
         raise ValueError("unitary and fiducial dimensions differ")
-    return Povm(_projectors(unitaries @ fiducial.amplitudes), range(len(unitaries)))
+    return Povm(_projectors(unitaries @ fiducial), range(len(unitaries)))
 
 
 def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
@@ -114,24 +117,8 @@ def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
             f"quadrature exact to degree {quad.max_exact_degree} cannot resolve 2j={j.twice_j}; "
             f"need 2*n_theta - 1 and n_phi - 1 both >= {j.twice_j}"
         )
-    vecs = np.array([coherent_state(j, node).amplitudes for node in quad.nodes()])
+    nodes = quad.nodes()
+    vecs = coherent_states(j, [n.theta for n in nodes], [n.phi for n in nodes])
     weights = quad.weights * ((j.twice_j + 1) / (4.0 * math.pi))
     return Povm(weights[:, None, None] * _projectors(vecs), range(len(vecs)))
 
-
-def coarse_grain_povm(povm: Povm, decode) -> Povm:
-    """Group outcomes under a label-to-symbol map (dict or callable).
-
-    Probabilities commute with grouping exactly: the element of a symbol is the
-    sum of the elements mapped to it, added in label order. Symbols keep the
-    order in which they first appear. Every label must be covered.
-    """
-    mapping = {label: decode(label) for label in povm.labels} if callable(decode) else dict(decode)
-    for label in povm.labels:
-        if label not in mapping:
-            raise ValueError(f"decode map does not cover label {label!r}")
-    symbols = [mapping[label] for label in povm.labels]
-    index = {symbol: k for k, symbol in enumerate(dict.fromkeys(symbols))}
-    sums = np.zeros((len(index), povm.dim, povm.dim), dtype=complex)
-    np.add.at(sums, [index[symbol] for symbol in symbols], povm.operators)
-    return Povm(sums, tuple(index))

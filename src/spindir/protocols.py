@@ -26,8 +26,8 @@ from .optimize import (
     optimal_direction_encoding,
 )
 from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
-from .spins import SpinJ, coherent_state
-from .states import StateVector, is_integer
+from .spins import coherent_states
+from .states import SpinJ, is_integer
 
 PROTOCOL_KINDS = (
     "d3-single",
@@ -138,7 +138,13 @@ def _element_to_direction() -> tuple:
     return tuple(out)
 
 
-def _direction_orbit_povm(unitaries, fiducial: StateVector, what: str) -> Povm:
+def _d3_spinors() -> np.ndarray:
+    """Spin-1/2 coherent states along the six directions, one row each."""
+    dirs = d3_directions()
+    return coherent_states(SpinJ(1), [d.theta for d in dirs], [d.phi for d in dirs])
+
+
+def _direction_orbit_povm(unitaries, fiducial: np.ndarray, what: str) -> Povm:
     """Orbit POVM of the fiducial under the D3 unitaries, its elements
     ordered by the direction label of each group element, validated."""
     order = np.argsort(_element_to_direction())
@@ -153,11 +159,8 @@ def d3_single_spin_povm() -> Povm:
     """Covariant one-spin POVM: orbit of sqrt(1/3) times the spin-1/2 coherent
     state along direction 0.  Outcome labels are direction indices."""
     group, _ = _d3()
-    dirs = d3_directions()
-    fid = coherent_state(SpinJ(1), dirs[0])
-    fid = StateVector(basis=fid.basis, amplitudes=fid.amplitudes / math.sqrt(3.0))
     unitaries = [group.su2_matrix(g) for g in range(group.order)]
-    return _direction_orbit_povm(unitaries, fid, "one-spin")
+    return _direction_orbit_povm(unitaries, _d3_spinors()[0] / math.sqrt(3.0), "one-spin")
 
 
 @lru_cache(maxsize=1)
@@ -167,14 +170,13 @@ def _d3_two_spin_family() -> tuple:
     The fiducial spreads Schur weight sqrt(d_i/6) over the three invariant
     blocks of the two-qubit representation; per-block unit weights are the
     first basis column of each block (any choice works up to block phases).
-    Cached, so the block arrays, rep_matrices and the fiducial's amplitudes
-    are read-only.
+    Cached, so the block arrays, rep_matrices and the fiducial are read-only.
     """
     group, _ = _d3()
     family = build_signal_family(group, 2)
     weights = [np.eye(block.shape[1])[0] for block in family.block_structure]
     fiducial = schur_fiducial(family, weights)
-    for a in (*family.block_structure, *family.rep_matrices, fiducial.amplitudes):
+    for a in (*family.block_structure, *family.rep_matrices, fiducial):
         a.flags.writeable = False
     return family, fiducial, finite_group_optimum(family)
 
@@ -193,20 +195,17 @@ def d3_outcome_matrix(num_spins: int) -> np.ndarray:
     read-only."""
     if num_spins == 1:
         povm = d3_single_spin_povm()
-        dirs = d3_directions()
-        signals = {i: coherent_state(SpinJ(1), d) for i, d in enumerate(dirs)}
+        signals = _d3_spinors()
     elif num_spins == 2:
         povm = d3_two_spin_povm()
         family, fid, _ = _d3_two_spin_family()
-        e2d = _element_to_direction()
-        norm = fid.norm()
-        signals = {
-            e2d[g]: StateVector(basis=fid.basis, amplitudes=u @ fid.amplitudes / norm)
-            for g, u in enumerate(family.rep_matrices)
-        }
+        norm = float(np.linalg.norm(fid))
+        # row i is the orbit state of the element that sends direction 0 to i
+        order = np.argsort(_element_to_direction())
+        signals = np.array([family.rep_matrices[g] @ fid / norm for g in order])
     else:
         raise ValueError("outcome matrices exist for the 1- and 2-spin strategies")
-    matrix = np.array([state_probabilities(povm, signals[i]) for i in range(6)])
+    matrix = state_probabilities(povm, signals)
     matrix.flags.writeable = False
     return matrix
 
@@ -313,30 +312,6 @@ def d3_coherent_score(num_spins: int) -> ProtocolScore:
     return _score(1.0 - d3_coherent_error(SpinJ(num_spins)), "quadrature")
 
 
-def d3_coherent_crossover(max_spins: int = 24) -> int:
-    """Smallest N at which the coherent strategy beats the two-spin covariant
-    optimum, checked to stay ahead through max_spins."""
-    target = d3_covariant_two_spin_score().fidelity
-    crossover = None
-    for n in range(1, max_spins + 1):
-        f = d3_coherent_score(n).fidelity
-        if crossover is None and f > target:
-            crossover = n
-        elif crossover is not None and f <= target:
-            raise RuntimeError(
-                f"coherent fidelity dips back below the covariant optimum at N={n}"
-            )
-    if crossover is None:
-        raise RuntimeError(f"no crossover found up to N={max_spins}")
-    return crossover
-
-
-def d3_two_spin_comparison() -> tuple:
-    """(coherent at N=2, covariant optimum); the ordering is reported, not
-    presumed."""
-    return d3_coherent_score(2), d3_covariant_two_spin_score()
-
-
 @dataclass(frozen=True)
 class FrameTwoAxisProtocol:
     """Composed two-axis frame protocol: what each axis carries and how the
@@ -353,10 +328,6 @@ class FrameTwoAxisProtocol:
     axis_code: DirectionCode
     chi: ChiDensity
     expected_per_axis_infidelity: float
-
-    @property
-    def per_axis_spins(self) -> int:
-        return self.num_spins // 2
 
 
 def frame_two_axis_score(

@@ -1,0 +1,44 @@
+"""Test oracles and fixture states, as plain complex arrays.
+
+Spin-j amplitudes are ordered m = j down to -j. On an N-qubit register the
+leftmost symbol of a ket string like "001" is qubit 0, and qubit k is bit k of
+the amplitude index, as in spindir.multispin.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+from spindir.spins import coherent_states
+
+
+def coherent(j, directions) -> np.ndarray:
+    """coherent_states along a list of Directions, one row each."""
+    return coherent_states(j, [d.theta for d in directions], [d.phi for d in directions])
+
+
+def spin_matrices(j) -> tuple:
+    """(Jx, Jy, Jz) of one spin-j multiplet, built from J+ entry by entry."""
+    m = (j.twice_j - 2 * np.arange(j.dim)) / 2.0
+    # J+|j, m> = sqrt(j(j+1) - m(m+1)) |j, m+1>, one row up in descending order
+    jp = np.diag(np.sqrt(j.j * (j.j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    return 0.5 * (jp + jp.conj().T), -0.5j * (jp - jp.conj().T), np.diag(m).astype(complex)
+
+
+def state_from_terms(num_qubits: int, terms: dict) -> np.ndarray:
+    """Superposition from {bit string: amplitude} terms (not normalized)."""
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    for bits, coeff in terms.items():
+        amps[sum(int(b) << k for k, b in enumerate(bits))] += coeff
+    return amps
+
+
+def basis_state(bits: str) -> np.ndarray:
+    """Computational basis ket from a bit string, e.g. basis_state("001")."""
+    return state_from_terms(len(bits), {bits: 1.0})
+
+
+def product_state(factors) -> np.ndarray:
+    """Tensor product of single-qubit amplitude pairs, factor k on qubit k."""
+    # qubit k is bit k of the index, so numpy's MSB-first kron runs backwards
+    return reduce(np.kron, [np.asarray(f, dtype=complex) for f in reversed(factors)])

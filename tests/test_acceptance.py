@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from spin_fixtures import basis_state, coherent, product_state, state_from_terms
 from spindir.frames import axes_to_euler, euler_to_axes
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.harness import (
@@ -34,9 +35,9 @@ from spindir.harness import (
     sample_haar_direction,
     sample_haar_rotation,
 )
-from spindir.multispin import attainable_spins, decompose_multispin, total_j_projector
+from spindir.multispin import attainable_spins, total_j_projector
 from spindir.optimize import chi_density, optimal_direction_encoding
-from spindir.povm import coarse_grain_povm, covariant_direction_povm, validate_povm
+from spindir.povm import Povm, covariant_direction_povm, validate_povm
 from spindir.protocols import (
     ProtocolSpec,
     d3_coherent_score,
@@ -46,8 +47,7 @@ from spindir.protocols import (
     d3_single_spin_povm,
     d3_two_spin_povm,
 )
-from spindir.spins import coherent_state
-from spindir.states import SpinJ, basis_state, product_state, state_from_terms
+from spindir.states import SpinJ
 
 THIRD = 1.0 / 3.0
 OPT_SINGLE_AXIS = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0  # infidelity (1 - 1/sqrt(3))/2
@@ -151,9 +151,8 @@ def test_criterion_04_coherent_overlap_law(report):
         j = SpinJ(tj)
         for d1, d2 in pairs:
             # build the actual states; the closed form is the thing under test
-            a = coherent_state(j, d1)
-            b = coherent_state(j, d2)
-            overlap = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            a, b = coherent(j, [d1, d2])
+            overlap = abs(np.vdot(a, b)) ** 2
             u = 0.5 * (1.0 + d1.cos_angle_to(d2))  # cos^2(chi/2)
             worst = max(worst, abs(overlap - u**tj))
     elapsed = time.perf_counter() - t0
@@ -343,7 +342,7 @@ def test_criterion_10_property_sweeps(report):
         covariant_direction_povm(SpinJ(8), sphere_quadrature(10, 19)),
     ]
     povms.append(
-        coarse_grain_povm(povms[3], lambda label: 0)  # merge-all keeps completeness
+        Povm(povms[3].operators.sum(axis=0)[None], (0,))  # merge-all keeps completeness
     )
     povm_ok = all(validate_povm(p).passed for p in povms)
 
@@ -362,21 +361,19 @@ def test_criterion_10_property_sweeps(report):
     # four fixture states under the total-spin decomposition
     fix_resid = 0.0
     v = basis_state("001")
-    p32 = total_j_projector(3, SpinJ(3)) @ v.amplitudes
+    p32 = total_j_projector(3, SpinJ(3)) @ v
     sym = state_from_terms(3, {"001": 1 / 3, "010": 1 / 3, "100": 1 / 3})
-    fix_resid = max(fix_resid, float(np.max(np.abs(p32 - sym.amplitudes))))
+    fix_resid = max(fix_resid, float(np.max(np.abs(p32 - sym))))
     rem = state_from_terms(3, {"001": 2 / 3, "010": -1 / 3, "100": -1 / 3})
-    fix_resid = max(fix_resid, float(np.max(np.abs((v.amplitudes - p32) - rem.amplitudes))))
+    fix_resid = max(fix_resid, float(np.max(np.abs((v - p32) - rem))))
     w = basis_state("01")
-    p0 = total_j_projector(2, SpinJ(0)) @ w.amplitudes
+    p0 = total_j_projector(2, SpinJ(0)) @ w
     singlet = state_from_terms(2, {"01": 0.5, "10": -0.5})
-    fix_resid = max(fix_resid, float(np.max(np.abs(p0 - singlet.amplitudes))))
+    fix_resid = max(fix_resid, float(np.max(np.abs(p0 - singlet))))
     rt = 1 / math.sqrt(2)
     signal = product_state([[1, 0], [0, 1], [rt, rt], [rt, -rt]])
-    norms = [
-        float(np.vdot(c.amplitudes, c.amplitudes).real)
-        for _, c in decompose_multispin(signal)
-    ]
+    components = [total_j_projector(4, j) @ signal for j in attainable_spins(4)]
+    norms = [float(np.vdot(c, c).real) for c in components]
     fix_resid = max(
         fix_resid, float(np.max(np.abs(np.array(norms) - [1 / 8, 5 / 8, 1 / 4])))
     )

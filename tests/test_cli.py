@@ -262,6 +262,21 @@ class TestSimulate:
         assert err.startswith(f"error: {cfg}: output must be a non-empty string")
         assert out == ""
 
+    @pytest.mark.parametrize("value", [False, 0, [], {}], ids=["false", "0", "list", "object"])
+    @pytest.mark.parametrize("key", ["kind", "encoding", "decoder", "tie_break"])
+    def test_text_setting_must_be_a_string(self, capsys, tmp_path, key, value):
+        # a falsy non-string fell back to the default: "encoding": false ran coherent
+        cfg = tmp_path / "run.json"
+        protocol = {"kind": "d3-single", "num_spins": 1, key: value}
+        cfg.write_text(json.dumps({"protocol": protocol, "run": {"trials": 10, "seed": 1}}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: {key} must be a string, got {value!r}")
+        assert not out_dir.exists()
+
     def test_missing_required_settings(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "d3-single")
         assert code == 1

@@ -105,26 +105,23 @@ def test_angles_between_directions():
     z = Direction(0.0, 0.0)
     x = Direction(math.pi / 2, 0.0)
     assert z.cos_angle_to(x) == pytest.approx(0.0, abs=1e-15)
-    assert z.angle_to(x) == pytest.approx(math.pi / 2)
-    anti = z.antipode()
-    assert z.cos_angle_to(anti) == pytest.approx(-1.0)
-    assert anti.theta == pytest.approx(math.pi)
+    assert z.cos_angle_to(Direction(math.pi, 0.0)) == pytest.approx(-1.0)
 
 
 def test_quadrature_weights_positive_sum_4pi():
     quad = sphere_quadrature(6, 13)
     assert np.all(quad.weights > 0)
     assert float(np.sum(quad.weights)) == pytest.approx(FOUR_PI, abs=1e-10)
-    assert quad.size == 6 * 13
+    assert quad.weights.size == 6 * 13
     assert quad.max_exact_degree == min(2 * 6 - 1, 13 - 1)
 
 
 def test_quadrature_integrates_constants_and_moments():
     quad = sphere_quadrature(8, 17)
-    ones = np.ones(quad.size)
-    assert quad.integrate(ones) == pytest.approx(FOUR_PI, abs=1e-12)
+    ones = np.ones(quad.weights.size)
+    assert ones @ quad.weights == pytest.approx(FOUR_PI, abs=1e-12)
     cos2 = quad.unit_vectors[:, 2] ** 2
-    assert quad.integrate(cos2) == pytest.approx(FOUR_PI / 3.0, abs=1e-12)
+    assert cos2 @ quad.weights == pytest.approx(FOUR_PI / 3.0, abs=1e-12)
 
 
 def test_quadrature_polynomial_exactness():
@@ -134,10 +131,10 @@ def test_quadrature_polynomial_exactness():
     z = quad.unit_vectors[:, 2]
     for k in range(deg + 1):
         analytic = 0.0 if k % 2 else FOUR_PI / (k + 1.0)
-        assert quad.integrate(z**k) == pytest.approx(analytic, abs=1e-12)
+        assert z**k @ quad.weights == pytest.approx(analytic, abs=1e-12)
     phi = np.arctan2(quad.unit_vectors[:, 1], quad.unit_vectors[:, 0])
     for m in range(1, deg + 1):
-        assert abs(quad.integrate(np.exp(1j * m * phi))) < 1e-10
+        assert abs(np.exp(1j * m * phi) @ quad.weights) < 1e-10
 
 
 def test_quadrature_overlap_kernel_normalization():
@@ -148,7 +145,7 @@ def test_quadrature_overlap_kernel_normalization():
         quad = sphere_quadrature(need // 2 + 1, need + 1)
         u = 0.5 * (1.0 + quad.unit_vectors @ center)
         kernel = (twice_j + 1) / FOUR_PI * u**twice_j
-        assert quad.integrate(kernel) == pytest.approx(1.0, abs=1e-10)
+        assert kernel @ quad.weights == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quadrature_rejects_empty():
@@ -158,15 +155,9 @@ def test_quadrature_rejects_empty():
         sphere_quadrature(5, 0)
 
 
-def test_integrate_shape_checked():
-    quad = sphere_quadrature(3, 5)
-    with pytest.raises(ValueError):
-        quad.integrate(np.ones(7))
-
-
 def test_nodes_match_unit_vectors():
     quad = sphere_quadrature(3, 5)
     nodes = quad.nodes()
-    assert len(nodes) == quad.size
+    assert len(nodes) == quad.weights.size
     stacked = np.array([n.unit_vector for n in nodes])
     np.testing.assert_allclose(stacked, quad.unit_vectors, atol=1e-12)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from spin_fixtures import coherent
+from spindir.geometry import Direction
 from spindir.groups import (
     FiniteGroup,
     block_characters,
@@ -16,8 +18,7 @@ from spindir.groups import (
     schur_fiducial,
 )
 from spindir.povm import covariant_povm_finite, validate_povm
-from spindir.spins import coherent_state
-from spindir.states import ProductBasis, SpinJ, StateVector
+from spindir.states import SpinJ
 
 GROUP, IRREPS = dihedral_d3()
 
@@ -100,13 +101,11 @@ def test_one_spin_orbit_is_coherent_spinors():
     # of the rotated direction, up to phase
     j = SpinJ(1)
     n0 = d3_directions()[0]
-    fid = coherent_state(j, n0).amplitudes
+    fid = coherent(j, [n0])[0]
     for g in range(6):
         rotated = GROUP.su2_matrix(g) @ fid
         image = GROUP.rotation_matrix(g) @ n0.unit_vector
-        from spindir.geometry import Direction
-
-        target = coherent_state(j, Direction.from_vector(image)).amplitudes
+        target = coherent(j, [Direction.from_vector(image)])[0]
         assert abs(np.vdot(target, rotated)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -173,11 +172,11 @@ def test_schur_fiducial_norms_and_completeness():
     fid = schur_fiducial(family, weights)
     # block projections carry norm sqrt(d_i/6)
     for block in family.block_structure:
-        proj = block.conj().T @ fid.amplitudes
+        proj = block.conj().T @ fid
         assert np.linalg.norm(proj) == pytest.approx(
             math.sqrt(block.shape[1] / 6.0), abs=1e-12
         )
-    assert fid.norm() == pytest.approx(math.sqrt(4.0 / 6.0), abs=1e-12)
+    assert np.linalg.norm(fid) == pytest.approx(math.sqrt(4.0 / 6.0), abs=1e-12)
     povm = covariant_povm_finite(family.rep_matrices, fid)
     report = validate_povm(povm)
     assert report.passed
@@ -206,8 +205,7 @@ def test_scaled_block_breaks_completeness():
         if k == 0:
             coeff *= 1.5
         amps += coeff * (block @ w)
-    fid = StateVector(basis=ProductBasis(num_qubits=2), amplitudes=amps)
-    povm = covariant_povm_finite(family.rep_matrices, fid)
+    povm = covariant_povm_finite(family.rep_matrices, amps)
     assert not validate_povm(povm).passed
 
 

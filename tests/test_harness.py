@@ -278,7 +278,7 @@ class TestSamplers:
         a, b = _perturb_units(
             np.tile(base, (2, 1)), np.full(2, math.cos(0.5)), np.array([0.0, math.pi / 2.0])
         )
-        assert Direction.from_vector(a).angle_to(Direction.from_vector(b)) > 0.1
+        assert Direction.from_vector(a).cos_angle_to(Direction.from_vector(b)) < math.cos(0.1)
 
 
 class TestAccumulator:

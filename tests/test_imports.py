@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package module imports is used by that module, and every
+top-level function and class is named by code other than its own definition."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spindir"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 # (module file, name) pairs imported only to be read from outside the module
 REEXPORTS = {
@@ -31,9 +34,51 @@ def unused_imports(path: Path) -> list:
     )
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path) == []
+
+
+def names_in(tree, skip=frozenset()) -> set:
+    """Names a tree reads: ast.Name ids, ast.Attribute attrs and import aliases."""
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update((node.asname or node.name, node.name.split(".")[-1]))
+    return out
+
+
+def is_click_command(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def never_named() -> list:
+    """Top-level functions and classes of the package that no package module
+    (outside the definition itself) and no perfbench script names."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in [*MODULES, *sorted(PERFBENCH.glob("*.py"))]}
+    named = {p: names_in(tree) for p, tree in trees.items()}
+    missing = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or is_click_command(node):
+                continue
+            if any(node.name in names for p, names in named.items() if p != path):
+                continue
+            if node.name not in names_in(trees[path], skip=set(ast.walk(node))):
+                missing.append(f"{path.name}:{node.name}")
+    return missing
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # tests alone do not keep a helper in the package: code no command,
+    # protocol or benchmark reaches belongs under tests/ or nowhere
+    assert never_named() == []
 

@@ -1,26 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
-from spindir.geometry import Direction
+from spin_fixtures import basis_state, product_state, state_from_terms
 from spindir.groups import dihedral_d3, lift_to_qubits
 from spindir.multispin import (
     attainable_spins,
-    decompose_multispin,
     j_squared,
     total_j_projector,
     total_spin_ops,
 )
-from spindir.spins import coherent_state
-from spindir.states import (
-    ProductBasis,
-    SpinJ,
-    StateVector,
-    basis_state,
-    product_state,
-    state_from_terms,
-)
+from spindir.states import SpinJ
 
 
 def test_attainable_spins():
@@ -69,12 +58,12 @@ def test_three_spin_fixture_vectors():
     state = basis_state("001")
     p_high = total_j_projector(3, SpinJ(3))
     p_low = total_j_projector(3, SpinJ(1))
-    high = p_high @ state.amplitudes
-    low = p_low @ state.amplitudes
+    high = p_high @ state
+    low = p_low @ state
     expected_high = state_from_terms(3, {"001": 1 / 3, "010": 1 / 3, "100": 1 / 3})
     expected_low = state_from_terms(3, {"001": 2 / 3, "010": -1 / 3, "100": -1 / 3})
-    np.testing.assert_allclose(high, expected_high.amplitudes, atol=1e-10)
-    np.testing.assert_allclose(low, expected_low.amplitudes, atol=1e-10)
+    np.testing.assert_allclose(high, expected_high, atol=1e-10)
+    np.testing.assert_allclose(low, expected_low, atol=1e-10)
     assert np.vdot(high, high).real == pytest.approx(1 / 3, abs=1e-12)
     assert np.vdot(low, low).real == pytest.approx(2 / 3, abs=1e-12)
 
@@ -83,59 +72,7 @@ def test_two_spin_singlet_fixture():
     state = basis_state("01")
     p0 = total_j_projector(2, SpinJ(0))
     expected = state_from_terms(2, {"01": 0.5, "10": -0.5})
-    np.testing.assert_allclose(p0 @ state.amplitudes, expected.amplitudes, atol=1e-12)
-
-
-def test_decompose_three_spin():
-    parts = decompose_multispin(basis_state("001"))
-    assert [j.j for j, _ in parts] == [1.5, 0.5]
-    norms = [float(np.vdot(c.amplitudes, c.amplitudes).real) for _, c in parts]
-    assert norms[0] == pytest.approx(1 / 3, abs=1e-12)
-    assert norms[1] == pytest.approx(2 / 3, abs=1e-12)
-
-
-def test_decompose_four_spin_signal():
-    # two opposite spins along z and two opposite spins along x
-    up = [1.0, 0.0]
-    dn = [0.0, 1.0]
-    px = [1 / math.sqrt(2), 1 / math.sqrt(2)]
-    mx = [1 / math.sqrt(2), -1 / math.sqrt(2)]
-    signal = product_state([up, dn, px, mx])
-    parts = decompose_multispin(signal)
-    assert [j.j for j, _ in parts] == [2.0, 1.0, 0.0]
-    norms = [float(np.vdot(c.amplitudes, c.amplitudes).real) for _, c in parts]
-    np.testing.assert_allclose(norms, [1 / 8, 5 / 8, 1 / 4], atol=1e-10)
-    assert sum(norms) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_decompose_sums_to_input_and_orthogonal():
-    rng = np.random.default_rng(31)
-    amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(ProductBasis(4), amps)
-    parts = decompose_multispin(state)
-    recon = sum(c.amplitudes for _, c in parts)
-    np.testing.assert_allclose(recon, amps, atol=1e-12)
-    for k, (_, a) in enumerate(parts):
-        for _, b in parts[k + 1 :]:
-            assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-10
-
-
-def test_decompose_coherent_product_is_pure_top_block():
-    n = 4
-    d = Direction(0.0, 0.0)
-    single = coherent_state(SpinJ(1), d).amplitudes
-    state = product_state([single] * n)
-    parts = decompose_multispin(state)
-    norms = {j.j: float(np.vdot(c.amplitudes, c.amplitudes).real) for j, c in parts}
-    assert norms[n / 2] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_decompose_requires_product_basis():
-    from spindir.states import spin_basis_state
-
-    with pytest.raises(ValueError):
-        decompose_multispin(spin_basis_state(SpinJ(2), 0.0))
+    np.testing.assert_allclose(p0 @ state, expected, atol=1e-12)
 
 
 def test_lift_rotation_acts_per_qubit():
@@ -147,8 +84,8 @@ def test_lift_rotation_acts_per_qubit():
     for g, lifted in enumerate(lift_to_qubits(group, 3)):
         u = group.su2_matrix(g)
         rotated = product_state([u @ s for s in singles])
-        direct = lifted @ product_state(singles).amplitudes
-        np.testing.assert_allclose(direct, rotated.amplitudes, atol=1e-12)
+        direct = lifted @ product_state(singles)
+        np.testing.assert_allclose(direct, rotated, atol=1e-12)
 
 
 def test_lift_rotation_commutes_with_projectors():

@@ -345,7 +345,7 @@ class TestSixDirectionDecoding:
     def test_default_grid_phi_count(self):
         quad = _d3_grid(SpinJ(4))
         # 6 even thetas x 15 azimuths (first count with 2n-1 >= 10, 15 = 3 mod 6)
-        assert quad.size == 6 * 15
+        assert quad.weights.size == 6 * 15
 
     def test_default_grid_rejects_bad_scale(self):
         with pytest.raises(ValueError):

@@ -5,21 +5,20 @@ import pytest
 
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.groups import d3_directions, dihedral_d3
+from spin_fixtures import coherent
 from spindir.povm import (
     Povm,
-    coarse_grain_povm,
     covariant_direction_povm,
     covariant_povm_finite,
     state_probabilities,
     validate_povm,
 )
-from spindir.spins import coherent_state
-from spindir.states import SpinBasis, SpinJ, StateVector
+from spindir.states import SpinJ
 
 
 def six_direction_povm() -> Povm:
     # E_m = (1 + m.sigma)/6 realized as (1/3)|n_m><n_m| on spin 1/2
-    vecs = np.array([coherent_state(SpinJ(1), d).amplitudes for d in d3_directions()])
+    vecs = coherent(SpinJ(1), d3_directions())
     return Povm(vecs[:, :, None] * vecs.conj()[:, None, :] / 3.0, range(6))
 
 
@@ -80,8 +79,7 @@ def test_outcome_probability_six_directions():
     povm = six_direction_povm()
     dirs = d3_directions()
     n = dirs[0]
-    state = coherent_state(SpinJ(1), n)
-    probs = state_probabilities(povm, state)
+    probs = state_probabilities(povm, coherent(SpinJ(1), [n]))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     for k, d in enumerate(dirs):
         expected = (1.0 + n.cos_angle_to(d)) / 6.0
@@ -91,30 +89,31 @@ def test_outcome_probability_six_directions():
 
 
 def test_outcome_probability_identity_element():
-    state = coherent_state(SpinJ(3), Direction(0.5, 1.0))
+    state = coherent(SpinJ(3), [Direction(0.5, 1.0)])
     ident = Povm(np.eye(4)[None], ("all",))
-    assert state_probabilities(ident, state)[0] == pytest.approx(1.0, abs=1e-12)
+    assert state_probabilities(ident, state)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_probability_clamps_rounding():
-    state = coherent_state(SpinJ(1), Direction(0.0, 0.0))
+    state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
     tiny = Povm(-1e-14 * np.eye(2)[None], (0,))
-    assert state_probabilities(tiny, state)[0] == 0.0
+    assert state_probabilities(tiny, state)[0, 0] == 0.0
     large_negative = Povm(-1e-6 * np.eye(2)[None], (0,))
     with pytest.raises(ValueError, match="negative probability"):
         state_probabilities(large_negative, state)
 
 
 def test_outcome_probability_dimension_mismatch():
-    state = coherent_state(SpinJ(1), Direction(0.0, 0.0))
+    state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
     with pytest.raises(ValueError):
         state_probabilities(Povm(np.eye(3)[None], (0,)), state)
+    with pytest.raises(ValueError):  # one state is a stack of one, not a (d,) vector
+        state_probabilities(Povm(np.eye(2)[None], (0,)), state[0])
 
 
 def test_covariant_povm_finite_six_rank_one_elements():
     group, _ = dihedral_d3()
-    fid = coherent_state(SpinJ(1), d3_directions()[0])
-    fid = StateVector(fid.basis, fid.amplitudes / math.sqrt(3.0))
+    fid = coherent(SpinJ(1), d3_directions()[:1])[0] / math.sqrt(3.0)
     povm = covariant_povm_finite([group.su2_matrix(g) for g in range(6)], fid)
     assert povm.operators.shape == (6, 2, 2)
     for op in povm.operators:
@@ -124,14 +123,14 @@ def test_covariant_povm_finite_six_rank_one_elements():
 
 
 def test_covariant_povm_finite_rejects_mismatched_unitaries():
-    fid = coherent_state(SpinJ(1), d3_directions()[0])
+    fid = coherent(SpinJ(1), d3_directions()[:1])[0]
     with pytest.raises(ValueError, match="dimensions differ"):
         covariant_povm_finite([np.eye(3)], fid)
 
 
 def test_covariant_povm_wrong_norm_fails_validation():
     group, _ = dihedral_d3()
-    fid = coherent_state(SpinJ(1), d3_directions()[0])  # unit norm, not 1/sqrt(3)
+    fid = coherent(SpinJ(1), d3_directions()[:1])[0]  # unit norm, not 1/sqrt(3)
     povm = covariant_povm_finite([group.su2_matrix(g) for g in range(6)], fid)
     assert not validate_povm(povm).passed
 
@@ -155,8 +154,7 @@ def test_direction_povm_probabilities_follow_overlap_law():
     quad = sphere_quadrature(6, 11)
     povm = covariant_direction_povm(j, quad)
     signal_dir = Direction(0.8, 0.3)
-    signal = coherent_state(j, signal_dir)
-    probs = state_probabilities(povm, signal)
+    probs = state_probabilities(povm, coherent(j, [signal_dir]))[0]
     cos_chi = quad.unit_vectors @ signal_dir.unit_vector
     u = 0.5 * (1.0 + cos_chi)
     expected = quad.weights * (j.twice_j + 1) / (4.0 * math.pi) * u**j.twice_j
@@ -170,51 +168,8 @@ def test_born_probabilities_sum_to_one_random_states():
     povm = covariant_direction_povm(j, sphere_quadrature(4, 7))
     for _ in range(10):
         a = rng.standard_normal(j.dim) + 1j * rng.standard_normal(j.dim)
-        state = StateVector(SpinBasis(j), a / np.linalg.norm(a))
+        state = (a / np.linalg.norm(a))[None]
         assert state_probabilities(povm, state).sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_coarse_grain_identity_decode():
-    povm = six_direction_povm()
-    same = coarse_grain_povm(povm, {k: k for k in range(6)})
-    assert same.labels == povm.labels
-    np.testing.assert_allclose(same.operators, povm.operators, atol=1e-15)
-
-
-def test_coarse_grain_all_to_one():
-    povm = six_direction_povm()
-    merged = coarse_grain_povm(povm, lambda k: "any")
-    assert merged.labels == ("any",)
-    np.testing.assert_allclose(merged.operators[0], np.eye(2), atol=1e-12)
-
-
-def test_coarse_grain_requires_total_decode():
-    povm = six_direction_povm()
-    with pytest.raises(ValueError):
-        coarse_grain_povm(povm, {0: "a"})
-
-
-def test_coarse_grain_commutes_with_probability():
-    # nearest-of-six decoding of a fine quadrature measurement
-    j = SpinJ(1)
-    quad = sphere_quadrature(6, 11)
-    povm = covariant_direction_povm(j, quad)
-    targets = np.array([d.unit_vector for d in d3_directions()])
-    nodes = quad.unit_vectors
-
-    def nearest(k):
-        return int(np.argmax(targets @ nodes[k]))
-
-    merged = coarse_grain_povm(povm, nearest)
-    assert validate_povm(merged).passed
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    state = StateVector(SpinBasis(j), a / np.linalg.norm(a))
-    fine = state_probabilities(povm, state)
-    grouped = state_probabilities(merged, state)
-    for idx, label in enumerate(merged.labels):
-        manual = sum(fine[k] for k in range(quad.size) if nearest(k) == label)
-        assert grouped[idx] == pytest.approx(manual, abs=1e-12)
 
 
 def test_every_constructed_povm_is_positive():

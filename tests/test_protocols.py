@@ -6,27 +6,23 @@ import numpy as np
 import pytest
 
 from spindir.groups import d3_directions
-from spindir.povm import state_probabilities, validate_povm
+from spindir.povm import validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
     FrameTwoAxisProtocol,
     ProtocolScore,
     ProtocolSpec,
-    d3_coherent_crossover,
     d3_coherent_score,
     d3_covariant_two_spin_score,
     d3_outcome_matrix,
     d3_repeated_single_score,
     d3_single_spin_povm,
     d3_single_spin_score,
-    d3_two_spin_comparison,
     d3_two_spin_povm,
     frame_two_axis_score,
     _d3_two_spin_family,
     _single_spin_numerators,
 )
-from spindir.spins import coherent_state
-from spindir.states import SpinJ
 
 
 class TestProtocolSpec:
@@ -145,7 +141,7 @@ class TestSingleSpin:
         # every caller shares these arrays; a write would change the two-spin
         # POVM, outcome matrix and score for the rest of the process
         family, fiducial, _ = _d3_two_spin_family()
-        arrays = [*family.block_structure, *family.rep_matrices, fiducial.amplitudes]
+        arrays = [*family.block_structure, *family.rep_matrices, fiducial]
         assert len(arrays) == 3 + 6 + 1
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -304,12 +300,11 @@ class TestCoherentStrategy:
         assert score.infidelity == pytest.approx(0.4204489193341643, rel=1e-12)
 
     def test_two_spin_comparison_favors_covariant(self):
-        coherent, covariant = d3_two_spin_comparison()
+        coherent, covariant = d3_coherent_score(2), d3_covariant_two_spin_score()
         assert coherent.fidelity == pytest.approx(0.41294741596277384, rel=1e-12)
         assert covariant.fidelity > coherent.fidelity
 
     def test_crossover_at_six_spins(self):
-        assert d3_coherent_crossover() == 6
         target = d3_covariant_two_spin_score().fidelity
         assert d3_coherent_score(5).fidelity < target
         assert d3_coherent_score(6).fidelity > target
@@ -323,7 +318,6 @@ class TestFrameProtocol:
     def test_optimal_four_spins(self):
         proto = frame_two_axis_score(4, encoding="optimal", fitter="best-fit")
         assert isinstance(proto, FrameTwoAxisProtocol)
-        assert proto.per_axis_spins == 2
         assert proto.fitter == "best-fit"
         want = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
         assert proto.expected_per_axis_infidelity == pytest.approx(want, abs=1e-12)
