@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import sphere_quadrature
 from .groups import build_signal_family, dihedral_d3
-from .harness import RunConfig, RunResult, reference_score, run_experiment
+from .harness import STREAM, RunConfig, RunResult, reference_score, run_experiment
 from .multispin import attainable_spins, total_j_projector
 from .optimize import finite_group_optimum, optimal_direction_encoding
 from .povm import covariant_direction_povm, validate_povm
@@ -35,6 +35,8 @@ from .states import SpinJ, is_integer
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_VAR = "SPINDIR_OUTPUT_DIR"
+# the batch stream of schema-1 records written before records named theirs
+PHILOX_STREAM = "Philox keyed by seed and batch"
 
 REPORT_COLUMNS = (
     "protocol",
@@ -47,6 +49,7 @@ REPORT_COLUMNS = (
     "stderr",
     "per_axis_infidelity",
     "n_sq_infidelity",
+    "stream",
 )
 
 _INT_KEYS = ("num_spins", "trials", "seed")
@@ -96,6 +99,7 @@ def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
         "stderrs": result.stderrs,
         "trials": result.trials,
         "wall_time": result.wall_time,
+        "stream": STREAM,
     }
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return ResultRecord(
@@ -182,6 +186,8 @@ def load_settings(path: str) -> dict:
                     raise ValueError(f"{key} must be an integer, got {value!r}") from None
             if key in _STR_KEYS and value is not None and not isinstance(value, str):
                 raise ValueError(f"{path}: {key} must be a string, got {value!r}")
+            if key in _STR_KEYS and value == "":
+                raise ValueError(f"{path}: {key} is empty; leave the key out for its default")
             if key == "output" and value is not None and not (isinstance(value, str) and value):
                 raise ValueError(f"{path}: output must be a non-empty string, got {value!r}")
             settings[key] = value
@@ -425,6 +431,7 @@ def _report_row(record: ResultRecord) -> list:
         _format_cell(err["fidelity"]),
         _format_cell(per_axis_mean),
         _format_cell(n * n * est["infidelity"]),
+        record.result.get("stream", PHILOX_STREAM),
     ]
 
 

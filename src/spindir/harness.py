@@ -1,10 +1,11 @@
 """Seeded Monte Carlo engine for the transmission protocols.
 
-Trials are drawn in fixed-size batches; batch b of a run with seed s uses
-the counter-based stream Philox(key=[s, b]) with a fixed draw order inside
-the batch, so results are bit-for-bit reproducible and the batch reductions
-can run in any order.  Per-batch partial sums are combined with exact
-(fsum) accumulation.
+Trials are drawn in fixed-size batches; batch b of a run with seed s draws
+from PCG64 seeded by child b of SeedSequence(s), that is
+SeedSequence(s, spawn_key=(b,)), with a fixed draw order inside the batch.
+Each batch's stream depends on (s, b) alone, so results are bit-for-bit
+reproducible and the batches could run in any order.  Per-batch partial sums
+are combined with exact (fsum) accumulation.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .spins import SpinJ
 from .states import is_integer
 
 BATCH_TRIALS = 8192  # with CHI_GRID_POINTS (from optimize), a run's sampling settings
+# the batch stream, as result records name it
+STREAM = "PCG64 of SeedSequence(seed) child batch"
 _UINT64_SPAN = 2 ** 64
 
 
@@ -88,8 +91,8 @@ class RunResult:
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
-    key = np.array([seed, batch], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of one batch: child `batch` of SeedSequence(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch,))))
 
 
 def sample_haar_direction(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -258,19 +261,27 @@ def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
 
 def _run_d3_finite(config: RunConfig) -> dict:
     spec = config.protocol
-    # shots lie in (repeats, take) rows; an outcome is the number of the true
-    # row's first five cumulative boundaries below the draw; the sixth is 1
-    # only to rounding, and a draw past one that rounded below 1 is outcome 5
+    # shots are drawn trial-minor into (repeats, take) rows; an outcome is the
+    # number of the true row's first five cumulative boundaries below the
+    # draw; the sixth is 1 only to rounding, and a draw past one that rounded
+    # below 1 is outcome 5
     bounds = np.cumsum(d3_outcome_matrix(2 if spec.kind == "d3-covariant" else 1), axis=1)[:, :5].T
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
+    # one shot and one outcome buffer per run; random(out=) needs a contiguous
+    # array, and the leading repeats * take entries are one for the last,
+    # partial batch too
+    size = repeats * min(config.trials, BATCH_TRIALS)
+    shot_buf, outcome_buf = np.empty(size), np.empty(size, dtype=np.uint8)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        draws = np.ascontiguousarray(rng.random((take, repeats)).T)
-        outcomes = np.zeros((repeats, take), dtype=np.uint8)
-        for j in range(5):
+        draws = shot_buf[: repeats * take].reshape(repeats, take)
+        rng.random(out=draws)
+        outcomes = outcome_buf[: repeats * take].reshape(repeats, take)
+        np.greater(draws, bounds[0][true], out=outcomes)
+        for j in range(1, 5):
             outcomes += draws > bounds[j][true]
         # the tie draw is the batch's last, so skipping it moves nothing
         tie = rng.random(take) if random_ties else None

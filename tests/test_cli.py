@@ -10,6 +10,7 @@ import pytest
 from spindir import cli
 from spindir.cli import (
     OUTPUT_DIR_VAR,
+    PHILOX_STREAM,
     REPORT_COLUMNS,
     ResultRecord,
     main,
@@ -18,7 +19,7 @@ from spindir.cli import (
     record_to_json,
     write_record,
 )
-from spindir.harness import RunConfig, run_experiment
+from spindir.harness import STREAM, RunConfig, run_experiment
 from spindir.povm import Povm
 from spindir.protocols import ProtocolSpec
 
@@ -277,6 +278,35 @@ class TestSimulate:
         assert err.startswith(f"error: {cfg}: {key} must be a string, got {value!r}")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", ["encoding", "decoder", "tie_break"])
+    def test_empty_text_setting_is_refused_in_json(self, capsys, tmp_path, key):
+        # an empty string fell back to the default: "encoding": "" ran coherent
+        cfg = tmp_path / "run.json"
+        protocol = {"kind": "frame-two-axis", "num_spins": 4, key: ""}
+        cfg.write_text(json.dumps({"protocol": protocol, "run": {"trials": 10, "seed": 1}}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: {key} is empty")
+        assert out == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["encoding", "decoder", "tie-break"])
+    def test_empty_text_setting_is_refused_in_ini(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[protocol]\nkind = frame-two-axis\nnum-spins = 4\n"
+            f"{key} =\n[run]\ntrials = 10\nseed = 1\n"
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: {key.replace('-', '_')} is empty")
+        assert out == "" and not out_dir.exists()
+
     def test_missing_required_settings(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "d3-single")
         assert code == 1
@@ -531,6 +561,20 @@ class TestReport:
         assert len(rows) == 3
         assert rows[1] == rows[2]
         assert rows[1][:3] == ["d3-coherent", "4", "coherent"]
+
+    def test_stream_column_with_and_without_the_field(self, capsys, tmp_path, two_records):
+        # a schema-1 record without a stream field was drawn by Philox
+        single, frame = two_records
+        body = json.loads(frame.read_text())
+        assert body["result"]["stream"] == STREAM
+        del body["result"]["stream"]
+        old = tmp_path / "philox.json"
+        old.write_text(json.dumps(body))
+        code, out, _ = run(capsys, "report", str(single), str(old))
+        assert code == 0
+        rows = [dict(zip(REPORT_COLUMNS, r)) for r in csv.reader(io.StringIO(out))]
+        assert [r["stream"] for r in rows[1:]] == [STREAM, PHILOX_STREAM]
+        assert rows[2]["fidelity"] == f"{body['result']['estimates']['fidelity']:.12g}"
 
     def test_mixed_schema_versions_refused(self, capsys, tmp_path, two_records):
         single, frame = two_records

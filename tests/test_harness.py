@@ -299,6 +299,18 @@ class TestAccumulator:
         assert acc.stderr() == 0.0
 
 
+class TestBatchStreams:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_batch_is_a_seed_sequence_child(self, seed):
+        for b in range(3):
+            child = np.random.SeedSequence(seed).spawn(b + 1)[b]
+            want = np.random.Generator(np.random.PCG64(child)).random(64)
+            assert np.array_equal(_batch_rng(seed, b).random(64), want)
+
+    def test_batches_draw_different_streams(self):
+        assert not np.array_equal(_batch_rng(7, 0).random(64), _batch_rng(7, 1).random(64))
+
+
 class TestReproducibility:
     def test_identical_runs_bitwise_equal(self):
         config = RunConfig(protocol=spec("d3-coherent", 4), trials=12000, seed=31)
@@ -319,10 +331,11 @@ class TestReproducibility:
 
 
 def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
-    """A d3-single, d3-covariant or d3-repeated run as the harness ran it
-    before it counted whole batches: every batch draws true, shots and tie,
-    each shot's outcome is the number of its true row's six cumulative
-    boundaries below the draw, and one bincount tallies the outcomes."""
+    """A d3-single, d3-covariant or d3-repeated run counted shot by shot:
+    every batch draws true, then the shots trial-minor as (repeats, take),
+    then tie; each shot's outcome is the number of its true row's six
+    cumulative boundaries below the draw, and one bincount tallies the
+    outcomes of each trial."""
     spec = config.protocol
     matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
     cum = np.cumsum(matrix, axis=1)
@@ -331,7 +344,7 @@ def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        draws = rng.random((take, repeats))
+        draws = rng.random((repeats, take)).T
         tie = rng.random(take)
         outcome = np.empty((take, repeats), dtype=np.intp)
         for row in range(6):
@@ -385,7 +398,8 @@ _D3_SPECS = (
 
 
 class TestD3BatchKernels:
-    # 20001 trials end in a 3617-trial remainder batch
+    # BATCH_TRIALS + 1 trials end in a one-trial batch and 20001 in a
+    # 3617-trial one, each drawn into the front of the run's shot buffers
     @pytest.mark.parametrize(
         "protocol", _D3_SPECS, ids=lambda p: f"{p.kind}-{p.num_spins}-{p.tie_break}"
     )
@@ -396,7 +410,7 @@ class TestD3BatchKernels:
             else _per_shot_d3_finite
         )
         for seed in (0, 5, 123456789):
-            for trials in (1, 7, BATCH_TRIALS, 20001):
+            for trials in (1, 7, BATCH_TRIALS, BATCH_TRIALS + 1, 20001):
                 config = RunConfig(protocol=protocol, trials=trials, seed=seed)
                 want = oracle(config)
                 got = run_experiment(config)
@@ -468,8 +482,11 @@ class _FixedStream:
     def integers(self, low, high, size):
         return np.full(size, self.row)
 
-    def random(self, size):
-        return np.full(size, self.value)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out.fill(self.value)
+        return out
 
 
 class TestAgainstReferences:
