@@ -165,7 +165,8 @@ def load_settings(path: str) -> dict:
         if not all(isinstance(section, dict) for section in sections):
             raise ValueError(f"{path}: the protocol and run sections must be JSON objects")
     else:
-        parser = configparser.ConfigParser()
+        # a "#" or ";" after a value starts a comment, as in the README example
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
             parser.read_string(text, source=path)
         except configparser.Error as exc:

@@ -125,10 +125,6 @@ class Frame:
             value = float(values[check, np.argmax(bad[check])])
             raise ValueError(_FAILURES[check].format(value))
 
-    def axes_matrix(self) -> np.ndarray:
-        """Columns (x, y, z) as an orthogonal matrix ((n, 3, 3) for a stack)."""
-        return np.stack([self.x_axis, self.y_axis, self.z_axis], axis=-1)
-
 
 def euler_to_axes(euler: EulerAngles) -> Frame:
     """Forward map: Euler angles -> frame axes (a stack for (n,) angles).
@@ -177,20 +173,14 @@ class NaiveEstimate(NamedTuple):
     """Outcome of the closed-form inversion, as floats.
 
     failed is True when the measured directions imply |sin(phi)| > 1 and
-    the arcsine has no real solution; phi is then clamped to
-    copysign(pi/2, sin_phi).  phi and psi are wrapped to [-pi, pi).
+    the arcsine has no real solution; phi is then clamped to pi/2 with the
+    sign of that sine.  phi and psi are wrapped to [-pi, pi).
     """
 
     phi: float
     theta: float
     psi: float
     failed: bool
-    sin_phi: float
-
-    @property
-    def angles(self) -> EulerAngles | None:
-        """The estimate as EulerAngles; None when the inversion failed."""
-        return None if self.failed else EulerAngles(self.phi, self.theta, self.psi)
 
 
 def naive_euler_estimate(
@@ -214,7 +204,7 @@ def naive_euler_estimate(
     psi = (0.5 * math.pi - phi_z + math.pi) % TWO_PI - math.pi
     s = math.cos(theta_x) / sth
     if abs(s) > 1.0:
-        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True, s)
+        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True)
     phi0 = math.asin(s)
     phi1 = (math.pi - phi0 + math.pi) % TWO_PI - math.pi
     # the first row of the x column predicted by each branch, against the
@@ -224,7 +214,7 @@ def naive_euler_estimate(
     r0 = abs(cpsi * math.cos(phi0) - spsi_cth * math.sin(phi0) - x_first)
     r1 = abs(cpsi * math.cos(phi1) - spsi_cth * math.sin(phi1) - x_first)
     phi = phi1 if r1 < r0 else phi0
-    return NaiveEstimate((phi + math.pi) % TWO_PI - math.pi, theta_z, psi, False, s)
+    return NaiveEstimate((phi + math.pi) % TWO_PI - math.pi, theta_z, psi, False)
 
 
 def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:

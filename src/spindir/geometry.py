@@ -70,10 +70,6 @@ class Direction:
             [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
         )
 
-    def cos_angle_to(self, other: "Direction") -> float:
-        c = float(np.dot(self.unit_vector, other.unit_vector))
-        return min(1.0, max(-1.0, c))
-
 
 @dataclass(frozen=True, eq=False)
 class SphereQuadrature:

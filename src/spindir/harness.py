@@ -79,33 +79,20 @@ class RunResult:
     trials: int
     wall_time: float
 
-    def score(self) -> ProtocolScore:
-        per_axis = self.estimates.get("per_axis")
-        return ProtocolScore(
-            fidelity=self.estimates["fidelity"],
-            infidelity=self.estimates["infidelity"],
-            method="monte-carlo",
-            stderr=self.stderrs["fidelity"],
-            per_axis=tuple(per_axis) if per_axis is not None else None,
-        )
-
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     """The stream of one batch: child `batch` of SeedSequence(seed)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch,))))
 
 
-def sample_haar_direction(rng: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform direction(s) as unit rows: cos(theta) uniform on [-1, 1], phi
-    uniform, from one uniform pair per row.  One 3-vector when size is None
-    (the first row of a stack at the same seed), else a (size, 3) stack."""
-    n = 1 if size is None else int(size)
-    u = rng.random((n, 2))
+def sample_haar_direction(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A (size, 3) stack of uniform directions as unit rows: cos(theta)
+    uniform on [-1, 1], phi uniform, from one uniform pair per row."""
+    u = rng.random((size, 2))
     c = 2.0 * u[:, 0] - 1.0
     phi = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(1.0 - c * c)
-    units = np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
-    return units[0] if size is None else units
+    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
 
 
 # _quaternion_matrices: entry k of the row-major 3x3 matrix is
@@ -154,13 +141,10 @@ def sample_haar_rotation(rng: np.random.Generator) -> EulerAngles:
     return axes_to_euler(sample_haar_frame(rng))
 
 
-def sample_chi(density: ChiDensity, rng: np.random.Generator, size=None):
-    """Draw cos(chi) from a direction-code density by inversion: one uniform
-    per draw, mapped through density.quantile_cos.
-    A float when size is None, else a (size,) array."""
-    n = 1 if size is None else int(size)
-    c = density.quantile_cos(rng.random(n))
-    return float(c[0]) if size is None else c
+def sample_chi(density: ChiDensity, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw a (size,) array of cos(chi) from a direction-code density by
+    inversion: one uniform per draw, mapped through density.quantile_cos."""
+    return density.quantile_cos(rng.random(size))
 
 
 def _tangent_basis(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +180,6 @@ def _tilt_draws(rng: np.random.Generator, density: ChiDensity, take: int) -> tup
     """cos(chi) of take tilts drawn from density, then their uniform tangent
     azimuths."""
     return sample_chi(density, rng, take), rng.uniform(0.0, 2.0 * math.pi, take)
-
-
-def _noisy_units(rng: np.random.Generator, density: ChiDensity, units, t1, t2) -> tuple:
-    """The measured estimate of each unit row: tilted by a chi drawn from
-    density (cos chi first) towards a uniform tangent azimuth (drawn next).
-    Returns the estimates and their cos(chi) draws."""
-    cos_chi, azimuth = _tilt_draws(rng, density, units.shape[0])
-    return _tilt(units, t1, t2, cos_chi, azimuth), cos_chi
 
 
 class _Accumulator:
@@ -300,7 +276,8 @@ def _run_d3_coherent(config: RunConfig) -> dict:
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        est, _ = _noisy_units(rng, density, *(np.take(c, true, axis=1).T for c in columns))
+        rows = (np.take(c, true, axis=1).T for c in columns)
+        est = _tilt(*rows, *_tilt_draws(rng, density, take))
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == true).astype(float))
     return {"fidelity": acc}
@@ -319,7 +296,7 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     theta_z, phi_z = polar_angles(z_est)
     theta_x, phi_x = polar_angles(x_est)
     phi_z, phi_x = (reduce_azimuth(np.array(p)).tolist() for p in (phi_z, phi_x))
-    phi, theta, psi, failed, _ = zip(*map(naive_euler_estimate, theta_z, phi_z, theta_x, phi_x))
+    phi, theta, psi, failed = zip(*map(naive_euler_estimate, theta_z, phi_z, theta_x, phi_x))
     angles = EulerAngles(phi=np.array(phi), theta=np.array(theta), psi=np.array(psi))
     return euler_to_axes(angles), sum(failed)
 

@@ -7,6 +7,8 @@ intended for small registers (N <= 12 or so).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .spins import PAULI
@@ -39,15 +41,13 @@ def total_spin_ops(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tuple(ops)
 
 
-_J2_CACHE: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=4)
 def j_squared(num_qubits: int) -> np.ndarray:
-    """Total J^2 operator (cached; treat as read-only)."""
-    if num_qubits not in _J2_CACHE:
-        jx, jy, jz = total_spin_ops(num_qubits)
-        _J2_CACHE[num_qubits] = jx @ jx + jy @ jy + jz @ jz
-    return _J2_CACHE[num_qubits]
+    """Total J^2 operator.  Cached and read-only."""
+    jx, jy, jz = total_spin_ops(num_qubits)
+    j2 = jx @ jx + jy @ jy + jz @ jz
+    j2.flags.writeable = False
+    return j2
 
 
 def attainable_spins(num_qubits: int) -> list[SpinJ]:

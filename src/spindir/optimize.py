@@ -41,7 +41,6 @@ class DirectionCode:
     j_max: SpinJ
     amplitudes: np.ndarray = field(repr=False)
     fidelity: float
-    effective_dimension: int
     carrier: str = "m0"
 
     def __post_init__(self):
@@ -135,8 +134,7 @@ def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
         )
     n = j_max.twice_j // 2 + 1
     if n == 1:  # P_1 = x: the single-block code, F = 1/2 exactly
-        return DirectionCode(j_max=j_max, amplitudes=np.array([1.0]), fidelity=0.5,
-                             effective_dimension=1)
+        return DirectionCode(j_max=j_max, amplitudes=np.array([1.0]), fidelity=0.5)
     theta = BESSEL_J0_FIRST_ZERO / math.sqrt((n + 0.5) ** 2 + 0.25)
     for _ in range(NEWTON_MAX_STEPS):
         x = math.cos(theta)
@@ -153,8 +151,7 @@ def optimal_direction_encoding(j_max: SpinJ) -> DirectionCode:
     vec = np.sqrt(2.0 * np.arange(n) + 1.0) * p[:n]
     vec /= math.sqrt(vec @ vec)
     fidelity = 1.0 - math.sin(theta / 2.0) ** 2
-    return DirectionCode(j_max=j_max, amplitudes=vec, fidelity=fidelity,
-                         effective_dimension=n**2)
+    return DirectionCode(j_max=j_max, amplitudes=vec, fidelity=fidelity)
 
 
 def coherent_code(j: SpinJ) -> DirectionCode:
@@ -162,7 +159,7 @@ def coherent_code(j: SpinJ) -> DirectionCode:
     fidelity 1 - 1/(2j+2)."""
     fidelity = 1.0 - 1.0 / (j.twice_j + 2.0)
     return DirectionCode(j_max=j, amplitudes=np.array([1.0]), fidelity=fidelity,
-                         effective_dimension=j.twice_j + 1, carrier="coherent")
+                         carrier="coherent")
 
 
 CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that quantile_cos inverts m0 codes on
@@ -203,29 +200,18 @@ class ChiDensity:
         g = self.amplitude(u)
         return 2.0 * math.pi * g * g
 
-    def pdf(self, chi) -> np.ndarray:
-        chi = np.atleast_1d(np.asarray(chi, dtype=float))
-        return np.sin(chi) * self.pdf_cos(np.cos(chi))
-
     @cached_property
     def gauss_rule(self) -> tuple:
         """The gauss_legendre rule on n = twice_j // 2 + 2 nodes, exact to
         degree 2n - 1 >= twice_j + 2.  The density is a polynomial of degree
-        twice_j in cos chi, so both moments below are exact up to rounding,
+        twice_j in cos chi, so the moment below is exact up to rounding,
         for either carrier and for odd twice_j too."""
         return gauss_legendre(self.code.j_max.twice_j // 2 + 2)
-
-    def normalization(self) -> float:
-        x, w = self.gauss_rule
-        return float(np.sum(w * self.pdf_cos(x)))
 
     def expected_fidelity(self) -> float:
         """<cos^2(chi/2)> = (1 + <cos chi>)/2 under this density."""
         x, w = self.gauss_rule
         return float(np.sum(w * self.pdf_cos(x) * (1.0 + x) / 2.0))
-
-    def expected_infidelity(self) -> float:
-        return 1.0 - self.expected_fidelity()
 
     def cumulative_in_cos(self, n: int) -> tuple:
         """(u grid, CDF values) on n points even in cos chi, trapezoid cumulative."""

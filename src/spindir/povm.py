@@ -1,7 +1,7 @@
 """POVMs: validation, Born-rule probabilities, covariant constructions.
 
 A POVM is a read-only stack of K positive d x d operators that sum to the
-identity, with one label per operator. Two covariant families are built here:
+identity; outcome k is operator k. Two covariant families are built here:
 the finite orbit of a fiducial projector under a unitary (group)
 representation, and the quadrature discretization of the continuous direction
 measurement on a single spin-j multiplet.
@@ -24,22 +24,17 @@ POVM_TOL = 1e-10  # validate_povm's bound on completeness, positivity and hermit
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Labeled POVM: operators is a read-only complex (K, d, d) array and
-    labels a tuple with one outcome label per operator."""
+    """POVM as a read-only complex (K, d, d) array of operators; outcome k
+    is operator k."""
 
     operators: np.ndarray = field(repr=False)
-    labels: tuple
 
     def __post_init__(self):
         ops = np.array(self.operators, dtype=complex)  # a copy, so no caller keeps write access
         if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1] != ops.shape[2]:
             raise ValueError("POVM operators must be a non-empty (K, d, d) stack")
-        labels = tuple(self.labels)
-        if len(labels) != ops.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {ops.shape[0]} POVM operators")
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -91,7 +86,7 @@ def _projectors(vecs: np.ndarray) -> np.ndarray:
 
 
 def covariant_povm_finite(unitaries, fiducial: np.ndarray) -> Povm:
-    """Orbit POVM E_g = U(g) |B><B| U(g)^dagger, labeled g, over a list of unitaries.
+    """Orbit POVM E_g = U(g) |B><B| U(g)^dagger, outcome g, over a list of unitaries.
 
     The fiducial's normalization is the caller's responsibility (a Schur-weighted
     fiducial makes the orbit complete); completeness is checked by validate_povm,
@@ -101,7 +96,7 @@ def covariant_povm_finite(unitaries, fiducial: np.ndarray) -> Povm:
     fiducial = np.asarray(fiducial)
     if fiducial.ndim != 1 or unitaries.shape[1:] != (fiducial.size, fiducial.size):
         raise ValueError("unitary and fiducial dimensions differ")
-    return Povm(_projectors(unitaries @ fiducial), range(len(unitaries)))
+    return Povm(_projectors(unitaries @ fiducial))
 
 
 def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
@@ -120,5 +115,5 @@ def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
     nodes = quad.nodes()
     vecs = coherent_states(j, [n.theta for n in nodes], [n.phi for n in nodes])
     weights = quad.weights * ((j.twice_j + 1) / (4.0 * math.pi))
-    return Povm(weights[:, None, None] * _projectors(vecs), range(len(vecs)))
+    return Povm(weights[:, None, None] * _projectors(vecs))
 

@@ -2,9 +2,10 @@
 the two-axis frame scheme.
 
 Deterministic evaluators live here: exact sums for the finite-outcome
-strategies, quadrature for the coherent one.  Monte Carlo execution is the
+strategies, quadrature for the coherent one; each returns a ProtocolScore
+with method 'exact' or 'quadrature'.  Monte Carlo execution is the
 simulation harness's job; this module only assembles what it needs (outcome
-matrices, chi densities, decoders).
+matrices, chi densities and per-axis references).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .groups import build_signal_family, d3_directions, dihedral_d3, schur_fiducial
 from .optimize import (
     ChiDensity,
-    DirectionCode,
     chi_density,
     coherent_code,
     d3_coherent_error,
@@ -91,22 +91,19 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class ProtocolScore:
-    """A protocol's figure of merit with the method that produced it."""
+    """A protocol's deterministic figure of merit with the method (exact or
+    quadrature) that produced it."""
 
     fidelity: float
     infidelity: float
     method: str
-    stderr: float | None = None
-    per_axis: tuple | None = None
     coefficients: tuple | None = None
 
     def __post_init__(self):
-        if self.method not in ("exact", "quadrature", "monte-carlo"):
+        if self.method not in ("exact", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
         if abs(self.fidelity + self.infidelity - 1.0) > 1e-12:
             raise ValueError("fidelity and infidelity must sum to 1")
-        if (self.stderr is not None) != (self.method == "monte-carlo"):
-            raise ValueError("standard error is present exactly for monte-carlo scores")
 
 
 def _score(fidelity: float, method: str, **kw) -> ProtocolScore:
@@ -148,7 +145,7 @@ def _direction_orbit_povm(unitaries, fiducial: np.ndarray, what: str) -> Povm:
     """Orbit POVM of the fiducial under the D3 unitaries, its elements
     ordered by the direction label of each group element, validated."""
     order = np.argsort(_element_to_direction())
-    povm = Povm(covariant_povm_finite(unitaries, fiducial).operators[order], range(6))
+    povm = Povm(covariant_povm_finite(unitaries, fiducial).operators[order])
     if not validate_povm(povm).passed:
         raise RuntimeError(f"{what} dihedral POVM failed validation")
     return povm
@@ -157,7 +154,7 @@ def _direction_orbit_povm(unitaries, fiducial: np.ndarray, what: str) -> Povm:
 @lru_cache(maxsize=1)
 def d3_single_spin_povm() -> Povm:
     """Covariant one-spin POVM: orbit of sqrt(1/3) times the spin-1/2 coherent
-    state along direction 0.  Outcome labels are direction indices."""
+    state along direction 0.  Outcome k is direction k."""
     group, _ = _d3()
     unitaries = [group.su2_matrix(g) for g in range(group.order)]
     return _direction_orbit_povm(unitaries, _d3_spinors()[0] / math.sqrt(3.0), "one-spin")
@@ -168,13 +165,20 @@ def _d3_two_spin_family() -> tuple:
     """(family, fiducial, optimum) of the optimal two-spin strategy.
 
     The fiducial spreads Schur weight sqrt(d_i/6) over the three invariant
-    blocks of the two-qubit representation; per-block unit weights are the
-    first basis column of each block (any choice works up to block phases).
+    blocks of the two-qubit representation.  Any unit block weights reach
+    fidelity 2/3, but the off-diagonal outcomes depend on the weight in the
+    two-dimensional E block, a degenerate eigenspace whose basis eigh leaves
+    free.  The E block is weighted by its component of |00>, B^dagger e_0
+    normalised, so that B w is P_E|00> normalised in any basis; a
+    one-dimensional block gets weight 1, since its basis phase cancels in
+    every orbit projector.
     Cached, so the block arrays, rep_matrices and the fiducial are read-only.
     """
     group, _ = _d3()
     family = build_signal_family(group, 2)
-    weights = [np.eye(block.shape[1])[0] for block in family.block_structure]
+    # row 0 of B holds its columns' |00> components, so B^dagger e_0 = conj(B[0])
+    weights = [np.ones(1) if b.shape[1] == 1 else b[0].conj() / np.linalg.norm(b[0])
+               for b in family.block_structure]
     fiducial = schur_fiducial(family, weights)
     for a in (*family.block_structure, *family.rep_matrices, fiducial):
         a.flags.writeable = False
@@ -314,18 +318,14 @@ def d3_coherent_score(num_spins: int) -> ProtocolScore:
 
 @dataclass(frozen=True)
 class FrameTwoAxisProtocol:
-    """Composed two-axis frame protocol: what each axis carries and how the
-    pair of estimates is fitted back into a frame.
+    """What a two-axis frame run draws from: the chi density of each axis's
+    estimate, and its expected per-axis infidelity.
 
     The per-axis expected infidelity is deterministic (Beta integral for the
     coherent encoding, eigenvalue for the optimal one); the full frame score
-    depends on the fitter's nonlinearity and is sampled by the harness.
+    depends on the decoder's nonlinearity and is sampled by the harness.
     """
 
-    num_spins: int
-    encoding: str
-    fitter: str
-    axis_code: DirectionCode
     chi: ChiDensity
     expected_per_axis_infidelity: float
 
@@ -337,7 +337,9 @@ def frame_two_axis_score(
 
     encoding 'coherent' aligns each axis's bundle with its direction;
     'optimal' uses the tridiagonal-eigenvector code on integer-j blocks,
-    which needs N/2 even.  fitter picks the decoder the harness applies.
+    which needs N/2 even.  fitter is only validated as a frame-two-axis
+    decoder: the harness applies the decoder itself, and neither the chi
+    density nor the per-axis reference depends on it.
     """
     spec = ProtocolSpec(
         kind="frame-two-axis", num_spins=num_spins, encoding=encoding, decoder=fitter
@@ -349,11 +351,4 @@ def frame_two_axis_score(
     else:
         code = optimal_direction_encoding(SpinJ.from_j(per_axis / 2))
         expected = code.infidelity
-    return FrameTwoAxisProtocol(
-        num_spins=spec.num_spins,
-        encoding=encoding,
-        fitter=spec.decoder,
-        axis_code=code,
-        chi=chi_density(code),
-        expected_per_axis_infidelity=expected,
-    )
+    return FrameTwoAxisProtocol(chi=chi_density(code), expected_per_axis_infidelity=expected)

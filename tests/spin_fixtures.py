@@ -1,4 +1,5 @@
-"""Test oracles and fixture states, as plain complex arrays.
+"""Test oracles and fixture states, as plain complex arrays, and a Frame's
+axes as a rotation matrix.
 
 Spin-j amplitudes are ordered m = j down to -j. On an N-qubit register the
 leftmost symbol of a ket string like "001" is qubit 0, and qubit k is bit k of
@@ -36,6 +37,11 @@ def state_from_terms(num_qubits: int, terms: dict) -> np.ndarray:
 def basis_state(bits: str) -> np.ndarray:
     """Computational basis ket from a bit string, e.g. basis_state("001")."""
     return state_from_terms(len(bits), {bits: 1.0})
+
+
+def axes_matrix(frame) -> np.ndarray:
+    """Columns (x, y, z) of a Frame as an orthogonal matrix ((n, 3, 3) for a stack)."""
+    return np.stack([frame.x_axis, frame.y_axis, frame.z_axis], axis=-1)
 
 
 def product_state(factors) -> np.ndarray:

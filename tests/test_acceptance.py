@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from spin_fixtures import basis_state, coherent, product_state, state_from_terms
+from spin_fixtures import axes_matrix, basis_state, coherent, product_state, state_from_terms
 from spindir.frames import axes_to_euler, euler_to_axes
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.harness import (
@@ -153,7 +153,7 @@ def test_criterion_04_coherent_overlap_law(report):
             # build the actual states; the closed form is the thing under test
             a, b = coherent(j, [d1, d2])
             overlap = abs(np.vdot(a, b)) ** 2
-            u = 0.5 * (1.0 + d1.cos_angle_to(d2))  # cos^2(chi/2)
+            u = 0.5 * (1.0 + d1.unit_vector @ d2.unit_vector)  # cos^2(chi/2)
             worst = max(worst, abs(overlap - u**tj))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0
@@ -342,7 +342,7 @@ def test_criterion_10_property_sweeps(report):
         covariant_direction_povm(SpinJ(8), sphere_quadrature(10, 19)),
     ]
     povms.append(
-        Povm(povms[3].operators.sum(axis=0)[None], (0,))  # merge-all keeps completeness
+        Povm(povms[3].operators.sum(axis=0)[None])  # merge-all keeps completeness
     )
     povm_ok = all(validate_povm(p).passed for p in povms)
 
@@ -387,7 +387,7 @@ def test_criterion_10_property_sweeps(report):
         again = euler_to_axes(axes_to_euler(frame))
         euler_resid = max(
             euler_resid,
-            float(np.max(np.abs(frame.axes_matrix() - again.axes_matrix()))),
+            float(np.max(np.abs(axes_matrix(frame) - axes_matrix(again)))),
         )
     euler_ok = euler_resid < 1e-9
 

@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +77,7 @@ class TestValidate:
 
         def incomplete(j, quad):
             povm = real(j, quad)
-            return Povm(1.01 * povm.operators, povm.labels)
+            return Povm(1.01 * povm.operators)
 
         monkeypatch.setattr(cli, "covariant_direction_povm", incomplete)
         code, out, err = run(capsys, "validate")
@@ -192,6 +194,23 @@ class TestSimulate:
         assert body["config"]["trials"] == 5000  # flag wins over file
         assert body["config"]["seed"] == 42
         assert "quadrature reference" in out
+
+    def test_readme_ini_example_runs(self, capsys, tmp_path):
+        # the README's example keeps its inline "# ..." comments after values
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Config files\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = tmp_path / "settings.ini"
+        cfg.write_text(block)
+        path, out = simulate_record(
+            capsys, tmp_path, "readme.json", "--config", str(cfg), "--trials", "2000"
+        )
+        body = json.loads(path.read_text())
+        assert body["config"]["protocol"] == {
+            "kind": "frame-two-axis", "num_spins": 4, "encoding": "optimal",
+            "decoder": "naive-euler", "tie_break": "random",
+        }
+        assert (body["config"]["trials"], body["config"]["seed"]) == (2000, 11)
+        assert "estimator clamps" in out
 
     def test_json_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

@@ -101,13 +101,6 @@ def test_polar_angles_match_the_one_vector_map_bit_for_bit():
     assert all(d.phi == 0.0 for d in got[-3:])
 
 
-def test_angles_between_directions():
-    z = Direction(0.0, 0.0)
-    x = Direction(math.pi / 2, 0.0)
-    assert z.cos_angle_to(x) == pytest.approx(0.0, abs=1e-15)
-    assert z.cos_angle_to(Direction(math.pi, 0.0)) == pytest.approx(-1.0)
-
-
 def test_quadrature_weights_positive_sum_4pi():
     quad = sphere_quadrature(6, 13)
     assert np.all(quad.weights > 0)

@@ -25,11 +25,11 @@ from spindir.harness import (
     _batches,
     _frame_batch,
     _naive_frames,
-    _noisy_units,
     _plurality,
     _quaternion_matrices,
     _tangent_basis,
     _tilt,
+    _tilt_draws,
     reference_score,
     run_experiment,
     sample_chi,
@@ -51,6 +51,7 @@ from spindir.protocols import (
     frame_two_axis_score,
 )
 from spindir.states import SpinJ
+from spin_fixtures import axes_matrix
 
 
 def spec(kind="d3-single", num_spins=1, **kw) -> ProtocolSpec:
@@ -177,20 +178,13 @@ class TestSamplers:
         assert np.max(np.abs(vecs.mean(axis=0))) < 4.0 * sigma
         assert np.mean(vecs[:, 2] ** 2) == pytest.approx(1.0 / 3.0, abs=0.01)
 
-    def test_haar_direction_scalar_form(self):
-        one = sample_haar_direction(np.random.default_rng(3))
-        assert one.shape == (3,)
-        assert float(np.linalg.norm(one)) == pytest.approx(1.0, abs=1e-12)
-        # a batch of one: the first row of a stack drawn at the same seed
-        assert np.array_equal(one, sample_haar_direction(np.random.default_rng(3), size=5)[0])
-
     def test_haar_rotation_trace_mean_zero(self):
         # angle density (1 - cos)/pi makes E[tr R] = E[1 + 2 cos] = 0 and
         # Var[tr R] = 1
         rng = np.random.default_rng(4241)
         n = 20000
         frames = sample_haar_frame(rng, size=n)
-        traces = np.trace(frames.axes_matrix(), axis1=1, axis2=2)
+        traces = np.trace(axes_matrix(frames), axis1=1, axis2=2)
         assert abs(traces.mean()) < 4.0 / math.sqrt(n)
         assert traces.var() == pytest.approx(1.0, abs=0.05)
 
@@ -223,13 +217,6 @@ class TestSamplers:
         sample_mean = float(np.mean(cos_chi))
         assert abs(sample_mean - mean) < 4.0 * math.sqrt(var / cos_chi.size) + 1e-3
 
-    def test_sample_chi_scalar_form(self):
-        density = chi_density(optimal_direction_encoding(SpinJ(4)))
-        cos_chi = sample_chi(density, np.random.default_rng(12))
-        assert isinstance(cos_chi, float)
-        assert -1.0 <= cos_chi <= 1.0
-        assert cos_chi == sample_chi(density, np.random.default_rng(12), size=3)[0]
-
     @pytest.mark.parametrize("n_spins", [1, 2, 8, 24, 96, 192, 400])
     def test_coherent_inverse_round_trip(self, n_spins):
         # U = 0 gives cos chi = -1 with no RuntimeWarning (an error here);
@@ -253,15 +240,14 @@ class TestSamplers:
             integral = half * float(np.sum(w * density.pdf_cos(half * x + half - 1.0)))
             assert integral == pytest.approx(((1.0 + u) / 2.0) ** (n_spins + 1), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [None, 1, 300, BATCH_TRIALS])
+    @pytest.mark.parametrize("n", [1, 300, BATCH_TRIALS])
     @pytest.mark.parametrize("carrier", ["m0", "coherent"])
     def test_sample_chi_takes_one_uniform_per_draw(self, carrier, n):
         j = SpinJ(8)
         code = optimal_direction_encoding(j) if carrier == "m0" else coherent_code(j)
         rng = np.random.default_rng(404)
         sample_chi(chi_density(code), rng, size=n)
-        taken = 1 if n is None else n
-        assert rng.random() == np.random.default_rng(404).random(taken + 1)[taken]
+        assert rng.random() == np.random.default_rng(404).random(n + 1)[n]
 
     @pytest.mark.parametrize("chi", [0.0, 0.3, 1.2, math.pi / 2, 2.9, math.pi])
     def test_perturb_direction_exact_angle(self, chi):
@@ -278,7 +264,7 @@ class TestSamplers:
         a, b = _perturb_units(
             np.tile(base, (2, 1)), np.full(2, math.cos(0.5)), np.array([0.0, math.pi / 2.0])
         )
-        assert Direction.from_vector(a).cos_angle_to(Direction.from_vector(b)) < math.cos(0.1)
+        assert a @ b < math.cos(0.1)
 
 
 class TestAccumulator:
@@ -561,9 +547,6 @@ class TestFrameRuns:
             assert abs(est - want) < 4.0 * err
         assert "naive_failures" not in result.estimates
         assert 0.0 < result.estimates["infidelity"] < 3.0
-        score = result.score()
-        assert score.method == "monte-carlo"
-        assert score.per_axis is not None and len(score.per_axis) == 2
 
     def test_naive_decoder_fails_sometimes_and_loses(self):
         naive = run_experiment(
@@ -595,13 +578,14 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
     fails, and the forward map evaluated on one frame with math."""
     est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
     if est.failed:
+        sin_phi = math.cos(x_dir.theta) / math.sin(z_dir.theta)
         angles = EulerAngles(
-            phi=math.copysign(0.5 * math.pi, est.sin_phi),
+            phi=math.copysign(0.5 * math.pi, sin_phi),
             theta=z_dir.theta,
             psi=0.5 * math.pi - z_dir.phi,
         )
     else:
-        angles = est.angles
+        angles = EulerAngles(est.phi, est.theta, est.psi)
     sphi, cphi = math.sin(angles.phi), math.cos(angles.phi)
     sth, cth = math.sin(angles.theta), math.cos(angles.theta)
     spsi, cpsi = math.sin(angles.psi), math.cos(angles.psi)
@@ -652,13 +636,21 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     return scores, cos_z, cos_x, failures
 
 
+def _noisy_rows(rng, density: ChiDensity, units: np.ndarray) -> tuple:
+    """Each unit row tilted by a chi drawn from density (cos chi first)
+    towards a uniform tangent azimuth (drawn next), in its own tangent
+    basis; the tilted rows and their cos(chi) draws."""
+    cos_chi, azimuth = _tilt_draws(rng, density, units.shape[0])
+    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth), cos_chi
+
+
 def _frame_batch_per_axis(rng, take: int, density: ChiDensity, decoder: str):
     """_frame_batch with the z and x rows tilted in separate passes, each with
     its own tangent basis, as before they were stacked; the same draws in the
     same order."""
     true = sample_haar_frame(rng, take)
-    z_est, cos_z = _noisy_units(rng, density, true.z_axis, *_tangent_basis(true.z_axis))
-    x_est, cos_x = _noisy_units(rng, density, true.x_axis, *_tangent_basis(true.x_axis))
+    z_est, cos_z = _noisy_rows(rng, density, true.z_axis)
+    x_est, cos_x = _noisy_rows(rng, density, true.x_axis)
     failures = 0
     if decoder == "naive-euler":
         fitted, failures = _naive_frames(z_est, x_est)
@@ -742,8 +734,7 @@ class TestFrameBatchDecode:
             # the inversion itself returns the clamped phi of a failed trial
             est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
             if failed:
-                assert est.phi == math.copysign(0.5 * math.pi, est.sin_phi)
-                assert est.sin_phi > 1.0 if i in (1, 4) else est.sin_phi < -1.0
+                assert est.phi == (0.5 * math.pi if i in (1, 4) else -0.5 * math.pi)
             for name in ("z_axis", "x_axis", "y_axis"):
                 np.testing.assert_allclose(
                     getattr(frames, name)[i], getattr(want, name), rtol=0.0, atol=1e-15

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and every
-top-level function and class is named by code other than its own definition."""
+"""Every name a package module imports is used by that module, every
+top-level function and class is named by code other than its own definition,
+and every class member is read by code other than its own definition."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,54 @@ def test_every_definition_is_named_outside_the_tests():
     # protocol or benchmark reaches belongs under tests/ or nowhere
     assert never_named() == []
 
+
+def member_reads(tree, skip=frozenset()) -> set:
+    """Names a tree reads as members: ast.Attribute loads and string
+    constants (getattr over field names).  Constructor keywords do not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def class_members(cls) -> list:
+    """(name, node) of each method, property and annotated field of a class
+    body, dunders excluded."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append((node.target.id, node))
+    return [(name, node) for name, node in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def never_read_members() -> list:
+    """Class members of the package that no package module and no perfbench
+    script reads, outside the member's own definition."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in [*MODULES, *sorted(PERFBENCH.glob("*.py"))]}
+    reads = {p: member_reads(tree) for p, tree in trees.items()}
+    missing = []
+    for path in MODULES:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, node in class_members(cls):
+                if any(name in names for p, names in reads.items() if p != path):
+                    continue
+                if name not in member_reads(trees[path], skip=set(ast.walk(node))):
+                    missing.append(f"{path.name}:{cls.name}.{name}")
+    return missing
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    # the rule above, one level down: a method, property or field that only
+    # the tests read is not part of what the package runs
+    assert never_read_members() == []

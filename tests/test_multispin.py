@@ -25,6 +25,14 @@ def test_total_spin_ops_commutation():
     np.testing.assert_allclose(jj, jx @ jx + jy @ jy + jz @ jz, atol=1e-12)
 
 
+def test_j_squared_is_cached_and_read_only():
+    # every projector of the register is built from the shared cached J^2
+    jj = j_squared(3)
+    assert j_squared(3) is jj
+    with pytest.raises(ValueError, match="read-only"):
+        jj[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_projectors_idempotent_hermitian_complete(n):
     spins = attainable_spins(n)

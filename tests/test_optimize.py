@@ -94,6 +94,12 @@ class TestCosMatrix:
             assert np.array_equal(direction_cos_matrix(SpinJ(2 * j)), want)
 
 
+def _gauss_normalization(density: ChiDensity) -> float:
+    """The density's integral over cos chi by its own exact Gauss rule."""
+    x, w = density.gauss_rule
+    return float(np.sum(w * density.pdf_cos(x)))
+
+
 class TestGaussLegendre:
     def test_matches_leggauss(self):
         # numpy's leggauss (Newton-polished roots) is the test-only oracle
@@ -106,13 +112,13 @@ class TestGaussLegendre:
     def test_optimal_code_moments_at_every_size(self):
         for n in range(2, 241, 2):
             density = chi_density(optimal_direction_encoding(SpinJ(n)))
-            assert abs(density.normalization() - 1.0) <= 1e-11
+            assert abs(_gauss_normalization(density) - 1.0) <= 1e-11
             assert abs(density.expected_fidelity() - density.code.fidelity) <= 1e-11
 
     def test_coherent_code_moments_at_every_size(self):
         for twice_j in range(1, 241):
             density = chi_density(coherent_code(SpinJ(twice_j)))
-            assert abs(density.normalization() - 1.0) <= 1e-11
+            assert abs(_gauss_normalization(density) - 1.0) <= 1e-11
             assert abs(density.expected_fidelity() - density.code.fidelity) <= 1e-11
 
     def test_rule_sized_to_the_density_degree(self):
@@ -154,13 +160,11 @@ class TestOptimalEncoding:
         code = optimal_direction_encoding(SpinJ(0))
         assert code.fidelity == 0.5
         assert code.amplitudes.tolist() == [1.0]
-        assert code.effective_dimension == 1
 
     def test_two_spins_closed_form(self):
         code = optimal_direction_encoding(SpinJ(2))
         assert code.infidelity == pytest.approx((1.0 - 1.0 / math.sqrt(3.0)) / 2.0,
                                                 abs=1e-14)
-        assert code.effective_dimension == 4
 
     def test_four_spins_closed_form(self):
         code = optimal_direction_encoding(SpinJ(4))
@@ -227,18 +231,16 @@ class TestCoherentCode:
         code = coherent_code(SpinJ(8))
         assert code.carrier == "coherent"
         assert code.infidelity == pytest.approx(0.1)
-        assert code.effective_dimension == 9
 
     def test_code_validation(self):
         with pytest.raises(ValueError, match="carrier"):
-            DirectionCode(j_max=SpinJ(2), amplitudes=np.array([1.0]), fidelity=0.5,
-                          effective_dimension=1, carrier="m1")
+            DirectionCode(j_max=SpinJ(2), amplitudes=np.array([1.0]), fidelity=0.5, carrier="m1")
         with pytest.raises(ValueError, match="length"):
             DirectionCode(j_max=SpinJ(4), amplitudes=np.array([1.0, 0.0]),
-                          fidelity=0.5, effective_dimension=1)
+                          fidelity=0.5)
         with pytest.raises(ValueError, match="unit norm"):
             DirectionCode(j_max=SpinJ(2), amplitudes=np.array([1.0, 1.0]),
-                          fidelity=0.5, effective_dimension=1)
+                          fidelity=0.5)
 
 
 class TestChiDensity:
@@ -249,27 +251,26 @@ class TestChiDensity:
         return chi_density(coherent_code(SpinJ(9)))
 
     def test_normalized(self, density):
-        assert density.normalization() == pytest.approx(1.0, abs=1e-12)
+        assert _gauss_normalization(density) == pytest.approx(1.0, abs=1e-12)
 
     def test_expected_fidelity_matches_code(self, density):
         assert density.expected_fidelity() == pytest.approx(
             density.code.fidelity, abs=1e-12
         )
-        assert density.expected_infidelity() == pytest.approx(
+        assert 1.0 - density.expected_fidelity() == pytest.approx(
             density.code.infidelity, abs=1e-12
         )
 
     def test_pdf_non_negative_and_consistent(self, density):
+        # the density in cos chi, and in chi through the Jacobian sin chi
         chi = np.linspace(0.0, math.pi, 301)
-        p = density.pdf(chi)
-        assert np.all(p >= -1e-15)
-        np.testing.assert_allclose(
-            p, np.sin(chi) * density.pdf_cos(np.cos(chi)), atol=1e-14
-        )
+        u = np.cos(chi)
+        assert np.all(density.pdf_cos(u) >= -1e-15)
+        assert np.all(np.sin(chi) * density.pdf_cos(u) >= -1e-15)
 
     def test_pdf_integrates_to_one(self, density):
         chi = np.linspace(0.0, math.pi, 20001)
-        total = np.trapezoid(density.pdf(chi), chi)
+        total = np.trapezoid(np.sin(chi) * density.pdf_cos(np.cos(chi)), chi)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_cumulative_monotone(self, density):

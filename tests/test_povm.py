@@ -19,7 +19,7 @@ from spindir.states import SpinJ
 def six_direction_povm() -> Povm:
     # E_m = (1 + m.sigma)/6 realized as (1/3)|n_m><n_m| on spin 1/2
     vecs = coherent(SpinJ(1), d3_directions())
-    return Povm(vecs[:, :, None] * vecs.conj()[:, None, :] / 3.0, range(6))
+    return Povm(vecs[:, :, None] * vecs.conj()[:, None, :] / 3.0)
 
 
 def test_six_direction_povm_passes():
@@ -36,30 +36,29 @@ def test_validation_flags_scaled_element():
     povm = six_direction_povm()
     bad = povm.operators.copy()
     bad[0] *= 1.01
-    report = validate_povm(Povm(bad, povm.labels))
+    report = validate_povm(Povm(bad))
     assert not report.passed
     assert report.max_completeness_dev > 1e-3
 
 
 def test_validation_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
-        Povm([np.eye(2), np.eye(3)], (0, 1))
+        Povm([np.eye(2), np.eye(3)])
 
 
 @pytest.mark.parametrize(
-    "operators,labels",
-    [(np.zeros((0, 2, 2)), ()), (np.zeros((2, 2, 3)), (0, 1)), (np.eye(2), (0, 1)),
-     (np.stack([np.eye(2), np.eye(2)]), (0,))],
-    ids=["empty", "non-square", "unstacked", "label-count"],
+    "operators",
+    [np.zeros((0, 2, 2)), np.zeros((2, 2, 3)), np.eye(2)],
+    ids=["empty", "non-square", "unstacked"],
 )
-def test_povm_rejects_malformed_stack(operators, labels):
+def test_povm_rejects_malformed_stack(operators):
     with pytest.raises(ValueError):
-        Povm(operators, labels)
+        Povm(operators)
 
 
 def test_povm_operators_are_read_only_copies():
     ops = np.stack([np.eye(2), np.zeros((2, 2))])
-    povm = Povm(ops, ("a", "b"))
+    povm = Povm(ops)
     ops[0, 0, 0] = 5.0  # the caller's array stays its own
     assert povm.operators[0, 0, 0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -70,7 +69,7 @@ def test_validation_reports_first_non_hermitian_element():
     ops = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
     ops[1, 0, 1] = 0.25
     ops[2, 0, 1] = 0.5
-    report = validate_povm(Povm(ops, range(3)))
+    report = validate_povm(Povm(ops))
     assert report.min_eigenvalue == -0.25
     assert not report.passed
 
@@ -82,7 +81,7 @@ def test_outcome_probability_six_directions():
     probs = state_probabilities(povm, coherent(SpinJ(1), [n]))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     for k, d in enumerate(dirs):
-        expected = (1.0 + n.cos_angle_to(d)) / 6.0
+        expected = (1.0 + n.unit_vector @ d.unit_vector) / 6.0
         assert probs[k] == pytest.approx(expected, abs=1e-12)
     # the correct outcome always has probability 1/3
     assert probs[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -90,15 +89,15 @@ def test_outcome_probability_six_directions():
 
 def test_outcome_probability_identity_element():
     state = coherent(SpinJ(3), [Direction(0.5, 1.0)])
-    ident = Povm(np.eye(4)[None], ("all",))
+    ident = Povm(np.eye(4)[None])
     assert state_probabilities(ident, state)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outcome_probability_clamps_rounding():
     state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
-    tiny = Povm(-1e-14 * np.eye(2)[None], (0,))
+    tiny = Povm(-1e-14 * np.eye(2)[None])
     assert state_probabilities(tiny, state)[0, 0] == 0.0
-    large_negative = Povm(-1e-6 * np.eye(2)[None], (0,))
+    large_negative = Povm(-1e-6 * np.eye(2)[None])
     with pytest.raises(ValueError, match="negative probability"):
         state_probabilities(large_negative, state)
 
@@ -106,9 +105,9 @@ def test_outcome_probability_clamps_rounding():
 def test_outcome_probability_dimension_mismatch():
     state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
     with pytest.raises(ValueError):
-        state_probabilities(Povm(np.eye(3)[None], (0,)), state)
+        state_probabilities(Povm(np.eye(3)[None]), state)
     with pytest.raises(ValueError):  # one state is a stack of one, not a (d,) vector
-        state_probabilities(Povm(np.eye(2)[None], (0,)), state[0])
+        state_probabilities(Povm(np.eye(2)[None]), state[0])
 
 
 def test_covariant_povm_finite_six_rank_one_elements():

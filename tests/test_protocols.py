@@ -5,8 +5,10 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from spindir.groups import d3_directions
-from spindir.povm import validate_povm
+from spin_fixtures import coherent
+from spindir import protocols
+from spindir.groups import SignalFamily, d3_directions
+from spindir.povm import state_probabilities, validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
     FrameTwoAxisProtocol,
@@ -23,6 +25,7 @@ from spindir.protocols import (
     _d3_two_spin_family,
     _single_spin_numerators,
 )
+from spindir.states import SpinJ
 
 
 class TestProtocolSpec:
@@ -94,17 +97,18 @@ class TestProtocolScore:
             ProtocolScore(fidelity=0.5, infidelity=0.5, method="guess")
         with pytest.raises(ValueError, match="sum to 1"):
             ProtocolScore(fidelity=0.5, infidelity=0.4, method="exact")
-        with pytest.raises(ValueError, match="standard error"):
-            ProtocolScore(fidelity=0.5, infidelity=0.5, method="exact", stderr=0.01)
-        with pytest.raises(ValueError, match="standard error"):
+        # a score is deterministic; Monte Carlo estimates live in RunResult
+        with pytest.raises(ValueError, match="method"):
             ProtocolScore(fidelity=0.5, infidelity=0.5, method="monte-carlo")
-        ProtocolScore(fidelity=0.5, infidelity=0.5, method="monte-carlo", stderr=0.01)
+        ProtocolScore(fidelity=0.5, infidelity=0.5, method="quadrature")
 
 
 class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
         povm = d3_single_spin_povm()
-        assert povm.labels == tuple(range(6))
+        # outcome k is direction k: the spinor along direction k gives k most often
+        probs = state_probabilities(povm, coherent(SpinJ(1), d3_directions()))
+        assert np.argmax(probs, axis=1).tolist() == list(range(6))
         report = validate_povm(povm)
         assert report.max_completeness_dev <= 1e-12 and report.min_eigenvalue >= -1e-12
         ops = povm.operators
@@ -268,7 +272,7 @@ class TestRepeatedVote:
 class TestCovariantTwoSpin:
     def test_povm_completeness(self):
         povm = d3_two_spin_povm()
-        assert povm.labels == tuple(range(6))
+        assert povm.operators.shape == (6, 4, 4)
         assert validate_povm(povm).passed
 
     def test_score_two_thirds_with_coefficients(self):
@@ -285,6 +289,46 @@ class TestCovariantTwoSpin:
         for i in range(6):
             assert matrix[i].sum() == pytest.approx(1.0, abs=1e-10)
             assert matrix[i, i] == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+    def test_outcome_matrix_is_integer_over_six(self):
+        # the E block's fiducial weight is the projection of |00>, which makes
+        # every outcome probability a multiple of 1/6
+        scaled = 6.0 * d3_outcome_matrix(2)
+        assert np.max(np.abs(scaled - np.round(scaled))) <= 1e-12
+        triangle = [[4, 1, 1], [1, 4, 1], [1, 1, 4]]
+        zeros = [[0, 0, 0]] * 3
+        want = [a + b for a, b in zip(triangle, zeros)] + [a + b for a, b in zip(zeros, triangle)]
+        assert np.round(scaled).astype(int).tolist() == want
+
+    def test_outcome_matrix_is_independent_of_the_block_bases(self, monkeypatch):
+        # eigh may return any orthonormal basis of the two-dimensional E block
+        # (a degenerate eigenvalue) and any phase of a one-dimensional block;
+        # the outcome matrix must not depend on which
+        want = np.array(d3_outcome_matrix(2))
+        family = _d3_two_spin_family()[0]
+        rng = np.random.default_rng(24)
+
+        def rotated_family(group, num_spins):
+            blocks = []
+            for b in family.block_structure:
+                d = b.shape[1]
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                blocks.append(b @ q)
+            return SignalFamily(group=group, rep_matrices=family.rep_matrices,
+                                block_structure=tuple(blocks))
+
+        caches = (_d3_two_spin_family, d3_two_spin_povm, d3_outcome_matrix)
+        monkeypatch.setattr(protocols, "build_signal_family", rotated_family)
+        try:
+            for _ in range(5):
+                for cache in caches:
+                    cache.cache_clear()
+                got = d3_outcome_matrix(2)
+                assert np.max(np.abs(got - want)) <= 1e-12
+        finally:
+            # the next caller rebuilds from the real family
+            for cache in caches:
+                cache.cache_clear()
 
     def test_outcome_matrix_size_guard(self):
         with pytest.raises(ValueError):
@@ -318,10 +362,12 @@ class TestFrameProtocol:
     def test_optimal_four_spins(self):
         proto = frame_two_axis_score(4, encoding="optimal", fitter="best-fit")
         assert isinstance(proto, FrameTwoAxisProtocol)
-        assert proto.fitter == "best-fit"
         want = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
         assert proto.expected_per_axis_infidelity == pytest.approx(want, abs=1e-12)
-        assert proto.axis_code.infidelity == pytest.approx(want, abs=1e-12)
+        assert proto.chi.code.infidelity == pytest.approx(want, abs=1e-12)
+        # the fitter is validated only: the harness applies the decoder
+        with pytest.raises(ValueError, match="decoder"):
+            frame_two_axis_score(4, encoding="optimal", fitter="covariant")
 
     def test_optimal_eight_spins(self):
         proto = frame_two_axis_score(8, encoding="optimal")
@@ -331,13 +377,13 @@ class TestFrameProtocol:
     def test_coherent_expected_infidelity(self):
         proto = frame_two_axis_score(4, encoding="coherent")
         assert proto.expected_per_axis_infidelity == pytest.approx(0.25, abs=1e-12)
-        assert proto.axis_code.infidelity == pytest.approx(0.25, abs=1e-12)
-        assert proto.axis_code.carrier == "coherent"
+        assert proto.chi.code.infidelity == pytest.approx(0.25, abs=1e-12)
+        assert proto.chi.code.carrier == "coherent"
 
     def test_chi_density_matches_code(self):
         proto = frame_two_axis_score(8, encoding="optimal")
         assert proto.chi.expected_fidelity() == pytest.approx(
-            proto.axis_code.fidelity, abs=1e-12
+            proto.chi.code.fidelity, abs=1e-12
         )
 
     def test_spin_count_rules_propagate(self):

@@ -108,7 +108,7 @@ def test_overlap_matches_inner_product():
     for twice_j in range(1, 21):
         j = SpinJ(twice_j)
         d1, d2 = random_direction(rng), random_direction(rng)
-        closed = (0.5 * (1.0 + d1.cos_angle_to(d2))) ** twice_j
+        closed = (0.5 * (1.0 + d1.unit_vector @ d2.unit_vector)) ** twice_j
         assert overlap_sq(j, d1, d2) == pytest.approx(closed, abs=1e-10)
 
 

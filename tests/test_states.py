@@ -31,7 +31,7 @@ def test_spinj_from_j_rejects_quarter_integers():
 
 # builders of every record type whose fields hold arrays
 ARRAY_RECORDS = {
-    "Povm": lambda: Povm(np.eye(2)[None], ("a",)),
+    "Povm": lambda: Povm(np.eye(2)[None]),
     "DirectionCode": lambda: optimal_direction_encoding(SpinJ(4)),
     "ChiDensity": lambda: chi_density(optimal_direction_encoding(SpinJ(4))),
     "Frame": lambda: Frame(z_axis=np.array([0.0, 0.0, 1.0]),
