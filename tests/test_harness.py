@@ -23,6 +23,8 @@ from spindir.harness import (
     _Accumulator,
     _batch_rng,
     _batches,
+    _coherent_hits,
+    _d3_local_frame,
     _frame_batch,
     _naive_frames,
     _plurality,
@@ -47,6 +49,8 @@ from spindir.optimize import (
 )
 from spindir.protocols import (
     ProtocolSpec,
+    _d3,
+    _element_to_direction,
     d3_outcome_matrix,
     frame_two_axis_score,
 )
@@ -354,9 +358,10 @@ def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
 
 
 def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
-    """A d3-coherent run as the harness ran it before it built the tangent
-    basis once per run: the basis of every trial's true direction is built
-    again in each batch."""
+    """A d3-coherent run as the 3-D tilt and six-way argmax oracle: each
+    trial's true direction is tilted as a 3-vector, in a tangent basis built
+    again in each batch, and guessed as the argmax of its six dots.  The
+    harness decodes the same draws in direction 0's frame instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     units = np.array([d.unit_vector for d in d3_directions()])
     acc = _Accumulator()
@@ -379,7 +384,7 @@ _D3_SPECS = (
         for n in (1, 2, 3, 5, 9, 12, 20, 255, 256, 300)
         for tie_break in ("random", "lowest-index")
     ]
-    + [spec("d3-coherent", n) for n in (1, 2, 4, 8, 24, 60)]
+    + [spec("d3-coherent", n) for n in (1, 2, 3, 4, 8, 24, 60, 200)]
 )
 
 
@@ -426,6 +431,58 @@ class TestD3BatchKernels:
         monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, top))
         result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
         assert result.estimates["fidelity"] == float(row == 5)
+
+
+class TestCoherentLocalFrame:
+    # the harness decodes a d3-coherent trial in direction 0's frame; these
+    # pin the cached table it reads against the group and the 3-D tilt
+
+    units = np.array([d.unit_vector for d in d3_directions()])
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_rotation_sends_direction_zero_to_t_and_permutes_the_six(self, t):
+        group, _ = _d3()
+        r = group.rotation_matrix(_element_to_direction().index(t))
+        assert np.allclose(r @ self.units[0], self.units[t], rtol=0.0, atol=1e-12)
+        images = self.units @ r.T
+        nearest = np.argmax(images @ self.units.T, axis=1)
+        assert sorted(nearest.tolist()) == list(range(6))
+        assert np.allclose(images, self.units[nearest], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_twist_turns_direction_zero_basis_into_t_basis(self, t):
+        twist, coefficients = _d3_local_frame()
+        cos_tau, sin_tau = twist[:, t]
+        assert abs(math.hypot(cos_tau, sin_tau) - 1.0) <= 1e-12
+        group, _ = _d3()
+        r = group.rotation_matrix(_element_to_direction().index(t))
+        t1, t2 = _tangent_basis(self.units)
+        turned = cos_tau * (r @ t1[0]) + sin_tau * (r @ t2[0])
+        assert np.allclose(turned, t1[t], rtol=0.0, atol=1e-12)
+        frame = np.stack([self.units[0], t1[0], t2[0]])
+        assert np.allclose(coefficients, self.units @ frame.T, rtol=0.0, atol=1e-15)
+
+    def test_table_is_read_only(self):
+        for table in _d3_local_frame():
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_decision_matches_the_tilt_and_argmax(self, t):
+        cos_chi, azimuth = (g.ravel() for g in np.meshgrid(
+            np.linspace(-1.0, 1.0, 81), np.linspace(0.0, 2.0 * math.pi, 144, endpoint=False)
+        ))
+        true = np.full(cos_chi.size, t)
+        est = _perturb_units(self.units[true], cos_chi, azimuth)
+        dots = est @ self.units.T
+        # keep the points farther than 1e-9 from every bisector
+        first, second = np.triu_indices(6, 1)
+        clear = np.abs(dots[:, first] - dots[:, second]).min(axis=1) > 1e-9
+        want = np.argmax(dots, axis=1) == true
+        got = _coherent_hits(true, cos_chi, azimuth)
+        assert got.dtype == bool and got.shape == true.shape
+        assert clear.sum() > cos_chi.size // 2
+        assert 0 < want[clear].sum() < clear.sum()  # hits and misses
+        assert np.array_equal(got[clear], want[clear])
 
 
 def _counter_vote(column, tie) -> int:
