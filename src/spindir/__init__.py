@@ -16,12 +16,9 @@ from .geometry import Direction, SphereQuadrature, sphere_quadrature
 from .groups import (
     FiniteGroup,
     IrrepData,
-    SignalFamily,
-    build_signal_family,
     d3_directions,
+    d3_qubit_blocks,
     dihedral_d3,
-    find_invariant_blocks,
-    schur_fiducial,
 )
 from .harness import (
     RunConfig,

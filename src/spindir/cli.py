@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .geometry import sphere_quadrature
-from .groups import build_signal_family, dihedral_d3
+from .groups import d3_qubit_blocks, dihedral_d3
 from .harness import STREAM, RunConfig, RunResult, reference_score, run_experiment
 from .multispin import attainable_spins, total_j_projector
 from .optimize import finite_group_optimum, optimal_direction_encoding
@@ -334,7 +334,7 @@ def _dihedral_profile(num_spins) -> list:
         fidelity, coeffs = score.fidelity, score.coefficients
     elif n == 1:
         group, _ = dihedral_d3()
-        optimum = finite_group_optimum(build_signal_family(group, 1))
+        optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(1)], group.order)
         fidelity, coeffs = optimum.fidelity, optimum.optimal_coefficients
     else:
         raise ValueError("the dihedral profile is computed for 1 or 2 spins")

@@ -1,9 +1,8 @@
 """Finite rotation groups and their representations.
 
 Covers the dihedral group D3 realized as concrete SO(3) rotations, its
-character table, lifts to N-qubit product spaces, numeric invariant-block
-decomposition, and the Schur-weighted fiducial whose group orbit forms a
-complete POVM.
+character table, its lifts to N-qubit product spaces, and the invariant
+blocks of the one- and two-qubit lifts in closed form.
 
 Element rotations are stored as zyz Euler angles (alpha, beta, gamma) in
 [0, 2pi), the active rotation e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz};
@@ -23,8 +22,6 @@ from .geometry import TWO_PI, Direction
 from .multispin import tensor_power
 
 MATCH_TOL = 1e-9
-BLOCK_CLUSTER_TOL = 1e-8
-_BLOCK_SEED = 0x5D1EB
 
 
 def euler_zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -86,11 +83,9 @@ class FiniteGroup:
         for g in range(n):
             if t[g, self.inverse[g]] != 0 or t[self.inverse[g], g] != 0:
                 raise ValueError(f"inverse of element {g} is wrong")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a, b], c] != t[a, t[b, c]]:
-                        raise ValueError("multiplication table is not associative")
+        # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
+        if not np.array_equal(t[t], t[:, t]):
+            raise ValueError("multiplication table is not associative")
         if sorted(i for cl in self.classes for i in cl) != list(range(n)):
             raise ValueError("classes do not partition the elements")
         expected = conjugacy_classes(t)
@@ -139,16 +134,13 @@ class IrrepData:
 
 
 def _mult_table_from_rotations(mats: list) -> np.ndarray:
-    n = len(mats)
-    table = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            prod = mats[a] @ mats[b]
-            hits = [c for c in range(n) if np.max(np.abs(prod - mats[c])) < MATCH_TOL]
-            if len(hits) != 1:
-                raise ValueError("rotation set is not closed under products")
-            table[a, b] = hits[0]
-    return table
+    m = np.asarray(mats)
+    prods = m[:, None] @ m[None, :]
+    # hits[a, b, c]: product a b matches rotation c
+    hits = np.max(np.abs(prods[:, :, None] - m), axis=(-2, -1)) < MATCH_TOL
+    if not np.all(np.count_nonzero(hits, axis=-1) == 1):
+        raise ValueError("rotation set is not closed under products")
+    return np.argmax(hits, axis=-1)
 
 
 def dihedral_d3() -> tuple:
@@ -194,100 +186,32 @@ def d3_directions() -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SignalFamily:
-    """A (possibly projective) unitary representation of a group on qubits,
-    with its invariant-block decomposition: one (dim, block_dim) array of
-    orthonormal columns per block."""
-
-    group: FiniteGroup
-    rep_matrices: tuple = field(repr=False)
-    block_structure: tuple = field(repr=False)
-
-
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
     """Per-element unitaries u(g)^{tensor num_spins} on the 2^N product space."""
     return tuple(tensor_power(group.su2_matrix(g), num_spins) for g in range(group.order))
 
 
-def find_invariant_blocks(matrices) -> list:
-    """Simultaneous invariant subspaces of a set of unitaries.
+def d3_qubit_blocks(num_spins: int) -> tuple:
+    """Orthonormal bases of the invariant blocks of D3's spin-1/2 lift on one
+    or two qubits, as read-only (2^N, d) complex arrays; qubit k is bit k of
+    the basis index.
 
-    Diagonalizes the conjugation average of a fixed-seed random Hermitian; the
-    average lies in the commutant, so eigenvalue clusters span invariant
-    subspaces (projective phases cancel in U H U^dagger). Generic H splits
-    isotypic multiplicity, so each cluster is a single irreducible block.
+    One qubit is a single (projective) two-dimensional block.  Two qubits
+    split into the singlet (e_1 - e_2)/sqrt2 (A1), the triplet's m = 0 state
+    (e_1 + e_2)/sqrt2 (A2), which the in-plane flips negate, and
+    span{|00>, |11>} (E), which the z turns rotate by opposite phases and the
+    flips swap.  Each block's first column is the direction the two-spin
+    fiducial weights.
     """
-    dim = matrices[0].shape[0]
-    rng = np.random.Generator(np.random.Philox(key=_BLOCK_SEED))
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = h + h.conj().T
-    avg = np.zeros((dim, dim), dtype=complex)
-    for u in matrices:
-        avg += u @ h @ u.conj().T
-    avg /= len(matrices)
-    evals, vecs = np.linalg.eigh(avg)
-    blocks = []
-    start = 0
-    for k in range(1, dim + 1):
-        if k == dim or evals[k] - evals[k - 1] > BLOCK_CLUSTER_TOL:
-            blocks.append(vecs[:, start:k].copy())
-            start = k
-    for basis in blocks:
-        for u in matrices:
-            leak = u @ basis - basis @ (basis.conj().T @ u @ basis)
-            if np.max(np.abs(leak)) > 1e-8:
-                raise ValueError("block clustering failed to produce invariant subspaces")
+    if num_spins == 1:
+        blocks = (np.eye(2, dtype=complex),)
+    elif num_spins == 2:
+        r = 1.0 / math.sqrt(2.0)
+        basis = np.array([[0.0, 0.0, 1.0, 0.0], [r, r, 0.0, 0.0],
+                          [-r, r, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
+        blocks = (basis[:, :1], basis[:, 1:2], basis[:, 2:])
+    else:
+        raise ValueError("the D3 qubit blocks are written out for 1 or 2 qubits")
+    for b in blocks:
+        b.flags.writeable = False
     return blocks
-
-
-def block_characters(family: SignalFamily) -> list:
-    """Per-block character vectors tr(B^dagger U_g B); equal vectors mean
-    equivalent blocks (same irrep of the lifted group, phase-pinned lift)."""
-    return [np.array([np.trace(b.conj().T @ u @ b) for u in family.rep_matrices])
-            for b in family.block_structure]
-
-
-def repeated_equivalent_blocks(family: SignalFamily) -> bool:
-    chars = block_characters(family)
-    for i in range(len(chars)):
-        for k in range(i + 1, len(chars)):
-            if np.max(np.abs(chars[i] - chars[k])) < 1e-6:
-                return True
-    return False
-
-
-def build_signal_family(group: FiniteGroup, num_spins: int) -> SignalFamily:
-    """Lift the group to num_spins qubits and decompose the space into
-    invariant blocks."""
-    rep = lift_to_qubits(group, num_spins)
-    return SignalFamily(group=group, rep_matrices=rep,
-                        block_structure=tuple(find_invariant_blocks(rep)))
-
-
-def schur_fiducial(family: SignalFamily, block_weights) -> np.ndarray:
-    """Fiducial |B> = sum_i sqrt(d_i/|G|) basis_i w_i over the family's blocks.
-
-    block_weights supplies one unit vector per block (in block coordinates).
-    The group orbit of the result is a complete POVM by Schur orthogonality.
-    Repeated equivalent blocks are refused: cross terms between copies of the
-    same irrep survive the group average, so per-block weights alone cannot
-    guarantee completeness there.
-    """
-    blocks = family.block_structure
-    if repeated_equivalent_blocks(family):
-        raise ValueError("signal space contains repeated equivalent blocks")
-    if len(block_weights) != len(blocks):
-        raise ValueError(f"need one weight vector per block ({len(blocks)})")
-    amps = np.zeros(family.rep_matrices[0].shape[0], dtype=complex)
-    for block, w in zip(blocks, block_weights):
-        if w is None:
-            raise ValueError("missing block direction")
-        w = np.asarray(w, dtype=complex)
-        if w.shape != (block.shape[1],):
-            raise ValueError("weight vector shape does not match block dimension")
-        if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-            raise ValueError("block weight vectors must be unit")
-        amps += math.sqrt(block.shape[1] / family.group.order) * (block @ w)
-    return amps
-

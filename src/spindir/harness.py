@@ -299,19 +299,37 @@ def _coherent_hits(true: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -
     cos(chi) d0 + x t1 + y t2, its tangent part turned by the twist of the
     true direction, and it is a hit when its dot with d0 is at least its dot
     with each other direction (argmax == 0).  The dots are taken one row at
-    a time: a (6, take) table of them raised the heap peak enough that the
-    1000-trial frame runs after a coherent run faulted their pages again."""
+    a time and the tangent terms are built in place, which keeps a full
+    batch's heap peak near 640 KiB: at about 1 MiB, glibc could trim the heap
+    top after a batch, and the next batch faulted its pages back in (about
+    750 faults per 32768-trial run)."""
     twist, coefficients = _d3_local_frame()
-    sin_chi = np.sqrt(np.clip(1.0 - cos_chi * cos_chi, 0.0, None))
-    along, across = sin_chi * np.cos(azimuth), sin_chi * np.sin(azimuth)
+    sin_chi = cos_chi * cos_chi
+    np.subtract(1.0, sin_chi, out=sin_chi)
+    np.clip(sin_chi, 0.0, None, out=sin_chi)
+    np.sqrt(sin_chi, out=sin_chi)
+    along, across = np.cos(azimuth), np.sin(azimuth)
+    along *= sin_chi
+    across *= sin_chi
+    tmp = sin_chi  # spent; its buffer takes the products below
     cos_tau, sin_tau = twist[0][true], twist[1][true]
-    x = along * cos_tau - across * sin_tau
-    y = along * sin_tau + across * cos_tau
-    dots = (c * cos_chi + p * x + q * y for c, p, q in coefficients)
+    x = along * cos_tau
+    x -= np.multiply(across, sin_tau, out=tmp)
+    y = np.multiply(along, sin_tau, out=along)
+    y += np.multiply(across, cos_tau, out=tmp)
+    del across, cos_tau, sin_tau
+
+    def dot(c, p, q):
+        d = c * cos_chi
+        d += np.multiply(p, x, out=tmp)
+        d += np.multiply(q, y, out=tmp)
+        return d
+
+    dots = (dot(c, p, q) for c, p, q in coefficients)
     own = next(dots)
     rival = next(dots)
-    for dot in dots:
-        np.maximum(rival, dot, out=rival)
+    for d in dots:
+        np.maximum(rival, d, out=rival)
     return own >= rival
 
 

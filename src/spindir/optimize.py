@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import TWO_PI
-from .groups import SignalFamily, d3_directions, repeated_equivalent_blocks
+from .groups import d3_directions
 from .states import SpinJ
 
 
@@ -59,17 +59,15 @@ class DirectionCode:
         return 1.0 - self.fidelity
 
 
-def finite_group_optimum(family: SignalFamily) -> CovariantOptimum:
-    """Best zero-one fidelity over a multiplicity-free block structure.
+def finite_group_optimum(block_dims, order: int) -> CovariantOptimum:
+    """Best zero-one fidelity over a multiplicity-free block structure with
+    block dimensions block_dims, for a group of the given order.
 
     Aligning the fiducial with the signal block-by-block reduces the overlap
     to sum_i a_i sqrt(d_i/|G|); maximizing over unit (a_i) gives
     F = sum_i d_i/|G| with a_i = sqrt(d_i / sum d).
     """
-    if repeated_equivalent_blocks(family):
-        raise ValueError("repeated equivalent irreps are not supported")
-    dims = np.array([b.shape[1] for b in family.block_structure], dtype=float)
-    order = family.group.order
+    dims = np.array(block_dims, dtype=float)
     fidelity = float(np.sum(dims) / order)
     coeffs = np.sqrt(dims / np.sum(dims))
     return CovariantOptimum(fidelity=fidelity, optimal_coefficients=tuple(coeffs))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import build_signal_family, d3_directions, dihedral_d3, schur_fiducial
+from .groups import d3_directions, d3_qubit_blocks, dihedral_d3, lift_to_qubits
 from .optimize import (
     ChiDensity,
     chi_density,
@@ -162,34 +162,27 @@ def d3_single_spin_povm() -> Povm:
 
 @lru_cache(maxsize=1)
 def _d3_two_spin_family() -> tuple:
-    """(family, fiducial, optimum) of the optimal two-spin strategy.
+    """(rep_matrices, fiducial) of the optimal two-spin strategy.
 
-    The fiducial spreads Schur weight sqrt(d_i/6) over the three invariant
-    blocks of the two-qubit representation.  Any unit block weights reach
-    fidelity 2/3, but the off-diagonal outcomes depend on the weight in the
-    two-dimensional E block, a degenerate eigenspace whose basis eigh leaves
-    free.  The E block is weighted by its component of |00>, B^dagger e_0
-    normalised, so that B w is P_E|00> normalised in any basis; a
-    one-dimensional block gets weight 1, since its basis phase cancels in
-    every orbit projector.
-    Cached, so the block arrays, rep_matrices and the fiducial are read-only.
+    The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight over the first
+    column b_i of each invariant block of the two-qubit representation
+    (`d3_qubit_blocks`), which makes it (e_0 + e_1)/sqrt3; its orbit is a
+    complete POVM by Schur orthogonality.
+    Cached, so rep_matrices and the fiducial are read-only.
     """
     group, _ = _d3()
-    family = build_signal_family(group, 2)
-    # row 0 of B holds its columns' |00> components, so B^dagger e_0 = conj(B[0])
-    weights = [np.ones(1) if b.shape[1] == 1 else b[0].conj() / np.linalg.norm(b[0])
-               for b in family.block_structure]
-    fiducial = schur_fiducial(family, weights)
-    for a in (*family.block_structure, *family.rep_matrices, fiducial):
+    rep = lift_to_qubits(group, 2)
+    fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in d3_qubit_blocks(2))
+    for a in (*rep, fiducial):
         a.flags.writeable = False
-    return family, fiducial, finite_group_optimum(family)
+    return rep, fiducial
 
 
 @lru_cache(maxsize=1)
 def d3_two_spin_povm() -> Povm:
     """Orbit POVM of the Schur fiducial on the four-dim two-spin space."""
-    family, fid, _ = _d3_two_spin_family()
-    return _direction_orbit_povm(family.rep_matrices, fid, "two-spin")
+    rep, fid = _d3_two_spin_family()
+    return _direction_orbit_povm(rep, fid, "two-spin")
 
 
 @lru_cache(maxsize=2)
@@ -202,11 +195,11 @@ def d3_outcome_matrix(num_spins: int) -> np.ndarray:
         signals = _d3_spinors()
     elif num_spins == 2:
         povm = d3_two_spin_povm()
-        family, fid, _ = _d3_two_spin_family()
+        rep, fid = _d3_two_spin_family()
         norm = float(np.linalg.norm(fid))
         # row i is the orbit state of the element that sends direction 0 to i
         order = np.argsort(_element_to_direction())
-        signals = np.array([family.rep_matrices[g] @ fid / norm for g in order])
+        signals = np.array([rep[g] @ fid / norm for g in order])
     else:
         raise ValueError("outcome matrices exist for the 1- and 2-spin strategies")
     matrix = state_probabilities(povm, signals)
@@ -296,16 +289,14 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
 
 def d3_covariant_two_spin_score() -> ProtocolScore:
     """Optimal covariant two-spin strategy: Schur-weighted fiducial orbit."""
-    family, _, optimum = _d3_two_spin_family()
+    group, _ = _d3()
+    # the blocks come in ascending dimension, so the coefficients do too
+    optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(2)], group.order)
     matrix = d3_outcome_matrix(2)
     fid = float(np.mean(np.diag(matrix)))
     if abs(fid - optimum.fidelity) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")
-    dims = [b.shape[1] for b in family.block_structure]
-    coeffs = tuple(
-        c for _, c in sorted(zip(dims, optimum.optimal_coefficients))
-    )
-    return _score(fid, "exact", coefficients=coeffs)
+    return _score(fid, "exact", coefficients=optimum.optimal_coefficients)
 
 
 def d3_coherent_score(num_spins: int) -> ProtocolScore:

@@ -72,6 +72,15 @@ class TestValidate:
         assert all(l.startswith("PASS") for l in lines)
         assert "all 7 checks passed" in out
 
+    def test_draws_no_random_numbers(self):
+        # the invariant blocks are written out, so a fresh process runs every
+        # self-check without importing numpy.random
+        code = ("import sys; from spindir.cli import main; "
+                "code = main(['validate']); print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
     def test_broken_quadrature_fails(self, capsys, monkeypatch):
         real = cli.covariant_direction_povm
 

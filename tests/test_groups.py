@@ -7,17 +7,15 @@ from spin_fixtures import coherent
 from spindir.geometry import Direction
 from spindir.groups import (
     FiniteGroup,
-    block_characters,
-    build_signal_family,
+    _mult_table_from_rotations,
     conjugacy_classes,
     d3_directions,
+    d3_qubit_blocks,
     dihedral_d3,
-    find_invariant_blocks,
     lift_to_qubits,
-    repeated_equivalent_blocks,
-    schur_fiducial,
 )
 from spindir.povm import covariant_povm_finite, validate_povm
+from spindir.protocols import _d3_two_spin_family
 from spindir.states import SpinJ
 
 GROUP, IRREPS = dihedral_d3()
@@ -25,6 +23,14 @@ GROUP, IRREPS = dihedral_d3()
 
 def test_d3_structure():
     GROUP.validate()
+    assert GROUP.mult_table.tolist() == [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 4, 5, 2, 3],
+        [2, 5, 0, 4, 3, 1],
+        [3, 4, 5, 0, 1, 2],
+        [4, 3, 1, 2, 5, 0],
+        [5, 2, 3, 1, 0, 4],
+    ]
     assert GROUP.order == 6
     assert tuple(tuple(sorted(cl)) for cl in GROUP.classes) == ((0,), (4, 5), (1, 2, 3))
     assert GROUP.inverse[0] == 0
@@ -109,103 +115,67 @@ def test_one_spin_orbit_is_coherent_spinors():
         assert abs(np.vdot(target, rotated)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_single_spin_is_one_projective_block():
+    assert [b.shape[1] for b in d3_qubit_blocks(1)] == [2]
+
+
 def test_two_spin_blocks_have_dims_1_1_2():
-    family = build_signal_family(GROUP, 2)
-    dims = sorted(b.shape[1] for b in family.block_structure)
-    assert dims == [1, 1, 2]
-    assert not repeated_equivalent_blocks(family)
+    assert [b.shape[1] for b in d3_qubit_blocks(2)] == [1, 1, 2]
 
 
-def test_blocks_are_invariant():
-    family = build_signal_family(GROUP, 2)
-    for b in family.block_structure:
-        # orthonormal columns
-        np.testing.assert_allclose(b.conj().T @ b, np.eye(b.shape[1]), atol=1e-10)
-        for u in family.rep_matrices:
+@pytest.mark.parametrize("num_spins", [1, 2])
+def test_blocks_are_invariant(num_spins):
+    blocks = d3_qubit_blocks(num_spins)
+    # together the blocks are an orthonormal basis of the product space
+    basis = np.hstack(blocks)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2**num_spins), atol=1e-15)
+    for b in blocks:
+        assert not b.flags.writeable
+        for u in lift_to_qubits(GROUP, num_spins):
             leak = u @ b - b @ (b.conj().T @ u @ b)
-            assert np.max(np.abs(leak)) < 1e-8
+            assert np.max(np.abs(leak)) <= 1e-14
 
 
 def test_block_multiplicities_match_characters():
-    # each two-spin block carries the character of exactly one irrep, and
-    # every irrep occurs once
-    family = build_signal_family(GROUP, 2)
+    # the two-spin blocks carry the characters tr(B^dagger U B) of A1, A2 and
+    # E, in that order: each irrep exactly once (Schur orthogonality)
+    rep = lift_to_qubits(GROUP, 2)
     per_element = np.zeros((3, GROUP.order))
     for ci, cl in enumerate(GROUP.classes):
         per_element[:, list(cl)] = IRREPS.characters[:, [ci]]
     hits = [
         i
-        for chi in block_characters(family)
+        for b in d3_qubit_blocks(2)
         for i, row in enumerate(per_element)
-        if np.max(np.abs(chi - row)) < 1e-9
+        if np.max(np.abs([np.trace(b.conj().T @ u @ b) for u in rep] - row)) < 1e-12
     ]
-    assert sorted(hits) == [0, 1, 2]
+    assert hits == [0, 1, 2]
 
 
-def test_single_spin_is_one_projective_block():
-    blocks = find_invariant_blocks(lift_to_qubits(GROUP, 1))
-    assert [b.shape[1] for b in blocks] == [2]
+def test_qubit_blocks_stop_at_two_qubits():
+    with pytest.raises(ValueError, match="1 or 2 qubits"):
+        d3_qubit_blocks(3)
 
 
-def test_three_spin_blocks_repeat():
-    # spin content 3/2 + 1/2 + 1/2; the m = +-3/2 extremes carry opposite flip
-    # eigenvalues and split off as one-dimensional projective blocks, while the
-    # two spin-1/2 copies are equivalent, which rules out a Schur fiducial
-    family = build_signal_family(GROUP, 3)
-    dims = sorted(b.shape[1] for b in family.block_structure)
-    assert dims == [1, 1, 2, 2, 2]
-    assert repeated_equivalent_blocks(family)
-    weights = [np.zeros(b.shape[1]) for b in family.block_structure]
-    for w in weights:
-        w[0] = 1.0
-    with pytest.raises(ValueError, match="repeated"):
-        schur_fiducial(family, weights)
-
-
-def test_schur_fiducial_norms_and_completeness():
-    family = build_signal_family(GROUP, 2)
-    weights = []
-    for block in family.block_structure:
-        w = np.zeros(block.shape[1])
-        w[0] = 1.0
-        weights.append(w)
-    fid = schur_fiducial(family, weights)
+def test_two_spin_fiducial_norms_and_completeness():
+    rep, fid = _d3_two_spin_family()
+    np.testing.assert_allclose(fid, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0), atol=1e-15)
     # block projections carry norm sqrt(d_i/6)
-    for block in family.block_structure:
+    for block in d3_qubit_blocks(2):
         proj = block.conj().T @ fid
         assert np.linalg.norm(proj) == pytest.approx(
             math.sqrt(block.shape[1] / 6.0), abs=1e-12
         )
     assert np.linalg.norm(fid) == pytest.approx(math.sqrt(4.0 / 6.0), abs=1e-12)
-    povm = covariant_povm_finite(family.rep_matrices, fid)
-    report = validate_povm(povm)
-    assert report.passed
-
-
-def test_schur_weight_validation():
-    family = build_signal_family(GROUP, 2)
-    with pytest.raises(ValueError, match="one weight"):
-        schur_fiducial(family, [np.array([1.0])])
-    bad = []
-    for block in family.block_structure:
-        w = np.zeros(block.shape[1])
-        w[0] = 2.0  # not unit
-        bad.append(w)
-    with pytest.raises(ValueError, match="unit"):
-        schur_fiducial(family, bad)
+    assert validate_povm(covariant_povm_finite(rep, fid)).passed
 
 
 def test_scaled_block_breaks_completeness():
-    family = build_signal_family(GROUP, 2)
-    amps = np.zeros(4, dtype=complex)
-    for k, block in enumerate(family.block_structure):
-        w = np.zeros(block.shape[1])
-        w[0] = 1.0
-        coeff = math.sqrt(block.shape[1] / 6.0)
-        if k == 0:
-            coeff *= 1.5
-        amps += coeff * (block @ w)
-    povm = covariant_povm_finite(family.rep_matrices, amps)
+    blocks = d3_qubit_blocks(2)
+    coeffs = [math.sqrt(b.shape[1] / 6.0) for b in blocks]
+    coeffs[0] *= 1.5
+    amps = sum(c * b[:, 0] for c, b in zip(coeffs, blocks))
+    povm = covariant_povm_finite(lift_to_qubits(GROUP, 2), amps)
     assert not validate_povm(povm).passed
 
 
@@ -229,4 +199,26 @@ def test_validate_checks_rotation_consistency():
     rotations[1] = (0.3, 0.0, 0.0)
     group = FiniteGroup.from_table(GROUP.mult_table, rotations=tuple(rotations))
     with pytest.raises(ValueError, match="rotations do not follow the table"):
+        group.validate()
+
+
+def test_table_refuses_a_rotation_set_not_closed_under_products():
+    # without the -120 degree turn, the +120 turn squared has no match
+    mats = [GROUP.rotation_matrix(g) for g in range(5)]
+    with pytest.raises(ValueError, match="not closed under products"):
+        _mult_table_from_rotations(mats)
+
+
+def test_validate_refuses_a_non_associative_loop():
+    # an order-5 loop: identity 0, every element its own inverse, each row and
+    # column a permutation, yet (1 1) 2 = 0 2 = 2 while 1 (1 2) = 1 3 = 4
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    group = FiniteGroup.from_table(table, rotations=((0.0, 0.0, 0.0),) * 5)
+    with pytest.raises(ValueError, match="not associative"):
         group.validate()

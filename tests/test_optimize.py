@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
-from spindir.groups import SignalFamily, build_signal_family, d3_directions, dihedral_d3
+from spindir.groups import d3_directions, d3_qubit_blocks, dihedral_d3
 from spindir.optimize import (
     BESSEL_J0_FIRST_ZERO,
     D3_ARC_NODES,
@@ -28,30 +28,26 @@ from spindir.states import SpinJ
 GROUP, _ = dihedral_d3()
 
 
+def block_dims(num_spins):
+    return [b.shape[1] for b in d3_qubit_blocks(num_spins)]
+
+
 class TestFiniteGroupOptimum:
     def test_single_spin_third(self):
-        opt = finite_group_optimum(build_signal_family(GROUP, 1))
+        opt = finite_group_optimum(block_dims(1), GROUP.order)
         assert opt.fidelity == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert opt.optimal_coefficients == (1.0,)
 
     def test_two_spins_two_thirds(self):
-        opt = finite_group_optimum(build_signal_family(GROUP, 2))
+        opt = finite_group_optimum(block_dims(2), GROUP.order)
         assert opt.fidelity == pytest.approx(2.0 / 3.0, abs=1e-15)
         got = sorted(opt.optimal_coefficients)
         want = sorted([0.5, 0.5, math.sqrt(0.5)])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_single_trivial_block_one_sixth(self):
-        # six copies of the identity on a one-dimensional space
-        rep = tuple(np.eye(1, dtype=complex) for _ in range(6))
-        family = SignalFamily(
-            group=GROUP, rep_matrices=rep, block_structure=(np.eye(1, dtype=complex),)
-        )
-        assert finite_group_optimum(family).fidelity == pytest.approx(1.0 / 6.0)
-
-    def test_repeated_blocks_rejected(self):
-        with pytest.raises(ValueError, match="repeated"):
-            finite_group_optimum(build_signal_family(GROUP, 3))
+        # one one-dimensional block of a six-element group
+        assert finite_group_optimum([1], 6).fidelity == pytest.approx(1.0 / 6.0)
 
 
 class TestCosMatrix:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from spin_fixtures import coherent
-from spindir import protocols
-from spindir.groups import SignalFamily, d3_directions
+from spindir.groups import d3_directions, d3_qubit_blocks
 from spindir.povm import state_probabilities, validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
@@ -144,13 +143,13 @@ class TestSingleSpin:
     def test_cached_two_spin_family_is_read_only(self):
         # every caller shares these arrays; a write would change the two-spin
         # POVM, outcome matrix and score for the rest of the process
-        family, fiducial, _ = _d3_two_spin_family()
-        arrays = [*family.block_structure, *family.rep_matrices, fiducial]
+        rep, fiducial = _d3_two_spin_family()
+        arrays = [*d3_qubit_blocks(2), *rep, fiducial]
         assert len(arrays) == 3 + 6 + 1
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] += 1.0
-        assert _d3_two_spin_family()[0] is family
+        assert _d3_two_spin_family()[0] is rep
 
     def test_score_is_one_third(self):
         score = d3_single_spin_score()
@@ -299,36 +298,6 @@ class TestCovariantTwoSpin:
         zeros = [[0, 0, 0]] * 3
         want = [a + b for a, b in zip(triangle, zeros)] + [a + b for a, b in zip(zeros, triangle)]
         assert np.round(scaled).astype(int).tolist() == want
-
-    def test_outcome_matrix_is_independent_of_the_block_bases(self, monkeypatch):
-        # eigh may return any orthonormal basis of the two-dimensional E block
-        # (a degenerate eigenvalue) and any phase of a one-dimensional block;
-        # the outcome matrix must not depend on which
-        want = np.array(d3_outcome_matrix(2))
-        family = _d3_two_spin_family()[0]
-        rng = np.random.default_rng(24)
-
-        def rotated_family(group, num_spins):
-            blocks = []
-            for b in family.block_structure:
-                d = b.shape[1]
-                q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-                blocks.append(b @ q)
-            return SignalFamily(group=group, rep_matrices=family.rep_matrices,
-                                block_structure=tuple(blocks))
-
-        caches = (_d3_two_spin_family, d3_two_spin_povm, d3_outcome_matrix)
-        monkeypatch.setattr(protocols, "build_signal_family", rotated_family)
-        try:
-            for _ in range(5):
-                for cache in caches:
-                    cache.cache_clear()
-                got = d3_outcome_matrix(2)
-                assert np.max(np.abs(got - want)) <= 1e-12
-        finally:
-            # the next caller rebuilds from the real family
-            for cache in caches:
-                cache.cache_clear()
 
     def test_outcome_matrix_size_guard(self):
         with pytest.raises(ValueError):

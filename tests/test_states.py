@@ -3,7 +3,7 @@ import pytest
 
 from spindir.frames import Frame
 from spindir.geometry import sphere_quadrature
-from spindir.groups import build_signal_family, dihedral_d3
+from spindir.groups import dihedral_d3
 from spindir.optimize import chi_density, optimal_direction_encoding
 from spindir.povm import Povm
 from spindir.states import SpinJ
@@ -40,7 +40,6 @@ ARRAY_RECORDS = {
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
     "IrrepData": lambda: dihedral_d3()[1],
     "FiniteGroup": lambda: dihedral_d3()[0],
-    "SignalFamily": lambda: build_signal_family(dihedral_d3()[0], 1),
 }
 
 
