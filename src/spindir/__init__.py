@@ -15,7 +15,6 @@ from .frames import (
 from .geometry import Direction, SphereQuadrature, sphere_quadrature
 from .groups import (
     FiniteGroup,
-    IrrepData,
     d3_directions,
     d3_qubit_blocks,
     dihedral_d3,
@@ -58,12 +57,12 @@ from .protocols import (
     ProtocolScore,
     ProtocolSpec,
     d3_coherent_score,
+    d3_covariant_povm,
+    d3_covariant_score,
     d3_covariant_two_spin_score,
     d3_outcome_matrix,
     d3_repeated_single_score,
-    d3_single_spin_povm,
     d3_single_spin_score,
-    d3_two_spin_povm,
     frame_two_axis_score,
 )
 from .spins import coherent_states

@@ -19,17 +19,16 @@ import click
 import numpy as np
 
 from .geometry import sphere_quadrature
-from .groups import d3_qubit_blocks, dihedral_d3
+from .groups import dihedral_d3
 from .harness import STREAM, RunConfig, RunResult, reference_score, run_experiment
 from .multispin import attainable_spins, total_j_projector
-from .optimize import finite_group_optimum, optimal_direction_encoding
+from .optimize import optimal_direction_encoding
 from .povm import covariant_direction_povm, validate_povm
 from .protocols import (
     PROTOCOL_KINDS,
     ProtocolSpec,
-    d3_covariant_two_spin_score,
-    d3_single_spin_povm,
-    d3_two_spin_povm,
+    d3_covariant_povm,
+    d3_covariant_score,
 )
 from .states import SpinJ, is_integer
 
@@ -97,7 +96,7 @@ def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
     payload = {
         "estimates": result.estimates,
         "stderrs": result.stderrs,
-        "trials": result.trials,
+        "trials": config.trials,
         "wall_time": result.wall_time,
         "stream": STREAM,
     }
@@ -233,11 +232,10 @@ def _check_group_axioms() -> tuple:
 
 
 def _check_characters() -> tuple:
-    group, irreps = dihedral_d3()
+    group, chars = dihedral_d3()
     sizes = np.array([len(c) for c in group.classes], dtype=float)
-    chars = irreps.characters
     gram = (chars * sizes) @ chars.conj().T / group.order
-    dev = float(np.max(np.abs(gram - np.eye(len(irreps.dims)))))
+    dev = float(np.max(np.abs(gram - np.eye(len(chars)))))
     return f"row orthogonality deviation = {dev:.3e}", dev < 1e-12
 
 
@@ -277,8 +275,8 @@ def cmd_validate():
     checks = [
         ("group axioms", _check_group_axioms),
         ("character table", _check_characters),
-        ("one-spin orbit POVM", lambda: _check_povm(d3_single_spin_povm())),
-        ("two-spin orbit POVM", lambda: _check_povm(d3_two_spin_povm())),
+        ("one-spin orbit POVM", lambda: _check_povm(d3_covariant_povm(1))),
+        ("two-spin orbit POVM", lambda: _check_povm(d3_covariant_povm(2))),
         ("sampled direction POVM (spin 2)", lambda: _check_povm(sampled)),
         ("two-qubit spin projectors", lambda: _check_projectors(2)),
         ("three-qubit spin projectors", lambda: _check_projectors(3)),
@@ -329,21 +327,15 @@ def _direction_table(num_spins, max_spins) -> list:
 
 def _dihedral_profile(num_spins) -> list:
     n = 2 if num_spins is None else num_spins
-    if n == 2:
-        score = d3_covariant_two_spin_score()
-        fidelity, coeffs = score.fidelity, score.coefficients
-    elif n == 1:
-        group, _ = dihedral_d3()
-        optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(1)], group.order)
-        fidelity, coeffs = optimum.fidelity, optimum.optimal_coefficients
-    else:
+    if n not in (1, 2):
         raise ValueError("the dihedral profile is computed for 1 or 2 spins")
+    score = d3_covariant_score(n)
     return [
         f"dihedral six-signal task on {n} spin(s)",
-        f"F = {fidelity:.12g}",
-        f"1-F = {1.0 - fidelity:.12g}",
+        f"F = {score.fidelity:.12g}",
+        f"1-F = {score.infidelity:.12g}",
         "block coefficients (by block dimension): "
-        + ", ".join(f"{c:.12g}" for c in coeffs),
+        + ", ".join(f"{c:.12g}" for c in score.coefficients),
     ]
 
 

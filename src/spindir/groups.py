@@ -92,11 +92,9 @@ class FiniteGroup:
         got = tuple(tuple(sorted(cl)) for cl in self.classes)
         if tuple(sorted(got)) != tuple(sorted(expected)):
             raise ValueError("classes inconsistent with conjugation")
-        for g in range(n):
-            for h in range(n):
-                prod = self.rotation_matrix(g) @ self.rotation_matrix(h)
-                if np.max(np.abs(prod - self.rotation_matrix(t[g, h]))) > MATCH_TOL:
-                    raise ValueError("rotations do not follow the table")
+        m = np.array([self.rotation_matrix(g) for g in range(n)])
+        if np.max(np.abs(m[:, None] @ m[None, :] - m[t])) > MATCH_TOL:
+            raise ValueError("rotations do not follow the table")
 
 
 def _inverses(table: np.ndarray) -> tuple:
@@ -125,14 +123,6 @@ def conjugacy_classes(table: np.ndarray) -> list:
     return classes
 
 
-@dataclass(frozen=True, eq=False)
-class IrrepData:
-    """Irreducible representation data, characters indexed by (irrep, class)."""
-
-    dims: tuple
-    characters: np.ndarray = field(repr=False)
-
-
 def _mult_table_from_rotations(mats: list) -> np.ndarray:
     m = np.asarray(mats)
     prods = m[:, None] @ m[None, :]
@@ -147,8 +137,10 @@ def dihedral_d3() -> tuple:
     """The six-element dihedral group: identity, three two-fold axes in the
     xy-plane at azimuths 0 and +-120 degrees, and +-120 degree turns about z.
 
-    Returns (FiniteGroup, IrrepData). Element order E, A, B, C, D, F; classes
-    {E}, {D, F}, {A, B, C}; character rows (1,1,1), (1,1,-1), (2,-1,0).
+    Returns (FiniteGroup, characters). Element order E, A, B, C, D, F;
+    classes {E}, {D, F}, {A, B, C}; the read-only character table is indexed
+    by (irrep, class), rows (1,1,1), (1,1,-1), (2,-1,0), and its first column
+    is each irrep's dimension.
     """
     def flip_euler(az):
         # pi turn about the in-plane axis at azimuth az, as zyz angles
@@ -164,15 +156,9 @@ def dihedral_d3() -> tuple:
     )
     mats = [euler_zyz_matrix(*e) for e in eulers]
     group = FiniteGroup.from_table(_mult_table_from_rotations(mats), rotations=eulers)
-    irreps = IrrepData(
-        dims=(1, 1, 2),
-        characters=np.array([
-            [1.0, 1.0, 1.0],
-            [1.0, 1.0, -1.0],
-            [2.0, -1.0, 0.0],
-        ]),
-    )
-    return group, irreps
+    characters = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]])
+    characters.flags.writeable = False
+    return group, characters
 
 
 def d3_directions() -> list:
@@ -196,15 +182,18 @@ def d3_qubit_blocks(num_spins: int) -> tuple:
     or two qubits, as read-only (2^N, d) complex arrays; qubit k is bit k of
     the basis index.
 
-    One qubit is a single (projective) two-dimensional block.  Two qubits
-    split into the singlet (e_1 - e_2)/sqrt2 (A1), the triplet's m = 0 state
+    One qubit is a single (projective) two-dimensional block, whose first
+    column is the spin-1/2 coherent state along direction 0,
+    (cos pi/8, sin pi/8), and second (-sin pi/8, cos pi/8).  Two qubits split
+    into the singlet (e_1 - e_2)/sqrt2 (A1), the triplet's m = 0 state
     (e_1 + e_2)/sqrt2 (A2), which the in-plane flips negate, and
     span{|00>, |11>} (E), which the z turns rotate by opposite phases and the
-    flips swap.  Each block's first column is the direction the two-spin
+    flips swap.  Each block's first column is the direction the covariant
     fiducial weights.
     """
     if num_spins == 1:
-        blocks = (np.eye(2, dtype=complex),)
+        c, s = math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)
+        blocks = (np.array([[c, -s], [s, c]], dtype=complex),)
     elif num_spins == 2:
         r = 1.0 / math.sqrt(2.0)
         basis = np.array([[0.0, 0.0, 1.0, 0.0], [r, r, 0.0, 0.0],

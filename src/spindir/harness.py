@@ -76,10 +76,8 @@ class RunResult:
     """Estimates from one run.  Everything except wall_time is a pure
     function of (config, seed)."""
 
-    config: RunConfig
     estimates: dict
     stderrs: dict
-    trials: int
     wall_time: float
 
 
@@ -432,13 +430,7 @@ def run_experiment(config: RunConfig) -> RunResult:
         if config.protocol.decoder == "naive-euler":
             estimates["naive_failures"] = parts["naive_failures"]
     wall = time.perf_counter() - start
-    return RunResult(
-        config=config,
-        estimates=estimates,
-        stderrs=stderrs,
-        trials=config.trials,
-        wall_time=wall,
-    )
+    return RunResult(estimates=estimates, stderrs=stderrs, wall_time=wall)
 
 
 def reference_score(config: RunConfig) -> ProtocolScore | None:

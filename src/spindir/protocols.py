@@ -6,6 +6,10 @@ strategies, quadrature for the coherent one; each returns a ProtocolScore
 with method 'exact' or 'quadrature'.  Monte Carlo execution is the
 simulation harness's job; this module only assembles what it needs (outcome
 matrices, chi densities and per-axis references).
+
+The covariant strategy on one spin (d3-single) and on two (d3-covariant) is
+one construction: the orbit of a Schur-weighted fiducial under D3's lift to
+the qubits, with the six orbit states as signals.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .optimize import (
     optimal_direction_encoding,
 )
 from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
-from .spins import coherent_states
 from .states import SpinJ, is_integer
 
 PROTOCOL_KINDS = (
@@ -135,54 +138,36 @@ def _element_to_direction() -> tuple:
     return tuple(out)
 
 
-def _d3_spinors() -> np.ndarray:
-    """Spin-1/2 coherent states along the six directions, one row each."""
-    dirs = d3_directions()
-    return coherent_states(SpinJ(1), [d.theta for d in dirs], [d.phi for d in dirs])
+@lru_cache(maxsize=2)
+def _d3_family(num_spins: int) -> tuple:
+    """(rep_matrices, fiducial) of the covariant strategy on one or two spins.
 
-
-def _direction_orbit_povm(unitaries, fiducial: np.ndarray, what: str) -> Povm:
-    """Orbit POVM of the fiducial under the D3 unitaries, its elements
-    ordered by the direction label of each group element, validated."""
-    order = np.argsort(_element_to_direction())
-    povm = Povm(covariant_povm_finite(unitaries, fiducial).operators[order])
-    if not validate_povm(povm).passed:
-        raise RuntimeError(f"{what} dihedral POVM failed validation")
-    return povm
-
-
-@lru_cache(maxsize=1)
-def d3_single_spin_povm() -> Povm:
-    """Covariant one-spin POVM: orbit of sqrt(1/3) times the spin-1/2 coherent
-    state along direction 0.  Outcome k is direction k."""
-    group, _ = _d3()
-    unitaries = [group.su2_matrix(g) for g in range(group.order)]
-    return _direction_orbit_povm(unitaries, _d3_spinors()[0] / math.sqrt(3.0), "one-spin")
-
-
-@lru_cache(maxsize=1)
-def _d3_two_spin_family() -> tuple:
-    """(rep_matrices, fiducial) of the optimal two-spin strategy.
-
-    The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight over the first
-    column b_i of each invariant block of the two-qubit representation
-    (`d3_qubit_blocks`), which makes it (e_0 + e_1)/sqrt3; its orbit is a
-    complete POVM by Schur orthogonality.
+    rep_matrices[k] is the lift of the group element that sends direction 0
+    to direction k.  The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight
+    over the first column b_i of each invariant block of the qubit
+    representation (`d3_qubit_blocks`): on one spin it is sqrt(1/3) times the
+    coherent spinor along direction 0, on two (e_0 + e_1)/sqrt3.  Its orbit
+    is a complete POVM by Schur orthogonality.
     Cached, so rep_matrices and the fiducial are read-only.
     """
     group, _ = _d3()
-    rep = lift_to_qubits(group, 2)
-    fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in d3_qubit_blocks(2))
+    lifts = lift_to_qubits(group, num_spins)
+    rep = tuple(lifts[g] for g in np.argsort(_element_to_direction()))
+    blocks = d3_qubit_blocks(num_spins)
+    fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in blocks)
     for a in (*rep, fiducial):
         a.flags.writeable = False
     return rep, fiducial
 
 
-@lru_cache(maxsize=1)
-def d3_two_spin_povm() -> Povm:
-    """Orbit POVM of the Schur fiducial on the four-dim two-spin space."""
-    rep, fid = _d3_two_spin_family()
-    return _direction_orbit_povm(rep, fid, "two-spin")
+@lru_cache(maxsize=2)
+def d3_covariant_povm(num_spins: int) -> Povm:
+    """Orbit POVM of the Schur fiducial on one or two spins, validated.
+    Outcome k is direction k."""
+    povm = covariant_povm_finite(*_d3_family(num_spins))
+    if not validate_povm(povm).passed:
+        raise RuntimeError(f"{num_spins}-spin dihedral POVM failed validation")
+    return povm
 
 
 @lru_cache(maxsize=2)
@@ -190,29 +175,36 @@ def d3_outcome_matrix(num_spins: int) -> np.ndarray:
     """Row i: probabilities of the six guessed directions given true direction
     i, for the covariant strategy on num_spins spins (1 or 2).  Cached and
     read-only."""
-    if num_spins == 1:
-        povm = d3_single_spin_povm()
-        signals = _d3_spinors()
-    elif num_spins == 2:
-        povm = d3_two_spin_povm()
-        rep, fid = _d3_two_spin_family()
-        norm = float(np.linalg.norm(fid))
-        # row i is the orbit state of the element that sends direction 0 to i
-        order = np.argsort(_element_to_direction())
-        signals = np.array([rep[g] @ fid / norm for g in order])
-    else:
-        raise ValueError("outcome matrices exist for the 1- and 2-spin strategies")
-    matrix = state_probabilities(povm, signals)
+    rep, fid = _d3_family(num_spins)
+    norm = float(np.linalg.norm(fid))
+    signals = np.array([u @ fid / norm for u in rep])  # row i: the orbit state along i
+    matrix = state_probabilities(d3_covariant_povm(num_spins), signals)
     matrix.flags.writeable = False
     return matrix
 
 
+def d3_covariant_score(num_spins: int) -> ProtocolScore:
+    """Covariant strategy on one or two spins: the guess is the outcome of
+    the Schur-weighted fiducial's orbit POVM, and only direction hits score.
+    Checked to reach `finite_group_optimum`."""
+    group, _ = _d3()
+    # the blocks come in ascending dimension, so the coefficients do too
+    dims = [b.shape[1] for b in d3_qubit_blocks(num_spins)]
+    optimum = finite_group_optimum(dims, group.order)
+    fid = float(np.mean(np.diag(d3_outcome_matrix(num_spins))))
+    if abs(fid - optimum.fidelity) > 1e-9:
+        raise RuntimeError("orbit POVM does not realize the computed optimum")
+    return _score(fid, "exact", coefficients=optimum.optimal_coefficients)
+
+
 def d3_single_spin_score() -> ProtocolScore:
-    """Success probability of the covariant single-spin strategy; the guess is
-    the measurement outcome itself and only direction hits score."""
-    matrix = d3_outcome_matrix(1)
-    fid = float(np.mean(np.diag(matrix)))
-    return _score(fid, "exact")
+    """The covariant strategy on one spin: success probability 1/3."""
+    return d3_covariant_score(1)
+
+
+def d3_covariant_two_spin_score() -> ProtocolScore:
+    """The covariant strategy on two spins: success probability 2/3."""
+    return d3_covariant_score(2)
 
 
 @lru_cache(maxsize=1)
@@ -285,18 +277,6 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
         wins = sum(_vote_wins(n, num[t], t, False) for t in range(6))
     # int / int rounds the exact rational to the nearest float, once
     return _score(wins / (6 * 60 * 24**n), "exact")
-
-
-def d3_covariant_two_spin_score() -> ProtocolScore:
-    """Optimal covariant two-spin strategy: Schur-weighted fiducial orbit."""
-    group, _ = _d3()
-    # the blocks come in ascending dimension, so the coefficients do too
-    optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(2)], group.order)
-    matrix = d3_outcome_matrix(2)
-    fid = float(np.mean(np.diag(matrix)))
-    if abs(fid - optimum.fidelity) > 1e-9:
-        raise RuntimeError("orbit POVM does not realize the computed optimum")
-    return _score(fid, "exact", coefficients=optimum.optimal_coefficients)
 
 
 def d3_coherent_score(num_spins: int) -> ProtocolScore:

@@ -41,11 +41,10 @@ from spindir.povm import Povm, covariant_direction_povm, validate_povm
 from spindir.protocols import (
     ProtocolSpec,
     d3_coherent_score,
+    d3_covariant_povm,
     d3_covariant_two_spin_score,
     d3_repeated_single_score,
     d3_single_spin_score,
-    d3_single_spin_povm,
-    d3_two_spin_povm,
 )
 from spindir.states import SpinJ
 
@@ -91,7 +90,7 @@ def test_criterion_01_single_spin_third(report):
 def test_criterion_02_two_spin_optimum(report):
     t0 = time.perf_counter()
     score = d3_covariant_two_spin_score()
-    povm = d3_two_spin_povm()
+    povm = d3_covariant_povm(2)
     check = validate_povm(povm)
     elapsed = time.perf_counter() - t0
     fid_err = abs(score.fidelity - 2.0 / 3.0)
@@ -335,8 +334,8 @@ def test_criterion_10_property_sweeps(report):
     t0 = time.perf_counter()
     # every POVM construction path, validated for completeness and positivity
     povms = [
-        d3_single_spin_povm(),
-        d3_two_spin_povm(),
+        d3_covariant_povm(1),
+        d3_covariant_povm(2),
         covariant_direction_povm(SpinJ(1), sphere_quadrature(2, 3)),
         covariant_direction_povm(SpinJ(2), sphere_quadrature(4, 7)),
         covariant_direction_povm(SpinJ(8), sphere_quadrature(10, 19)),

@@ -15,10 +15,10 @@ from spindir.groups import (
     lift_to_qubits,
 )
 from spindir.povm import covariant_povm_finite, validate_povm
-from spindir.protocols import _d3_two_spin_family
+from spindir.protocols import _d3_family
 from spindir.states import SpinJ
 
-GROUP, IRREPS = dihedral_d3()
+GROUP, CHARACTERS = dihedral_d3()
 
 
 def test_d3_structure():
@@ -40,16 +40,18 @@ def test_d3_structure():
 
 
 def test_d3_character_table():
-    assert IRREPS.dims == (1, 1, 2)
     np.testing.assert_array_equal(
-        IRREPS.characters,
+        CHARACTERS,
         np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]]),
     )
+    # the identity column holds the irrep dimensions
+    assert CHARACTERS[:, 0].tolist() == [1.0, 1.0, 2.0]
+    assert not CHARACTERS.flags.writeable
 
 
 def test_character_orthogonality():
     sizes = np.array([len(cl) for cl in GROUP.classes], dtype=float)
-    gram = (IRREPS.characters * sizes) @ IRREPS.characters.T / GROUP.order
+    gram = (CHARACTERS * sizes) @ CHARACTERS.T / GROUP.order
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
 
@@ -142,7 +144,7 @@ def test_block_multiplicities_match_characters():
     rep = lift_to_qubits(GROUP, 2)
     per_element = np.zeros((3, GROUP.order))
     for ci, cl in enumerate(GROUP.classes):
-        per_element[:, list(cl)] = IRREPS.characters[:, [ci]]
+        per_element[:, list(cl)] = CHARACTERS[:, [ci]]
     hits = [
         i
         for b in d3_qubit_blocks(2)
@@ -157,8 +159,15 @@ def test_qubit_blocks_stop_at_two_qubits():
         d3_qubit_blocks(3)
 
 
+def test_one_qubit_block_starts_at_the_direction_0_spinor():
+    block = d3_qubit_blocks(1)[0]
+    np.testing.assert_array_equal(block[:, 0], coherent(SpinJ(1), d3_directions()[:1])[0])
+    _, fid = _d3_family(1)
+    np.testing.assert_allclose(fid, block[:, 0] / math.sqrt(3.0), rtol=0, atol=1e-15)
+
+
 def test_two_spin_fiducial_norms_and_completeness():
-    rep, fid = _d3_two_spin_family()
+    rep, fid = _d3_family(2)
     np.testing.assert_allclose(fid, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0), atol=1e-15)
     # block projections carry norm sqrt(d_i/6)
     for block in d3_qubit_blocks(2):

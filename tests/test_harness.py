@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spindir import harness
+from spindir.cli import record_from_run
 from spindir.frames import (
     EulerAngles,
     Frame,
@@ -316,8 +317,8 @@ class TestReproducibility:
 
     def test_batch_split_covers_all_trials(self):
         config = RunConfig(protocol=spec(), trials=BATCH_TRIALS + 7, seed=5)
-        result = run_experiment(config)
-        assert result.trials == BATCH_TRIALS + 7
+        record = record_from_run(config, run_experiment(config))
+        assert record.result["trials"] == BATCH_TRIALS + 7
 
 
 def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
@@ -411,15 +412,11 @@ class TestD3BatchKernels:
                 }
                 assert got.stderrs == {"fidelity": want.stderr()}
 
-    def test_one_spin_boundaries_cover_every_draw(self):
+    @pytest.mark.parametrize("num_spins", [1, 2])
+    def test_last_boundary_is_one_to_rounding(self, num_spins):
         # the kernels compare with the first five cumulative boundaries only;
-        # the sixth of the one-spin table is never below 1, so no draw in
-        # [0, 1) passes it and dropping it moves no outcome
-        cum = np.cumsum(d3_outcome_matrix(1), axis=1)
-        assert np.all(cum[:, -1] >= 1.0)
-
-    def test_two_spin_last_boundary_is_one_to_rounding(self):
-        cum = np.cumsum(d3_outcome_matrix(2), axis=1)
+        # a draw past a sixth that rounded below 1 is outcome 5
+        cum = np.cumsum(d3_outcome_matrix(num_spins), axis=1)
         assert np.all(np.abs(cum[:, -1] - 1.0) <= 8 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("row", range(6))

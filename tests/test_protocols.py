@@ -7,6 +7,7 @@ import pytest
 
 from spin_fixtures import coherent
 from spindir.groups import d3_directions, d3_qubit_blocks
+from spindir.optimize import finite_group_optimum
 from spindir.povm import state_probabilities, validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
@@ -14,14 +15,14 @@ from spindir.protocols import (
     ProtocolScore,
     ProtocolSpec,
     d3_coherent_score,
+    d3_covariant_povm,
+    d3_covariant_score,
     d3_covariant_two_spin_score,
     d3_outcome_matrix,
     d3_repeated_single_score,
-    d3_single_spin_povm,
     d3_single_spin_score,
-    d3_two_spin_povm,
     frame_two_axis_score,
-    _d3_two_spin_family,
+    _d3_family,
     _single_spin_numerators,
 )
 from spindir.states import SpinJ
@@ -104,7 +105,7 @@ class TestProtocolScore:
 
 class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
-        povm = d3_single_spin_povm()
+        povm = d3_covariant_povm(1)
         # outcome k is direction k: the spinor along direction k gives k most often
         probs = state_probabilities(povm, coherent(SpinJ(1), d3_directions()))
         assert np.argmax(probs, axis=1).tolist() == list(range(6))
@@ -131,25 +132,6 @@ class TestSingleSpin:
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
-
-    @pytest.mark.parametrize("build", [d3_single_spin_povm, d3_two_spin_povm])
-    def test_cached_orbit_povm_is_read_only(self, build):
-        povm = build()
-        with pytest.raises(ValueError, match="read-only"):
-            povm.operators[0, 0, 0] += 1.0
-        assert build() is povm
-        assert validate_povm(povm).passed
-
-    def test_cached_two_spin_family_is_read_only(self):
-        # every caller shares these arrays; a write would change the two-spin
-        # POVM, outcome matrix and score for the rest of the process
-        rep, fiducial = _d3_two_spin_family()
-        arrays = [*d3_qubit_blocks(2), *rep, fiducial]
-        assert len(arrays) == 3 + 6 + 1
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] += 1.0
-        assert _d3_two_spin_family()[0] is rep
 
     def test_score_is_one_third(self):
         score = d3_single_spin_score()
@@ -268,9 +250,40 @@ class TestRepeatedVote:
             d3_repeated_single_score(3, "coin-flip")
 
 
+@pytest.mark.parametrize("num_spins", [1, 2])
+class TestCovariantOrbit:
+    def test_cached_orbit_povm_is_read_only(self, num_spins):
+        povm = d3_covariant_povm(num_spins)
+        with pytest.raises(ValueError, match="read-only"):
+            povm.operators[0, 0, 0] += 1.0
+        assert d3_covariant_povm(num_spins) is povm
+        assert validate_povm(povm).passed
+
+    def test_cached_family_is_read_only(self, num_spins):
+        # every caller shares these arrays; a write would change the POVM,
+        # outcome matrix and score for the rest of the process
+        rep, fiducial = _d3_family(num_spins)
+        blocks = d3_qubit_blocks(num_spins)
+        arrays = [*blocks, *rep, fiducial]
+        assert len(arrays) == len(blocks) + 6 + 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] += 1.0
+        assert _d3_family(num_spins)[0] is rep
+
+    def test_score_reaches_the_finite_group_optimum(self, num_spins):
+        score = d3_covariant_score(num_spins)
+        optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(num_spins)], 6)
+        assert score.method == "exact"
+        assert score.fidelity == pytest.approx(optimum.fidelity, abs=1e-15)
+        assert score.coefficients == optimum.optimal_coefficients
+        named = (d3_single_spin_score, d3_covariant_two_spin_score)[num_spins - 1]()
+        assert named == score
+
+
 class TestCovariantTwoSpin:
     def test_povm_completeness(self):
-        povm = d3_two_spin_povm()
+        povm = d3_covariant_povm(2)
         assert povm.operators.shape == (6, 4, 4)
         assert validate_povm(povm).passed
 

@@ -38,7 +38,6 @@ ARRAY_RECORDS = {
                            x_axis=np.array([1.0, 0.0, 0.0]),
                            y_axis=np.array([0.0, 1.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
-    "IrrepData": lambda: dihedral_d3()[1],
     "FiniteGroup": lambda: dihedral_d3()[0],
 }
 
