@@ -134,13 +134,14 @@ def _mult_table_from_rotations(mats: list) -> np.ndarray:
 
 
 def dihedral_d3() -> tuple:
-    """The six-element dihedral group: identity, three two-fold axes in the
-    xy-plane at azimuths 0 and +-120 degrees, and +-120 degree turns about z.
+    """The six-element dihedral group in direction order: element k sends
+    direction 0 of `d3_directions` to direction k.
 
-    Returns (FiniteGroup, characters). Element order E, A, B, C, D, F;
-    classes {E}, {D, F}, {A, B, C}; the read-only character table is indexed
-    by (irrep, class), rows (1,1,1), (1,1,-1), (2,-1,0), and its first column
-    is each irrep's dimension.
+    Returns (FiniteGroup, characters). Elements: identity, +120 and +240
+    degree turns about z, half turns about the in-plane axes at azimuths 0,
+    -120 and +120 degrees; classes {0}, {1, 2}, {3, 4, 5}. The read-only
+    character table is indexed by (irrep, class), rows (1,1,1), (1,1,-1),
+    (2,-1,0), and its first column is each irrep's dimension.
     """
     def flip_euler(az):
         # pi turn about the in-plane axis at azimuth az, as zyz angles
@@ -148,11 +149,11 @@ def dihedral_d3() -> tuple:
 
     eulers = (
         (0.0, 0.0, 0.0),
-        flip_euler(0.0),
-        flip_euler(TWO_PI / 3.0),
-        flip_euler(-TWO_PI / 3.0),
         (TWO_PI / 3.0, 0.0, 0.0),
         (2.0 * TWO_PI / 3.0, 0.0, 0.0),
+        flip_euler(0.0),
+        flip_euler(-TWO_PI / 3.0),
+        flip_euler(TWO_PI / 3.0),
     )
     mats = [euler_zyz_matrix(*e) for e in eulers]
     group = FiniteGroup.from_table(_mult_table_from_rotations(mats), rotations=eulers)

@@ -33,8 +33,6 @@ from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
     ProtocolScore,
     ProtocolSpec,
-    _d3,
-    _element_to_direction,
     d3_coherent_score,
     d3_covariant_two_spin_score,
     d3_outcome_matrix,
@@ -268,54 +266,42 @@ def _run_d3_finite(config: RunConfig) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _d3_local_frame() -> tuple:
-    """Direction 0's frame for the nearest-direction decode.
+def _d3_local_frame() -> np.ndarray:
+    """Direction 0's frame for the nearest-direction decode: the read-only
+    (6, 3) coefficients of each direction along (d0, t1, t2), with (t1, t2)
+    direction 0's tangent basis.
 
-    The D3 rotation R that sends direction 0 to direction t permutes the six
-    directions, so an estimate tilted from t is nearest t exactly when R^T of
-    it is nearest direction 0.  R turns direction 0's tangent basis (t1, t2)
-    into t's up to a twist about t: t1_t = cos(tau) R t1 + sin(tau) R t2.
-    Returns the (2, 6) twists (cos tau, sin tau) by direction and the (6, 3)
-    coefficients of each direction along (d0, t1, t2); both read-only."""
-    group, _ = _d3()
+    Direction t is tilted in the tangent basis that group element t (which
+    sends direction 0 to t and permutes the six) carries from direction 0.
+    A tilt of t is then that element applied to the same tilt of direction
+    0, and it is nearest t exactly when the tilt of direction 0 is nearest
+    direction 0: every trial is decided in direction 0's frame."""
     units = np.array([d.unit_vector for d in d3_directions()])
-    t1, t2 = _tangent_basis(units)
-    twist = np.empty((2, 6))
-    for g, t in enumerate(_element_to_direction()):
-        r = group.rotation_matrix(g)
-        twist[:, t] = t1[t] @ r @ t1[0], t1[t] @ r @ t2[0]
-    coefficients = units @ np.stack([units[0], t1[0], t2[0]]).T
-    for a in (twist, coefficients):
-        a.flags.writeable = False
-    return twist, coefficients
+    t1, t2 = _tangent_basis(units[:1])
+    coefficients = units @ np.concatenate((units[:1], t1, t2)).T
+    coefficients.flags.writeable = False
+    return coefficients
 
 
-def _coherent_hits(true: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Whether each tilt of a true direction by (chi, azimuth) decodes to it.
+def _coherent_hits(cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
+    """Whether each tilt by (chi, azimuth) decodes to the true direction.
 
     Read in direction 0's frame (see _d3_local_frame): the tilt is
-    cos(chi) d0 + x t1 + y t2, its tangent part turned by the twist of the
-    true direction, and it is a hit when its dot with d0 is at least its dot
-    with each other direction (argmax == 0).  The dots are taken one row at
-    a time and the tangent terms are built in place, which keeps a full
-    batch's heap peak near 640 KiB: at about 1 MiB, glibc could trim the heap
-    top after a batch, and the next batch faulted its pages back in (about
-    750 faults per 32768-trial run)."""
-    twist, coefficients = _d3_local_frame()
+    cos(chi) d0 + x t1 + y t2, and it is a hit when its dot with d0 is at
+    least its dot with each other direction (argmax == 0).  The dots are
+    taken one row at a time and the tangent terms are built in place, which
+    keeps a full batch's heap peak near 580 KiB: at about 1 MiB, glibc could
+    trim the heap top after a batch, and the next batch faulted its pages
+    back in (about 750 faults per 32768-trial run)."""
+    coefficients = _d3_local_frame()
     sin_chi = cos_chi * cos_chi
     np.subtract(1.0, sin_chi, out=sin_chi)
     np.clip(sin_chi, 0.0, None, out=sin_chi)
     np.sqrt(sin_chi, out=sin_chi)
-    along, across = np.cos(azimuth), np.sin(azimuth)
-    along *= sin_chi
-    across *= sin_chi
+    x, y = np.cos(azimuth), np.sin(azimuth)
+    x *= sin_chi
+    y *= sin_chi
     tmp = sin_chi  # spent; its buffer takes the products below
-    cos_tau, sin_tau = twist[0][true], twist[1][true]
-    x = along * cos_tau
-    x -= np.multiply(across, sin_tau, out=tmp)
-    y = np.multiply(along, sin_tau, out=along)
-    y += np.multiply(across, cos_tau, out=tmp)
-    del across, cos_tau, sin_tau
 
     def dot(c, p, q):
         d = c * cos_chi
@@ -336,8 +322,7 @@ def _run_d3_coherent(config: RunConfig) -> dict:
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
-        true = rng.integers(0, 6, take)
-        acc.add(_coherent_hits(true, *_tilt_draws(rng, density, take)).astype(float))
+        acc.add(_coherent_hits(*_tilt_draws(rng, density, take)).astype(float))
     return {"fidelity": acc}
 
 

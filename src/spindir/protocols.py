@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import d3_directions, d3_qubit_blocks, dihedral_d3, lift_to_qubits
+from .groups import d3_qubit_blocks, dihedral_d3, lift_to_qubits
 from .optimize import (
     ChiDensity,
     chi_density,
@@ -118,32 +118,13 @@ def _d3() -> tuple:
     return dihedral_d3()
 
 
-@lru_cache(maxsize=1)
-def _element_to_direction() -> tuple:
-    """Index of the direction each group element sends direction 0 to."""
-    group, _ = _d3()
-    dirs = d3_directions()
-    units = np.array([d.unit_vector for d in dirs])
-    base = units[0]
-    out = []
-    for g in range(group.order):
-        img = group.rotation_matrix(g) @ base
-        dots = units @ img
-        k = int(np.argmax(dots))
-        if dots[k] < 1.0 - 1e-9:
-            raise RuntimeError("group element does not map onto the direction orbit")
-        out.append(k)
-    if sorted(out) != list(range(6)):
-        raise RuntimeError("element-to-direction map is not a bijection")
-    return tuple(out)
-
-
 @lru_cache(maxsize=2)
 def _d3_family(num_spins: int) -> tuple:
     """(rep_matrices, fiducial) of the covariant strategy on one or two spins.
 
-    rep_matrices[k] is the lift of the group element that sends direction 0
-    to direction k.  The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight
+    rep_matrices[k] is the lift of group element k, which sends direction 0
+    to direction k (`dihedral_d3` lists its elements in direction order).
+    The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight
     over the first column b_i of each invariant block of the qubit
     representation (`d3_qubit_blocks`): on one spin it is sqrt(1/3) times the
     coherent spinor along direction 0, on two (e_0 + e_1)/sqrt3.  Its orbit
@@ -151,8 +132,7 @@ def _d3_family(num_spins: int) -> tuple:
     Cached, so rep_matrices and the fiducial are read-only.
     """
     group, _ = _d3()
-    lifts = lift_to_qubits(group, num_spins)
-    rep = tuple(lifts[g] for g in np.argsort(_element_to_direction()))
+    rep = lift_to_qubits(group, num_spins)
     blocks = d3_qubit_blocks(num_spins)
     fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in blocks)
     for a in (*rep, fiducial):
@@ -292,13 +272,17 @@ class FrameTwoAxisProtocol:
     """What a two-axis frame run draws from: the chi density of each axis's
     estimate, and its expected per-axis infidelity.
 
-    The per-axis expected infidelity is deterministic (Beta integral for the
-    coherent encoding, eigenvalue for the optimal one); the full frame score
-    depends on the decoder's nonlinearity and is sampled by the harness.
+    The per-axis expected infidelity is the code's deterministic infidelity
+    (1/(N/2 + 2) for the coherent encoding, an eigenvalue for the optimal
+    one); the full frame score depends on the decoder's nonlinearity and is
+    sampled by the harness.
     """
 
     chi: ChiDensity
-    expected_per_axis_infidelity: float
+
+    @property
+    def expected_per_axis_infidelity(self) -> float:
+        return self.chi.code.infidelity
 
 
 def frame_two_axis_score(
@@ -318,8 +302,6 @@ def frame_two_axis_score(
     per_axis = spec.num_spins // 2
     if encoding == "coherent":
         code = coherent_code(SpinJ(per_axis))
-        expected = 1.0 / (per_axis + 2.0)
     else:
         code = optimal_direction_encoding(SpinJ.from_j(per_axis / 2))
-        expected = code.infidelity
-    return FrameTwoAxisProtocol(chi=chi_density(code), expected_per_axis_infidelity=expected)
+    return FrameTwoAxisProtocol(chi=chi_density(code))

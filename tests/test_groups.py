@@ -25,18 +25,18 @@ def test_d3_structure():
     GROUP.validate()
     assert GROUP.mult_table.tolist() == [
         [0, 1, 2, 3, 4, 5],
-        [1, 0, 4, 5, 2, 3],
-        [2, 5, 0, 4, 3, 1],
-        [3, 4, 5, 0, 1, 2],
-        [4, 3, 1, 2, 5, 0],
-        [5, 2, 3, 1, 0, 4],
+        [1, 2, 0, 4, 5, 3],
+        [2, 0, 1, 5, 3, 4],
+        [3, 5, 4, 0, 2, 1],
+        [4, 3, 5, 1, 0, 2],
+        [5, 4, 3, 2, 1, 0],
     ]
     assert GROUP.order == 6
-    assert tuple(tuple(sorted(cl)) for cl in GROUP.classes) == ((0,), (4, 5), (1, 2, 3))
+    assert tuple(tuple(sorted(cl)) for cl in GROUP.classes) == ((0,), (1, 2), (3, 4, 5))
     assert GROUP.inverse[0] == 0
-    # flips are involutions, the two turns invert each other
-    assert GROUP.inverse[1] == 1 and GROUP.inverse[2] == 2 and GROUP.inverse[3] == 3
-    assert GROUP.inverse[4] == 5 and GROUP.inverse[5] == 4
+    # the two turns invert each other, flips are involutions
+    assert GROUP.inverse[1] == 2 and GROUP.inverse[2] == 1
+    assert GROUP.inverse[3] == 3 and GROUP.inverse[4] == 4 and GROUP.inverse[5] == 5
 
 
 def test_d3_character_table():
@@ -61,9 +61,9 @@ def vector_characters():
 
 
 def test_rotation_characters_values():
-    # identity 3, in-plane flips -1, 120-degree turns 0 (trace = 1 + 2 cos)
+    # identity 3, 120-degree turns 0 (trace = 1 + 2 cos), in-plane flips -1
     np.testing.assert_allclose(
-        vector_characters(), [3.0, -1.0, -1.0, -1.0, 0.0, 0.0], atol=1e-12
+        vector_characters(), [3.0, 0.0, 0.0, -1.0, -1.0, -1.0], atol=1e-12
     )
 
 
@@ -90,18 +90,15 @@ def test_rotations_follow_table_exactly():
 
 
 def test_signal_directions_are_the_group_orbit():
+    # the elements come in direction order: element g sends direction 0 to
+    # direction g, so the orbit is the six directions, each once
     dirs = d3_directions()
     assert len(dirs) == 6
     vecs = np.array([d.unit_vector for d in dirs])
-    n0 = vecs[0]
-    hit = set()
     for g in range(6):
-        image = GROUP.rotation_matrix(g) @ n0
-        dots = vecs @ image
-        k = int(np.argmax(dots))
-        assert dots[k] > 1.0 - 1e-12
-        hit.add(k)
-    assert hit == set(range(6))
+        dots = vecs @ (GROUP.rotation_matrix(g) @ vecs[0])
+        assert int(np.argmax(dots)) == g
+        assert dots[g] > 1.0 - 1e-12
 
 
 def test_one_spin_orbit_is_coherent_spinors():
@@ -192,7 +189,7 @@ def test_from_table_derives_inverses_and_classes():
     group = FiniteGroup.from_table(GROUP.mult_table.tolist(), rotations=GROUP.element_rotations)
     np.testing.assert_array_equal(group.mult_table, GROUP.mult_table)
     assert group.order == 6
-    assert group.inverse == GROUP.inverse == (0, 1, 2, 3, 5, 4)
+    assert group.inverse == GROUP.inverse == (0, 2, 1, 3, 4, 5)
     assert group.classes == GROUP.classes == tuple(conjugacy_classes(GROUP.mult_table))
     group.validate()
 
@@ -203,17 +200,17 @@ def test_from_table_rejects_missing_inverse():
 
 
 def test_validate_checks_rotation_consistency():
-    # the table says A is an involution; a z-turn in its rotation row is not
+    # the table says element 3 is an involution; a z-turn in its rotation row is not
     rotations = list(GROUP.element_rotations)
-    rotations[1] = (0.3, 0.0, 0.0)
+    rotations[3] = (0.3, 0.0, 0.0)
     group = FiniteGroup.from_table(GROUP.mult_table, rotations=tuple(rotations))
     with pytest.raises(ValueError, match="rotations do not follow the table"):
         group.validate()
 
 
 def test_table_refuses_a_rotation_set_not_closed_under_products():
-    # without the -120 degree turn, the +120 turn squared has no match
-    mats = [GROUP.rotation_matrix(g) for g in range(5)]
+    # without the +240 degree turn, the +120 turn squared has no match
+    mats = [GROUP.rotation_matrix(g) for g in range(6) if g != 2]
     with pytest.raises(ValueError, match="not closed under products"):
         _mult_table_from_rotations(mats)
 

@@ -51,7 +51,6 @@ from spindir.optimize import (
 from spindir.protocols import (
     ProtocolSpec,
     _d3,
-    _element_to_direction,
     d3_outcome_matrix,
     frame_two_axis_score,
 )
@@ -316,6 +315,17 @@ class TestReproducibility:
         assert run_experiment(base).estimates != run_experiment(other).estimates
 
     def test_batch_split_covers_all_trials(self):
+        # full batches, then one partial batch for the remainder, never an
+        # empty one; the indices count up from 0 and the sizes sum to trials
+        splits = {
+            1: [(0, 1)],
+            BATCH_TRIALS: [(0, BATCH_TRIALS)],
+            BATCH_TRIALS + 7: [(0, BATCH_TRIALS), (1, 7)],
+            2 * BATCH_TRIALS: [(0, BATCH_TRIALS), (1, BATCH_TRIALS)],
+        }
+        for trials, want in splits.items():
+            assert list(_batches(trials)) == want
+            assert sum(take for _, take in want) == trials
         config = RunConfig(protocol=spec(), trials=BATCH_TRIALS + 7, seed=5)
         record = record_from_run(config, run_experiment(config))
         assert record.result["trials"] == BATCH_TRIALS + 7
@@ -360,21 +370,22 @@ def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
 
 def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     """A d3-coherent run as the 3-D tilt and six-way argmax oracle: each
-    trial's true direction is tilted as a 3-vector, in a tangent basis built
-    again in each batch, and guessed as the argmax of its six dots.  The
-    harness decodes the same draws in direction 0's frame instead."""
+    trial tilts direction 0 as a 3-vector, in a tangent basis built again in
+    each batch, and hits when the argmax of its six dots is direction 0.  By
+    D3 covariance that is the hit of every true direction (see
+    TestCoherentLocalFrame); the harness decodes the same draws from its
+    cached table instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     units = np.array([d.unit_vector for d in d3_directions()])
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
-        true = rng.integers(0, 6, take)
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
         cos_chi = density.quantile_cos(u_chi)
-        est = _perturb_units(units[true], cos_chi, azimuth)
+        est = _perturb_units(np.repeat(units[:1], take, axis=0), cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
-        acc.add((guess == true).astype(float))
+        acc.add((guess == 0).astype(float))
     return acc
 
 
@@ -431,15 +442,30 @@ class TestD3BatchKernels:
 
 
 class TestCoherentLocalFrame:
-    # the harness decodes a d3-coherent trial in direction 0's frame; these
-    # pin the cached table it reads against the group and the 3-D tilt
+    # the harness decodes every d3-coherent trial in direction 0's frame;
+    # these pin the cached table it reads against the group and the 3-D tilt
 
     units = np.array([d.unit_vector for d in d3_directions()])
+
+    def clear_grid(self, t, est):
+        """Which estimates lie farther than 1e-9 from every bisector, and
+        which are nearest direction t."""
+        dots = est @ self.units.T
+        first, second = np.triu_indices(6, 1)
+        clear = np.abs(dots[:, first] - dots[:, second]).min(axis=1) > 1e-9
+        return clear, np.argmax(dots, axis=1) == t
+
+    @staticmethod
+    def grid():
+        """The (cos chi, azimuth) grid the decision tests tilt by."""
+        return (g.ravel() for g in np.meshgrid(
+            np.linspace(-1.0, 1.0, 81), np.linspace(0.0, 2.0 * math.pi, 144, endpoint=False)
+        ))
 
     @pytest.mark.parametrize("t", range(6))
     def test_rotation_sends_direction_zero_to_t_and_permutes_the_six(self, t):
         group, _ = _d3()
-        r = group.rotation_matrix(_element_to_direction().index(t))
+        r = group.rotation_matrix(t)
         assert np.allclose(r @ self.units[0], self.units[t], rtol=0.0, atol=1e-12)
         images = self.units @ r.T
         nearest = np.argmax(images @ self.units.T, axis=1)
@@ -447,36 +473,39 @@ class TestCoherentLocalFrame:
         assert np.allclose(images, self.units[nearest], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("t", range(6))
-    def test_twist_turns_direction_zero_basis_into_t_basis(self, t):
-        twist, coefficients = _d3_local_frame()
-        cos_tau, sin_tau = twist[:, t]
-        assert abs(math.hypot(cos_tau, sin_tau) - 1.0) <= 1e-12
+    def test_group_carries_the_direction_zero_decision_to_t(self, t):
+        # element t applied to a tilt of direction 0 is nearest t exactly
+        # where that tilt is a hit
         group, _ = _d3()
-        r = group.rotation_matrix(_element_to_direction().index(t))
+        r = group.rotation_matrix(t)
+        t1, t2 = _tangent_basis(self.units[:1])
+        cos_chi, azimuth = self.grid()
+        est0 = _tilt(self.units[0], t1[0], t2[0], cos_chi, azimuth)
+        clear, want = self.clear_grid(t, est0 @ r.T)
+        got = _coherent_hits(cos_chi, azimuth)
+        assert clear.sum() > cos_chi.size // 2
+        assert 0 < want[clear].sum() < clear.sum()  # hits and misses
+        assert np.array_equal(got[clear], want[clear])
+
+    def test_table_is_read_only(self):
+        coefficients = _d3_local_frame()
+        assert not coefficients.flags.writeable
         t1, t2 = _tangent_basis(self.units)
-        turned = cos_tau * (r @ t1[0]) + sin_tau * (r @ t2[0])
-        assert np.allclose(turned, t1[t], rtol=0.0, atol=1e-12)
         frame = np.stack([self.units[0], t1[0], t2[0]])
         assert np.allclose(coefficients, self.units @ frame.T, rtol=0.0, atol=1e-15)
 
-    def test_table_is_read_only(self):
-        for table in _d3_local_frame():
-            assert not table.flags.writeable
-
     @pytest.mark.parametrize("t", range(6))
     def test_decision_matches_the_tilt_and_argmax(self, t):
-        cos_chi, azimuth = (g.ravel() for g in np.meshgrid(
-            np.linspace(-1.0, 1.0, 81), np.linspace(0.0, 2.0 * math.pi, 144, endpoint=False)
-        ))
-        true = np.full(cos_chi.size, t)
-        est = _perturb_units(self.units[true], cos_chi, azimuth)
-        dots = est @ self.units.T
-        # keep the points farther than 1e-9 from every bisector
-        first, second = np.triu_indices(6, 1)
-        clear = np.abs(dots[:, first] - dots[:, second]).min(axis=1) > 1e-9
-        want = np.argmax(dots, axis=1) == true
-        got = _coherent_hits(true, cos_chi, azimuth)
-        assert got.dtype == bool and got.shape == true.shape
+        # direction t tilted as a 3-vector, in the tangent basis that element
+        # t carries from direction 0
+        group, _ = _d3()
+        r = group.rotation_matrix(t)
+        t1, t2 = _tangent_basis(self.units[:1])
+        cos_chi, azimuth = self.grid()
+        est = _tilt(self.units[t], r @ t1[0], r @ t2[0], cos_chi, azimuth)
+        clear, want = self.clear_grid(t, est)
+        got = _coherent_hits(cos_chi, azimuth)
+        assert got.dtype == bool and got.shape == cos_chi.shape
         assert clear.sum() > cos_chi.size // 2
         assert 0 < want[clear].sum() < clear.sum()  # hits and misses
         assert np.array_equal(got[clear], want[clear])
