@@ -373,6 +373,9 @@ def cmd_simulate(config_path, **flags):
     """Run one seeded experiment and persist its result record."""
     settings = load_settings(config_path) if config_path else {}
     for key, value in flags.items():
+        if value == "":
+            # "" is a value, not a flag left out; falling back to the default would hide it
+            raise ValueError(f"--{key.replace('_', '-')} is empty; leave the option out for its default")
         if value is not None:
             settings[key] = value
     config = build_run_config(settings)

@@ -20,7 +20,6 @@ import numpy as np
 from .frames import (
     EulerAngles,
     Frame,
-    _cross,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
@@ -34,10 +33,9 @@ from .protocols import (
     ProtocolScore,
     ProtocolSpec,
     d3_coherent_score,
-    d3_covariant_two_spin_score,
+    d3_covariant_score,
     d3_outcome_matrix,
     d3_repeated_single_score,
-    d3_single_spin_score,
     frame_two_axis_score,
 )
 from .spins import SpinJ
@@ -146,33 +144,26 @@ def sample_chi(density: ChiDensity, rng: np.random.Generator, size: int) -> np.n
     return density.quantile_cos(rng.random(size))
 
 
-def _tangent_basis(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal tangent pair (t1, t2) for each unit row.
-
-    t1 comes from the coordinate axis with the smallest |component|, the
-    first of tied ones (deterministic, never parallel to the direction);
-    t2 = unit x t1.  Worked on the three component columns: a per-row
-    argmin or norm over three components is numpy's slow path."""
-    u = units.T
-    a0, a1, a2 = np.abs(u)
-    axis = np.empty(u.shape, dtype=bool)  # axis[k]: component k is the smallest
-    np.logical_and(a0 <= a1, a0 <= a2, out=axis[0])
-    np.greater(a1 <= a2, axis[0], out=axis[1])
-    np.logical_not(axis[0] | axis[1], out=axis[2])
-    along = u * -np.where(axis[0], u[0], np.where(axis[1], u[1], u[2]))
-    t1 = np.where(axis, along + 1.0, along)
-    sq = t1 * t1
-    t1 /= np.sqrt((sq[0] + sq[1]) + sq[2])
-    return t1.T, _cross(units, t1.T)
+def _tangent_offsets(cos_chi: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A tilt's offsets (sin(chi) cos(azimuth), sin(chi) sin(azimuth)) along
+    a tangent pair, worked in place so only the two returned arrays stay."""
+    sin_chi = cos_chi * cos_chi
+    np.subtract(1.0, sin_chi, out=sin_chi)
+    np.clip(sin_chi, 0.0, None, out=sin_chi)
+    np.sqrt(sin_chi, out=sin_chi)
+    x, y = np.cos(azimuth), np.sin(azimuth)
+    x *= sin_chi
+    y *= sin_chi
+    return x, y
 
 
 def _tilt(
     units: np.ndarray, t1: np.ndarray, t2: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray
 ) -> np.ndarray:
-    """Tilt each unit row away by chi towards cos(azimuth) t1 + sin(azimuth) t2."""
-    sin_chi = np.sqrt(np.clip(1.0 - cos_chi * cos_chi, 0.0, None))
-    tangent = np.cos(azimuth)[:, None] * t1 + np.sin(azimuth)[:, None] * t2
-    return cos_chi[:, None] * units + sin_chi[:, None] * tangent
+    """Tilt each unit row away by chi towards cos(azimuth) t1 + sin(azimuth) t2,
+    with (t1, t2) an orthonormal tangent pair of the row."""
+    x, y = _tangent_offsets(cos_chi, azimuth)
+    return cos_chi[:, None] * units + x[:, None] * t1 + y[:, None] * t2
 
 
 def _tilt_draws(rng: np.random.Generator, density: ChiDensity, take: int) -> tuple:
@@ -239,8 +230,9 @@ def _run_d3_finite(config: RunConfig) -> dict:
     # shots are drawn trial-minor into (repeats, take) rows; an outcome is the
     # number of the true row's first five cumulative boundaries below the
     # draw; the sixth is 1 only to rounding, and a draw past one that rounded
-    # below 1 is outcome 5
-    bounds = np.cumsum(d3_outcome_matrix(2 if spec.kind == "d3-covariant" else 1), axis=1)[:, :5].T
+    # below 1 is outcome 5; a vote's shots each measure one spin
+    spins_per_shot = 1 if spec.kind == "d3-repeated" else spec.num_spins
+    bounds = np.cumsum(d3_outcome_matrix(spins_per_shot), axis=1)[:, :5].T
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
     # one shot and one outcome buffer per run; random(out=) needs a contiguous
@@ -268,17 +260,18 @@ def _run_d3_finite(config: RunConfig) -> dict:
 @lru_cache(maxsize=1)
 def _d3_local_frame() -> np.ndarray:
     """Direction 0's frame for the nearest-direction decode: the read-only
-    (6, 3) coefficients of each direction along (d0, t1, t2), with (t1, t2)
-    direction 0's tangent basis.
+    (6, 3) coefficients of each direction along (d0, t1, t2).  Direction 0
+    lies in the xz plane, so its tangent pair is t1 = e_y and
+    t2 = d0 x e_y = (-d0_z, 0, d0_x).
 
-    Direction t is tilted in the tangent basis that group element t (which
+    Direction t is tilted in the tangent pair that group element t (which
     sends direction 0 to t and permutes the six) carries from direction 0.
     A tilt of t is then that element applied to the same tilt of direction
     0, and it is nearest t exactly when the tilt of direction 0 is nearest
     direction 0: every trial is decided in direction 0's frame."""
     units = np.array([d.unit_vector for d in d3_directions()])
-    t1, t2 = _tangent_basis(units[:1])
-    coefficients = units @ np.concatenate((units[:1], t1, t2)).T
+    d0 = units[0]
+    coefficients = units @ np.array([d0, [0.0, 1.0, 0.0], [-d0[2], 0.0, d0[0]]]).T
     coefficients.flags.writeable = False
     return coefficients
 
@@ -287,21 +280,15 @@ def _coherent_hits(cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Whether each tilt by (chi, azimuth) decodes to the true direction.
 
     Read in direction 0's frame (see _d3_local_frame): the tilt is
-    cos(chi) d0 + x t1 + y t2, and it is a hit when its dot with d0 is at
-    least its dot with each other direction (argmax == 0).  The dots are
-    taken one row at a time and the tangent terms are built in place, which
-    keeps a full batch's heap peak near 580 KiB: at about 1 MiB, glibc could
-    trim the heap top after a batch, and the next batch faulted its pages
-    back in (about 750 faults per 32768-trial run)."""
+    cos(chi) d0 + x t1 + y t2, with (x, y) its tangent offsets, and it is a
+    hit when its dot with d0 is at least its dot with each other direction
+    (argmax == 0).  The dots are taken one row at a time into one scratch
+    buffer, which keeps a full batch's heap peak near 580 KiB: at about
+    1 MiB, glibc could trim the heap top after a batch, and the next batch
+    faulted its pages back in (about 750 faults per 32768-trial run)."""
     coefficients = _d3_local_frame()
-    sin_chi = cos_chi * cos_chi
-    np.subtract(1.0, sin_chi, out=sin_chi)
-    np.clip(sin_chi, 0.0, None, out=sin_chi)
-    np.sqrt(sin_chi, out=sin_chi)
-    x, y = np.cos(azimuth), np.sin(azimuth)
-    x *= sin_chi
-    y *= sin_chi
-    tmp = sin_chi  # spent; its buffer takes the products below
+    x, y = _tangent_offsets(cos_chi, azimuth)
+    tmp = np.empty_like(x)
 
     def dot(c, p, q):
         d = c * cos_chi
@@ -348,13 +335,13 @@ def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decod
     """One batch of frame trials: per-trial infidelities, the z and x cos(chi)
     draws, and the number of clamped naive decodes."""
     true = sample_haar_frame(rng, take)
-    # the z rows then the x rows, tilted in one pass; the draws keep the
-    # per-axis order cos chi_z, azimuth_z, cos chi_x, azimuth_x
-    units = np.concatenate((true.z_axis.T, true.x_axis.T), axis=1).T
-    draws = np.concatenate([_tilt_draws(rng, density, take) for _ in range(2)], axis=1)
-    est = _tilt(units, *_tangent_basis(units), *draws)
-    z_est, x_est = est[:take], est[take:]
-    cos_z, cos_x = draws[0, :take], draws[0, take:]
+    # each axis is tilted towards a uniform azimuth in the plane of the true
+    # frame's other two axes: z in (x, y), x in (y, z); the draws come in the
+    # order cos chi_z, azimuth_z, cos chi_x, azimuth_x
+    cos_z, azimuth_z = _tilt_draws(rng, density, take)
+    cos_x, azimuth_x = _tilt_draws(rng, density, take)
+    z_est = _tilt(true.z_axis, true.x_axis, true.y_axis, cos_z, azimuth_z)
+    x_est = _tilt(true.x_axis, true.y_axis, true.z_axis, cos_x, azimuth_x)
     failures = 0
     if decoder == "naive-euler":
         fitted, failures = _naive_frames(z_est, x_est)
@@ -423,12 +410,10 @@ def reference_score(config: RunConfig) -> ProtocolScore | None:
     protocol, when one exists.  None for frame runs, whose full-frame score
     is only defined by sampling."""
     spec = config.protocol
-    if spec.kind == "d3-single":
-        return d3_single_spin_score()
+    if spec.kind in ("d3-single", "d3-covariant"):
+        return d3_covariant_score(spec.num_spins)
     if spec.kind == "d3-repeated":
         return d3_repeated_single_score(spec.num_spins, tie_break=spec.tie_break)
-    if spec.kind == "d3-covariant":
-        return d3_covariant_two_spin_score()
     if spec.kind == "d3-coherent":
         return d3_coherent_score(spec.num_spins)
     return None

@@ -335,6 +335,28 @@ class TestSimulate:
         assert err.startswith(f"error: {cfg}: {key.replace('-', '_')} is empty")
         assert out == "" and not out_dir.exists()
 
+    @pytest.mark.parametrize("option", ["--encoding", "--decoder", "--tie-break", "--output"])
+    def test_empty_text_option_is_refused(self, capsys, tmp_path, monkeypatch, option):
+        # an empty option fell back to the default: --encoding "" ran coherent
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv(OUTPUT_DIR_VAR, str(out_dir))
+        code, out, err = run(
+            capsys, "simulate", "--kind", "frame-two-axis", "--num-spins", "4",
+            "--trials", "10", "--seed", "1", option, "",
+        )
+        assert code == 1
+        assert err.startswith(f"error: {option} is empty")
+        assert out == "" and not out_dir.exists()
+
+    def test_null_text_setting_takes_its_default(self, capsys, tmp_path):
+        # a JSON null is a key left out, unlike an empty string
+        cfg = tmp_path / "run.json"
+        protocol = {"kind": "frame-two-axis", "num_spins": 4, "encoding": None, "decoder": None}
+        cfg.write_text(json.dumps({"protocol": protocol, "run": {"trials": 10, "seed": 1}}))
+        path, out = simulate_record(capsys, tmp_path, "r.json", "--config", str(cfg))
+        assert "frame-two-axis N=4 coherent/best-fit" in out
+        assert read_record(str(path)).config["protocol"]["encoding"] == "coherent"
+
     def test_missing_required_settings(self, capsys):
         code, _, err = run(capsys, "simulate", "--kind", "d3-single")
         assert code == 1

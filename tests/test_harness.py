@@ -9,7 +9,6 @@ from spindir.cli import record_from_run
 from spindir.frames import (
     EulerAngles,
     Frame,
-    _cross,
     axes_to_euler,
     best_fit_frame,
     euler_to_axes,
@@ -30,7 +29,6 @@ from spindir.harness import (
     _naive_frames,
     _plurality,
     _quaternion_matrices,
-    _tangent_basis,
     _tilt,
     _tilt_draws,
     reference_score,
@@ -62,12 +60,6 @@ def spec(kind="d3-single", num_spins=1, **kw) -> ProtocolSpec:
     return ProtocolSpec(kind=kind, num_spins=num_spins, **kw)
 
 
-def _perturb_units(units: np.ndarray, cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
-    """Tilt each unit row away by chi at the given tangent azimuth, with the
-    tangent basis built for these rows: the tilt of a frame run."""
-    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth)
-
-
 def _quaternion_matrices_by_entry(q: np.ndarray) -> np.ndarray:
     """The rotation matrices of quaternion rows (w, x, y, z), entry by entry:
     the row-major form _quaternion_matrices must equal bit for bit."""
@@ -86,38 +78,12 @@ def _quaternion_matrices_by_entry(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tangent_basis_by_argmin(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tangent basis by a per-row argmin and norm: the form _tangent_basis
-    must equal bit for bit."""
-    rows = np.arange(units.shape[0])
-    idx = np.argmin(np.abs(units), axis=1)
-    smallest = units[rows, idx]
-    t1 = -units * smallest[:, None]
-    t1[rows, idx] += 1.0
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    return t1, _cross(units, t1)
-
-
 def _assert_same_bits(got: np.ndarray, want: np.ndarray):
     # array_equal, and the sign of every zero
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
-
-_EDGE_UNITS = np.array(
-    [
-        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
-        [-0.0, 1.0, 0.0], [1.0, -0.0, -0.0], [-0.0, -0.0, -1.0],
-        [0.6, 0.8, 0.0], [0.6, -0.0, -0.8], [-0.0, 0.6, 0.8],
-        [0.5, 0.5, math.sqrt(0.5)], [0.5, math.sqrt(0.5), -0.5],
-        [math.sqrt(0.5), -0.5, 0.5], [-0.5, -0.5, -math.sqrt(0.5)],
-    ]
-    + [[s0 / math.sqrt(3.0), s1 / math.sqrt(3.0), s2 / math.sqrt(3.0)]
-       for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)]
-    + [[0.0, s1 / math.sqrt(2.0), s2 / math.sqrt(2.0)] for s1 in (1, -1) for s2 in (1, -1)]
-)
 
 _EDGE_QUATERNIONS = np.array(
     [
@@ -131,8 +97,8 @@ _EDGE_QUATERNIONS = np.array(
 
 
 class TestColumnKernels:
-    # the column forms of the tangent basis and the quaternion matrices are
-    # the same arithmetic as the per-row forms above, so every bit matches
+    # the column form of the quaternion matrices is the same arithmetic as
+    # the per-entry form above, so every bit matches
 
     @pytest.mark.parametrize("n", [1, 128, 8193])
     def test_quaternion_matrices_match_entrywise_form(self, n):
@@ -144,19 +110,6 @@ class TestColumnKernels:
     def test_quaternion_matrices_edge_rows(self):
         q = _EDGE_QUATERNIONS
         _assert_same_bits(_quaternion_matrices(q), _quaternion_matrices_by_entry(q))
-
-    @pytest.mark.parametrize("n", [1, 128, 8193])
-    def test_tangent_basis_matches_argmin_form(self, n):
-        units = sample_haar_direction(np.random.default_rng(n), size=n)
-        for got, want in zip(_tangent_basis(units), _tangent_basis_by_argmin(units)):
-            _assert_same_bits(got, want)
-
-    def test_tangent_basis_edge_rows(self):
-        # axis-aligned units, equal-|component| ties (argmin's first index
-        # wins) and negative zeros, as rows and as column views
-        for units in (_EDGE_UNITS, np.ascontiguousarray(_EDGE_UNITS.T).T):
-            for got, want in zip(_tangent_basis(units), _tangent_basis_by_argmin(units)):
-                _assert_same_bits(got, want)
 
 
 class TestRunConfig:
@@ -257,17 +210,16 @@ class TestSamplers:
     def test_perturb_direction_exact_angle(self, chi):
         # compare cosines: arccos near the endpoints turns 1e-16 of dot
         # product into 1e-8 of angle
-        base = Direction(theta=0.9, phi=2.2).unit_vector
+        frame = sample_haar_frame(np.random.default_rng(9))
+        base = frame.z_axis
         azimuths = np.array([0.0, 1.0, 4.5])
-        moved = _perturb_units(np.tile(base, (3, 1)), np.full(3, math.cos(chi)), azimuths)
+        moved = _tilt(base, frame.x_axis, frame.y_axis, np.full(3, math.cos(chi)), azimuths)
         np.testing.assert_allclose(np.linalg.norm(moved, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(moved @ base, math.cos(chi), atol=1e-12)
 
     def test_perturb_direction_azimuth_spreads(self):
-        base = Direction(theta=0.0, phi=0.0).unit_vector
-        a, b = _perturb_units(
-            np.tile(base, (2, 1)), np.full(2, math.cos(0.5)), np.array([0.0, math.pi / 2.0])
-        )
+        base, t1, t2 = np.eye(3)[[2, 0, 1]]
+        a, b = _tilt(base, t1, t2, np.full(2, math.cos(0.5)), np.array([0.0, math.pi / 2.0]))
         assert a @ b < math.cos(0.1)
 
 
@@ -368,22 +320,29 @@ def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
     return acc
 
 
+def _direction_zero_pair(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction 0's tangent pair: e_y, and d0 x e_y (d0 lies in the xz plane)."""
+    e_y = np.array([0.0, 1.0, 0.0])
+    return e_y, np.cross(units[0], e_y)
+
+
 def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     """A d3-coherent run as the 3-D tilt and six-way argmax oracle: each
-    trial tilts direction 0 as a 3-vector, in a tangent basis built again in
-    each batch, and hits when the argmax of its six dots is direction 0.  By
-    D3 covariance that is the hit of every true direction (see
+    trial tilts direction 0 as a 3-vector, in its tangent pair
+    (e_y, d0 x e_y), and hits when the argmax of its six dots is direction 0.
+    By D3 covariance that is the hit of every true direction (see
     TestCoherentLocalFrame); the harness decodes the same draws from its
     cached table instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     units = np.array([d.unit_vector for d in d3_directions()])
+    t1, t2 = _direction_zero_pair(units)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
         cos_chi = density.quantile_cos(u_chi)
-        est = _perturb_units(np.repeat(units[:1], take, axis=0), cos_chi, azimuth)
+        est = _tilt(units[0], t1, t2, cos_chi, azimuth)
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == 0).astype(float))
     return acc
@@ -446,6 +405,7 @@ class TestCoherentLocalFrame:
     # these pin the cached table it reads against the group and the 3-D tilt
 
     units = np.array([d.unit_vector for d in d3_directions()])
+    t1, t2 = _direction_zero_pair(units)
 
     def clear_grid(self, t, est):
         """Which estimates lie farther than 1e-9 from every bisector, and
@@ -478,9 +438,8 @@ class TestCoherentLocalFrame:
         # where that tilt is a hit
         group, _ = _d3()
         r = group.rotation_matrix(t)
-        t1, t2 = _tangent_basis(self.units[:1])
         cos_chi, azimuth = self.grid()
-        est0 = _tilt(self.units[0], t1[0], t2[0], cos_chi, azimuth)
+        est0 = _tilt(self.units[0], self.t1, self.t2, cos_chi, azimuth)
         clear, want = self.clear_grid(t, est0 @ r.T)
         got = _coherent_hits(cos_chi, azimuth)
         assert clear.sum() > cos_chi.size // 2
@@ -490,19 +449,17 @@ class TestCoherentLocalFrame:
     def test_table_is_read_only(self):
         coefficients = _d3_local_frame()
         assert not coefficients.flags.writeable
-        t1, t2 = _tangent_basis(self.units)
-        frame = np.stack([self.units[0], t1[0], t2[0]])
-        assert np.allclose(coefficients, self.units @ frame.T, rtol=0.0, atol=1e-15)
+        frame = np.stack([self.units[0], self.t1, self.t2])
+        _assert_same_bits(coefficients, self.units @ frame.T)
 
     @pytest.mark.parametrize("t", range(6))
     def test_decision_matches_the_tilt_and_argmax(self, t):
-        # direction t tilted as a 3-vector, in the tangent basis that element
+        # direction t tilted as a 3-vector, in the tangent pair that element
         # t carries from direction 0
         group, _ = _d3()
         r = group.rotation_matrix(t)
-        t1, t2 = _tangent_basis(self.units[:1])
         cos_chi, azimuth = self.grid()
-        est = _tilt(self.units[t], r @ t1[0], r @ t2[0], cos_chi, azimuth)
+        est = _tilt(self.units[t], r @ self.t1, r @ self.t2, cos_chi, azimuth)
         clear, want = self.clear_grid(t, est)
         got = _coherent_hits(cos_chi, azimuth)
         assert got.dtype == bool and got.shape == cos_chi.shape
@@ -689,8 +646,9 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
 
 def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, decoder: str):
     """Batch `batch` of a frame run decoded one trial at a time, as the harness
-    did before it decoded whole batches: same draws in the same order, a
-    Direction round trip per estimate, a 3-vector decode and score per trial."""
+    did before it decoded whole batches: same draws in the same order, each
+    axis tilted in the plane of the true frame's other two, a Direction round
+    trip per estimate, a 3-vector decode and score per trial."""
     rng = _batch_rng(seed, batch)
     quats = rng.standard_normal((take, 4))
     u_z = rng.random(take)
@@ -700,8 +658,9 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     mats = _quaternion_matrices(quats)
     cos_z = density.quantile_cos(u_z)
     cos_x = density.quantile_cos(u_x)
-    z_est = _perturb_units(mats[:, :, 2], cos_z, az_z)
-    x_est = _perturb_units(mats[:, :, 0], cos_x, az_x)
+    x_axis, y_axis, z_axis = mats[:, :, 0], mats[:, :, 1], mats[:, :, 2]
+    z_est = _tilt(z_axis, x_axis, y_axis, cos_z, az_z)
+    x_est = _tilt(x_axis, y_axis, z_axis, cos_x, az_x)
     scores = np.empty(take)
     failures = 0
     for i in range(take):
@@ -717,33 +676,6 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
             fitted, _ = best_fit_frame(z_dir.unit_vector, x_dir.unit_vector)
         scores[i] = frame_infidelity(true_frame, fitted)
     return scores, cos_z, cos_x, failures
-
-
-def _noisy_rows(rng, density: ChiDensity, units: np.ndarray) -> tuple:
-    """Each unit row tilted by a chi drawn from density (cos chi first)
-    towards a uniform tangent azimuth (drawn next), in its own tangent
-    basis; the tilted rows and their cos(chi) draws."""
-    cos_chi, azimuth = _tilt_draws(rng, density, units.shape[0])
-    return _tilt(units, *_tangent_basis(units), cos_chi, azimuth), cos_chi
-
-
-def _frame_batch_per_axis(rng, take: int, density: ChiDensity, decoder: str):
-    """_frame_batch with the z and x rows tilted in separate passes, each with
-    its own tangent basis, as before they were stacked; the same draws in the
-    same order."""
-    true = sample_haar_frame(rng, take)
-    z_est, cos_z = _noisy_rows(rng, density, true.z_axis)
-    x_est, cos_x = _noisy_rows(rng, density, true.x_axis)
-    failures = 0
-    if decoder == "naive-euler":
-        fitted, failures = _naive_frames(z_est, x_est)
-    else:
-        fitted, _ = best_fit_frame(z_est, x_est)
-    return frame_infidelity(true, fitted), cos_z, cos_x, failures
-
-
-def _hex(values) -> list:
-    return [float(v).hex() for v in np.ravel(values)]
 
 
 class TestFrameBatchDecode:
@@ -781,21 +713,34 @@ class TestFrameBatchDecode:
             assert failures > 0
             assert result.estimates["naive_failures"] == failures
 
-    @pytest.mark.parametrize("decoder", ["best-fit", "naive-euler"])
-    @pytest.mark.parametrize("encoding", ["optimal", "coherent"])
-    def test_stacked_pass_matches_per_axis_passes(self, encoding, decoder):
-        # one tangent basis and tilt over the stacked z and x rows gives the
-        # per-axis passes' scores, cos(chi) draws and clamp count bit for bit
-        failures = 0
-        for num_spins, take, seed in ((4, 1, 3), (4, 300, 22), (24, 257, 5)):
-            density = frame_two_axis_score(num_spins, encoding=encoding, fitter=decoder).chi
-            got = _frame_batch(_batch_rng(seed, 1), take, density, decoder)
-            want = _frame_batch_per_axis(_batch_rng(seed, 1), take, density, decoder)
-            for g, w in zip(got[:3], want[:3]):
-                assert _hex(g) == _hex(w)
-            assert got[3] == want[3]
-            failures += got[3]
-        assert (failures > 0) == (decoder == "naive-euler")
+    @pytest.mark.parametrize("take", [1, 300, BATCH_TRIALS])
+    def test_each_axis_tilts_in_the_true_frame(self, monkeypatch, take):
+        # z is tilted towards cos(a_z) x + sin(a_z) y and x towards
+        # cos(a_x) y + sin(a_x) z, with the true frame's axes and the batch's
+        # draws in the order cos chi_z, a_z, cos chi_x, a_x
+        seen = []
+
+        def capturing(z_est, x_est):
+            seen.append((z_est, x_est))
+            return best_fit_frame(z_est, x_est)
+
+        monkeypatch.setattr(harness, "best_fit_frame", capturing)
+        density = frame_two_axis_score(8, encoding="optimal", fitter="best-fit").chi
+        _frame_batch(_batch_rng(7, 2), take, density, "best-fit")
+        [(z_est, x_est)] = seen
+        rng = _batch_rng(7, 2)
+        true = sample_haar_frame(rng, take)
+        planes = ((true.z_axis, true.x_axis, true.y_axis), (true.x_axis, true.y_axis, true.z_axis))
+        for est, (axis, t1, t2) in zip((z_est, x_est), planes):
+            cos_chi, azimuth = _tilt_draws(rng, density, take)
+            sin_chi = np.sqrt(1.0 - cos_chi * cos_chi)
+            offset = est - cos_chi[:, None] * axis
+            for t, want in (
+                (t1, sin_chi * np.cos(azimuth)),
+                (t2, sin_chi * np.sin(azimuth)),
+                (axis, np.zeros(take)),
+            ):
+                np.testing.assert_allclose(np.sum(offset * t, axis=1), want, rtol=0.0, atol=1e-12)
 
     def test_clamp_rows_decode_to_fallback_frame(self):
         # x at a pole and z tilted 0.1 off the equator gives
