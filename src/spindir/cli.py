@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import click
@@ -78,18 +78,7 @@ class ResultRecord:
 
 
 def config_payload(config: RunConfig) -> dict:
-    p = config.protocol
-    return {
-        "protocol": {
-            "kind": p.kind,
-            "num_spins": p.num_spins,
-            "encoding": p.encoding,
-            "decoder": p.decoder,
-            "tie_break": p.tie_break,
-        },
-        "trials": config.trials,
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
@@ -109,17 +98,8 @@ def record_from_run(config: RunConfig, result: RunResult) -> ResultRecord:
     )
 
 
-def _record_body(record: ResultRecord) -> dict:
-    return {
-        "schema_version": record.schema_version,
-        "timestamp": record.timestamp,
-        "config": record.config,
-        "result": record.result,
-    }
-
-
 def record_to_json(record: ResultRecord) -> str:
-    return json.dumps(_record_body(record), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(record), sort_keys=True, indent=2) + "\n"
 
 
 def write_record(record: ResultRecord, path: str) -> None:
@@ -218,6 +198,8 @@ def _resolve_output(config: RunConfig, path) -> str:
     p = config.protocol
     name = f"{p.kind}-N{p.num_spins}-t{config.trials}-s{config.seed}.json"
     out_dir = os.environ.get(OUTPUT_DIR_VAR, ".")
+    if not out_dir:
+        raise ValueError(f"{OUTPUT_DIR_VAR} is empty; unset it to write to the current directory")
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
@@ -379,10 +361,9 @@ def cmd_simulate(config_path, **flags):
         if value is not None:
             settings[key] = value
     config = build_run_config(settings)
-    result = run_experiment(config)
-    record = record_from_run(config, result)
     path = _resolve_output(config, settings.get("output"))
-    write_record(record, path)
+    result = run_experiment(config)
+    write_record(record_from_run(config, result), path)
 
     p = config.protocol
     est, err = result.estimates, result.stderrs
@@ -441,7 +422,7 @@ def _csv_report(records) -> str:
 
 
 def _json_report(records) -> str:
-    return json.dumps([_record_body(r) for r in records], sort_keys=True, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in records], sort_keys=True, indent=2) + "\n"
 
 
 @cli.command("report")

@@ -58,7 +58,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerAngles:
     """zxz Euler triple; the axis columns below define the convention.
 

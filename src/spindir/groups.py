@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,6 +172,24 @@ def d3_directions() -> list:
         for phi in (0.0, TWO_PI / 3.0, -TWO_PI / 3.0):
             out.append(Direction(theta=theta, phi=phi))
     return out
+
+
+@lru_cache(maxsize=1)
+def d3_local_frame() -> np.ndarray:
+    """Direction 0's frame for the nearest-direction decode: the read-only
+    (6, 3) coefficients of each direction along (d0, t1, t2).  Direction 0
+    lies in the xz plane, so its tangent pair is t1 = e_y and
+    t2 = d0 x e_y = (-d0_z, 0, d0_x).
+
+    Group element t sends direction 0 to t and permutes the six, so a tilt
+    of direction t in the tangent pair it carries from direction 0 is nearest
+    t exactly when the same tilt of direction 0 is nearest direction 0:
+    every decision, and every decoding cell, is read in this one frame."""
+    units = np.array([d.unit_vector for d in d3_directions()])
+    d0 = units[0]
+    coefficients = units @ np.array([d0, [0.0, 1.0, 0.0], [-d0[2], 0.0, d0[0]]]).T
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .frames import (
     naive_euler_estimate,
 )
 from .geometry import polar_angles, reduce_azimuth
-from .groups import d3_directions
+from .groups import d3_local_frame
 from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
     ProtocolScore,
@@ -225,7 +224,7 @@ def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
     return winner
 
 
-def _run_d3_finite(config: RunConfig) -> dict:
+def _run_d3_finite(config: RunConfig) -> _Accumulator:
     spec = config.protocol
     # shots are drawn trial-minor into (repeats, take) rows; an outcome is the
     # number of the true row's first five cumulative boundaries below the
@@ -254,39 +253,20 @@ def _run_d3_finite(config: RunConfig) -> dict:
         tie = rng.random(take) if random_ties else None
         guess = outcomes[0] if repeats == 1 else _plurality(outcomes, tie)
         acc.add((guess == true).astype(float))
-    return {"fidelity": acc}
-
-
-@lru_cache(maxsize=1)
-def _d3_local_frame() -> np.ndarray:
-    """Direction 0's frame for the nearest-direction decode: the read-only
-    (6, 3) coefficients of each direction along (d0, t1, t2).  Direction 0
-    lies in the xz plane, so its tangent pair is t1 = e_y and
-    t2 = d0 x e_y = (-d0_z, 0, d0_x).
-
-    Direction t is tilted in the tangent pair that group element t (which
-    sends direction 0 to t and permutes the six) carries from direction 0.
-    A tilt of t is then that element applied to the same tilt of direction
-    0, and it is nearest t exactly when the tilt of direction 0 is nearest
-    direction 0: every trial is decided in direction 0's frame."""
-    units = np.array([d.unit_vector for d in d3_directions()])
-    d0 = units[0]
-    coefficients = units @ np.array([d0, [0.0, 1.0, 0.0], [-d0[2], 0.0, d0[0]]]).T
-    coefficients.flags.writeable = False
-    return coefficients
+    return acc
 
 
 def _coherent_hits(cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Whether each tilt by (chi, azimuth) decodes to the true direction.
 
-    Read in direction 0's frame (see _d3_local_frame): the tilt is
+    Read in direction 0's frame (see groups.d3_local_frame): the tilt is
     cos(chi) d0 + x t1 + y t2, with (x, y) its tangent offsets, and it is a
     hit when its dot with d0 is at least its dot with each other direction
     (argmax == 0).  The dots are taken one row at a time into one scratch
     buffer, which keeps a full batch's heap peak near 580 KiB: at about
     1 MiB, glibc could trim the heap top after a batch, and the next batch
     faulted its pages back in (about 750 faults per 32768-trial run)."""
-    coefficients = _d3_local_frame()
+    coefficients = d3_local_frame()
     x, y = _tangent_offsets(cos_chi, azimuth)
     tmp = np.empty_like(x)
 
@@ -304,13 +284,13 @@ def _coherent_hits(cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     return own >= rival
 
 
-def _run_d3_coherent(config: RunConfig) -> dict:
+def _run_d3_coherent(config: RunConfig) -> _Accumulator:
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         acc.add(_coherent_hits(*_tilt_draws(rng, density, take)).astype(float))
-    return {"fidelity": acc}
+    return acc
 
 
 def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
@@ -350,7 +330,9 @@ def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decod
     return frame_infidelity(true, fitted), cos_z, cos_x, failures
 
 
-def _run_frame(config: RunConfig) -> dict:
+def _run_frame(config: RunConfig) -> tuple[dict, dict]:
+    """(estimates, stderrs) of a frame run: the full-frame infidelity, each
+    axis's, and, for the naive decoder, its clamp count."""
     spec = config.protocol
     proto = frame_two_axis_score(
         spec.num_spins, encoding=spec.encoding, fitter=spec.decoder
@@ -367,40 +349,29 @@ def _run_frame(config: RunConfig) -> dict:
         axis_z.add(0.5 * (1.0 - cos_z))
         axis_x.add(0.5 * (1.0 - cos_x))
         failures += failed
-    return {
-        "infidelity": total,
-        "per_axis": (axis_z, axis_x),
-        "naive_failures": failures,
+    infidelity = total.mean()
+    estimates = {
+        "infidelity": infidelity,
+        "fidelity": 1.0 - infidelity,
+        "per_axis": [axis_z.mean(), axis_x.mean()],
     }
+    if spec.decoder == "naive-euler":
+        estimates["naive_failures"] = failures
+    stderrs = {"fidelity": total.stderr(), "per_axis": [axis_z.stderr(), axis_x.stderr()]}
+    return estimates, stderrs
 
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Execute the configured protocol.  Deterministic given (config, seed)."""
     start = time.perf_counter()
     kind = config.protocol.kind
-    if kind in ("d3-single", "d3-repeated", "d3-covariant"):
-        parts = _run_d3_finite(config)
-    elif kind == "d3-coherent":
-        parts = _run_d3_coherent(config)
+    if kind == "frame-two-axis":
+        estimates, stderrs = _run_frame(config)
     else:
-        parts = _run_frame(config)
-    estimates = {}
-    stderrs = {}
-    if "fidelity" in parts:
-        acc = parts["fidelity"]
-        estimates["fidelity"] = acc.mean()
-        estimates["infidelity"] = 1.0 - estimates["fidelity"]
-        stderrs["fidelity"] = acc.stderr()
-    else:
-        acc = parts["infidelity"]
-        estimates["infidelity"] = acc.mean()
-        estimates["fidelity"] = 1.0 - estimates["infidelity"]
-        stderrs["fidelity"] = acc.stderr()
-    if "per_axis" in parts:
-        estimates["per_axis"] = [a.mean() for a in parts["per_axis"]]
-        stderrs["per_axis"] = [a.stderr() for a in parts["per_axis"]]
-        if config.protocol.decoder == "naive-euler":
-            estimates["naive_failures"] = parts["naive_failures"]
+        acc = (_run_d3_coherent if kind == "d3-coherent" else _run_d3_finite)(config)
+        fidelity = acc.mean()
+        estimates = {"fidelity": fidelity, "infidelity": 1.0 - fidelity}
+        stderrs = {"fidelity": acc.stderr()}
     wall = time.perf_counter() - start
     return RunResult(estimates=estimates, stderrs=stderrs, wall_time=wall)
 

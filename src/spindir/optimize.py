@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import TWO_PI
-from .groups import d3_directions
+from .groups import d3_local_frame
 from .states import SpinJ
 
 
@@ -235,56 +235,41 @@ D3_ARC_NODES = 64
 
 @lru_cache(maxsize=2)
 def _d3_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distance r(phi) from each signal direction d0 to the edge of its
-    nearest-direction cell along tangent azimuth phi, at Gauss-Legendre nodes.
+    """Distance r(phi) from direction 0 to the edge of its nearest-direction
+    cell along tangent azimuth phi, at Gauss-Legendre nodes.
 
-    Along t(phi) the great circle cos(r) d0 + sin(r) t crosses the bisector
-    plane (d0 - d_k).x = 0 once in (0, pi), at r_k = atan2(1 - d0.d_k, t.d_k);
-    the cell edge is the first crossing, min_k r_k.  The cell's vertices
-    v ~ (d0 - d_a) x (d0 - d_b) split the azimuth into arcs on which one
-    bisector is nearest, so r(phi) is analytic on each arc and each arc gets
-    its own Gauss-Legendre rule.  Returns (6, M) radii and (6, M) azimuth
-    weights summing to 2 pi per cell.  Cached per node count and read-only.
+    Worked in direction 0's frame (`d3_local_frame`): d0 = (1, 0, 0),
+    t(phi) = (0, cos phi, sin phi), and the neighbours d_k are the table's
+    rows 1-5.  Along t(phi) the great circle cos(r) d0 + sin(r) t crosses
+    the bisector plane (d0 - d_k).x = 0 once in (0, pi), at
+    r_k = atan2(1 - d0.d_k, t.d_k); the cell edge is the first crossing,
+    min_k r_k.  The cell's vertices v ~ (d0 - d_a) x (d0 - d_b) split the
+    azimuth into arcs on which one bisector is nearest, so r(phi) is
+    analytic on each arc and each arc gets its own Gauss-Legendre rule.
+    Returns (M,) radii and (M,) azimuth weights summing to 2 pi.  Cached
+    per node count and read-only.
     """
-    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    others = d3_local_frame()[1:]
+    diffs = np.array([1.0, 0.0, 0.0]) - others
+    # cell vertices: equidistant from d0 and two neighbours, and no nearer
+    # to any other neighbour
+    a, b = np.triu_indices(len(others), 1)
+    verts = np.cross(diffs[a], diffs[b])
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    verts *= np.sign(verts[:, :1])
+    on_cell = verts[:, 0] >= (verts @ others.T).max(axis=1) - 1e-12
+    phis = np.sort(np.arctan2(verts[on_cell, 2], verts[on_cell, 1]))
+    breaks = phis[np.concatenate(([True], np.diff(phis) > 1e-9))]
+    breaks = np.append(breaks, breaks[0] + TWO_PI)
+    half = 0.5 * np.diff(breaks)
     x, w = np.polynomial.legendre.leggauss(nodes)
-    radii, weights = [], []
-    for g, d0 in enumerate(dirs):
-        others = np.delete(dirs, g, axis=0)
-        diffs = d0 - others
-        e1 = np.cross(d0, diffs[0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(d0, e1)
-        # cell vertices: equidistant from d0 and two neighbours, and no
-        # nearer to any other neighbour
-        a, b = np.triu_indices(len(others), 1)
-        verts = np.cross(diffs[a], diffs[b])
-        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-        verts *= np.sign(verts @ d0)[:, None]
-        on_cell = verts @ d0 >= (verts @ others.T).max(axis=1) - 1e-12
-        phis = np.sort(np.arctan2(verts[on_cell] @ e2, verts[on_cell] @ e1))
-        breaks = phis[np.concatenate(([True], np.diff(phis) > 1e-9))]
-        breaks = np.append(breaks, breaks[0] + TWO_PI)
-        half = 0.5 * np.diff(breaks)
-        phi = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + half[:, None] * x
-        t = np.cos(phi).ravel()[:, None] * e1 + np.sin(phi).ravel()[:, None] * e2
-        r = np.arctan2(1.0 - others @ d0, t @ others.T).min(axis=1)
-        radii.append(r)
-        weights.append((half[:, None] * w).ravel())
-    radii, weights = np.array(radii), np.array(weights)
+    phi = ((0.5 * (breaks[1:] + breaks[:-1]))[:, None] + half[:, None] * x).ravel()
+    t_dots = np.cos(phi)[:, None] * others[:, 1] + np.sin(phi)[:, None] * others[:, 2]
+    radii = np.arctan2(1.0 - others[:, 0], t_dots).min(axis=1)
+    weights = (half[:, None] * w).ravel()
     radii.flags.writeable = False
     weights.flags.writeable = False
     return radii, weights
-
-
-def _d3_cell_errors(j: SpinJ, nodes: int) -> np.ndarray:
-    """Per-direction error of the nearest-direction decode of a spin-j
-    coherent signal: the estimate leaves the cap of half-angle r with
-    probability ((1 + cos r)/2)^(2j+1), so 1 - F = (1/2pi) int over phi of
-    ((1 + cos r(phi))/2)^(2j+1)."""
-    radii, weights = _d3_cell_radii(nodes)
-    tail = ((1.0 + np.cos(radii)) / 2.0) ** (j.twice_j + 1)
-    return np.sum(weights * tail, axis=1) / TWO_PI
 
 
 def d3_coherent_error(j: SpinJ) -> float:
@@ -292,12 +277,13 @@ def d3_coherent_error(j: SpinJ) -> float:
     six dihedral directions and decoding the covariant direction measurement
     to the nearest of the six.
 
-    Exact up to rounding: a one-dimensional integral over the azimuth around
-    each signal direction (see _d3_cell_errors), split at the decoding cell's
-    three vertices, with D3_ARC_NODES Gauss-Legendre nodes per arc.  The six
-    error rates must agree; their mean is returned.
+    The six decoding cells are rotated copies of direction 0's, so one cell
+    gives the error.  The estimate leaves the cap of half-angle r with
+    probability ((1 + cos r)/2)^(2j+1), so 1 - F = (1/2pi) int over phi of
+    ((1 + cos r(phi))/2)^(2j+1): exact up to rounding, with r(phi) from
+    _d3_cell_radii, split at the cell's three vertices, on D3_ARC_NODES
+    Gauss-Legendre nodes per arc.
     """
-    errors = _d3_cell_errors(j, D3_ARC_NODES)
-    if errors.max() - errors.min() > 1e-12:
-        raise ValueError("the six decoding cells give different error rates")
-    return float(errors.mean())
+    radii, weights = _d3_cell_radii(D3_ARC_NODES)
+    tail = ((1.0 + np.cos(radii)) / 2.0) ** (j.twice_j + 1)
+    return float(np.sum(weights * tail) / TWO_PI)

@@ -454,6 +454,19 @@ class TestSimulate:
         assert expected.exists()
         assert str(expected) in out
 
+    def test_empty_output_dir_is_refused(self, capsys, tmp_path, monkeypatch):
+        # an empty variable ran the whole experiment, then failed to make
+        # the directory '' and exited 2
+        monkeypatch.setenv(OUTPUT_DIR_VAR, "")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "simulate", "--kind", "d3-single", "--num-spins", "1",
+            "--trials", "10", "--seed", "1",
+        )
+        assert code == 1
+        assert err.startswith(f"error: {OUTPUT_DIR_VAR} is empty")
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     def test_rerun_reproduces_estimates(self, capsys, tmp_path):
         args = ("--kind", "d3-coherent", "--num-spins", "4", "--trials", "6000",
                 "--seed", "11")

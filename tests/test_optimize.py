@@ -13,7 +13,6 @@ from spindir.optimize import (
     D3_ARC_NODES,
     ChiDensity,
     DirectionCode,
-    _d3_cell_errors,
     _d3_cell_radii,
     chi_density,
     coherent_code,
@@ -396,10 +395,10 @@ class TestSixDirectionDecoding:
         assert abs(d3_coherent_error(SpinJ(4)) - 0.4204489202377) < 2e-9
 
     def test_node_doubling_residual(self):
+        radii, weights = _d3_cell_radii(2 * D3_ARC_NODES)
         for n in range(1, 61):
-            j = SpinJ(n)
-            fine = float(np.mean(_d3_cell_errors(j, 2 * D3_ARC_NODES)))
-            assert abs(fine - d3_coherent_error(j)) <= 1e-14
+            fine = float(_rate(radii, weights, n))
+            assert abs(fine - d3_coherent_error(SpinJ(n))) <= 1e-14
 
     def test_cell_geometry_is_cached_and_read_only(self):
         radii, weights = _d3_cell_radii(D3_ARC_NODES)
@@ -407,13 +406,12 @@ class TestSixDirectionDecoding:
         assert again[0] is radii and again[1] is weights
         for arr in (radii, weights):
             with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+                arr[0] = 0.0
 
     def test_cached_geometry_matches_a_rebuild(self):
         radii, weights = _d3_cell_radii.__wrapped__(D3_ARC_NODES)
         for n in range(1, 61):
-            tail = ((1.0 + np.cos(radii)) / 2.0) ** (n + 1)
-            rebuilt = float(np.mean(np.sum(weights * tail, axis=1) / TWO_PI))
+            rebuilt = float(_rate(radii, weights, n))
             assert d3_coherent_error(SpinJ(n)).hex() == rebuilt.hex()
 
     def test_cells_are_triangles_between_the_caps(self):
@@ -421,11 +419,57 @@ class TestSixDirectionDecoding:
         # an upper-cone neighbour, cos r = sqrt(5/8)) and the circumradius
         # (a vertex, cos r = 1/(2 sqrt 2)); both bounds are attained
         radii, weights = _d3_cell_radii(D3_ARC_NODES)
-        assert radii.shape == (6, 3 * D3_ARC_NODES)
-        np.testing.assert_allclose(weights.sum(axis=1), 2.0 * math.pi, rtol=1e-14)
+        assert radii.shape == weights.shape == (3 * D3_ARC_NODES,)
+        np.testing.assert_allclose(weights.sum(), 2.0 * math.pi, rtol=1e-14)
         inner = math.acos(math.sqrt(5.0 / 8.0))
         outer = math.acos(1.0 / (2.0 * math.sqrt(2.0)))
         assert radii.min() >= inner - 1e-12
         assert radii.max() <= outer + 1e-12
         assert radii.min() == pytest.approx(inner, abs=1e-4)
         assert radii.max() == pytest.approx(outer, abs=1e-3)
+
+    def test_six_cells_agree_with_direction_zero(self):
+        # each direction's cell, built in a tangent basis of its own from
+        # d3_directions, gives the error of direction 0's cell
+        radii, weights = _six_cell_radii(D3_ARC_NODES)
+        for n in range(1, 61):
+            rates = _rate(radii, weights, n)
+            assert rates.max() - rates.min() <= 1e-12
+            assert abs(float(rates.mean()) - d3_coherent_error(SpinJ(n))) <= 2.2e-16
+
+
+def _rate(radii: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Cap law of d3_coherent_error on the last axis: the error rate of n
+    spins over a cell given by its edge radii and quadrature weights."""
+    tail = ((1.0 + np.cos(radii)) / 2.0) ** (n + 1)
+    return np.sum(weights * tail, axis=-1) / TWO_PI
+
+
+def _six_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Test-only oracle for _d3_cell_radii: every direction's cell in a
+    tangent basis of its own, (e1, e2) = (d0 x (d0 - d_1), d0 x e1)
+    normalised, with the bisector crossings and vertex arcs of
+    _d3_cell_radii.  Returns (6, M) radii and (6, M) weights."""
+    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    radii, weights = [], []
+    for g, d0 in enumerate(dirs):
+        others = np.delete(dirs, g, axis=0)
+        diffs = d0 - others
+        e1 = np.cross(d0, diffs[0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(d0, e1)
+        a, b = np.triu_indices(len(others), 1)
+        verts = np.cross(diffs[a], diffs[b])
+        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+        verts *= np.sign(verts @ d0)[:, None]
+        on_cell = verts @ d0 >= (verts @ others.T).max(axis=1) - 1e-12
+        phis = np.sort(np.arctan2(verts[on_cell] @ e2, verts[on_cell] @ e1))
+        breaks = phis[np.concatenate(([True], np.diff(phis) > 1e-9))]
+        breaks = np.append(breaks, breaks[0] + TWO_PI)
+        half = 0.5 * np.diff(breaks)
+        phi = (0.5 * (breaks[1:] + breaks[:-1]))[:, None] + half[:, None] * x
+        t = np.cos(phi).ravel()[:, None] * e1 + np.sin(phi).ravel()[:, None] * e2
+        radii.append(np.arctan2(1.0 - others @ d0, t @ others.T).min(axis=1))
+        weights.append((half[:, None] * w).ravel())
+    return np.array(radii), np.array(weights)

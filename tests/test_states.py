@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spindir.frames import Frame
+from spindir.frames import EulerAngles, Frame
 from spindir.geometry import sphere_quadrature
 from spindir.groups import dihedral_d3
 from spindir.optimize import chi_density, optimal_direction_encoding
@@ -39,6 +39,8 @@ ARRAY_RECORDS = {
                            y_axis=np.array([0.0, 1.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
     "FiniteGroup": lambda: dihedral_d3()[0],
+    "EulerAngles": lambda: EulerAngles(phi=np.array([0.1, 0.2]), theta=np.array([1.0, 2.0]),
+                                       psi=np.zeros(2)),
 }
 
 
