@@ -56,14 +56,6 @@ _STR_KEYS = ("kind", "encoding", "decoder", "tie_break")
 _KNOWN_KEYS = _INT_KEYS + _STR_KEYS + ("output",)
 
 
-class _ExitStatus(Exception):
-    """Bare exit code for commands that already printed their diagnostics."""
-
-    def __init__(self, code: int):
-        super().__init__(code)
-        self.code = code
-
-
 # ---------------------------------------------------------------- records
 
 
@@ -193,7 +185,12 @@ def build_run_config(settings: dict) -> RunConfig:
 
 
 def _resolve_output(config: RunConfig, path) -> str:
+    """The record path, checked before the run so a bad one costs no trials."""
     if path:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output {path} is a directory; name the record file")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"output {path}: its directory does not exist")
         return path
     p = config.protocol
     name = f"{p.kind}-N{p.num_spins}-t{config.trials}-s{config.seed}.json"
@@ -276,7 +273,7 @@ def cmd_validate():
     failed = [name for name, _, ok in rows if not ok]
     if failed:
         click.echo(f"{len(failed)} of {len(rows)} checks failed: {', '.join(failed)}", err=True)
-        raise _ExitStatus(1)
+        raise click.exceptions.Exit(1)
     click.echo(f"all {len(rows)} checks passed")
 
 
@@ -449,11 +446,8 @@ def cmd_report(records, fmt, out_path):
 def main(argv=None) -> int:
     """Entry point mapping failures to the documented exit codes."""
     try:
-        cli.main(args=argv, prog_name="spindir", standalone_mode=False)
-    except _ExitStatus as exc:
-        return exc.code
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        # without standalone mode, click returns the code of an Exit a command raised
+        code = cli.main(args=argv, prog_name="spindir", standalone_mode=False)
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
@@ -463,7 +457,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    return 0
+    return 0 if code is None else code
 
 
 if __name__ == "__main__":

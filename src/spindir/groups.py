@@ -47,26 +47,40 @@ def su2_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group of rotations: multiplication table plus concrete geometry.
+    """Finite group of rotations, given by one zyz Euler triple per element.
 
-    Identity is element 0. classes is a partition of element indices, identity
-    class first, then ascending by size. element_rotations holds one zyz Euler
-    triple per element.
+    Identity is element 0. The read-only multiplication table, the inverses
+    and the classes are derived from the rotations on construction; classes
+    is a partition of element indices, identity class first, then ascending
+    by size.
     """
 
-    order: int
-    mult_table: np.ndarray = field(repr=False)
-    inverse: tuple
-    classes: tuple
     element_rotations: tuple
+    mult_table: np.ndarray = field(init=False, repr=False)
+    inverse: tuple = field(init=False)
+    classes: tuple = field(init=False)
 
-    @classmethod
-    def from_table(cls, table, rotations) -> FiniteGroup:
-        """Group from its table, deriving inverses and classes (not validated)."""
-        table = np.asarray(table, dtype=int)
-        return cls(order=table.shape[0], mult_table=table, inverse=_inverses(table),
-                   classes=tuple(conjugacy_classes(table)),
-                   element_rotations=rotations)
+    def __post_init__(self):
+        m = np.array([self.rotation_matrix(g) for g in range(self.order)])
+        prods = m[:, None] @ m[None, :]
+        # hits[a, b, c]: product a b matches rotation c
+        hits = np.max(np.abs(prods[:, :, None] - m), axis=(-2, -1)) < MATCH_TOL
+        if not np.all(np.count_nonzero(hits, axis=-1) == 1):
+            raise ValueError("rotation set is not closed under products")
+        table = np.argmax(hits, axis=-1)
+        table.flags.writeable = False
+        # each element's inverse: the column holding the identity in its row
+        inv = np.argmax(table == 0, axis=1)
+        conj = table[table, inv[:, None]]  # conj[h, g] = h g h^-1
+        orbits = {tuple(sorted(set(column.tolist()))) for column in conj.T}
+        object.__setattr__(self, "mult_table", table)
+        object.__setattr__(self, "inverse", tuple(inv.tolist()))
+        object.__setattr__(self, "classes",
+                           tuple(sorted(orbits, key=lambda cl: (0 not in cl, len(cl), cl))))
+
+    @property
+    def order(self) -> int:
+        return len(self.element_rotations)
 
     def rotation_matrix(self, i: int) -> np.ndarray:
         return euler_zyz_matrix(*self.element_rotations[i])
@@ -75,10 +89,8 @@ class FiniteGroup:
         return su2_from_euler(*self.element_rotations[i])
 
     def validate(self) -> None:
-        t = np.asarray(self.mult_table)
+        t = self.mult_table
         n = self.order
-        if t.shape != (n, n):
-            raise ValueError("multiplication table shape mismatch")
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise ValueError("element 0 is not the identity")
         for g in range(n):
@@ -87,62 +99,19 @@ class FiniteGroup:
         # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
         if not np.array_equal(t[t], t[:, t]):
             raise ValueError("multiplication table is not associative")
-        if sorted(i for cl in self.classes for i in cl) != list(range(n)):
-            raise ValueError("classes do not partition the elements")
-        expected = conjugacy_classes(t)
-        got = tuple(tuple(sorted(cl)) for cl in self.classes)
-        if tuple(sorted(got)) != tuple(sorted(expected)):
-            raise ValueError("classes inconsistent with conjugation")
-        m = np.array([self.rotation_matrix(g) for g in range(n)])
-        if np.max(np.abs(m[:, None] @ m[None, :] - m[t])) > MATCH_TOL:
-            raise ValueError("rotations do not follow the table")
 
 
-def _inverses(table: np.ndarray) -> tuple:
-    """Each element's inverse: the column holding the identity in its row."""
-    out = []
-    for g, row in enumerate(table):
-        hits = np.flatnonzero(row == 0)
-        if hits.size == 0:
-            raise ValueError(f"element {g} has no inverse: its table row lacks the identity 0")
-        out.append(int(hits[0]))
-    return tuple(out)
-
-
-def conjugacy_classes(table: np.ndarray) -> list:
-    n = table.shape[0]
-    inv = _inverses(table)
-    seen = set()
-    classes = []
-    for g in range(n):
-        if g in seen:
-            continue
-        orbit = {int(table[table[h, g], inv[h]]) for h in range(n)}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda cl: (0 not in cl, len(cl), cl))
-    return classes
-
-
-def _mult_table_from_rotations(mats: list) -> np.ndarray:
-    m = np.asarray(mats)
-    prods = m[:, None] @ m[None, :]
-    # hits[a, b, c]: product a b matches rotation c
-    hits = np.max(np.abs(prods[:, :, None] - m), axis=(-2, -1)) < MATCH_TOL
-    if not np.all(np.count_nonzero(hits, axis=-1) == 1):
-        raise ValueError("rotation set is not closed under products")
-    return np.argmax(hits, axis=-1)
-
-
+@lru_cache(maxsize=1)
 def dihedral_d3() -> tuple:
     """The six-element dihedral group in direction order: element k sends
     direction 0 of `d3_directions` to direction k.
 
-    Returns (FiniteGroup, characters). Elements: identity, +120 and +240
-    degree turns about z, half turns about the in-plane axes at azimuths 0,
-    -120 and +120 degrees; classes {0}, {1, 2}, {3, 4, 5}. The read-only
-    character table is indexed by (irrep, class), rows (1,1,1), (1,1,-1),
-    (2,-1,0), and its first column is each irrep's dimension.
+    Returns (FiniteGroup, characters), built once per process. Elements:
+    identity, +120 and +240 degree turns about z, half turns about the
+    in-plane axes at azimuths 0, -120 and +120 degrees; classes {0}, {1, 2},
+    {3, 4, 5}. The read-only character table is indexed by (irrep, class),
+    rows (1,1,1), (1,1,-1), (2,-1,0), and its first column is each irrep's
+    dimension.
     """
     def flip_euler(az):
         # pi turn about the in-plane axis at azimuth az, as zyz angles
@@ -156,8 +125,7 @@ def dihedral_d3() -> tuple:
         flip_euler(-TWO_PI / 3.0),
         flip_euler(TWO_PI / 3.0),
     )
-    mats = [euler_zyz_matrix(*e) for e in eulers]
-    group = FiniteGroup.from_table(_mult_table_from_rotations(mats), rotations=eulers)
+    group = FiniteGroup(eulers)
     characters = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]])
     characters.flags.writeable = False
     return group, characters

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -467,6 +468,21 @@ class TestSimulate:
         assert err.startswith(f"error: {OUTPUT_DIR_VAR} is empty")
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."])
+    def test_bad_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch, target):
+        # a record path under a missing directory, or naming a directory, ran
+        # the whole experiment first and then failed to open the file
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+        path = tmp_path / target
+        code, out, err = run(
+            capsys, "simulate", "--kind", "d3-coherent", "--num-spins", "4",
+            "--trials", "10", "--seed", "1", "--output", str(path),
+        )
+        assert code == 2
+        assert err.startswith(f"error: output {path}")
+        assert out == "" and calls == [] and list(tmp_path.iterdir()) == []
+
     def test_rerun_reproduces_estimates(self, capsys, tmp_path):
         args = ("--kind", "d3-coherent", "--num-spins", "4", "--trials", "6000",
                 "--seed", "11")
@@ -685,6 +701,21 @@ class TestEntryPoint:
     def test_bare_invocation_is_usage_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    def test_command_exit_code_is_returned(self, capsys, monkeypatch):
+        # without standalone mode click returns a raised Exit's code; main
+        # dropped it and returned 0
+        @click.group()
+        def group():
+            pass
+
+        @group.command("fail")
+        def fail():
+            raise click.exceptions.Exit(3)
+
+        monkeypatch.setattr(cli, "cli", group)
+        code, _, _ = run(capsys, "fail")
+        assert code == 3
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")

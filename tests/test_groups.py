@@ -7,8 +7,6 @@ from spin_fixtures import coherent
 from spindir.geometry import Direction
 from spindir.groups import (
     FiniteGroup,
-    _mult_table_from_rotations,
-    conjugacy_classes,
     d3_directions,
     d3_qubit_blocks,
     dihedral_d3,
@@ -185,34 +183,52 @@ def test_scaled_block_breaks_completeness():
     assert not validate_povm(povm).passed
 
 
-def test_from_table_derives_inverses_and_classes():
-    group = FiniteGroup.from_table(GROUP.mult_table.tolist(), rotations=GROUP.element_rotations)
+def test_rotations_derive_table_inverses_and_classes():
+    group = FiniteGroup(GROUP.element_rotations)
     np.testing.assert_array_equal(group.mult_table, GROUP.mult_table)
+    assert not group.mult_table.flags.writeable
     assert group.order == 6
     assert group.inverse == GROUP.inverse == (0, 2, 1, 3, 4, 5)
-    assert group.classes == GROUP.classes == tuple(conjugacy_classes(GROUP.mult_table))
+    # oracle from the matrices alone: the class of g is {h g h^T} matched
+    # back to the six rotations, identity class first, then ascending by size
+    mats = [group.rotation_matrix(g) for g in range(6)]
+    oracle = set()
+    for g in mats:
+        oracle.add(tuple(sorted({
+            next(k for k, m in enumerate(mats) if np.allclose(h @ g @ h.T, m, atol=1e-12))
+            for h in mats
+        })))
+    assert group.classes == tuple(sorted(oracle, key=lambda cl: (0 not in cl, len(cl))))
     group.validate()
 
 
-def test_from_table_rejects_missing_inverse():
-    with pytest.raises(ValueError, match="element 1 has no inverse"):
-        FiniteGroup.from_table([[0, 1], [1, 1]], rotations=GROUP.element_rotations[:2])
+def test_dihedral_d3_is_built_once_with_a_read_only_table():
+    assert dihedral_d3() is dihedral_d3()
+    with pytest.raises(ValueError, match="read-only"):
+        GROUP.mult_table[0, 0] = 1
+
+
+def test_validate_requires_the_identity_first():
+    rotations = list(GROUP.element_rotations)
+    rotations[0], rotations[1] = rotations[1], rotations[0]
+    with pytest.raises(ValueError, match="element 0 is not the identity"):
+        FiniteGroup(tuple(rotations)).validate()
 
 
 def test_validate_checks_rotation_consistency():
-    # the table says element 3 is an involution; a z-turn in its rotation row is not
+    # element 3 as a 0.3 rad z-turn: its products with the others match none
+    # of the six rotations
     rotations = list(GROUP.element_rotations)
     rotations[3] = (0.3, 0.0, 0.0)
-    group = FiniteGroup.from_table(GROUP.mult_table, rotations=tuple(rotations))
-    with pytest.raises(ValueError, match="rotations do not follow the table"):
-        group.validate()
+    with pytest.raises(ValueError, match="not closed under products"):
+        FiniteGroup(tuple(rotations))
 
 
 def test_table_refuses_a_rotation_set_not_closed_under_products():
     # without the +240 degree turn, the +120 turn squared has no match
-    mats = [GROUP.rotation_matrix(g) for g in range(6) if g != 2]
+    rotations = GROUP.element_rotations[:2] + GROUP.element_rotations[3:]
     with pytest.raises(ValueError, match="not closed under products"):
-        _mult_table_from_rotations(mats)
+        FiniteGroup(rotations)
 
 
 def test_validate_refuses_a_non_associative_loop():
@@ -225,6 +241,9 @@ def test_validate_refuses_a_non_associative_loop():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    group = FiniteGroup.from_table(table, rotations=((0.0, 0.0, 0.0),) * 5)
+    # the order-5 z-turns give the order; the loop replaces their derived fields
+    group = FiniteGroup(tuple((2.0 * math.pi * k / 5.0, 0.0, 0.0) for k in range(5)))
+    object.__setattr__(group, "mult_table", np.array(table))
+    object.__setattr__(group, "inverse", (0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="not associative"):
         group.validate()

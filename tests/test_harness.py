@@ -16,7 +16,7 @@ from spindir.frames import (
     naive_euler_estimate,
 )
 from spindir.geometry import Direction
-from spindir.groups import d3_directions, d3_local_frame
+from spindir.groups import d3_directions, d3_local_frame, dihedral_d3
 from spindir.harness import (
     BATCH_TRIALS,
     RunConfig,
@@ -47,7 +47,6 @@ from spindir.optimize import (
 )
 from spindir.protocols import (
     ProtocolSpec,
-    _d3,
     d3_outcome_matrix,
     frame_two_axis_score,
 )
@@ -425,7 +424,7 @@ class TestCoherentLocalFrame:
 
     @pytest.mark.parametrize("t", range(6))
     def test_rotation_sends_direction_zero_to_t_and_permutes_the_six(self, t):
-        group, _ = _d3()
+        group, _ = dihedral_d3()
         r = group.rotation_matrix(t)
         assert np.allclose(r @ self.units[0], self.units[t], rtol=0.0, atol=1e-12)
         images = self.units @ r.T
@@ -437,7 +436,7 @@ class TestCoherentLocalFrame:
     def test_group_carries_the_direction_zero_decision_to_t(self, t):
         # element t applied to a tilt of direction 0 is nearest t exactly
         # where that tilt is a hit
-        group, _ = _d3()
+        group, _ = dihedral_d3()
         r = group.rotation_matrix(t)
         cos_chi, azimuth = self.grid()
         est0 = _tilt(self.units[0], self.t1, self.t2, cos_chi, azimuth)
@@ -457,7 +456,7 @@ class TestCoherentLocalFrame:
     def test_decision_matches_the_tilt_and_argmax(self, t):
         # direction t tilted as a 3-vector, in the tangent pair that element
         # t carries from direction 0
-        group, _ = _d3()
+        group, _ = dihedral_d3()
         r = group.rotation_matrix(t)
         cos_chi, azimuth = self.grid()
         est = _tilt(self.units[t], r @ self.t1, r @ self.t2, cos_chi, azimuth)

@@ -3,7 +3,7 @@ import pytest
 
 from spindir.frames import EulerAngles, Frame
 from spindir.geometry import sphere_quadrature
-from spindir.groups import dihedral_d3
+from spindir.groups import FiniteGroup, dihedral_d3
 from spindir.optimize import chi_density, optimal_direction_encoding
 from spindir.povm import Povm
 from spindir.states import SpinJ
@@ -38,7 +38,7 @@ ARRAY_RECORDS = {
                            x_axis=np.array([1.0, 0.0, 0.0]),
                            y_axis=np.array([0.0, 1.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
-    "FiniteGroup": lambda: dihedral_d3()[0],
+    "FiniteGroup": lambda: FiniteGroup(dihedral_d3()[0].element_rotations),
     "EulerAngles": lambda: EulerAngles(phi=np.array([0.1, 0.2]), theta=np.array([1.0, 2.0]),
                                        psi=np.zeros(2)),
 }
