@@ -122,19 +122,17 @@ def read_record(path: str) -> ResultRecord:
 
 def load_settings(path: str) -> dict:
     """Read run settings from [protocol]/[run] key = value sections, or from
-    the JSON equivalent {"protocol": {...}, "run": {...}}."""
+    the JSON equivalent {"protocol": {...}, "run": {...}}; any other section
+    or top-level key is refused by name."""
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            named = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(named, dict):
             raise ValueError(f"{path}: expected a JSON object")
-        sections = [data.get("protocol", {}), data.get("run", {})]
-        if not all(isinstance(section, dict) for section in sections):
-            raise ValueError(f"{path}: the protocol and run sections must be JSON objects")
     else:
         # a "#" or ";" after a value starts a comment, as in the README example
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -142,9 +140,13 @@ def load_settings(path: str) -> dict:
             parser.read_string(text, source=path)
         except configparser.Error as exc:
             raise ValueError(str(exc)) from exc
-        sections = [
-            dict(parser[name]) for name in ("protocol", "run") if parser.has_section(name)
-        ]
+        named = {name: dict(parser[name]) for name in parser.sections()}
+    for name in named:
+        if name not in ("protocol", "run"):
+            raise ValueError(f"{path}: unknown section {name!r}; settings go under protocol or run")
+    sections = [named.get("protocol", {}), named.get("run", {})]
+    if not all(isinstance(section, dict) for section in sections):
+        raise ValueError(f"{path}: the protocol and run sections must be JSON objects")
     settings: dict = {}
     for section in sections:
         for key, value in section.items():
@@ -207,7 +209,7 @@ def _resolve_output(config: RunConfig, path) -> str:
 def _check_group_axioms() -> tuple:
     group, _ = dihedral_d3()
     group.validate()
-    return f"order {group.order}: identity, inverses, associativity, classes", True
+    return f"order {group.order}: identity, inverses, associativity", True
 
 
 def _check_characters() -> tuple:
@@ -239,6 +241,12 @@ def _check_projectors(num_qubits: int) -> tuple:
 
 
 # --------------------------------------------------------------- commands
+
+
+def _refuse_empty(option: str, value) -> None:
+    # "" is a value, not an option left out; falling back to the default would hide it
+    if value == "":
+        raise ValueError(f"{option} is empty; leave the option out for its default")
 
 
 @click.group(name="spindir")
@@ -325,6 +333,7 @@ def _dihedral_profile(num_spins) -> list:
 @click.option("--out", "out_path", default=None, help="Also write the table to this file.")
 def cmd_optimize(target, num_spins, max_spins, out_path):
     """Print covariant optima: the direction-code table or the dihedral profile."""
+    _refuse_empty("--out", out_path)
     if target == "direction":
         lines = _direction_table(num_spins, max_spins)
     else:
@@ -352,9 +361,7 @@ def cmd_simulate(config_path, **flags):
     """Run one seeded experiment and persist its result record."""
     settings = load_settings(config_path) if config_path else {}
     for key, value in flags.items():
-        if value == "":
-            # "" is a value, not a flag left out; falling back to the default would hide it
-            raise ValueError(f"--{key.replace('_', '-')} is empty; leave the option out for its default")
+        _refuse_empty(f"--{key.replace('_', '-')}", value)
         if value is not None:
             settings[key] = value
     config = build_run_config(settings)
@@ -428,6 +435,7 @@ def _json_report(records) -> str:
 @click.option("--out", "out_path", default=None, help="Write here instead of stdout.")
 def cmd_report(records, fmt, out_path):
     """Tabulate result records as plot-ready CSV or JSON."""
+    _refuse_empty("--out", out_path)
     if not records:
         raise click.UsageError("no input records given")
     loaded = [read_record(path) for path in records]

@@ -1,4 +1,5 @@
-"""Directions on the unit sphere and product quadrature grids."""
+"""Directions on the unit sphere, unit-quaternion rotation matrices and
+product quadrature grids."""
 
 from __future__ import annotations
 
@@ -35,6 +36,35 @@ def polar_angles(vectors: np.ndarray) -> tuple[list, list]:
     return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
 
 
+# quaternion_matrices: entry k of the row-major 3x3 matrix is
+# mult * (A + sign * B), plus 1 on the diagonal, where A and B are products
+# q_a q_b of quaternion components (w, x, y, z) = (0, 1, 2, 3), stored at
+# a * 4 + b of the flattened outer product
+_QUAT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # yy xy xz xy xx yz xz yz xx
+_QUAT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # zz wz wy wz zz wx wy wx yy
+_QUAT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+_QUAT_MULT = np.array([-2.0, 2.0, 2.0, 2.0, -2.0, 2.0, 2.0, 2.0, -2.0])[:, None]
+
+
+def quaternion_matrices(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices for unit quaternion rows (w, x, y, z).
+
+    Built component-major from one (4, 4, n) outer product of the
+    normalised quaternions, so the returned (n, 3, 3) stack is a view whose
+    entries are each contiguous over the n rotations."""
+    q = q.T.copy()  # a copy even where q.T is already contiguous (one row)
+    c0, c1, c2, c3 = q * q
+    q /= np.sqrt(((c0 + c1) + c2) + c3)
+    outer = (q[:, None] * q).reshape(16, -1)
+    out = outer[_QUAT_A]
+    b = outer[_QUAT_B]
+    b *= _QUAT_SIGN
+    out += b
+    out *= _QUAT_MULT
+    out[::4] += 1.0
+    return out.T.reshape(-1, 3, 3)
+
+
 @dataclass(frozen=True)
 class Direction:
     """A point on the unit sphere stored as polar angles.
@@ -62,13 +92,6 @@ class Direction:
             raise ValueError("cannot take the direction of a (near-)zero vector")
         (theta,), (phi,) = polar_angles(v[None])
         return cls(theta, phi)
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
 
 
 @dataclass(frozen=True, eq=False)

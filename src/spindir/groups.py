@@ -1,14 +1,12 @@
 """Finite rotation groups and their representations.
 
-Covers the dihedral group D3 realized as concrete SO(3) rotations, its
-character table, its lifts to N-qubit product spaces, and the invariant
-blocks of the one- and two-qubit lifts in closed form.
-
-Element rotations are stored as zyz Euler angles (alpha, beta, gamma) in
-[0, 2pi), the active rotation e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz};
-the SU(2) lift is composed directly from those angles, which pins the
-projective phase deterministically. States, fiducials included, are plain
-complex amplitude arrays.
+Covers the dihedral group D3 as six unit quaternions, its character table,
+its lifts to N-qubit product spaces, and the invariant blocks of the one-
+and two-qubit lifts in closed form; the six signal directions are the orbit
+of direction 0.  The rotation by angle a about unit axis n is the quaternion
+(w, x, y, z) = (cos a/2, sin a/2 n), and its SU(2) lift
+w 1 - i (x sx + y sy + z sz) takes the quaternion's sign as its projective
+phase.  States, fiducials included, are plain complex amplitude arrays.
 """
 
 from __future__ import annotations
@@ -19,61 +17,53 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import TWO_PI, Direction
+from .geometry import quaternion_matrices
 from .multispin import tensor_power
 
 MATCH_TOL = 1e-9
 
 
-def euler_zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """SO(3) matrix Rz(alpha) Ry(beta) Rz(gamma)."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    return rz_a @ ry_b @ rz_g
-
-
-def su2_from_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Spin-1/2 unitary e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz}."""
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    uy = np.array([[c, -s], [s, c]], dtype=complex)
-    pa = np.exp(-0.5j * alpha * np.array([1.0, -1.0]))
-    pg = np.exp(-0.5j * gamma * np.array([1.0, -1.0]))
-    return (pa[:, None] * uy) * pg[None, :]
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group of rotations, given by one zyz Euler triple per element.
+    """Finite group of rotations, one unit quaternion row (w, x, y, z) per
+    element; a row whose norm is off 1 by more than MATCH_TOL is refused.
 
-    Identity is element 0. The read-only multiplication table, the inverses
-    and the classes are derived from the rotations on construction; classes
-    is a partition of element indices, identity class first, then ascending
-    by size.
+    Identity is element 0. The read-only (n, 3, 3) rotations, (n, 2, 2) SU(2)
+    lifts, multiplication table, inverses and classes are derived on
+    construction; classes is a partition of element indices, identity class
+    first, then ascending by size.
     """
 
-    element_rotations: tuple
+    element_rotations: np.ndarray
+    rotations: np.ndarray = field(init=False, repr=False)
+    su2: np.ndarray = field(init=False, repr=False)
     mult_table: np.ndarray = field(init=False, repr=False)
     inverse: tuple = field(init=False)
     classes: tuple = field(init=False)
 
     def __post_init__(self):
-        m = np.array([self.rotation_matrix(g) for g in range(self.order)])
+        q = np.array(self.element_rotations, dtype=float)
+        off = np.abs(np.linalg.norm(q, axis=-1) - 1.0)
+        if q.ndim != 2 or q.shape[1] != 4 or np.any(off > MATCH_TOL):
+            raise ValueError("elements must be unit quaternion rows (w, x, y, z)")
+        m = quaternion_matrices(q)
+        w, x, y, z = q.T  # the lift w 1 - i (x sx + y sy + z sz), row-major
+        su2 = np.stack([w - 1j * z, -y - 1j * x, y - 1j * x, w + 1j * z], axis=-1)
+        su2 = su2.reshape(-1, 2, 2)
         prods = m[:, None] @ m[None, :]
         # hits[a, b, c]: product a b matches rotation c
         hits = np.max(np.abs(prods[:, :, None] - m), axis=(-2, -1)) < MATCH_TOL
         if not np.all(np.count_nonzero(hits, axis=-1) == 1):
             raise ValueError("rotation set is not closed under products")
         table = np.argmax(hits, axis=-1)
-        table.flags.writeable = False
         # each element's inverse: the column holding the identity in its row
         inv = np.argmax(table == 0, axis=1)
         conj = table[table, inv[:, None]]  # conj[h, g] = h g h^-1
         orbits = {tuple(sorted(set(column.tolist()))) for column in conj.T}
-        object.__setattr__(self, "mult_table", table)
+        for name, value in (("element_rotations", q), ("rotations", m),
+                            ("su2", su2), ("mult_table", table)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "inverse", tuple(inv.tolist()))
         object.__setattr__(self, "classes",
                            tuple(sorted(orbits, key=lambda cl: (0 not in cl, len(cl), cl))))
@@ -81,12 +71,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.element_rotations)
-
-    def rotation_matrix(self, i: int) -> np.ndarray:
-        return euler_zyz_matrix(*self.element_rotations[i])
-
-    def su2_matrix(self, i: int) -> np.ndarray:
-        return su2_from_euler(*self.element_rotations[i])
 
     def validate(self) -> None:
         t = self.mult_table
@@ -113,33 +97,22 @@ def dihedral_d3() -> tuple:
     rows (1,1,1), (1,1,-1), (2,-1,0), and its first column is each irrep's
     dimension.
     """
-    def flip_euler(az):
-        # pi turn about the in-plane axis at azimuth az, as zyz angles
-        return ((az - math.pi / 2.0) % TWO_PI, math.pi, (math.pi / 2.0 - az) % TWO_PI)
-
-    eulers = (
-        (0.0, 0.0, 0.0),
-        (TWO_PI / 3.0, 0.0, 0.0),
-        (2.0 * TWO_PI / 3.0, 0.0, 0.0),
-        flip_euler(0.0),
-        flip_euler(-TWO_PI / 3.0),
-        flip_euler(TWO_PI / 3.0),
-    )
-    group = FiniteGroup(eulers)
+    h = math.sqrt(3.0) / 2.0
+    group = FiniteGroup([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, h], [-0.5, 0.0, 0.0, h],
+                         [0.0, -1.0, 0.0, 0.0], [0.0, 0.5, h, 0.0], [0.0, 0.5, -h, 0.0]])
     characters = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]])
     characters.flags.writeable = False
     return group, characters
 
 
-def d3_directions() -> list:
-    """The six signal directions: orbit of (theta=45deg, phi=0) under the
-    dihedral rotations, upper cone first, azimuths 0, +120, -120 degrees."""
-    quarter = math.pi / 4.0
-    out = []
-    for theta in (quarter, math.pi - quarter):
-        for phi in (0.0, TWO_PI / 3.0, -TWO_PI / 3.0):
-            out.append(Direction(theta=theta, phi=phi))
-    return out
+def d3_directions() -> np.ndarray:
+    """The six signal directions as read-only (6, 3) unit rows: row k is
+    element k applied to direction 0, at polar angle 45 degrees in the xz
+    plane (the upper cone at azimuths 0, +120, -120 degrees, then the lower)."""
+    d0 = np.array([math.sin(math.pi / 4.0), 0.0, math.cos(math.pi / 4.0)])
+    units = dihedral_d3()[0].rotations @ d0
+    units.flags.writeable = False
+    return units
 
 
 @lru_cache(maxsize=1)
@@ -153,7 +126,7 @@ def d3_local_frame() -> np.ndarray:
     of direction t in the tangent pair it carries from direction 0 is nearest
     t exactly when the same tilt of direction 0 is nearest direction 0:
     every decision, and every decoding cell, is read in this one frame."""
-    units = np.array([d.unit_vector for d in d3_directions()])
+    units = d3_directions()
     d0 = units[0]
     coefficients = units @ np.array([d0, [0.0, 1.0, 0.0], [-d0[2], 0.0, d0[0]]]).T
     coefficients.flags.writeable = False
@@ -162,7 +135,7 @@ def d3_local_frame() -> np.ndarray:
 
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
     """Per-element unitaries u(g)^{tensor num_spins} on the 2^N product space."""
-    return tuple(tensor_power(group.su2_matrix(g), num_spins) for g in range(group.order))
+    return tuple(tensor_power(u, num_spins) for u in group.su2)
 
 
 def d3_qubit_blocks(num_spins: int) -> tuple:

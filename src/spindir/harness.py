@@ -25,7 +25,7 @@ from .frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import polar_angles, reduce_azimuth
+from .geometry import polar_angles, quaternion_matrices, reduce_azimuth
 from .groups import d3_local_frame
 from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
@@ -91,41 +91,12 @@ def sample_haar_direction(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
 
 
-# _quaternion_matrices: entry k of the row-major 3x3 matrix is
-# mult * (A + sign * B), plus 1 on the diagonal, where A and B are products
-# q_a q_b of quaternion components (w, x, y, z) = (0, 1, 2, 3), stored at
-# a * 4 + b of the flattened outer product
-_QUAT_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # yy xy xz xy xx yz xz yz xx
-_QUAT_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # zz wz wy wz zz wx wy wx yy
-_QUAT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
-_QUAT_MULT = np.array([-2.0, 2.0, 2.0, 2.0, -2.0, 2.0, 2.0, 2.0, -2.0])[:, None]
-
-
-def _quaternion_matrices(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices for unit quaternion rows (w, x, y, z).
-
-    Built component-major from one (4, 4, n) outer product of the
-    normalised quaternions, so the returned (n, 3, 3) stack is a view whose
-    entries are each contiguous over the n rotations."""
-    q = q.T.copy()  # a copy even where q.T is already contiguous (one row)
-    c0, c1, c2, c3 = q * q
-    q /= np.sqrt(((c0 + c1) + c2) + c3)
-    outer = (q[:, None] * q).reshape(16, -1)
-    out = outer[_QUAT_A]
-    b = outer[_QUAT_B]
-    b *= _QUAT_SIGN
-    out += b
-    out *= _QUAT_MULT
-    out[::4] += 1.0
-    return out.T.reshape(-1, 3, 3)
-
-
 def sample_haar_frame(rng: np.random.Generator, size=None) -> Frame:
     """Haar-uniform frame(s): four standard normals per rotation make a
     uniform unit quaternion, whose matrix columns are the x, y and z axes.
     One frame of 3-vectors when size is None, else a stack of size frames."""
     q = rng.standard_normal((1 if size is None else int(size), 4))
-    m = _quaternion_matrices(q)
+    m = quaternion_matrices(q)
     if size is None:
         m = m[0]
     return Frame(z_axis=m[..., 2], x_axis=m[..., 0], y_axis=m[..., 1])

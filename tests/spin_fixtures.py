@@ -1,16 +1,34 @@
-"""Test oracles and fixture states, as plain complex arrays, and a Frame's
-axes as a rotation matrix.
+"""Test oracles and fixture states, as plain complex arrays: a Direction's
+unit vector, the D3 signal directions as polar angles, a Frame's axes as a
+rotation matrix, and a bit-for-bit array comparison.
 
 Spin-j amplitudes are ordered m = j down to -j. On an N-qubit register the
 leftmost symbol of a ket string like "001" is qubit 0, and qubit k is bit k of
 the amplitude index, as in spindir.multispin.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import expm
 
+from spindir.geometry import Direction
 from spindir.spins import coherent_states
+
+# the six D3 signal directions as an angle list, upper cone (theta = 45 deg)
+# then lower (135 deg), each at azimuths 0, +120, -120 deg
+D3_ANGLE_DIRECTIONS = tuple(
+    Direction(theta=theta, phi=phi)
+    for theta in (math.pi / 4.0, 3.0 * math.pi / 4.0)
+    for phi in (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
+)
+
+
+def unit_vector(d: Direction) -> np.ndarray:
+    """The unit 3-vector of a Direction, from its polar angles."""
+    st = math.sin(d.theta)
+    return np.array([st * math.cos(d.phi), st * math.sin(d.phi), math.cos(d.theta)])
 
 
 def coherent(j, directions) -> np.ndarray:
@@ -26,6 +44,12 @@ def spin_matrices(j) -> tuple:
     return 0.5 * (jp + jp.conj().T), -0.5j * (jp - jp.conj().T), np.diag(m).astype(complex)
 
 
+def rotation_oracle(j, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz} by matrix exponentials."""
+    _, jy, jz = spin_matrices(j)
+    return expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
+
+
 def state_from_terms(num_qubits: int, terms: dict) -> np.ndarray:
     """Superposition from {bit string: amplitude} terms (not normalized)."""
     amps = np.zeros(2**num_qubits, dtype=complex)
@@ -37,6 +61,13 @@ def state_from_terms(num_qubits: int, terms: dict) -> np.ndarray:
 def basis_state(bits: str) -> np.ndarray:
     """Computational basis ket from a bit string, e.g. basis_state("001")."""
     return state_from_terms(len(bits), {bits: 1.0})
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    """array_equal, and the sign of every zero."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def axes_matrix(frame) -> np.ndarray:

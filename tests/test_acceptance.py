@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from spin_fixtures import axes_matrix, basis_state, coherent, product_state, state_from_terms
+from spin_fixtures import (
+    axes_matrix,
+    basis_state,
+    coherent,
+    product_state,
+    state_from_terms,
+    unit_vector,
+)
 from spindir.frames import axes_to_euler, euler_to_axes
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.harness import (
@@ -152,7 +159,7 @@ def test_criterion_04_coherent_overlap_law(report):
             # build the actual states; the closed form is the thing under test
             a, b = coherent(j, [d1, d2])
             overlap = abs(np.vdot(a, b)) ** 2
-            u = 0.5 * (1.0 + d1.unit_vector @ d2.unit_vector)  # cos^2(chi/2)
+            u = 0.5 * (1.0 + unit_vector(d1) @ unit_vector(d2))  # cos^2(chi/2)
             worst = max(worst, abs(overlap - u**tj))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0

@@ -159,6 +159,15 @@ class TestOptimize:
         assert code == 0
         assert path.read_text() == out
 
+    @pytest.mark.parametrize("target", ["direction", "dihedral"])
+    def test_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, target):
+        # --out "" printed the table, wrote no file and exited 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "optimize", target, "--num-spins", "2", "--out", "")
+        assert code == 1
+        assert err.startswith("error: --out is empty")
+        assert out == "" and not any(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_flags_run_and_persist(self, capsys, tmp_path):
@@ -245,6 +254,37 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 1
         assert "unknown setting 'shots'" in err
+
+    def test_unknown_section_is_refused_in_ini(self, capsys, tmp_path):
+        # a [decoding] section holding decoder = naive-euler was dropped: the
+        # run went best-fit and exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[protocol]\nkind = frame-two-axis\nnum-spins = 4\n[run]\ntrials = 10\nseed = 1\n"
+            "[decoding]\ndecoder = naive-euler\n"
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: unknown section 'decoding'")
+        assert out == "" and not out_dir.exists()
+
+    def test_unknown_top_level_key_is_refused_in_json(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "protocol": {"kind": "frame-two-axis", "num_spins": 4},
+            "run": {"trials": 10, "seed": 1},
+            "decoding": {"decoder": "naive-euler"},
+        }))
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: unknown section 'decoding'")
+        assert out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize("section", [["d3-single"], None, "d3-single"])
     def test_config_section_must_be_object(self, capsys, tmp_path, section):
@@ -611,6 +651,16 @@ class TestReport:
         assert code == 0
         assert f"wrote {dest}" in out
         assert dest.read_text().startswith(",".join(REPORT_COLUMNS))
+
+    def test_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, two_records):
+        # --out "" printed nothing, wrote no file and exited 0
+        single, _ = two_records
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, "report", str(single), "--out", "")
+        assert code == 1
+        assert err.startswith("error: --out is empty")
+        assert out == "" and sorted(tmp_path.iterdir()) == before
 
     def test_empty_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "report")

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from spindir.geometry import TWO_PI, Direction, polar_angles, reduce_azimuth, sphere_quadrature
+from spin_fixtures import assert_same_bits, unit_vector
+from spindir.geometry import (
+    TWO_PI,
+    Direction,
+    polar_angles,
+    quaternion_matrices,
+    reduce_azimuth,
+    sphere_quadrature,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -53,11 +61,11 @@ def test_unit_vector_and_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(100):
         d = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        v = d.unit_vector
+        v = unit_vector(d)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         back = Direction.from_vector(v)
         assert back.theta == pytest.approx(d.theta, abs=1e-12)
-        assert np.allclose(back.unit_vector, v, atol=1e-12)
+        assert np.allclose(unit_vector(back), v, atol=1e-12)
 
 
 def test_from_vector_normalizes_and_rejects_zero():
@@ -132,7 +140,7 @@ def test_quadrature_polynomial_exactness():
 
 def test_quadrature_overlap_kernel_normalization():
     # (2j+1)/(4pi) cos^{4j}(chi/2) integrates to 1 over the sphere
-    center = Direction(1.1, 0.4).unit_vector
+    center = unit_vector(Direction(1.1, 0.4))
     for twice_j in (1, 4, 11, 40):
         need = 2 * twice_j  # integrand is degree 2j in the unit vector
         quad = sphere_quadrature(need // 2 + 1, need + 1)
@@ -152,5 +160,50 @@ def test_nodes_match_unit_vectors():
     quad = sphere_quadrature(3, 5)
     nodes = quad.nodes()
     assert len(nodes) == quad.weights.size
-    stacked = np.array([n.unit_vector for n in nodes])
+    stacked = np.array([unit_vector(n) for n in nodes])
     np.testing.assert_allclose(stacked, quad.unit_vectors, atol=1e-12)
+
+
+def _quaternion_matrices_by_entry(q: np.ndarray) -> np.ndarray:
+    """The rotation matrices of quaternion rows (w, x, y, z), entry by entry:
+    the row-major form quaternion_matrices must equal bit for bit."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((q.shape[0], 3, 3))
+    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    out[:, 0, 1] = 2 * (x * y - w * z)
+    out[:, 0, 2] = 2 * (x * z + w * y)
+    out[:, 1, 0] = 2 * (x * y + w * z)
+    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    out[:, 1, 2] = 2 * (y * z - w * x)
+    out[:, 2, 0] = 2 * (x * z - w * y)
+    out[:, 2, 1] = 2 * (y * z + w * x)
+    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return out
+
+
+_EDGE_QUATERNIONS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -0.0, -1.0],
+        [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [-2.0, 2.0, -2.0, 2.0],
+        [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -3.0, 3.0], [1e-150, 0.0, 0.0, 0.0],
+        [1e150, 1e150, 0.0, -0.0], [3.0, -4.0, 0.0, 12.0],
+    ]
+)
+
+
+class TestColumnKernels:
+    # the column form of the quaternion matrices is the same arithmetic as
+    # the per-entry form above, so every bit matches
+
+    @pytest.mark.parametrize("n", [1, 128, 8193])
+    def test_quaternion_matrices_match_entrywise_form(self, n):
+        q = np.random.default_rng(n).standard_normal((n, 4))
+        drawn = q.copy()
+        assert_same_bits(quaternion_matrices(q), _quaternion_matrices_by_entry(q))
+        assert_same_bits(q, drawn)  # the input rows are not normalised in place
+
+    def test_quaternion_matrices_edge_rows(self):
+        q = _EDGE_QUATERNIONS
+        assert_same_bits(quaternion_matrices(q), _quaternion_matrices_by_entry(q))

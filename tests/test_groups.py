@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spin_fixtures import coherent
+from spin_fixtures import (
+    D3_ANGLE_DIRECTIONS,
+    coherent,
+    rotation_oracle,
+    spin_matrices,
+    unit_vector,
+)
 from spindir.geometry import Direction
 from spindir.groups import (
     FiniteGroup,
@@ -55,7 +61,7 @@ def test_character_orthogonality():
 
 def vector_characters():
     # character of the vector (spin-1) representation: the trace of each rotation
-    return np.array([np.trace(GROUP.rotation_matrix(g)) for g in range(6)])
+    return np.trace(GROUP.rotations, axis1=1, axis2=2)
 
 
 def test_rotation_characters_values():
@@ -67,7 +73,7 @@ def test_rotation_characters_values():
 
 def test_su2_lift_is_projective():
     # u(g) u(h) = +- u(gh) for every pair
-    us = [GROUP.su2_matrix(g) for g in range(6)]
+    us = GROUP.su2
     for g in range(6):
         for h in range(6):
             prod = us[g] @ us[h]
@@ -81,20 +87,75 @@ def test_su2_lift_is_projective():
 def test_rotations_follow_table_exactly():
     for g in range(6):
         for h in range(6):
-            prod = GROUP.rotation_matrix(g) @ GROUP.rotation_matrix(h)
+            prod = GROUP.rotations[g] @ GROUP.rotations[h]
             np.testing.assert_allclose(
-                prod, GROUP.rotation_matrix(GROUP.mult_table[g, h]), atol=1e-12
+                prod, GROUP.rotations[GROUP.mult_table[g, h]], atol=1e-12
             )
+
+
+H = math.sqrt(3.0) / 2.0
+# D3's SU(2) lifts, element by element, as the zyz-Euler construction gave them
+D3_SU2 = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.5 - H * 1j, 0.0], [0.0, 0.5 + H * 1j]],
+    [[-0.5 - H * 1j, 0.0], [0.0, -0.5 + H * 1j]],
+    [[0.0, 1j], [1j, 0.0]],
+    [[0.0, -H - 0.5j], [H - 0.5j, 0.0]],
+    [[0.0, H - 0.5j], [-H - 0.5j, 0.0]],
+])
+# the same elements as zyz Euler triples (alpha, beta, gamma)
+D3_EULER = [
+    (0.0, 0.0, 0.0),
+    (2.0 * math.pi / 3.0, 0.0, 0.0),
+    (4.0 * math.pi / 3.0, 0.0, 0.0),
+    (3.0 * math.pi / 2.0, math.pi, math.pi / 2.0),
+    (5.0 * math.pi / 6.0, math.pi, 7.0 * math.pi / 6.0),
+    (math.pi / 6.0, math.pi, 11.0 * math.pi / 6.0),
+]
+
+
+def test_su2_lift_keeps_the_zyz_phases():
+    # each quaternion's sign reproduces the projective phase of the zyz lift
+    np.testing.assert_allclose(GROUP.su2, D3_SU2, rtol=0, atol=1e-15)
+    assert not GROUP.su2.flags.writeable and not GROUP.rotations.flags.writeable
+
+
+def test_su2_lift_is_the_spin_half_rotation():
+    for u, euler in zip(GROUP.su2, D3_EULER):
+        assert np.max(np.abs(u - rotation_oracle(SpinJ(1), *euler))) <= 1e-15
+
+
+def test_su2_conjugates_the_pauli_matrices_by_the_rotation():
+    # U sigma_j U^dagger = sum_i R_ij sigma_i ties the two derived fields together
+    sigma = 2.0 * np.array(spin_matrices(SpinJ(1)))
+    for u, r in zip(GROUP.su2, GROUP.rotations):
+        for j in range(3):
+            want = np.tensordot(r[:, j], sigma, axes=1)
+            np.testing.assert_allclose(u @ sigma[j] @ u.conj().T, want, rtol=0, atol=1e-15)
+
+
+def test_d3_directions_are_the_angle_list():
+    units = d3_directions()
+    assert not units.flags.writeable
+    want = np.array([unit_vector(d) for d in D3_ANGLE_DIRECTIONS])
+    np.testing.assert_allclose(units, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 0.0])
+def test_non_unit_quaternion_row_is_refused(scale):
+    rotations = np.array(GROUP.element_rotations)
+    rotations[4] *= scale
+    with pytest.raises(ValueError, match="unit quaternion rows"):
+        FiniteGroup(rotations)
 
 
 def test_signal_directions_are_the_group_orbit():
     # the elements come in direction order: element g sends direction 0 to
     # direction g, so the orbit is the six directions, each once
-    dirs = d3_directions()
-    assert len(dirs) == 6
-    vecs = np.array([d.unit_vector for d in dirs])
+    vecs = d3_directions()
+    assert vecs.shape == (6, 3)
     for g in range(6):
-        dots = vecs @ (GROUP.rotation_matrix(g) @ vecs[0])
+        dots = vecs @ (GROUP.rotations[g] @ vecs[0])
         assert int(np.argmax(dots)) == g
         assert dots[g] > 1.0 - 1e-12
 
@@ -103,11 +164,11 @@ def test_one_spin_orbit_is_coherent_spinors():
     # the lifted orbit of the first signal spinor lands on the coherent state
     # of the rotated direction, up to phase
     j = SpinJ(1)
-    n0 = d3_directions()[0]
+    n0 = D3_ANGLE_DIRECTIONS[0]
     fid = coherent(j, [n0])[0]
     for g in range(6):
-        rotated = GROUP.su2_matrix(g) @ fid
-        image = GROUP.rotation_matrix(g) @ n0.unit_vector
+        rotated = GROUP.su2[g] @ fid
+        image = GROUP.rotations[g] @ unit_vector(n0)
         target = coherent(j, [Direction.from_vector(image)])[0]
         assert abs(np.vdot(target, rotated)) == pytest.approx(1.0, abs=1e-12)
 
@@ -156,7 +217,7 @@ def test_qubit_blocks_stop_at_two_qubits():
 
 def test_one_qubit_block_starts_at_the_direction_0_spinor():
     block = d3_qubit_blocks(1)[0]
-    np.testing.assert_array_equal(block[:, 0], coherent(SpinJ(1), d3_directions()[:1])[0])
+    np.testing.assert_array_equal(block[:, 0], coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0])
     _, fid = _d3_family(1)
     np.testing.assert_allclose(fid, block[:, 0] / math.sqrt(3.0), rtol=0, atol=1e-15)
 
@@ -191,7 +252,7 @@ def test_rotations_derive_table_inverses_and_classes():
     assert group.inverse == GROUP.inverse == (0, 2, 1, 3, 4, 5)
     # oracle from the matrices alone: the class of g is {h g h^T} matched
     # back to the six rotations, identity class first, then ascending by size
-    mats = [group.rotation_matrix(g) for g in range(6)]
+    mats = group.rotations
     oracle = set()
     for g in mats:
         oracle.add(tuple(sorted({
@@ -219,14 +280,14 @@ def test_validate_checks_rotation_consistency():
     # element 3 as a 0.3 rad z-turn: its products with the others match none
     # of the six rotations
     rotations = list(GROUP.element_rotations)
-    rotations[3] = (0.3, 0.0, 0.0)
+    rotations[3] = (math.cos(0.15), 0.0, 0.0, math.sin(0.15))
     with pytest.raises(ValueError, match="not closed under products"):
         FiniteGroup(tuple(rotations))
 
 
 def test_table_refuses_a_rotation_set_not_closed_under_products():
     # without the +240 degree turn, the +120 turn squared has no match
-    rotations = GROUP.element_rotations[:2] + GROUP.element_rotations[3:]
+    rotations = np.delete(GROUP.element_rotations, 2, axis=0)
     with pytest.raises(ValueError, match="not closed under products"):
         FiniteGroup(rotations)
 
@@ -242,7 +303,8 @@ def test_validate_refuses_a_non_associative_loop():
         [4, 3, 1, 2, 0],
     ]
     # the order-5 z-turns give the order; the loop replaces their derived fields
-    group = FiniteGroup(tuple((2.0 * math.pi * k / 5.0, 0.0, 0.0) for k in range(5)))
+    group = FiniteGroup([(math.cos(math.pi * k / 5.0), 0.0, 0.0, math.sin(math.pi * k / 5.0))
+                         for k in range(5)])
     object.__setattr__(group, "mult_table", np.array(table))
     object.__setattr__(group, "inverse", (0, 1, 2, 3, 4))
     with pytest.raises(ValueError, match="not associative"):

@@ -15,7 +15,7 @@ from spindir.frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from spindir.geometry import Direction
+from spindir.geometry import Direction, quaternion_matrices
 from spindir.groups import d3_directions, d3_local_frame, dihedral_d3
 from spindir.harness import (
     BATCH_TRIALS,
@@ -27,7 +27,6 @@ from spindir.harness import (
     _frame_batch,
     _naive_frames,
     _plurality,
-    _quaternion_matrices,
     _tilt,
     _tilt_draws,
     reference_score,
@@ -51,63 +50,11 @@ from spindir.protocols import (
     frame_two_axis_score,
 )
 from spindir.states import SpinJ
-from spin_fixtures import axes_matrix
+from spin_fixtures import assert_same_bits, axes_matrix, unit_vector
 
 
 def spec(kind="d3-single", num_spins=1, **kw) -> ProtocolSpec:
     return ProtocolSpec(kind=kind, num_spins=num_spins, **kw)
-
-
-def _quaternion_matrices_by_entry(q: np.ndarray) -> np.ndarray:
-    """The rotation matrices of quaternion rows (w, x, y, z), entry by entry:
-    the row-major form _quaternion_matrices must equal bit for bit."""
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out = np.empty((q.shape[0], 3, 3))
-    out[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    out[:, 0, 1] = 2 * (x * y - w * z)
-    out[:, 0, 2] = 2 * (x * z + w * y)
-    out[:, 1, 0] = 2 * (x * y + w * z)
-    out[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    out[:, 1, 2] = 2 * (y * z - w * x)
-    out[:, 2, 0] = 2 * (x * z - w * y)
-    out[:, 2, 1] = 2 * (y * z + w * x)
-    out[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
-
-
-def _assert_same_bits(got: np.ndarray, want: np.ndarray):
-    # array_equal, and the sign of every zero
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-_EDGE_QUATERNIONS = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, 0.0], [0.0, -0.0, -0.0, -1.0],
-        [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [-2.0, 2.0, -2.0, 2.0],
-        [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -3.0, 3.0], [1e-150, 0.0, 0.0, 0.0],
-        [1e150, 1e150, 0.0, -0.0], [3.0, -4.0, 0.0, 12.0],
-    ]
-)
-
-
-class TestColumnKernels:
-    # the column form of the quaternion matrices is the same arithmetic as
-    # the per-entry form above, so every bit matches
-
-    @pytest.mark.parametrize("n", [1, 128, 8193])
-    def test_quaternion_matrices_match_entrywise_form(self, n):
-        q = np.random.default_rng(n).standard_normal((n, 4))
-        drawn = q.copy()
-        _assert_same_bits(_quaternion_matrices(q), _quaternion_matrices_by_entry(q))
-        _assert_same_bits(q, drawn)  # the input rows are not normalised in place
-
-    def test_quaternion_matrices_edge_rows(self):
-        q = _EDGE_QUATERNIONS
-        _assert_same_bits(_quaternion_matrices(q), _quaternion_matrices_by_entry(q))
 
 
 class TestRunConfig:
@@ -334,7 +281,7 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     TestCoherentLocalFrame); the harness decodes the same draws from its
     cached table instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
-    units = np.array([d.unit_vector for d in d3_directions()])
+    units = d3_directions()
     t1, t2 = _direction_zero_pair(units)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
@@ -404,7 +351,7 @@ class TestCoherentLocalFrame:
     # the harness decodes every d3-coherent trial in direction 0's frame;
     # these pin the cached table it reads against the group and the 3-D tilt
 
-    units = np.array([d.unit_vector for d in d3_directions()])
+    units = d3_directions()
     t1, t2 = _direction_zero_pair(units)
 
     def clear_grid(self, t, est):
@@ -425,7 +372,7 @@ class TestCoherentLocalFrame:
     @pytest.mark.parametrize("t", range(6))
     def test_rotation_sends_direction_zero_to_t_and_permutes_the_six(self, t):
         group, _ = dihedral_d3()
-        r = group.rotation_matrix(t)
+        r = group.rotations[t]
         assert np.allclose(r @ self.units[0], self.units[t], rtol=0.0, atol=1e-12)
         images = self.units @ r.T
         nearest = np.argmax(images @ self.units.T, axis=1)
@@ -437,7 +384,7 @@ class TestCoherentLocalFrame:
         # element t applied to a tilt of direction 0 is nearest t exactly
         # where that tilt is a hit
         group, _ = dihedral_d3()
-        r = group.rotation_matrix(t)
+        r = group.rotations[t]
         cos_chi, azimuth = self.grid()
         est0 = _tilt(self.units[0], self.t1, self.t2, cos_chi, azimuth)
         clear, want = self.clear_grid(t, est0 @ r.T)
@@ -450,14 +397,14 @@ class TestCoherentLocalFrame:
         coefficients = d3_local_frame()
         assert not coefficients.flags.writeable
         frame = np.stack([self.units[0], self.t1, self.t2])
-        _assert_same_bits(coefficients, self.units @ frame.T)
+        assert_same_bits(coefficients, self.units @ frame.T)
 
     @pytest.mark.parametrize("t", range(6))
     def test_decision_matches_the_tilt_and_argmax(self, t):
         # direction t tilted as a 3-vector, in the tangent pair that element
         # t carries from direction 0
         group, _ = dihedral_d3()
-        r = group.rotation_matrix(t)
+        r = group.rotations[t]
         cos_chi, azimuth = self.grid()
         est = _tilt(self.units[t], r @ self.t1, r @ self.t2, cos_chi, azimuth)
         clear, want = self.clear_grid(t, est)
@@ -655,7 +602,7 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     az_z = rng.uniform(0.0, 2.0 * math.pi, take)
     u_x = rng.random(take)
     az_x = rng.uniform(0.0, 2.0 * math.pi, take)
-    mats = _quaternion_matrices(quats)
+    mats = quaternion_matrices(quats)
     cos_z = density.quantile_cos(u_z)
     cos_x = density.quantile_cos(u_x)
     x_axis, y_axis, z_axis = mats[:, :, 0], mats[:, :, 1], mats[:, :, 2]
@@ -673,7 +620,7 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
             fitted, failed = _naive_frame(z_dir, x_dir)
             failures += int(failed)
         else:
-            fitted, _ = best_fit_frame(z_dir.unit_vector, x_dir.unit_vector)
+            fitted, _ = best_fit_frame(unit_vector(z_dir), unit_vector(x_dir))
         scores[i] = frame_infidelity(true_frame, fitted)
     return scores, cos_z, cos_x, failures
 

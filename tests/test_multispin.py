@@ -90,7 +90,7 @@ def test_lift_rotation_acts_per_qubit():
     singles = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
     singles = [s / np.linalg.norm(s) for s in singles]
     for g, lifted in enumerate(lift_to_qubits(group, 3)):
-        u = group.su2_matrix(g)
+        u = group.su2[g]
         rotated = product_state([u @ s for s in singles])
         direct = lifted @ product_state(singles)
         np.testing.assert_allclose(direct, rotated, atol=1e-12)

@@ -7,7 +7,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
-from spindir.groups import d3_directions, d3_qubit_blocks, dihedral_d3
+from spin_fixtures import D3_ANGLE_DIRECTIONS, unit_vector
+from spindir.groups import d3_qubit_blocks, dihedral_d3
 from spindir.optimize import (
     BESSEL_J0_FIRST_ZERO,
     D3_ARC_NODES,
@@ -309,7 +310,7 @@ def _grid_d3_error(j: SpinJ, quad: SphereQuadrature) -> float:
             f"quadrature exact to degree {quad.max_exact_degree} is insufficient; "
             f"the decoding kernel needs degree {need}"
         )
-    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    dirs = np.array([unit_vector(d) for d in D3_ANGLE_DIRECTIONS])
     cos_table = dirs @ quad.unit_vectors.T  # (6, K)
     owner = np.argmax(cos_table, axis=0)
     scale = (j.twice_j + 1) / (4.0 * math.pi)
@@ -429,8 +430,8 @@ class TestSixDirectionDecoding:
         assert radii.max() == pytest.approx(outer, abs=1e-3)
 
     def test_six_cells_agree_with_direction_zero(self):
-        # each direction's cell, built in a tangent basis of its own from
-        # d3_directions, gives the error of direction 0's cell
+        # each direction's cell, built in a tangent basis of its own from the
+        # angle list of the six directions, gives the error of direction 0's cell
         radii, weights = _six_cell_radii(D3_ARC_NODES)
         for n in range(1, 61):
             rates = _rate(radii, weights, n)
@@ -450,7 +451,7 @@ def _six_cell_radii(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     tangent basis of its own, (e1, e2) = (d0 x (d0 - d_1), d0 x e1)
     normalised, with the bisector crossings and vertex arcs of
     _d3_cell_radii.  Returns (6, M) radii and (6, M) weights."""
-    dirs = np.stack([d.unit_vector for d in d3_directions()])
+    dirs = np.array([unit_vector(d) for d in D3_ANGLE_DIRECTIONS])
     x, w = np.polynomial.legendre.leggauss(nodes)
     radii, weights = [], []
     for g, d0 in enumerate(dirs):

@@ -5,7 +5,7 @@ import pytest
 
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.groups import d3_directions, dihedral_d3
-from spin_fixtures import coherent
+from spin_fixtures import D3_ANGLE_DIRECTIONS, coherent, unit_vector
 from spindir.povm import (
     Povm,
     covariant_direction_povm,
@@ -18,7 +18,7 @@ from spindir.states import SpinJ
 
 def six_direction_povm() -> Povm:
     # E_m = (1 + m.sigma)/6 realized as (1/3)|n_m><n_m| on spin 1/2
-    vecs = coherent(SpinJ(1), d3_directions())
+    vecs = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS)
     return Povm(vecs[:, :, None] * vecs.conj()[:, None, :] / 3.0)
 
 
@@ -76,12 +76,11 @@ def test_validation_reports_first_non_hermitian_element():
 
 def test_outcome_probability_six_directions():
     povm = six_direction_povm()
-    dirs = d3_directions()
-    n = dirs[0]
-    probs = state_probabilities(povm, coherent(SpinJ(1), [n]))[0]
+    units = d3_directions()
+    probs = state_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1]))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    for k, d in enumerate(dirs):
-        expected = (1.0 + n.unit_vector @ d.unit_vector) / 6.0
+    for k, d in enumerate(units):
+        expected = (1.0 + units[0] @ d) / 6.0
         assert probs[k] == pytest.approx(expected, abs=1e-12)
     # the correct outcome always has probability 1/3
     assert probs[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -112,8 +111,8 @@ def test_outcome_probability_dimension_mismatch():
 
 def test_covariant_povm_finite_six_rank_one_elements():
     group, _ = dihedral_d3()
-    fid = coherent(SpinJ(1), d3_directions()[:1])[0] / math.sqrt(3.0)
-    povm = covariant_povm_finite([group.su2_matrix(g) for g in range(6)], fid)
+    fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0] / math.sqrt(3.0)
+    povm = covariant_povm_finite(group.su2, fid)
     assert povm.operators.shape == (6, 2, 2)
     for op in povm.operators:
         vals = np.linalg.eigvalsh(op)
@@ -122,15 +121,15 @@ def test_covariant_povm_finite_six_rank_one_elements():
 
 
 def test_covariant_povm_finite_rejects_mismatched_unitaries():
-    fid = coherent(SpinJ(1), d3_directions()[:1])[0]
+    fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0]
     with pytest.raises(ValueError, match="dimensions differ"):
         covariant_povm_finite([np.eye(3)], fid)
 
 
 def test_covariant_povm_wrong_norm_fails_validation():
     group, _ = dihedral_d3()
-    fid = coherent(SpinJ(1), d3_directions()[:1])[0]  # unit norm, not 1/sqrt(3)
-    povm = covariant_povm_finite([group.su2_matrix(g) for g in range(6)], fid)
+    fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0]  # unit norm, not 1/sqrt(3)
+    povm = covariant_povm_finite(group.su2, fid)
     assert not validate_povm(povm).passed
 
 
@@ -154,7 +153,7 @@ def test_direction_povm_probabilities_follow_overlap_law():
     povm = covariant_direction_povm(j, quad)
     signal_dir = Direction(0.8, 0.3)
     probs = state_probabilities(povm, coherent(j, [signal_dir]))[0]
-    cos_chi = quad.unit_vectors @ signal_dir.unit_vector
+    cos_chi = quad.unit_vectors @ unit_vector(signal_dir)
     u = 0.5 * (1.0 + cos_chi)
     expected = quad.weights * (j.twice_j + 1) / (4.0 * math.pi) * u**j.twice_j
     np.testing.assert_allclose(probs, expected, atol=1e-12)

@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from spin_fixtures import coherent
+from spin_fixtures import D3_ANGLE_DIRECTIONS, coherent
 from spindir.groups import d3_directions, d3_qubit_blocks
 from spindir.optimize import finite_group_optimum
 from spindir.povm import state_probabilities, validate_povm
@@ -107,7 +107,7 @@ class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
         povm = d3_covariant_povm(1)
         # outcome k is direction k: the spinor along direction k gives k most often
-        probs = state_probabilities(povm, coherent(SpinJ(1), d3_directions()))
+        probs = state_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS))
         assert np.argmax(probs, axis=1).tolist() == list(range(6))
         report = validate_povm(povm)
         assert report.max_completeness_dev <= 1e-12 and report.min_eigenvalue >= -1e-12
@@ -118,7 +118,7 @@ class TestSingleSpin:
 
     def test_outcome_matrix_is_overlap_law(self):
         matrix = d3_outcome_matrix(1)
-        units = [d.unit_vector for d in d3_directions()]
+        units = d3_directions()
         for i in range(6):
             assert matrix[i].sum() == pytest.approx(1.0, abs=1e-12)
             for k in range(6):
@@ -145,7 +145,7 @@ def _fraction_vote_score(n: int, tie_break: str) -> Fraction:
     multiset in Fraction arithmetic, with the table built from the direction
     dot products (1 + n.m)/6 independently of the package's int64 table.
     Only the true directions that a multiset scores for are weighted."""
-    units = [d.unit_vector for d in d3_directions()]
+    units = d3_directions()
     table = [
         [Fraction(4 + round(4.0 * float(np.dot(a, b))), 24) for b in units]
         for a in units

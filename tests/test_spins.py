@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
-from spin_fixtures import coherent, spin_matrices
+from spin_fixtures import coherent, rotation_oracle, spin_matrices, unit_vector
 from spindir.geometry import Direction
-from spindir.groups import euler_zyz_matrix, su2_from_euler
 from spindir.spins import coherent_states
 from spindir.states import SpinJ
 
@@ -23,34 +22,25 @@ def random_euler(rng=RNG) -> tuple:
             rng.uniform(0.0, 2.0 * math.pi))
 
 
-def rotation_oracle(j: SpinJ, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz} by matrix exponentials."""
-    _, jy, jz = spin_matrices(j)
-    return expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
+def zyz_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """SO(3) matrix Rz(alpha) Ry(beta) Rz(gamma): scipy's intrinsic ZYZ."""
+    return Rotation.from_euler("ZYZ", [alpha, beta, gamma]).as_matrix()
 
 
 @pytest.mark.parametrize("twice_j", [1, 2, 3, 8, 17])
 def test_euler_rotation_moves_coherent_state_by_zyz_matrix(twice_j):
-    # the groups convention: the triple (alpha, beta, gamma) acts on spin states
+    # the zyz convention: the triple (alpha, beta, gamma) acts on spin states
     # as e^{-i alpha Jz} e^{-i beta Jy} e^{-i gamma Jz} and on directions as
-    # euler_zyz_matrix
+    # Rz(alpha) Ry(beta) Rz(gamma)
     rng = np.random.default_rng(40 + twice_j)
     j = SpinJ(twice_j)
     for _ in range(20):
         d, euler = random_direction(rng), random_euler(rng)
         rotated = rotation_oracle(j, *euler) @ coherent(j, [d])[0]
-        moved = Direction.from_vector(euler_zyz_matrix(*euler) @ d.unit_vector)
+        moved = Direction.from_vector(zyz_matrix(*euler) @ unit_vector(d))
         expected = coherent(j, [moved])[0]
         phase = np.vdot(expected, rotated)
         np.testing.assert_allclose(rotated, phase / abs(phase) * expected, atol=1e-13)
-
-
-def test_su2_from_euler_is_the_spin_half_rotation():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        euler = random_euler(rng)
-        dev = np.max(np.abs(su2_from_euler(*euler) - rotation_oracle(SpinJ(1), *euler)))
-        assert dev <= 1e-15
 
 
 def test_coherent_state_along_z():
@@ -108,7 +98,7 @@ def test_overlap_matches_inner_product():
     for twice_j in range(1, 21):
         j = SpinJ(twice_j)
         d1, d2 = random_direction(rng), random_direction(rng)
-        closed = (0.5 * (1.0 + d1.unit_vector @ d2.unit_vector)) ** twice_j
+        closed = (0.5 * (1.0 + unit_vector(d1) @ unit_vector(d2))) ** twice_j
         assert overlap_sq(j, d1, d2) == pytest.approx(closed, abs=1e-10)
 
 
@@ -117,9 +107,9 @@ def test_overlap_rotation_invariant_and_symmetric():
     j = SpinJ(7)
     for _ in range(25):
         d1, d2 = random_direction(rng), random_direction(rng)
-        rot = euler_zyz_matrix(*random_euler(rng))
-        r1 = Direction.from_vector(rot @ d1.unit_vector)
-        r2 = Direction.from_vector(rot @ d2.unit_vector)
+        rot = zyz_matrix(*random_euler(rng))
+        r1 = Direction.from_vector(rot @ unit_vector(d1))
+        r2 = Direction.from_vector(rot @ unit_vector(d2))
         base = overlap_sq(j, d1, d2)
         assert overlap_sq(j, r1, r2) == pytest.approx(base, abs=1e-10)
         assert overlap_sq(j, d2, d1) == pytest.approx(base, abs=1e-12)
