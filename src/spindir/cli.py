@@ -111,6 +111,9 @@ def read_record(path: str) -> ResultRecord:
                 config=body["config"],
                 result=body["result"],
             )
+            version = record.schema_version
+            if type(version) is not int or version != SCHEMA_VERSION:  # bool is not int here
+                raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
             _report_row(record)
             return record
         except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
@@ -120,22 +123,34 @@ def read_record(path: str) -> ResultRecord:
 # ----------------------------------------------------------- configuration
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key that repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} repeats in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_settings(path: str) -> dict:
     """Read run settings from [protocol]/[run] key = value sections, or from
     the JSON equivalent {"protocol": {...}, "run": {...}}; any other section
-    or top-level key is refused by name."""
+    or top-level key ([DEFAULT] too) is refused by name, as is a setting
+    given twice, num-spins and num_spins being one."""
     with open(path) as fh:
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
         try:
-            named = json.loads(text)
-        except json.JSONDecodeError as exc:
+            named = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # JSONDecodeError is one
             raise ValueError(f"{path}: {exc}") from exc
         if not isinstance(named, dict):
             raise ValueError(f"{path}: expected a JSON object")
     else:
         # a "#" or ";" after a value starts a comment, as in the README example
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no header parses as "", so [DEFAULT] is an ordinary section, refused below
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
             parser.read_string(text, source=path)
         except configparser.Error as exc:
@@ -153,6 +168,8 @@ def load_settings(path: str) -> dict:
             key = str(key).replace("-", "_")
             if key not in _KNOWN_KEYS:
                 raise ValueError(f"unknown setting {key!r} in {path}")
+            if key in settings:
+                raise ValueError(f"{path}: {key} is set twice; give it once, under protocol or run")
             if key in _INT_KEYS and value is not None and not is_integer(value):
                 try:
                     value = int(str(value), 10)
@@ -439,9 +456,6 @@ def cmd_report(records, fmt, out_path):
     if not records:
         raise click.UsageError("no input records given")
     loaded = [read_record(path) for path in records]
-    versions = sorted({r.schema_version for r in loaded})
-    if len(versions) > 1:
-        raise ValueError(f"records mix schema versions {versions}")
     text = _csv_report(loaded) if fmt == "csv" else _json_report(loaded)
     if out_path:
         with open(out_path, "w") as fh:

@@ -93,13 +93,13 @@ def sample_haar_direction(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def sample_haar_frame(rng: np.random.Generator, size=None) -> Frame:
     """Haar-uniform frame(s): four standard normals per rotation make a
-    uniform unit quaternion, whose matrix columns are the x, y and z axes.
+    uniform unit quaternion, whose matrix's first and last columns are x and z.
     One frame of 3-vectors when size is None, else a stack of size frames."""
     q = rng.standard_normal((1 if size is None else int(size), 4))
     m = quaternion_matrices(q)
     if size is None:
         m = m[0]
-    return Frame(z_axis=m[..., 2], x_axis=m[..., 0], y_axis=m[..., 1])
+    return Frame(z_axis=m[..., 2], x_axis=m[..., 0])
 
 
 def sample_haar_rotation(rng: np.random.Generator) -> EulerAngles:

@@ -98,19 +98,16 @@ class ProtocolScore:
     quadrature) that produced it."""
 
     fidelity: float
-    infidelity: float
     method: str
     coefficients: tuple | None = None
 
     def __post_init__(self):
         if self.method not in ("exact", "quadrature"):
             raise ValueError(f"unknown method {self.method!r}")
-        if abs(self.fidelity + self.infidelity - 1.0) > 1e-12:
-            raise ValueError("fidelity and infidelity must sum to 1")
 
-
-def _score(fidelity: float, method: str, **kw) -> ProtocolScore:
-    return ProtocolScore(fidelity=fidelity, infidelity=1.0 - fidelity, method=method, **kw)
+    @property
+    def infidelity(self) -> float:
+        return 1.0 - self.fidelity
 
 
 @lru_cache(maxsize=2)
@@ -169,7 +166,7 @@ def d3_covariant_score(num_spins: int) -> ProtocolScore:
     fid = float(np.mean(np.diag(d3_outcome_matrix(num_spins))))
     if abs(fid - optimum.fidelity) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")
-    return _score(fid, "exact", coefficients=optimum.optimal_coefficients)
+    return ProtocolScore(fid, "exact", coefficients=optimum.optimal_coefficients)
 
 
 def d3_single_spin_score() -> ProtocolScore:
@@ -251,7 +248,7 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
     else:
         wins = sum(_vote_wins(n, num[t], t, False) for t in range(6))
     # int / int rounds the exact rational to the nearest float, once
-    return _score(wins / (6 * 60 * 24**n), "exact")
+    return ProtocolScore(wins / (6 * 60 * 24**n), "exact")
 
 
 def d3_coherent_score(num_spins: int) -> ProtocolScore:
@@ -259,7 +256,7 @@ def d3_coherent_score(num_spins: int) -> ProtocolScore:
     continuous direction estimate decoded to the nearest of the six."""
     if num_spins < 1:
         raise ValueError("need at least one spin")
-    return _score(1.0 - d3_coherent_error(SpinJ(num_spins)), "quadrature")
+    return ProtocolScore(1.0 - d3_coherent_error(SpinJ(num_spins)), "quadrature")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,19 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _write_config(tmp_path, fmt: str, sections: dict) -> Path:
+    """sections written as an INI or a JSON settings file."""
+    cfg = tmp_path / f"run.{fmt}"
+    if fmt == "json":
+        cfg.write_text(json.dumps(sections))
+    else:
+        cfg.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()
+        ))
+    return cfg
+
+
 def simulate_record(capsys, tmp_path, name, *args):
     path = tmp_path / name
     code, out, err = run(capsys, "simulate", *args, "--output", str(path))
@@ -285,6 +298,54 @@ class TestSimulate:
         assert code == 1
         assert err.startswith(f"error: {cfg}: unknown section 'decoding'")
         assert out == "" and not out_dir.exists()
+
+    def _refused(self, capsys, tmp_path, cfg, message):
+        """Run cfg and check that it exits 1 naming the conflict, before the
+        run and without writing a record."""
+        out_dir = tmp_path / "out"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(cfg), "--output", str(out_dir / "r.json")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: {message}")
+        assert out == "" and not out_dir.exists()
+
+    def test_default_section_is_refused_in_ini(self, capsys, tmp_path):
+        # [DEFAULT] was read into every section: trials = 7 ran 7 trials
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[DEFAULT]\ntrials = 7\n[protocol]\nkind = d3-single\nnum-spins = 1\n[run]\nseed = 1\n"
+        )
+        self._refused(capsys, tmp_path, cfg, "unknown section 'DEFAULT'")
+
+    @pytest.mark.parametrize("fmt", ["ini", "json"])
+    def test_setting_in_both_sections_is_refused(self, capsys, tmp_path, fmt):
+        # trials under protocol and under run ran the later value
+        sections = {
+            "protocol": {"kind": "d3-single", "num_spins": 1, "trials": 5},
+            "run": {"trials": 10, "seed": 1},
+        }
+        cfg = _write_config(tmp_path, fmt, sections)
+        self._refused(capsys, tmp_path, cfg, "trials is set twice")
+
+    @pytest.mark.parametrize("fmt", ["ini", "json"])
+    def test_both_spellings_of_a_setting_are_refused(self, capsys, tmp_path, fmt):
+        # num-spins = 3 and num_spins = 5 in one section ran N = 5
+        sections = {
+            "protocol": {"kind": "d3-repeated", "num-spins": 3, "num_spins": 5},
+            "run": {"trials": 10, "seed": 1},
+        }
+        cfg = _write_config(tmp_path, fmt, sections)
+        self._refused(capsys, tmp_path, cfg, "num_spins is set twice")
+
+    def test_repeated_json_key_is_refused(self, capsys, tmp_path):
+        # "trials": 5, "trials": 9 ran 9 trials; an INI repeat is a parse error
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            '{"protocol": {"kind": "d3-single", "num_spins": 1},'
+            ' "run": {"trials": 5, "trials": 9, "seed": 1}}'
+        )
+        self._refused(capsys, tmp_path, cfg, "key 'trials' repeats")
 
     @pytest.mark.parametrize("section", [["d3-single"], None, "d3-single"])
     def test_config_section_must_be_object(self, capsys, tmp_path, section):
@@ -712,7 +773,19 @@ class TestReport:
         frame.write_text(json.dumps(doctored))
         code, _, err = run(capsys, "report", str(single), str(frame))
         assert code == 1
-        assert "mix schema versions" in err
+        assert err.startswith(f"error: {frame} is not a result record (schema_version 2 is not 1)")
+
+    @pytest.mark.parametrize("version", ["1", [1], True, 99], ids=["string", "list", "bool", "99"])
+    def test_schema_version_must_be_the_integer_one(self, capsys, two_records, version):
+        # "1" and [1] crashed with a TypeError; 99 was tabulated as version 1
+        single, frame = two_records
+        doctored = json.loads(frame.read_text())
+        doctored["schema_version"] = version
+        frame.write_text(json.dumps(doctored))
+        code, out, err = run(capsys, "report", str(single), str(frame))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {frame} is not a result record (schema_version {version!r}")
 
     @pytest.mark.parametrize(
         "body", [b'{"schema_version": 1,\n\t"x": "a\x01"}', b'{"a": "\xff\xfe"}'],

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
-from spin_fixtures import axes_matrix, unit_vector
+from spin_fixtures import assert_same_bits, axes_matrix, unit_vector
 
 from spindir.frames import (
     GIMBAL_SIN_TOL,
     EulerAngles,
     Frame,
+    _cross,
     _wrap_pi,
     axes_to_euler,
     best_fit_frame,
@@ -61,25 +62,38 @@ def test_euler_angle_ranges():
 
 def test_frame_validation():
     eye = np.eye(3)
-    Frame(z_axis=eye[2], x_axis=eye[0], y_axis=eye[1])
+    Frame(z_axis=eye[2], x_axis=eye[0])
     with pytest.raises(ValueError, match="unit"):
-        Frame(z_axis=2.0 * eye[2], x_axis=eye[0], y_axis=eye[1])
+        Frame(z_axis=2.0 * eye[2], x_axis=eye[0])
     with pytest.raises(ValueError, match="orthogonal"):
         v = np.array([0.1, 0.0, 1.0])
-        Frame(z_axis=v / np.linalg.norm(v), x_axis=eye[0], y_axis=eye[1])
-    with pytest.raises(ValueError, match="right-handed"):
-        Frame(z_axis=-eye[2], x_axis=eye[0], y_axis=eye[1])
+        Frame(z_axis=v / np.linalg.norm(v), x_axis=eye[0])
     with pytest.raises(ValueError, match="shape"):
-        Frame(z_axis=eye[2], x_axis=eye[:2], y_axis=eye[1:])
+        Frame(z_axis=eye[2], x_axis=eye[:2])
+    with pytest.raises(TypeError):
+        Frame(z_axis=eye[2], x_axis=eye[0], y_axis=eye[1])
     # NaN compares false with any tolerance; it must still fail a check
     with pytest.raises(ValueError, match=r"z_axis must be unit length, \|v\| = nan"):
-        Frame(z_axis=[math.nan] * 3, x_axis=eye[0], y_axis=eye[1])
+        Frame(z_axis=[math.nan] * 3, x_axis=eye[0])
+
+
+def test_frame_y_is_z_cross_x():
+    # y is derived, so it is right-handed: a flipped z flips y with it
+    eye = np.eye(3)
+    flipped = Frame(z_axis=-eye[2], x_axis=eye[0])
+    assert_same_bits(flipped.y_axis, _cross(-eye[2], eye[0]))
+    np.testing.assert_array_equal(flipped.y_axis, -eye[1])
+    z, x = _frame_stack(64)
+    stack = Frame(z_axis=z, x_axis=x)
+    assert_same_bits(stack.y_axis, _cross(z, x))
+    for i in (0, 17, 63):
+        assert_same_bits(Frame(z_axis=z[i], x_axis=x[i]).y_axis, stack.y_axis[i])
 
 
 def _frame_stack(n: int) -> list:
-    """Axes of n valid frames, as (n, 3) arrays z, x, y."""
+    """Axes of n valid frames, as (n, 3) arrays z, x."""
     frames = [euler_to_axes(random_euler()) for _ in range(n)]
-    return [np.array([getattr(f, a) for f in frames]) for a in ("z_axis", "x_axis", "y_axis")]
+    return [np.array([getattr(f, a) for f in frames]) for a in ("z_axis", "x_axis")]
 
 
 @pytest.mark.parametrize(
@@ -87,18 +101,19 @@ def _frame_stack(n: int) -> list:
     [
         (2.0 * np.eye(3)[2], "unit"),
         (np.array([0.1, 0.0, 1.0]) / math.sqrt(1.01), "orthogonal"),
-        (-np.eye(3)[2], "right-handed"),
+        # fails the norm and the zx check; the norm is checked first
+        (2.0 * np.array([0.1, 0.0, 1.0]) / math.sqrt(1.01), r"unit length, \|v\| = 2\.0"),
         (np.full(3, math.nan), r"z_axis must be unit length, \|v\| = nan"),
     ],
 )
 def test_frame_stack_validates_every_row(bad_z, message):
-    # the bad frames of test_frame_validation, as row 3 of a stack of good ones
+    # bad frames, as row 3 of a stack of good ones
     eye = np.eye(3)
-    z, x, y = _frame_stack(6)
-    assert Frame(z_axis=z, x_axis=x, y_axis=y).z_axis.shape == (6, 3)
-    z[3], x[3], y[3] = bad_z, eye[0], eye[1]
+    z, x = _frame_stack(6)
+    assert Frame(z_axis=z, x_axis=x).z_axis.shape == (6, 3)
+    z[3], x[3] = bad_z, eye[0]
     with pytest.raises(ValueError, match=message):
-        Frame(z_axis=z, x_axis=x, y_axis=y)
+        Frame(z_axis=z, x_axis=x)
 
 
 # each Frame check in the order they are reported, and a fault that fails it
@@ -107,11 +122,7 @@ def test_frame_stack_validates_every_row(bad_z, message):
 _FRAME_CHECKS = [
     (r"z_axis must be unit length, \|v\|", 0, lambda a: (1.0 + a) * np.eye(3)[2], lambda a: 1.0 + a),
     (r"x_axis must be unit length, \|v\|", 1, lambda a: (1.0 + a) * np.eye(3)[0], lambda a: 1.0 + a),
-    (r"y_axis must be unit length, \|v\|", 2, lambda a: (1.0 + a) * np.eye(3)[1], lambda a: 1.0 + a),
     (r"axes not orthogonal: \|z.x\|", 1, lambda a: np.array([math.cos(a), 0.0, math.sin(a)]), math.sin),
-    (r"axes not orthogonal: \|z.y\|", 2, lambda a: np.array([0.0, math.cos(a), math.sin(a)]), math.sin),
-    (r"axes not orthogonal: \|x.y\|", 2, lambda a: np.array([math.sin(a), math.cos(a), 0.0]), math.sin),
-    ("frame must be right-handed, x.y,z triple", 2, lambda a: -np.eye(3)[1], lambda a: -1.0),
     (r"z_axis must be unit length, \|v\|", 0, lambda a: np.array([math.nan, 0.0, 1.0]), lambda a: math.nan),
 ]
 
@@ -122,26 +133,26 @@ def _message_value(err: pytest.ExceptionInfo) -> float:
 
 @pytest.mark.parametrize("n", [1, 128])
 @pytest.mark.parametrize("check", range(len(_FRAME_CHECKS)), ids=[
-    "z-norm", "x-norm", "y-norm", "zx-dot", "zy-dot", "xy-dot", "triple", "nan"
+    "z-norm", "x-norm", "zx-dot", "nan"
 ])
 def test_each_frame_check_names_its_first_failing_row(check, n):
     # the lab frame with one axis replaced fails exactly this check (and maybe
     # later ones); in a stack, rows 40 and 90 carry the fault with different
-    # sizes, and row 10 fails only the last check, which is reported later
+    # sizes, and row 10 fails only the zx check, which is reported later
     message, axis, faulty, value = _FRAME_CHECKS[check]
     eye = np.eye(3)
     if n == 1:
-        axes = [eye[2].copy(), eye[0].copy(), eye[1].copy()]
+        axes = [eye[2].copy(), eye[0].copy()]
         axes[axis] = faulty(0.25)
     else:
         axes = _frame_stack(n)
         for row, a in ((40, 0.25), (90, 0.5)):
-            axes[0][row], axes[1][row], axes[2][row] = eye[2], eye[0], eye[1]
+            axes[0][row], axes[1][row] = eye[2], eye[0]
             axes[axis][row] = faulty(a)
-        if check != 6:
-            axes[0][10], axes[1][10], axes[2][10] = eye[2], eye[0], -eye[1]
+        if check != 2:
+            axes[0][10], axes[1][10] = eye[2], _FRAME_CHECKS[2][2](0.125)
     with pytest.raises(ValueError, match=f"^{message} = ") as err:
-        Frame(z_axis=axes[0], x_axis=axes[1], y_axis=axes[2])
+        Frame(z_axis=axes[0], x_axis=axes[1])
     got, want = _message_value(err), value(0.25)
     if math.isnan(want):
         assert math.isnan(got)
@@ -227,7 +238,6 @@ def _assert_stack_matches_rows(frames: list[Frame]) -> EulerAngles:
     stack = Frame(
         z_axis=np.array([f.z_axis for f in frames]),
         x_axis=np.array([f.x_axis for f in frames]),
-        y_axis=np.array([f.y_axis for f in frames]),
     )
     got = axes_to_euler(stack)
     assert got.theta.shape == (len(frames),)
@@ -488,9 +498,9 @@ def test_infidelity_zero_on_identical_frames():
 
 def test_infidelity_maximal_on_flipped_frame():
     eye = np.eye(3)
-    a = Frame(z_axis=eye[2], x_axis=eye[0], y_axis=eye[1])
+    a = Frame(z_axis=eye[2], x_axis=eye[0])
     # rotate by pi about z: x and y flip, z stays
-    b = Frame(z_axis=eye[2], x_axis=-eye[0], y_axis=-eye[1])
+    b = Frame(z_axis=eye[2], x_axis=-eye[0])
     assert frame_infidelity(a, b) == pytest.approx(2.0, abs=1e-15)
 
 
@@ -504,8 +514,8 @@ def test_infidelity_range_and_rotation_invariance():
         val = frame_infidelity(fa, fb)
         assert 0.0 <= val <= 3.0
         r = Rotation.random(random_state=rng).as_matrix()
-        ra = Frame(z_axis=r @ fa.z_axis, x_axis=r @ fa.x_axis, y_axis=r @ fa.y_axis)
-        rb = Frame(z_axis=r @ fb.z_axis, x_axis=r @ fb.x_axis, y_axis=r @ fb.y_axis)
+        ra = Frame(z_axis=r @ fa.z_axis, x_axis=r @ fa.x_axis)
+        rb = Frame(z_axis=r @ fb.z_axis, x_axis=r @ fb.x_axis)
         assert frame_infidelity(ra, rb) == pytest.approx(val, abs=1e-12)
 
 

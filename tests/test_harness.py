@@ -584,11 +584,7 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
             sth * sphi,
         ]
     )
-    y = np.cross(z, x)
-    frame = Frame(
-        z_axis=z, x_axis=x / np.linalg.norm(x), y_axis=y / np.linalg.norm(y)
-    )
-    return frame, est.failed
+    return Frame(z_axis=z, x_axis=x / np.linalg.norm(x)), est.failed
 
 
 def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, decoder: str):
@@ -605,15 +601,15 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     mats = quaternion_matrices(quats)
     cos_z = density.quantile_cos(u_z)
     cos_x = density.quantile_cos(u_x)
-    x_axis, y_axis, z_axis = mats[:, :, 0], mats[:, :, 1], mats[:, :, 2]
+    # the true frame is its z and x columns, and y = z x x
+    x_axis, z_axis = mats[:, :, 0], mats[:, :, 2]
+    y_axis = np.cross(z_axis, x_axis)
     z_est = _tilt(z_axis, x_axis, y_axis, cos_z, az_z)
     x_est = _tilt(x_axis, y_axis, z_axis, cos_x, az_x)
     scores = np.empty(take)
     failures = 0
     for i in range(take):
-        true_frame = Frame(
-            z_axis=mats[i, :, 2], x_axis=mats[i, :, 0], y_axis=mats[i, :, 1]
-        )
+        true_frame = Frame(z_axis=z_axis[i], x_axis=x_axis[i])
         z_dir = Direction.from_vector(z_est[i])
         x_dir = Direction.from_vector(x_est[i])
         if decoder == "naive-euler":
@@ -659,6 +655,19 @@ class TestFrameBatchDecode:
         if decoder == "naive-euler":
             assert failures > 0
             assert result.estimates["naive_failures"] == failures
+
+    def test_true_and_decoded_frames_are_right_handed(self):
+        # y = z x x by construction, so z . (x x y) = 1 on every row of a full
+        # batch's Haar, best-fit and naive-decoded stacks
+        rng = _batch_rng(3, 0)
+        density = frame_two_axis_score(8, encoding="optimal", fitter="best-fit").chi
+        true = sample_haar_frame(rng, BATCH_TRIALS)
+        z_est = _tilt(true.z_axis, true.x_axis, true.y_axis, *_tilt_draws(rng, density, BATCH_TRIALS))
+        x_est = _tilt(true.x_axis, true.y_axis, true.z_axis, *_tilt_draws(rng, density, BATCH_TRIALS))
+        for frame in (true, best_fit_frame(z_est, x_est)[0], _naive_frames(z_est, x_est)[0]):
+            triple = np.sum(frame.z_axis * np.cross(frame.x_axis, frame.y_axis), axis=1)
+            assert triple.shape == (BATCH_TRIALS,)
+            np.testing.assert_allclose(triple, 1.0, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("take", [1, 300, BATCH_TRIALS])
     def test_each_axis_tilts_in_the_true_frame(self, monkeypatch, take):

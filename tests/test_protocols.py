@@ -94,13 +94,12 @@ class TestProtocolSpec:
 class TestProtocolScore:
     def test_consistency_checks(self):
         with pytest.raises(ValueError, match="method"):
-            ProtocolScore(fidelity=0.5, infidelity=0.5, method="guess")
-        with pytest.raises(ValueError, match="sum to 1"):
-            ProtocolScore(fidelity=0.5, infidelity=0.4, method="exact")
+            ProtocolScore(fidelity=0.5, method="guess")
         # a score is deterministic; Monte Carlo estimates live in RunResult
         with pytest.raises(ValueError, match="method"):
-            ProtocolScore(fidelity=0.5, infidelity=0.5, method="monte-carlo")
-        ProtocolScore(fidelity=0.5, infidelity=0.5, method="quadrature")
+            ProtocolScore(fidelity=0.5, method="monte-carlo")
+        score = ProtocolScore(fidelity=0.3, method="quadrature")
+        assert score.infidelity == 1.0 - 0.3
 
 
 class TestSingleSpin:

@@ -35,8 +35,7 @@ ARRAY_RECORDS = {
     "DirectionCode": lambda: optimal_direction_encoding(SpinJ(4)),
     "ChiDensity": lambda: chi_density(optimal_direction_encoding(SpinJ(4))),
     "Frame": lambda: Frame(z_axis=np.array([0.0, 0.0, 1.0]),
-                           x_axis=np.array([1.0, 0.0, 0.0]),
-                           y_axis=np.array([0.0, 1.0, 0.0])),
+                           x_axis=np.array([1.0, 0.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
     "FiniteGroup": lambda: FiniteGroup(dihedral_d3()[0].element_rotations),
     "EulerAngles": lambda: EulerAngles(phi=np.array([0.1, 0.2]), theta=np.array([1.0, 2.0]),
