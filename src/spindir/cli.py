@@ -11,6 +11,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -101,7 +102,9 @@ def write_record(record: ResultRecord, path: str) -> None:
 
 
 def read_record(path: str) -> ResultRecord:
-    """Load a record, refusing one whose fields a report row cannot read."""
+    """Load a record, refusing one whose fields a report row cannot read, or
+    whose counts are not integers or whose estimates are not finite numbers
+    (a bool is neither)."""
     with open(path) as fh:
         try:
             body = json.load(fh)
@@ -114,9 +117,27 @@ def read_record(path: str) -> ResultRecord:
             version = record.schema_version
             if type(version) is not int or version != SCHEMA_VERSION:  # bool is not int here
                 raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+            config, result = record.config, record.result
+            counts = {
+                "config.protocol.num_spins": config["protocol"]["num_spins"],
+                "config.trials": config["trials"],
+                "config.seed": config["seed"],
+            }
+            for name, value in counts.items():
+                if type(value) is not int:
+                    raise ValueError(f"{name} {value!r} is not an integer")
+            numbers = {
+                "estimates.fidelity": result["estimates"]["fidelity"],
+                "estimates.infidelity": result["estimates"]["infidelity"],
+                "stderrs.fidelity": result["stderrs"]["fidelity"],
+            }
+            for name, value in numbers.items():
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"{name} {value!r} is not a finite number")
             _report_row(record)
             return record
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        # ValueError: bad JSON or UTF-8; OverflowError: an integer past float range
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path} is not a result record ({exc})") from exc
 
 

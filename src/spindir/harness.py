@@ -83,12 +83,13 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
 
 def sample_haar_direction(rng: np.random.Generator, size: int) -> np.ndarray:
     """A (size, 3) stack of uniform directions as unit rows: cos(theta)
-    uniform on [-1, 1], phi uniform, from one uniform pair per row."""
+    uniform on [-1, 1], phi uniform, from one uniform pair per row.  The
+    row's first two entries are the tangent offsets of a tilt of the z axis
+    by (theta, phi)."""
     u = rng.random((size, 2))
     c = 2.0 * u[:, 0] - 1.0
     phi = 2.0 * math.pi * u[:, 1]
-    s = np.sqrt(1.0 - c * c)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+    return np.stack([*_tangent_offsets(c, phi), c], axis=-1)
 
 
 def sample_haar_frame(rng: np.random.Generator, size=None) -> Frame:
@@ -116,15 +117,27 @@ def sample_chi(density: ChiDensity, rng: np.random.Generator, size: int) -> np.n
 
 def _tangent_offsets(cos_chi: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A tilt's offsets (sin(chi) cos(azimuth), sin(chi) sin(azimuth)) along
-    a tangent pair, worked in place so only the two returned arrays stay."""
+    a tangent pair, worked in place so only the two returned arrays stay.
+
+    The azimuth goes through the half-angle map: with t = tan(azimuth / 2),
+    (cos, sin)(azimuth) = (1 - t^2, 2t) / (1 + t^2), one tan in place of a
+    cos and a sin.  tan of a finite double is finite (|t| is at most about
+    1.6e16, at azimuth = pi), so t^2 cannot overflow and no azimuth needs a
+    guard."""
     sin_chi = cos_chi * cos_chi
     np.subtract(1.0, sin_chi, out=sin_chi)
     np.clip(sin_chi, 0.0, None, out=sin_chi)
     np.sqrt(sin_chi, out=sin_chi)
-    x, y = np.cos(azimuth), np.sin(azimuth)
+    t = np.multiply(azimuth, 0.5)
+    np.tan(t, out=t)
+    x = t * t
+    x += 1.0
+    sin_chi /= x  # sin(chi) / (1 + t^2)
+    np.subtract(2.0, x, out=x)  # 1 - t^2, exact
     x *= sin_chi
-    y *= sin_chi
-    return x, y
+    t *= sin_chi
+    t += t
+    return x, t
 
 
 def _tilt(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -799,6 +800,58 @@ class TestReport:
         assert code == 1
         assert f"{bad} is not a result record" in err
 
+
+    @staticmethod
+    def doctored(tmp_path, record, path, value):
+        """A copy of record with the field at the dotted path set to value."""
+        body = json.loads(record.read_text())
+        *parents, key = path.split(".")
+        node = body
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        return bad
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("config.protocol.num_spins", True),
+            ("config.protocol.num_spins", 4.0),
+            ("config.trials", "many"),
+            ("config.trials", True),
+            ("config.seed", None),
+            ("config.seed", False),
+            ("result.estimates.fidelity", True),
+            ("result.estimates.fidelity", None),
+            ("result.estimates.fidelity", math.nan),
+            ("result.estimates.infidelity", True),
+            ("result.estimates.infidelity", math.inf),
+            ("result.stderrs.fidelity", True),
+            ("result.stderrs.fidelity", None),
+        ],
+    )
+    def test_wrong_typed_field_is_refused(self, capsys, tmp_path, two_records, path, value):
+        # each was tabulated with exit 0: True as "True" or 1, None as an
+        # empty cell, NaN and inf as "nan" and "inf"
+        single, frame = two_records
+        bad = self.doctored(tmp_path, frame, path, value)
+        code, out, err = run(capsys, "report", str(single), str(bad))
+        assert code == 1
+        assert out == ""
+        kind = "an integer" if path.startswith("config.") else "a finite number"
+        name = path.removeprefix("result.")
+        assert err == f"error: {bad} is not a result record ({name} {value!r} is not {kind})\n"
+
+    def test_estimate_past_float_range_is_refused(self, capsys, tmp_path, two_records):
+        # an integer fidelity too large for a float raised OverflowError
+        single, frame = two_records
+        bad = self.doctored(tmp_path, frame, "result.estimates.fidelity", 10**400)
+        code, out, err = run(capsys, "report", str(single), str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {bad} is not a result record (int too large to convert to float)\n"
 
     @pytest.mark.parametrize("field", ["protocol", "estimate"])
     def test_incomplete_record_is_named(self, capsys, tmp_path, two_records, field):

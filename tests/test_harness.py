@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,6 +28,7 @@ from spindir.harness import (
     _frame_batch,
     _naive_frames,
     _plurality,
+    _tangent_offsets,
     _tilt,
     _tilt_draws,
     reference_score,
@@ -170,6 +172,42 @@ class TestSamplers:
         assert a @ b < math.cos(0.1)
 
 
+class TestTangentOffsets:
+    # Error count for the half-angle map, with u = 2^-53 and per unit
+    # sin(chi), which both sides share: the kernel rounds five times (t^2,
+    # 1 + t^2, the divide, two products; 2 - (1 + t^2) and the doubling are
+    # exact), and tan's error, a few ulp of t, reaches cos(a) damped by
+    # sin^2(a) and sin(a) by |sin(a) cos(a)|; to first order, over every
+    # azimuth, that is at most 4.4u with tan one ulp off and 6u with two.
+    # The reference's cos or sin (one ulp) and its product add at most 3u,
+    # so |diff| <= 7.6u = 8.4e-16 < 1e-15.
+    BOUND = 1e-15
+
+    @staticmethod
+    def reference(cos_chi, azimuth):
+        sin_chi = np.sqrt(1.0 - cos_chi * cos_chi)
+        return sin_chi * np.cos(azimuth), sin_chi * np.sin(azimuth)
+
+    def check(self, cos_chi, azimuth):
+        got = _tangent_offsets(cos_chi, azimuth)
+        for offset, want in zip(got, self.reference(cos_chi, azimuth)):
+            assert offset.shape == cos_chi.shape
+            assert np.all(np.isfinite(offset))
+            assert np.max(np.abs(offset - want)) <= self.BOUND
+
+    def test_matches_cos_and_sin_on_seeded_pairs(self):
+        rng = np.random.default_rng(2024)
+        n = 10**6
+        self.check(rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n))
+
+    def test_matches_cos_and_sin_at_the_edges(self):
+        # pi / 2 halves to pi / 4, pi to the double nearest pi / 2, where tan
+        # is largest (about 1.6e16), and the top azimuth to just below pi
+        azimuths = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0)]
+        cos_chi, azimuth = (g.ravel() for g in np.meshgrid([-1.0, 0.0, 1.0], azimuths))
+        self.check(cos_chi, azimuth)
+
+
 class TestAccumulator:
     def test_matches_numpy_across_batches(self):
         rng = np.random.default_rng(62)
@@ -207,6 +245,27 @@ class TestReproducibility:
         b = run_experiment(config)
         assert a.estimates == b.estimates
         assert a.stderrs == b.stderrs
+
+    @pytest.mark.parametrize(
+        "protocol, pinned",
+        [
+            (spec("d3-coherent", 1),
+             {"fidelity": 0.30585, "stderr": 0.0032581926993324535}),
+            (spec("d3-coherent", 24),
+             {"fidelity": 0.97655, "stderr": 0.0010700757581154753}),
+            (spec("frame-two-axis", 8, encoding="optimal"),
+             {"infidelity": 0.3629995156571387}),
+            (spec("frame-two-axis", 8, encoding="optimal", decoder="naive-euler"),
+             {"infidelity": 0.6284610671768156, "naive_failures": 4108}),
+        ],
+        ids=["d3-coherent-1", "d3-coherent-24", "frame-best-fit-8", "frame-naive-euler-8"],
+    )
+    def test_seed_7_records_are_pinned(self, protocol, pinned):
+        # seed 7 at 20000 trials, two full batches and a partial one; a
+        # change of the tilt kernel or the draws moves these bits
+        result = run_experiment(RunConfig(protocol=protocol, trials=20000, seed=7))
+        got = dict(result.estimates, stderr=result.stderrs["fidelity"])
+        assert {key: got[key] for key in pinned} == pinned
 
     def test_seed_changes_the_estimate(self):
         base = RunConfig(protocol=spec("d3-coherent", 4), trials=12000, seed=31)
@@ -275,11 +334,12 @@ def _direction_zero_pair(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     """A d3-coherent run as the 3-D tilt and six-way argmax oracle: each
-    trial tilts direction 0 as a 3-vector, in its tangent pair
-    (e_y, d0 x e_y), and hits when the argmax of its six dots is direction 0.
-    By D3 covariance that is the hit of every true direction (see
-    TestCoherentLocalFrame); the harness decodes the same draws from its
-    cached table instead."""
+    trial tilts direction 0 as a 3-vector, cos(chi) d0 + sin(chi) (cos(a) e_y
+    + sin(a) d0 x e_y) with numpy's cos and sin of the azimuth a, and hits
+    when the argmax of its six dots is direction 0.  By D3 covariance that
+    is the hit of every true direction (see TestCoherentLocalFrame); the
+    harness decodes the same draws from its cached table, with the tilt's
+    offsets from the half-angle map instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     units = d3_directions()
     t1, t2 = _direction_zero_pair(units)
@@ -289,7 +349,12 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
         u_chi = rng.random(take)
         azimuth = rng.uniform(0.0, 2.0 * math.pi, take)
         cos_chi = density.quantile_cos(u_chi)
-        est = _tilt(units[0], t1, t2, cos_chi, azimuth)
+        sin_chi = np.sqrt(1.0 - cos_chi * cos_chi)
+        est = (
+            cos_chi[:, None] * units[0]
+            + (sin_chi * np.cos(azimuth))[:, None] * t1
+            + (sin_chi * np.sin(azimuth))[:, None] * t2
+        )
         guess = np.argmax(est @ units.T, axis=1)
         acc.add((guess == 0).astype(float))
     return acc
@@ -328,6 +393,26 @@ class TestD3BatchKernels:
                     "infidelity": 1.0 - want.mean(),
                 }
                 assert got.stderrs == {"fidelity": want.stderr()}
+
+    def test_coherent_batch_heap_peak(self):
+        # live (take,) arrays at the peak of _coherent_hits: the offsets x
+        # and y, the scratch buffer, own, rival, and two dots (the loop's
+        # last d while the generator makes the next), 7 float64 arrays, then
+        # the bool result (an eighth of one); _tangent_offsets holds at most
+        # three (sin chi, t, 1 + t^2) before x and y exist.  Eight float64
+        # arrays bound it
+        cos_chi, azimuth = _tilt_draws(
+            _batch_rng(7, 0), chi_density(coherent_code(SpinJ(24))), BATCH_TRIALS
+        )
+        d3_local_frame()  # the cached table is built before the count
+        tracemalloc.start()
+        try:
+            hits = _coherent_hits(cos_chi, azimuth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hits.shape == (BATCH_TRIALS,)
+        assert peak <= 8 * 8 * BATCH_TRIALS
 
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_last_boundary_is_one_to_rounding(self, num_spins):
