@@ -101,10 +101,16 @@ def write_record(record: ResultRecord, path: str) -> None:
         fh.write(text)
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # bool is neither
+
+
 def read_record(path: str) -> ResultRecord:
     """Load a record, refusing one whose fields a report row cannot read, or
     whose counts are not integers or whose estimates are not finite numbers
-    (a bool is neither)."""
+    (a bool is neither).  A frame record's per-axis estimates and stderrs,
+    where present, must be two finite numbers, and its naive_failures a
+    non-negative integer."""
     with open(path) as fh:
         try:
             body = json.load(fh)
@@ -126,14 +132,22 @@ def read_record(path: str) -> ResultRecord:
             for name, value in counts.items():
                 if type(value) is not int:
                     raise ValueError(f"{name} {value!r} is not an integer")
+            estimates, stderrs = result["estimates"], result["stderrs"]
             numbers = {
-                "estimates.fidelity": result["estimates"]["fidelity"],
-                "estimates.infidelity": result["estimates"]["infidelity"],
-                "stderrs.fidelity": result["stderrs"]["fidelity"],
+                "estimates.fidelity": estimates["fidelity"],
+                "estimates.infidelity": estimates["infidelity"],
+                "stderrs.fidelity": stderrs["fidelity"],
             }
             for name, value in numbers.items():
-                if type(value) not in (int, float) or not math.isfinite(value):
+                if not _is_finite_number(value):
                     raise ValueError(f"{name} {value!r} is not a finite number")
+            for name, section in (("estimates", estimates), ("stderrs", stderrs)):
+                pair = section.get("per_axis", [0.0, 0.0])
+                if type(pair) is not list or len(pair) != 2 or not all(map(_is_finite_number, pair)):
+                    raise ValueError(f"{name}.per_axis {pair!r} is not a list of two finite numbers")
+            failures = estimates.get("naive_failures", 0)
+            if type(failures) is not int or failures < 0:
+                raise ValueError(f"estimates.naive_failures {failures!r} is not a non-negative integer")
             _report_row(record)
             return record
         # ValueError: bad JSON or UTF-8; OverflowError: an integer past float range
@@ -210,13 +224,9 @@ def build_run_config(settings: dict) -> RunConfig:
     missing = [k for k in ("kind", "num_spins", "trials", "seed") if settings.get(k) is None]
     if missing:
         raise ValueError("missing required settings: " + ", ".join(missing))
-    spec = ProtocolSpec(
-        kind=settings["kind"],
-        num_spins=settings["num_spins"],
-        encoding=settings.get("encoding") or "coherent",
-        decoder=settings.get("decoder") or "",
-        tie_break=settings.get("tie_break") or "random",
-    )
+    # a setting left out or null takes ProtocolSpec's default
+    given = {k: settings[k] for k in _STR_KEYS if settings.get(k) is not None}
+    spec = ProtocolSpec(num_spins=settings["num_spins"], **given)
     return RunConfig(
         protocol=spec,
         trials=settings["trials"],

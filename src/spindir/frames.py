@@ -4,11 +4,11 @@ A transmitted frame is described by zxz Euler angles (phi, theta, psi), or
 by its z and x axes: a Frame stores those two and derives y = z x x, which
 is right-handed by construction.  The receiver sees two noisy directions,
 one for the z axis and one for the x axis, and has to invert the
-(overdetermined) four-equation system relating polar angles to matrix
-columns.  Two decoders are provided: the naive closed-form inversion,
-which ignores one equation and can fail outright, and a geometric best
-fit that first locks the zx plane and then splits the orthogonality
-defect evenly between z and x.
+(overdetermined) system of four equations, two per measured axis, for the
+three Euler angles.  Two decoders are provided: the naive closed-form
+inversion, which ignores one equation and can fail outright, and a
+geometric best fit that first locks the zx plane and then splits the
+orthogonality defect evenly between z and x.
 
 Frame, euler_to_axes, axes_to_euler, best_fit_frame and frame_infidelity
 work on one frame (3-vector axes, float angles) or on a stack of n frames
@@ -155,7 +155,7 @@ class NaiveEstimate(NamedTuple):
 
     failed is True when the measured directions imply |sin(phi)| > 1 and
     the arcsine has no real solution; phi is then clamped to pi/2 with the
-    sign of that sine.  phi and psi are wrapped to [-pi, pi).
+    sign of that sine.  phi and psi lie in [-pi, pi].
     """
 
     phi: float
@@ -164,38 +164,37 @@ class NaiveEstimate(NamedTuple):
     failed: bool
 
 
-def naive_euler_estimate(
-    theta_z: float, phi_z: float, theta_x: float, phi_x: float
-) -> NaiveEstimate:
-    """Closed-form inversion of measured z and x directions (not required to
-    be perpendicular), given by their polar angles, using three of the four
-    equations.  Each azimuth must already lie in [0, 2*pi), as
-    geometry.reduce_azimuth leaves it.
+def naive_euler_estimate(z, x) -> NaiveEstimate:
+    """Closed-form inversion of measured z and x directions, given as unit
+    3-vectors (not required to be perpendicular), using three of the four
+    equations.
 
-    theta = theta_z and psi = pi/2 - phi_z come from the z column alone;
-    phi = asin(cos(theta_x)/sin(theta_z)) uses only the last row of the
-    x column.  The ignored first-row equation resolves the asin quadrant.
+    theta = acos(z_z) and psi = atan2(z_x, z_y) come from the z column
+    alone; sin(phi) = x_z / sin(theta) uses only the last row of the x
+    column.  The ignored first-row equation resolves the asin quadrant.
     Noisy inputs can push |sin(phi)| above 1; that is reported as a
-    failure.  Raises ValueError when theta_z is at a pole.
+    failure.  Raises ValueError when z is at a pole.
     """
-    sth = math.sin(theta_z)
+    zx, zy, zz = z
+    xx, _, xz = x
+    sth = math.hypot(zx, zy)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    # the wraps to [-pi, pi) are _wrap_pi written out, three calls fewer per trial
-    psi = (0.5 * math.pi - phi_z + math.pi) % TWO_PI - math.pi
-    s = math.cos(theta_x) / sth
+    theta = math.acos(min(1.0, max(-1.0, zz)))
+    psi = math.atan2(zx, zy)
+    s = xz / sth
     if abs(s) > 1.0:
-        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True)
-    phi0 = math.asin(s)
-    phi1 = (math.pi - phi0 + math.pi) % TWO_PI - math.pi
-    # the first row of the x column predicted by each branch, against the
-    # measured sin(theta_x)cos(phi_x); phi0 wins ties
-    cpsi, spsi_cth = math.cos(psi), math.sin(psi) * math.cos(theta_z)
-    x_first = math.sin(theta_x) * math.cos(phi_x)
-    r0 = abs(cpsi * math.cos(phi0) - spsi_cth * math.sin(phi0) - x_first)
-    r1 = abs(cpsi * math.cos(phi1) - spsi_cth * math.sin(phi1) - x_first)
-    phi = phi1 if r1 < r0 else phi0
-    return NaiveEstimate((phi + math.pi) % TWO_PI - math.pi, theta_z, psi, False)
+        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta, psi, True)
+    phi = math.asin(s)
+    # phi0 = asin(s) and pi - phi0 share sin(phi) = s and have opposite
+    # cos(phi), so the unused first-row equation,
+    # x_x = cos(psi)cos(phi) - sin(psi)cos(theta)s, misses by |c - r| and
+    # |c + r|, with c = cos(psi)cos(phi0) and r = sin(psi)cos(theta)s + x_x.
+    # pi - phi0 fits better exactly when c r < 0; as cos(phi0) >= 0 and
+    # cos(psi) = z_y/sin(theta), that is z_y r < 0.  phi0 wins ties
+    if zy * (zx / sth * zz * s + xx) < 0.0:
+        phi = math.copysign(math.pi, phi) - phi
+    return NaiveEstimate(phi, theta, psi, False)
 
 
 def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:

@@ -25,17 +25,6 @@ def reduce_azimuth(phi):
     return phi - TWO_PI * (phi == TWO_PI)
 
 
-def polar_angles(vectors: np.ndarray) -> tuple[list, list]:
-    """Polar angles (theta, phi) of the direction of each row, as lists.
-
-    libm's acos and atan2 run through map, since numpy's SIMD arccos and
-    arctan2 can differ in the last bit.  phi is the raw atan2 value in
-    [-pi, pi]; reduce_azimuth takes it into [0, 2*pi)."""
-    u = unit_rows(vectors)
-    theta = list(map(math.acos, np.clip(u[:, 2], -1.0, 1.0).tolist()))
-    return theta, list(map(math.atan2, u[:, 1].tolist(), u[:, 0].tolist()))
-
-
 # quaternion_matrices: entry k of the row-major 3x3 matrix is
 # mult * (A + sign * B), plus 1 on the diagonal, where A and B are products
 # q_a q_b of quaternion components (w, x, y, z) = (0, 1, 2, 3), stored at
@@ -90,8 +79,8 @@ class Direction:
         norm = float(np.linalg.norm(v))
         if not math.isfinite(norm) or norm < 1e-12:
             raise ValueError("cannot take the direction of a (near-)zero vector")
-        (theta,), (phi,) = polar_angles(v[None])
-        return cls(theta, phi)
+        x, y, z = (v / norm).tolist()
+        return cls(math.acos(min(1.0, max(-1.0, z))), math.atan2(y, x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from .frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from .geometry import polar_angles, quaternion_matrices, reduce_azimuth
+from .geometry import quaternion_matrices, unit_rows
 from .groups import d3_local_frame
 from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
@@ -281,16 +281,14 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     """Naive-decode each row pair; return the stacked frames and the number
     of failed (clamped) trials.
 
-    The polar angles and their azimuth reduction run on the whole batch,
-    then naive_euler_estimate runs once per trial on four floats:
+    The rows are normalised once for the whole batch, then
+    naive_euler_estimate runs once per trial on the two unit axes:
     perfbench's tracer counts a clamp for each call that fails and checks
     that count against naive_failures.  A failed trial comes back with
     phi clamped to +-pi/2, so every trial still yields a frame; one
     stacked forward map builds them all."""
-    theta_z, phi_z = polar_angles(z_est)
-    theta_x, phi_x = polar_angles(x_est)
-    phi_z, phi_x = (reduce_azimuth(np.array(p)).tolist() for p in (phi_z, phi_x))
-    phi, theta, psi, failed = zip(*map(naive_euler_estimate, theta_z, phi_z, theta_x, phi_x))
+    z, x = unit_rows(z_est).tolist(), unit_rows(x_est).tolist()
+    phi, theta, psi, failed = zip(*map(naive_euler_estimate, z, x))
     angles = EulerAngles(phi=np.array(phi), theta=np.array(theta), psi=np.array(psi))
     return euler_to_axes(angles), sum(failed)
 

@@ -32,13 +32,6 @@ from .optimize import (
 from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
 from .states import SpinJ, is_integer
 
-PROTOCOL_KINDS = (
-    "d3-single",
-    "d3-repeated",
-    "d3-covariant",
-    "d3-coherent",
-    "frame-two-axis",
-)
 # decoders each kind accepts; the first is its default
 _DECODERS = {
     "d3-single": ("covariant",),
@@ -47,6 +40,7 @@ _DECODERS = {
     "d3-coherent": ("nearest-direction",),
     "frame-two-axis": ("best-fit", "naive-euler"),
 }
+PROTOCOL_KINDS = tuple(_DECODERS)
 
 
 @dataclass(frozen=True)

@@ -844,6 +844,28 @@ class TestReport:
         name = path.removeprefix("result.")
         assert err == f"error: {bad} is not a result record ({name} {value!r} is not {kind})\n"
 
+    @pytest.mark.parametrize(
+        "path, value, kind",
+        [
+            ("result.estimates.per_axis", [True, True], "a list of two finite numbers"),
+            ("result.estimates.naive_failures", "x", "a non-negative integer"),
+            ("result.stderrs.per_axis", None, "a list of two finite numbers"),
+        ],
+        ids=["per-axis-bools", "naive-failures-text", "per-axis-stderr-null"],
+    )
+    def test_wrong_typed_frame_field_is_refused(
+        self, capsys, tmp_path, two_records, path, value, kind
+    ):
+        # each was tabulated with exit 0: [true, true] as a per-axis
+        # infidelity of 1, "x" and null left unread
+        single, frame = two_records
+        bad = self.doctored(tmp_path, frame, path, value)
+        code, out, err = run(capsys, "report", str(single), str(bad))
+        assert code == 1
+        assert out == ""
+        name = path.removeprefix("result.")
+        assert err == f"error: {bad} is not a result record ({name} {value!r} is not {kind})\n"
+
     def test_estimate_past_float_range_is_refused(self, capsys, tmp_path, two_records):
         # an integer fidelity too large for a float raised OverflowError
         single, frame = two_records

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from spindir.frames import (
     GIMBAL_SIN_TOL,
     EulerAngles,
     Frame,
+    NaiveEstimate,
     _cross,
     _wrap_pi,
     axes_to_euler,
@@ -19,7 +19,7 @@ from spindir.frames import (
     frame_infidelity,
     naive_euler_estimate,
 )
-from spindir.geometry import Direction, polar_angles, reduce_azimuth
+from spindir.geometry import Direction, reduce_azimuth, unit_rows
 
 RNG = np.random.default_rng(977)
 
@@ -37,8 +37,9 @@ def _pair(frame: Frame) -> tuple[Direction, Direction]:
     return Direction.from_vector(frame.z_axis), Direction.from_vector(frame.x_axis)
 
 
-def _angles(z_dir: Direction, x_dir: Direction) -> tuple[float, float, float, float]:
-    """The four floats naive_euler_estimate takes."""
+def _frame_angles(frame: Frame) -> tuple[float, float, float, float]:
+    """The polar angles (theta_z, phi_z, theta_x, phi_x) of a frame's axes."""
+    z_dir, x_dir = _pair(frame)
     return z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi
 
 
@@ -276,7 +277,7 @@ def test_naive_estimate_exact_on_clean_data():
         if math.sin(e.theta) < 1e-3:
             continue
         frame = euler_to_axes(e)
-        out = naive_euler_estimate(*_angles(*_pair(frame)))
+        out = naive_euler_estimate(frame.z_axis, frame.x_axis)
         assert not out.failed
         rec = euler_to_axes(EulerAngles(out.phi, out.theta, out.psi))
         assert frame_infidelity(frame, rec) < 1e-10
@@ -289,103 +290,87 @@ def test_naive_estimate_exact_on_clean_data():
 def test_naive_estimate_quadrant_choice():
     # |phi| beyond pi/2 exercises the branch that the bare arcsine misses
     for phi in (2.0, -2.5, 3.0):
-        e = EulerAngles(phi=phi, theta=1.1, psi=0.4)
-        out = naive_euler_estimate(*_angles(*_pair(euler_to_axes(e))))
+        frame = euler_to_axes(EulerAngles(phi=phi, theta=1.1, psi=0.4))
+        out = naive_euler_estimate(frame.z_axis, frame.x_axis)
         assert not out.failed
         assert _angle_diff(out.phi, phi) < 1e-9
 
 
 def test_naive_estimate_failure_fixture():
     # phi = pi/2 puts the x axis at the pole and z on the equator; tilting the
-    # measured z inward by 0.1 gives cos(theta_x)/sin(theta_z) = 1/cos(0.1) > 1
-    out = naive_euler_estimate(0.5 * math.pi - 0.1, 0.0, 0.0, 0.5 * math.pi)
+    # measured z inward by 0.1 gives x_z/sin(theta) = 1/cos(0.1) > 1
+    z = [math.cos(0.1), 0.0, math.sin(0.1)]
+    out = naive_euler_estimate(z, [0.0, 0.0, 1.0])
     assert out.failed
     assert out.phi == 0.5 * math.pi
 
 
 def test_naive_estimate_pole_raises():
     with pytest.raises(ValueError, match="pole"):
-        naive_euler_estimate(0.0, 0.0, 0.5, 0.2)
+        naive_euler_estimate([0.0, 0.0, 1.0], unit_vector(Direction(0.5, 0.2)))
 
 
-@dataclass(frozen=True)
-class _DirectionNaiveEstimate:
-    """Outcome of the closed-form inversion.
-
-    angles is None exactly when failed is True, which happens when the
-    measured directions imply |sin(phi)| > 1 and the arcsine has no
-    real solution.
-    """
-
-    angles: EulerAngles | None
-    failed: bool
-    sin_phi: float
+def _polar(u) -> tuple[float, float]:
+    """The polar angles of a unit 3-vector, the azimuth in [0, 2*pi)."""
+    return math.acos(min(1.0, max(-1.0, u[2]))), reduce_azimuth(math.atan2(u[1], u[0]))
 
 
-def _direction_naive_estimate(z_dir: Direction, x_dir: Direction) -> _DirectionNaiveEstimate:
-    """Test-only oracle: the inversion on a Direction pair, as the package
-    computed it before it took four floats."""
-    theta = z_dir.theta
-    sth = math.sin(theta)
+def _polar_naive_estimate(theta_z, phi_z, theta_x, phi_x) -> NaiveEstimate:
+    """Test-only oracle: the closed-form inversion on the polar angles of
+    the measured z and x, each azimuth in [0, 2*pi), as the package
+    computed it before it read the unit axes.  theta = theta_z, psi =
+    pi/2 - phi_z, sin(phi) = cos(theta_x)/sin(theta_z) (phi clamped to
+    +-pi/2 past 1), and the first row of x picks the asin branch, phi0
+    winning ties."""
+    sth = math.sin(theta_z)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    psi = _wrap_pi(0.5 * math.pi - z_dir.phi)
-    s = math.cos(x_dir.theta) / sth
+    psi = _wrap_pi(0.5 * math.pi - phi_z)
+    s = math.cos(theta_x) / sth
     if abs(s) > 1.0:
-        return _DirectionNaiveEstimate(angles=None, failed=True, sin_phi=s)
+        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta_z, psi, True)
     phi0 = math.asin(s)
-    x_first = math.sin(x_dir.theta) * math.cos(x_dir.phi)
+    x_first = math.sin(theta_x) * math.cos(phi_x)
     best = None
     for phi in (phi0, _wrap_pi(math.pi - phi0)):
-        pred = math.cos(psi) * math.cos(phi) - math.sin(psi) * math.cos(theta) * math.sin(phi)
+        pred = math.cos(psi) * math.cos(phi) - math.sin(psi) * math.cos(theta_z) * math.sin(phi)
         r = abs(pred - x_first)
         if best is None or r < best[0]:
             best = (r, phi)
-    return _DirectionNaiveEstimate(
-        angles=EulerAngles(phi=best[1], theta=theta, psi=psi),
-        failed=False,
-        sin_phi=s,
-    )
+    return NaiveEstimate(best[1], theta_z, psi, False)
 
 
-def _check_against_oracle(theta_z, phi_z, theta_x, phi_x):
-    """naive_euler_estimate on the reduced azimuths against the oracle on a
-    Direction pair built from the raw ones, bit for bit in every field.  A
-    failed trial is compared with the clamp the harness applied before the
-    inversion returned it: phi = +-pi/2, theta = theta_z, psi = pi/2 - phi_z."""
-    z_dir, x_dir = Direction(theta_z, phi_z), Direction(theta_x, phi_x)
-    got = naive_euler_estimate(theta_z, reduce_azimuth(phi_z), theta_x, reduce_azimuth(phi_x))
-    want = _direction_naive_estimate(z_dir, x_dir)
+def _check_against_oracle(z, x) -> tuple[NaiveEstimate, NaiveEstimate]:
+    """naive_euler_estimate on unit axes against the oracle on their polar
+    angles: the same failed flag, and theta and psi within 1e-12 (mod
+    2*pi).  Both outcomes are returned for the caller's phi check."""
+    got = naive_euler_estimate(z, x)
+    want = _polar_naive_estimate(*_polar(z), *_polar(x))
     assert got.failed == want.failed
-    if want.failed:
-        assert want.angles is None
-        angles = (
-            math.copysign(0.5 * math.pi, want.sin_phi),
-            z_dir.theta,
-            _wrap_pi(0.5 * math.pi - z_dir.phi),
-        )
-    else:
-        angles = (want.angles.phi, want.angles.theta, want.angles.psi)
-        wrapped = EulerAngles(*got[:3])
-        assert (wrapped.phi, wrapped.theta, wrapped.psi) == angles
-    assert [a.hex() for a in got[:3]] == [a.hex() for a in angles]
-    return got
+    assert _angle_diff(got.theta, want.theta) <= 1e-12
+    assert _angle_diff(got.psi, want.psi) <= 1e-12
+    return got, want
 
 
 def test_naive_estimate_matches_direction_oracle():
     rng = np.random.default_rng(2024)
-    n = 10_000
-    theta_z, phi_z = polar_angles(rng.standard_normal((n, 3)))
-    theta_x, phi_x = polar_angles(rng.standard_normal((n, 3)))
-    outs = [_check_against_oracle(*args) for args in zip(theta_z, phi_z, theta_x, phi_x)]
+    n = 100_000
+    zs = unit_rows(rng.standard_normal((n, 3))).tolist()
+    xs = unit_rows(rng.standard_normal((n, 3))).tolist()
+    outs = []
+    for z, x in zip(zs, xs):
+        got, want = _check_against_oracle(z, x)
+        assert _angle_diff(got.phi, want.phi) <= 1e-12
+        outs.append(got)
+    assert all(-math.pi <= a <= math.pi for o in outs for a in (o.phi, o.psi))
     ok = [o for o in outs if not o.failed]
     failed = [o for o in outs if o.failed]
     # both quadrant branches and both failure signs occur
-    assert sum(abs(o.phi) > 0.5 * math.pi for o in ok) > 1000
-    assert sum(abs(o.phi) < 0.5 * math.pi for o in ok) > 1000
+    assert sum(abs(o.phi) > 0.5 * math.pi for o in ok) > 10_000
+    assert sum(abs(o.phi) < 0.5 * math.pi for o in ok) > 10_000
     # a failed phi is clamped to pi/2 with the sign of sin(phi)
-    assert sum(o.phi > 0.0 for o in failed) > 1000
-    assert sum(o.phi < 0.0 for o in failed) > 1000
+    assert sum(o.phi > 0.0 for o in failed) > 10_000
+    assert sum(o.phi < 0.0 for o in failed) > 10_000
 
 
 @pytest.mark.parametrize(
@@ -393,7 +378,7 @@ def test_naive_estimate_matches_direction_oracle():
     [
         # |phi| > pi/2: the quadrant branch
         *(
-            _angles(*_pair(euler_to_axes(EulerAngles(phi=phi, theta=1.1, psi=0.4))))
+            _frame_angles(euler_to_axes(EulerAngles(phi=phi, theta=1.1, psi=0.4)))
             for phi in (2.0, -2.5, 3.0)
         ),
         # psi = +-pi/2: both branches predict the same first row, phi0 wins
@@ -402,22 +387,64 @@ def test_naive_estimate_matches_direction_oracle():
         # x at a pole, z tilted off the equator: sin phi = +-1/cos(0.1)
         (0.5 * math.pi - 0.1, 0.0, 0.0, 0.5 * math.pi),
         (0.5 * math.pi - 0.1, 1.0, math.pi, 0.5 * math.pi),
-        # azimuths that reduce to exactly 2*pi, hence 0.0
+        # azimuths that Direction reduces from exactly 2*pi to 0.0
         (1.0, -1e-20, 1.2, -1e-300),
         (0.5 * math.pi - 0.1, -1e-20, 0.0, -5e-324),
         (2.0, -4 * math.pi, 1.0, -1e-17),
     ],
 )
 def test_naive_estimate_matches_direction_oracle_on_edge_cases(theta_z, phi_z, theta_x, phi_x):
-    _check_against_oracle(theta_z, phi_z, theta_x, phi_x)
+    # the sin(pi) and cos(pi/2) of the angles are the zeros they stand for:
+    # at psi = -pi/2, z_y = 1.2e-16 would break the tie by its rounding
+    z, x = (
+        np.where(np.abs(v) < 1e-15, 0.0, v)
+        for v in (unit_vector(Direction(theta_z, phi_z)), unit_vector(Direction(theta_x, phi_x)))
+    )
+    got, want = _check_against_oracle(z, x)
+    assert _angle_diff(got.phi, want.phi) <= 1e-12
+
+
+def test_naive_estimate_matches_direction_oracle_near_the_clamp():
+    # |sin phi| = |x_z|/sin(theta) within 1e-12 of 1 on either side, then the
+    # three clamp rows of the harness's fallback-frame test.  Near the clamp
+    # d(phi) = d(sin phi)/cos(phi) grows without bound, so a last-bit change
+    # in sin(phi) moves phi by up to 1e-9 here: phi is compared through its
+    # sine and the sign of its cosine (the asin branch).  z stays off the
+    # poles, where the oracle's sin(acos(z_z)) loses the digits that decide
+    # the flag
+    rng = np.random.default_rng(3)
+    z = unit_rows(rng.standard_normal((4000, 3)))
+    z = z[np.abs(z[:, 2]) < 0.8]
+    n = len(z)
+    gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-14.0, -12.0, n)
+    xz = rng.choice([-1.0, 1.0], n) * (1.0 - gap) * np.hypot(z[:, 0], z[:, 1])
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(1.0 - xz * xz)
+    x = np.stack([r * np.cos(azimuth), r * np.sin(azimuth), xz], axis=1)
+    tilt = math.cos(0.1)
+    clamp_rows = [
+        ([tilt * math.cos(alpha), tilt * math.sin(alpha), math.sin(0.1)], [0.0, 0.0, pole])
+        for alpha, pole in ((0.3, 1.0), (2.0, 1.0), (-1.1, -1.0))
+    ]
+    failures = 0
+    for z_row, x_row in [*zip(z.tolist(), x.tolist()), *clamp_rows]:
+        got, want = _check_against_oracle(z_row, x_row)
+        assert abs(math.sin(got.phi) - math.sin(want.phi)) <= 1e-12
+        assert (math.cos(got.phi) < 0.0) == (math.cos(want.phi) < 0.0)
+        failures += got.failed
+    # a pair fails exactly when |sin phi| > 1, and every clamp row fails
+    assert failures == int(np.sum(gap < 0.0)) + 3
+    assert 1000 < failures < n - 1000
 
 
 @pytest.mark.parametrize("theta_z", [0.0, 1e-12, math.pi])
 def test_naive_estimate_pole_raises_as_the_oracle(theta_z):
+    z = unit_vector(Direction(theta_z, 0.3))
+    x = unit_vector(Direction(0.5, 0.2))
     with pytest.raises(ValueError, match="pole"):
-        _direction_naive_estimate(Direction(theta_z, 0.3), Direction(0.5, 0.2))
+        _polar_naive_estimate(*_polar(z), *_polar(x))
     with pytest.raises(ValueError, match="pole"):
-        naive_euler_estimate(theta_z, 0.3, 0.5, 0.2)
+        naive_euler_estimate(z, x)
 
 
 def test_best_fit_recovers_exact_frame():
@@ -472,7 +499,7 @@ def test_best_fit_beats_naive_on_noisy_data():
         noisy = (_jitter(z_dir, 0.15, rng), _jitter(x_dir, 0.15, rng))
         fit, _ = best_fit_frame(unit_vector(noisy[0]), unit_vector(noisy[1]))
         fit_err = frame_infidelity(frame, fit)
-        out = naive_euler_estimate(*_angles(*noisy))
+        out = naive_euler_estimate(unit_vector(noisy[0]), unit_vector(noisy[1]))
         if out.failed:
             continue
         rec = euler_to_axes(EulerAngles(out.phi, out.theta, out.psi))

@@ -644,17 +644,18 @@ class TestFrameRuns:
         assert best.estimates["infidelity"] < naive.estimates["infidelity"]
 
 
-def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
-    """One trial of the naive decode as the harness ran it before it decoded
-    whole batches: the closed-form inversion, |sin phi| clamped to 1 when it
-    fails, and the forward map evaluated on one frame with math."""
-    est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
+def _naive_frame(z: np.ndarray, x: np.ndarray) -> tuple[Frame, bool]:
+    """One trial of the naive decode on unit axes, as the harness ran it
+    before it decoded whole batches: the closed-form inversion, |sin phi|
+    clamped to 1 when it fails, and the forward map evaluated on one frame
+    with math."""
+    est = naive_euler_estimate(z, x)
     if est.failed:
-        sin_phi = math.cos(x_dir.theta) / math.sin(z_dir.theta)
+        sin_phi = x[2] / math.hypot(z[0], z[1])
         angles = EulerAngles(
             phi=math.copysign(0.5 * math.pi, sin_phi),
-            theta=z_dir.theta,
-            psi=0.5 * math.pi - z_dir.phi,
+            theta=math.acos(z[2]),
+            psi=math.atan2(z[0], z[1]),
         )
     else:
         angles = EulerAngles(est.phi, est.theta, est.psi)
@@ -672,11 +673,17 @@ def _naive_frame(z_dir: Direction, x_dir: Direction) -> tuple[Frame, bool]:
     return Frame(z_axis=z, x_axis=x / np.linalg.norm(x)), est.failed
 
 
+def _unit(*vectors: np.ndarray) -> list[np.ndarray]:
+    """Each vector scaled to unit length."""
+    return [v / np.linalg.norm(v) for v in vectors]
+
+
 def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, decoder: str):
     """Batch `batch` of a frame run decoded one trial at a time, as the harness
     did before it decoded whole batches: same draws in the same order, each
-    axis tilted in the plane of the true frame's other two, a Direction round
-    trip per estimate, a 3-vector decode and score per trial."""
+    axis tilted in the plane of the true frame's other two, a 3-vector decode
+    and score per trial: the naive decode on the normalised estimates, the
+    best fit on their Direction round trips."""
     rng = _batch_rng(seed, batch)
     quats = rng.standard_normal((take, 4))
     u_z = rng.random(take)
@@ -695,12 +702,11 @@ def _per_trial_reference(seed: int, batch: int, take: int, density: ChiDensity, 
     failures = 0
     for i in range(take):
         true_frame = Frame(z_axis=z_axis[i], x_axis=x_axis[i])
-        z_dir = Direction.from_vector(z_est[i])
-        x_dir = Direction.from_vector(x_est[i])
         if decoder == "naive-euler":
-            fitted, failed = _naive_frame(z_dir, x_dir)
+            fitted, failed = _naive_frame(*_unit(z_est[i], x_est[i]))
             failures += int(failed)
         else:
+            z_dir, x_dir = Direction.from_vector(z_est[i]), Direction.from_vector(x_est[i])
             fitted, _ = best_fit_frame(unit_vector(z_dir), unit_vector(x_dir))
         scores[i] = frame_infidelity(true_frame, fitted)
     return scores, cos_z, cos_x, failures
@@ -785,7 +791,7 @@ class TestFrameBatchDecode:
 
     def test_clamp_rows_decode_to_fallback_frame(self):
         # x at a pole and z tilted 0.1 off the equator gives
-        # |cos(theta_x)/sin(theta_z)| = 1/cos(0.1) > 1 (rows 1, 4: sin phi > 1;
+        # |x_z/sin(theta_z)| = 1/cos(0.1) > 1 (rows 1, 4: sin phi > 1;
         # row 6: sin phi < -1); the other rows are noise-free frames, which
         # decode normally
         true = sample_haar_frame(_batch_rng(5, 0), 8)
@@ -797,11 +803,11 @@ class TestFrameBatchDecode:
         frames, failures = _naive_frames(z_est, x_est)
         assert failures == 3
         for i in range(8):
-            z_dir, x_dir = Direction.from_vector(z_est[i]), Direction.from_vector(x_est[i])
-            want, failed = _naive_frame(z_dir, x_dir)
+            z, x = _unit(z_est[i], x_est[i])
+            want, failed = _naive_frame(z, x)
             assert failed == (i in (1, 4, 6))
             # the inversion itself returns the clamped phi of a failed trial
-            est = naive_euler_estimate(z_dir.theta, z_dir.phi, x_dir.theta, x_dir.phi)
+            est = naive_euler_estimate(z, x)
             if failed:
                 assert est.phi == (0.5 * math.pi if i in (1, 4) else -0.5 * math.pi)
             for name in ("z_axis", "x_axis", "y_axis"):
