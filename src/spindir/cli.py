@@ -30,6 +30,7 @@ from .protocols import (
     ProtocolSpec,
     d3_covariant_povm,
     d3_covariant_score,
+    frame_two_axis_score,
 )
 from .states import SpinJ, is_integer
 
@@ -429,10 +430,14 @@ def cmd_simulate(config_path, **flags):
         line += f" ({ref.method} reference {ref.fidelity:.6f})"
     click.echo(line)
     if "per_axis" in est:
-        pairs = ", ".join(
-            f"{v:.6f} +- {e:.6f}" for v, e in zip(est["per_axis"], err["per_axis"])
+        expected = frame_two_axis_score(
+            p.num_spins, encoding=p.encoding, fitter=p.decoder
+        ).expected_per_axis_infidelity
+        pairs = ", ".join(  # a one-trial run has no stderr, so no z
+            f"{v:.6f} +- {e:.6f} (z {format((v - expected) / e, '+.2f') if e else 'n/a'})"
+            for v, e in zip(est["per_axis"], err["per_axis"])
         )
-        click.echo(f"per-axis infidelity: {pairs}")
+        click.echo(f"per-axis infidelity: {pairs} (code reference {expected:.6f})")
     if "naive_failures" in est:
         click.echo(f"estimator clamps (|sin phi| > 1): {est['naive_failures']} of {config.trials}")
     click.echo(f"wrote {path}")

@@ -156,7 +156,8 @@ def _tilt_draws(rng: np.random.Generator, density: ChiDensity, take: int) -> tup
 
 
 class _Accumulator:
-    """Exact cross-batch accumulation of per-batch (sum, sum of squares)."""
+    """Exact cross-batch accumulation of per-batch (sum, sum of squares); a
+    batch of 0/1 hits adds its hit count, an exact float, as both."""
 
     def __init__(self):
         self.sums = []
@@ -168,6 +169,12 @@ class _Accumulator:
         self.sums.append(float(np.sum(v)))
         self.sumsqs.append(float(np.sum(v * v)))
         self.count += v.size
+
+    def add_hits(self, hits: np.ndarray):
+        n = float(np.count_nonzero(hits))
+        self.sums.append(n)
+        self.sumsqs.append(n)
+        self.count += hits.size
 
     def mean(self) -> float:
         return math.fsum(self.sums) / self.count
@@ -190,13 +197,10 @@ def _batches(trials: int):
         yield full, rem
 
 
-def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
-    """The most frequent outcome of each (repeats, take) column of shots.  A
-    tie goes to the lowest index, or, given the column's uniform tie draw, to
-    the floor(tie * #leaders)-th leader, counted from 0."""
-    counts = np.empty((6, outcomes.shape[1]), dtype=np.min_scalar_type(outcomes.shape[0]))
-    for k in range(6):
-        np.add.reduce(outcomes == k, axis=0, dtype=counts.dtype, out=counts[k])
+def _plurality(counts: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
+    """The most frequent outcome of each column of (6, take) outcome counts.
+    A tie goes to the lowest index, or, given the column's uniform tie draw,
+    to the floor(tie * #leaders)-th leader, counted from 0."""
     lead = counts == counts.max(axis=0)
     if tie is None:
         return np.argmax(lead, axis=0)
@@ -209,34 +213,44 @@ def _plurality(outcomes: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
 
 
 def _run_d3_finite(config: RunConfig) -> _Accumulator:
+    """A d3-single, d3-covariant or d3-repeated run, tallied per batch.  A
+    shot's outcome is the cell k = (cum[k - 1], cum[k]] of its true row's
+    cumulative outcome table that holds its draw, with cum[-1] = -inf and
+    cum[5] = +inf (the sixth boundary is 1 only to rounding).  A one-shot
+    trial hits when its draw lies in its true row's cell.  A vote's shots
+    each measure one spin, and above[j], its shots above boundary j < 5,
+    give its outcome counts repeats - above[0], above[j - 1] - above[j] and
+    above[4]."""
     spec = config.protocol
-    # shots are drawn trial-minor into (repeats, take) rows; an outcome is the
-    # number of the true row's first five cumulative boundaries below the
-    # draw; the sixth is 1 only to rounding, and a draw past one that rounded
-    # below 1 is outcome 5; a vote's shots each measure one spin
     spins_per_shot = 1 if spec.kind == "d3-repeated" else spec.num_spins
-    bounds = np.cumsum(d3_outcome_matrix(spins_per_shot), axis=1)[:, :5].T
+    bounds = np.cumsum(d3_outcome_matrix(spins_per_shot), axis=1)[:, :5].T  # [j, row]
+    if np.any(np.diff(bounds, axis=0) < 0.0):  # the cells and unsigned differences need it
+        raise RuntimeError("a row of the cumulative outcome table decreases")
+    lower = np.append(-np.inf, np.diagonal(bounds, 1))  # row t's cell t is (lower[t], upper[t]]
+    upper = np.append(np.diagonal(bounds), np.inf)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
-    # one shot and one outcome buffer per run; random(out=) needs a contiguous
-    # array, and the leading repeats * take entries are one for the last,
-    # partial batch too
-    size = repeats * min(config.trials, BATCH_TRIALS)
-    shot_buf, outcome_buf = np.empty(size), np.empty(size, dtype=np.uint8)
+    # shots are drawn trial-minor into (repeats, take) rows of one per-run
+    # buffer; random(out=) needs a contiguous array, and the leading
+    # repeats * take entries are one for the last, partial batch too
+    shot_buf = np.empty(repeats * min(config.trials, BATCH_TRIALS))
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
         draws = shot_buf[: repeats * take].reshape(repeats, take)
         rng.random(out=draws)
-        outcomes = outcome_buf[: repeats * take].reshape(repeats, take)
-        np.greater(draws, bounds[0][true], out=outcomes)
-        for j in range(1, 5):
-            outcomes += draws > bounds[j][true]
-        # the tie draw is the batch's last, so skipping it moves nothing
-        tie = rng.random(take) if random_ties else None
-        guess = outcomes[0] if repeats == 1 else _plurality(outcomes, tie)
-        acc.add((guess == true).astype(float))
+        if repeats == 1:
+            hits = (draws[0] > lower[true]) & (draws[0] <= upper[true])
+        else:
+            counts = np.empty((6, take), dtype=np.min_scalar_type(repeats))
+            for j in range(5):  # row j + 1 holds above[j] until the differences
+                np.add.reduce(draws > bounds[j][true], axis=0, dtype=counts.dtype, out=counts[j + 1])
+            np.subtract(repeats, counts[1], out=counts[0])
+            counts[1:5] -= counts[2:6]
+            # the tie draw is the batch's last, so skipping it moves nothing
+            hits = _plurality(counts, rng.random(take) if random_ties else None) == true
+        acc.add_hits(hits)
     return acc
 
 
@@ -273,7 +287,7 @@ def _run_d3_coherent(config: RunConfig) -> _Accumulator:
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
-        acc.add(_coherent_hits(*_tilt_draws(rng, density, take)).astype(float))
+        acc.add_hits(_coherent_hits(*_tilt_draws(rng, density, take)))
     return acc
 
 

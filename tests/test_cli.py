@@ -538,6 +538,24 @@ class TestSimulate:
         assert "per-axis infidelity:" in out
         assert "estimator clamps" not in out
 
+    @pytest.mark.parametrize("trials", [2000, 1])
+    def test_frame_per_axis_line_prints_reference_and_z(self, capsys, tmp_path, trials):
+        # each axis's mean has the code's exact infidelity as reference,
+        # (1 - 1/sqrt(3))/2 for the N = 4 optimal code; a one-trial run has
+        # no stderr and prints no z
+        path, out = simulate_record(
+            capsys, tmp_path, "axes.json", "--kind", "frame-two-axis", "--num-spins", "4",
+            "--encoding", "optimal", "--trials", str(trials), "--seed", "3",
+        )
+        result = json.loads(path.read_text())["result"]
+        expected = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0
+        parts = [
+            f"{v:.6f} +- {e:.6f} (z {f'{(v - expected) / e:+.2f}' if trials > 1 else 'n/a'})"
+            for v, e in zip(result["estimates"]["per_axis"], result["stderrs"]["per_axis"])
+        ]
+        line = f"per-axis infidelity: {', '.join(parts)} (code reference {expected:.6f})"
+        assert line in out.splitlines()
+
     def test_derived_output_name(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_VAR, str(tmp_path))
         code, out, _ = run(

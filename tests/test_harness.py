@@ -220,6 +220,16 @@ class TestAccumulator:
         want = math.sqrt(float(np.var(data, ddof=1)) / data.size)
         assert acc.stderr() == pytest.approx(want, rel=1e-10)
 
+    def test_hit_counts_equal_the_float_sums(self):
+        hits = np.random.default_rng(63).random(20001) < 0.3
+        counted, summed = _Accumulator(), _Accumulator()
+        for part in np.array_split(hits, 3):
+            counted.add_hits(part)
+            summed.add(part.astype(float))
+        assert (counted.sums, counted.sumsqs, counted.count) == (
+            summed.sums, summed.sumsqs, summed.count
+        )
+
     def test_single_value_has_zero_stderr(self):
         acc = _Accumulator()
         acc.add(np.array([0.7]))
@@ -249,6 +259,13 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "protocol, pinned",
         [
+            (spec(), {"fidelity": 0.3342, "stderr": 0.003335577057079507}),
+            (spec("d3-covariant", 2),
+             {"fidelity": 0.66905, "stderr": 0.0033274101727804608}),
+            (spec("d3-repeated", 9, tie_break="random"),
+             {"fidelity": 0.49655, "stderr": 0.003535538131104489}),
+            (spec("d3-repeated", 9, tie_break="lowest-index"),
+             {"fidelity": 0.49675, "stderr": 0.0035355476067851204}),
             (spec("d3-coherent", 1),
              {"fidelity": 0.30585, "stderr": 0.0032581926993324535}),
             (spec("d3-coherent", 24),
@@ -258,11 +275,14 @@ class TestReproducibility:
             (spec("frame-two-axis", 8, encoding="optimal", decoder="naive-euler"),
              {"infidelity": 0.6284610671768156, "naive_failures": 4108}),
         ],
-        ids=["d3-coherent-1", "d3-coherent-24", "frame-best-fit-8", "frame-naive-euler-8"],
+        ids=[
+            "d3-single-1", "d3-covariant-2", "d3-repeated-9-random", "d3-repeated-9-lowest-index",
+            "d3-coherent-1", "d3-coherent-24", "frame-best-fit-8", "frame-naive-euler-8",
+        ],
     )
     def test_seed_7_records_are_pinned(self, protocol, pinned):
         # seed 7 at 20000 trials, two full batches and a partial one; a
-        # change of the tilt kernel or the draws moves these bits
+        # change of a tally or tilt kernel or of the draws moves these bits
         result = run_experiment(RunConfig(protocol=protocol, trials=20000, seed=7))
         got = dict(result.estimates, stderr=result.stderrs["fidelity"])
         assert {key: got[key] for key in pinned} == pinned
@@ -431,6 +451,34 @@ class TestD3BatchKernels:
         result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
         assert result.estimates["fidelity"] == float(row == 5)
 
+    @pytest.mark.parametrize("num_spins", [1, 2])
+    def test_cell_test_matches_five_compares_at_the_boundaries(self, monkeypatch, num_spins):
+        # a one-shot trial is a hit when its draw lies in its true row's
+        # cell; on and next to every boundary that must agree with the
+        # outcome the five compares give
+        cum = np.cumsum(d3_outcome_matrix(num_spins), axis=1)
+        protocol = spec("d3-single" if num_spins == 1 else "d3-covariant", num_spins)
+        for row in range(6):
+            draws = {0.0, np.nextafter(1.0, 0.0)}
+            for c in cum[row]:
+                draws |= {np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)}
+            for draw in sorted(draws):
+                monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, draw))
+                config = RunConfig(protocol=protocol, trials=1, seed=1)
+                outcome = int(np.sum(draw > cum[row, :5]))
+                assert run_experiment(config).estimates["fidelity"] == float(outcome == row), draw
+
+    @pytest.mark.parametrize("kind", ["d3-single", "d3-repeated"])
+    def test_decreasing_boundary_is_refused(self, monkeypatch, kind):
+        # unsigned count differences would wrap, and the cells would overlap
+        matrix = np.full((6, 6), 1.0 / 6.0)
+        matrix[2, 3] = -0.01
+        matrix[2, 4] += 0.01
+        monkeypatch.setattr(harness, "d3_outcome_matrix", lambda num_spins: matrix)
+        config = RunConfig(protocol=spec(kind, 1 if kind == "d3-single" else 3), trials=5, seed=1)
+        with pytest.raises(RuntimeError, match="cumulative outcome table decreases"):
+            run_experiment(config)
+
 
 class TestCoherentLocalFrame:
     # the harness decodes every d3-coherent trial in direction 0's frame;
@@ -524,9 +572,10 @@ class TestPlurality:
     @pytest.mark.parametrize("tie", [None, 0.0, 0.5, np.nextafter(1.0, 0.0)])
     def test_matches_a_counter_vote(self, name, tie):
         columns = _VOTE_COLUMNS[name]
-        outcomes = np.array(columns, dtype=np.uint8).T.copy()  # (repeats, take)
+        dtype = np.min_scalar_type(len(columns[0]))  # the harness's count type
+        counts = np.stack([np.bincount(c, minlength=6) for c in columns], axis=1).astype(dtype)
         draws = None if tie is None else np.full(len(columns), tie)
-        got = _plurality(outcomes, draws)
+        got = _plurality(counts, draws)
         assert got.tolist() == [_counter_vote(c, tie) for c in columns]
 
 
