@@ -173,18 +173,21 @@ def naive_euler_estimate(z, x) -> NaiveEstimate:
     alone; sin(phi) = x_z / sin(theta) uses only the last row of the x
     column.  The ignored first-row equation resolves the asin quadrant.
     Noisy inputs can push |sin(phi)| above 1; that is reported as a
-    failure.  Raises ValueError when z is at a pole.
+    failure.  Raises ValueError when z is at a pole.  Finiteness is not
+    checked: a NaN passes the z_z clamp, so a NaN z_z gives a NaN theta,
+    not a pole angle, and EulerAngles refuses such angles.
     """
     zx, zy, zz = z
     xx, _, xz = x
     sth = math.hypot(zx, zy)
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
-    theta = math.acos(min(1.0, max(-1.0, zz)))
+    theta = math.acos(1.0 if zz > 1.0 else -1.0 if zz < -1.0 else zz)
     psi = math.atan2(zx, zy)
     s = xz / sth
+    # tuple.__new__ skips the named tuple's Python-level __new__
     if abs(s) > 1.0:
-        return NaiveEstimate(math.copysign(0.5 * math.pi, s), theta, psi, True)
+        return tuple.__new__(NaiveEstimate, (math.copysign(0.5 * math.pi, s), theta, psi, True))
     phi = math.asin(s)
     # phi0 = asin(s) and pi - phi0 share sin(phi) = s and have opposite
     # cos(phi), so the unused first-row equation,
@@ -194,7 +197,7 @@ def naive_euler_estimate(z, x) -> NaiveEstimate:
     # cos(psi) = z_y/sin(theta), that is z_y r < 0.  phi0 wins ties
     if zy * (zx / sth * zz * s + xx) < 0.0:
         phi = math.copysign(math.pi, phi) - phi
-    return NaiveEstimate(phi, theta, psi, False)
+    return tuple.__new__(NaiveEstimate, (phi, theta, psi, False))
 
 
 def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:

@@ -296,15 +296,16 @@ def _naive_frames(z_est: np.ndarray, x_est: np.ndarray) -> tuple[Frame, int]:
     of failed (clamped) trials.
 
     The rows are normalised once for the whole batch, then
-    naive_euler_estimate runs once per trial on the two unit axes:
-    perfbench's tracer counts a clamp for each call that fails and checks
-    that count against naive_failures.  A failed trial comes back with
-    phi clamped to +-pi/2, so every trial still yields a frame; one
-    stacked forward map builds them all."""
-    z, x = unit_rows(z_est).tolist(), unit_rows(x_est).tolist()
+    naive_euler_estimate runs once per trial on the two unit axes, zipped
+    as row tuples from one list per component column: perfbench's tracer
+    counts a clamp for each call that fails and checks that count against
+    naive_failures.  A failed trial comes back with phi clamped to
+    +-pi/2, so every trial still yields a frame; one stacked forward map
+    builds them all."""
+    z, x = (zip(*unit_rows(a).T.tolist()) for a in (z_est, x_est))
     phi, theta, psi, failed = zip(*map(naive_euler_estimate, z, x))
-    angles = EulerAngles(phi=np.array(phi), theta=np.array(theta), psi=np.array(psi))
-    return euler_to_axes(angles), sum(failed)
+    phi, theta, psi = (np.fromiter(a, float) for a in (phi, theta, psi))
+    return euler_to_axes(EulerAngles(phi=phi, theta=theta, psi=psi)), sum(failed)
 
 
 def _frame_batch(rng: np.random.Generator, take: int, density: ChiDensity, decoder: str):

@@ -310,6 +310,43 @@ def test_naive_estimate_pole_raises():
         naive_euler_estimate([0.0, 0.0, 1.0], unit_vector(Direction(0.5, 0.2)))
 
 
+def test_naive_estimate_nan_z_z_gives_nan_theta():
+    # the clamp of z_z must not turn a NaN into the pole angle pi (or 0)
+    for zz in (math.nan, -math.nan):
+        out = naive_euler_estimate((0.6, 0.8, zz), (0.8, -0.6, 0.0))
+        assert math.isnan(out.theta)
+        assert out.psi == math.atan2(0.6, 0.8)
+
+
+def _zx(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The z and x axes of a clean frame with the given phi."""
+    frame = euler_to_axes(EulerAngles(phi=phi, theta=1.1, psi=0.4))
+    return frame.z_axis, frame.x_axis
+
+
+@pytest.mark.parametrize(
+    "z, x, failed",
+    [
+        (*_zx(0.7), False),
+        (*_zx(2.5), False),
+        # x at the pole, z tilted 0.1 off the equator: |sin phi| > 1
+        (np.array([math.cos(0.1), 0.0, math.sin(0.1)]), np.array([0.0, 0.0, 1.0]), True),
+    ],
+    ids=["asin-branch", "pi-minus-asin-branch", "clamped"],
+)
+def test_naive_estimate_is_the_same_for_every_input_type(z, x, failed):
+    # the harness passes tuples of floats, other callers lists or arrays;
+    # perfbench's tracer reads out.failed as a truth value
+    outs = [
+        naive_euler_estimate(convert(z), convert(x))
+        for convert in (lambda a: a.tolist(), lambda a: tuple(a.tolist()), lambda a: a)
+    ]
+    for out in outs:
+        assert type(out) is NaiveEstimate
+        assert out.failed is failed
+        assert tuple(out) == tuple(outs[0])
+
+
 def _polar(u) -> tuple[float, float]:
     """The polar angles of a unit 3-vector, the azimuth in [0, 2*pi)."""
     return math.acos(min(1.0, max(-1.0, u[2]))), reduce_azimuth(math.atan2(u[1], u[0]))

@@ -864,6 +864,25 @@ class TestFrameBatchDecode:
                     getattr(frames, name)[i], getattr(want, name), rtol=0.0, atol=1e-15
                 )
 
+    @pytest.mark.parametrize("row", [0, 4, 7])
+    def test_pole_row_anywhere_in_the_batch_raises(self, row):
+        # the rows reach the per-trial decode as zipped component columns;
+        # a pole row first, in the middle or last must still be decoded
+        true = sample_haar_frame(_batch_rng(5, 0), 8)
+        z_est, x_est = true.z_axis.copy(), true.x_axis.copy()
+        z_est[row], x_est[row] = [0.0, 0.0, -2.0], [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="pole"):
+            _naive_frames(z_est, x_est)
+
+    def test_nan_z_z_row_is_refused(self):
+        # normalising spreads a NaN z_z over its row; the decode passes the
+        # NaN angles on, and the stacked Euler angles refuse them
+        true = sample_haar_frame(_batch_rng(5, 0), 8)
+        z_est = true.z_axis.copy()
+        z_est[3, 2] = math.nan
+        with pytest.raises(ValueError, match="Euler angles must be finite"):
+            _naive_frames(z_est, true.x_axis)
+
     def test_naive_decoder_runs_once_per_trial(self, monkeypatch):
         # perfbench's tracer counts a clamp for each failed naive_euler_estimate
         # call and compares that count with naive_failures
