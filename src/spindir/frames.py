@@ -29,6 +29,7 @@ from .geometry import TWO_PI, unit_rows
 ORTHO_TOL = 1e-10
 DEGENERATE_CROSS_TOL = 1e-8
 GIMBAL_SIN_TOL = 1e-9
+HALF_PI = 0.5 * math.pi  # the phi of a clamped naive decode
 
 # Frame validation: the target of each checked value and its error message
 _TARGETS = np.array([[1.0], [1.0], [0.0]])
@@ -173,21 +174,24 @@ def naive_euler_estimate(z, x) -> NaiveEstimate:
     alone; sin(phi) = x_z / sin(theta) uses only the last row of the x
     column.  The ignored first-row equation resolves the asin quadrant.
     Noisy inputs can push |sin(phi)| above 1; that is reported as a
-    failure.  Raises ValueError when z is at a pole.  Finiteness is not
-    checked: a NaN passes the z_z clamp, so a NaN z_z gives a NaN theta,
-    not a pole angle, and EulerAngles refuses such angles.
+    failure.  Raises ValueError when z is at a pole.  Of x only x_x and
+    x_z are read, not x_y.  When any of the five components read is not
+    finite, all three angles are NaN with failed False, which EulerAngles
+    refuses; hypot(inf, nan) is inf, so one sum tests all five.
     """
     zx, zy, zz = z
     xx, _, xz = x
     sth = math.hypot(zx, zy)
+    if not math.isfinite(sth + zz + xx + xz):
+        return tuple.__new__(NaiveEstimate, (math.nan, math.nan, math.nan, False))
     if sth < GIMBAL_SIN_TOL:
         raise ValueError("z estimate at a pole: naive inversion is degenerate")
     theta = math.acos(1.0 if zz > 1.0 else -1.0 if zz < -1.0 else zz)
     psi = math.atan2(zx, zy)
     s = xz / sth
     # tuple.__new__ skips the named tuple's Python-level __new__
-    if abs(s) > 1.0:
-        return tuple.__new__(NaiveEstimate, (math.copysign(0.5 * math.pi, s), theta, psi, True))
+    if s > 1.0 or s < -1.0:
+        return tuple.__new__(NaiveEstimate, (math.copysign(HALF_PI, s), theta, psi, True))
     phi = math.asin(s)
     # phi0 = asin(s) and pi - phi0 share sin(phi) = s and have opposite
     # cos(phi), so the unused first-row equation,

@@ -1,9 +1,9 @@
 """Finite rotation groups and their representations.
 
-Covers the dihedral group D3 as six unit quaternions, its character table,
-its lifts to N-qubit product spaces, and the invariant blocks of the one-
-and two-qubit lifts in closed form; the six signal directions are the orbit
-of direction 0.  The rotation by angle a about unit axis n is the quaternion
+Covers the dihedral group D3 as six unit quaternions, its lifts to N-qubit
+product spaces, and the invariant blocks of the one- and two-qubit lifts in
+closed form; the six signal directions are the orbit of direction 0.  The
+rotation by angle a about unit axis n is the quaternion
 (w, x, y, z) = (cos a/2, sin a/2 n), and its SU(2) lift
 w 1 - i (x sx + y sy + z sz) takes the quaternion's sign as its projective
 phase.  States, fiducials included, are plain complex amplitude arrays.
@@ -26,20 +26,17 @@ MATCH_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Finite group of rotations, one unit quaternion row (w, x, y, z) per
-    element; a row whose norm is off 1 by more than MATCH_TOL is refused.
-
-    Identity is element 0. The read-only (n, 3, 3) rotations, (n, 2, 2) SU(2)
-    lifts, multiplication table, inverses and classes are derived on
-    construction; classes is a partition of element indices, identity class
-    first, then ascending by size.
+    element, with the read-only (n, 3, 3) rotations and (n, 2, 2) SU(2)
+    lifts derived on construction.  Refused: a row whose norm is off 1 by
+    more than MATCH_TOL, an element 0 that is not the identity, and a set in
+    which a product of two rotations does not match exactly one of them
+    within MATCH_TOL.  The rotations are then distinct and closed under
+    products, hence a group: inverses are powers, and products associate.
     """
 
     element_rotations: np.ndarray
     rotations: np.ndarray = field(init=False, repr=False)
     su2: np.ndarray = field(init=False, repr=False)
-    mult_table: np.ndarray = field(init=False, repr=False)
-    inverse: tuple = field(init=False)
-    classes: tuple = field(init=False)
 
     def __post_init__(self):
         q = np.array(self.element_rotations, dtype=float)
@@ -55,54 +52,26 @@ class FiniteGroup:
         hits = np.max(np.abs(prods[:, :, None] - m), axis=(-2, -1)) < MATCH_TOL
         if not np.all(np.count_nonzero(hits, axis=-1) == 1):
             raise ValueError("rotation set is not closed under products")
-        table = np.argmax(hits, axis=-1)
-        # each element's inverse: the column holding the identity in its row
-        inv = np.argmax(table == 0, axis=1)
-        conj = table[table, inv[:, None]]  # conj[h, g] = h g h^-1
-        orbits = {tuple(sorted(set(column.tolist()))) for column in conj.T}
-        for name, value in (("element_rotations", q), ("rotations", m),
-                            ("su2", su2), ("mult_table", table)):
+        if np.max(np.abs(m[0] - np.eye(3))) >= MATCH_TOL:
+            raise ValueError("element 0 is not the identity")
+        for name, value in (("element_rotations", q), ("rotations", m), ("su2", su2)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "inverse", tuple(inv.tolist()))
-        object.__setattr__(self, "classes",
-                           tuple(sorted(orbits, key=lambda cl: (0 not in cl, len(cl), cl))))
 
     @property
     def order(self) -> int:
         return len(self.element_rotations)
 
-    def validate(self) -> None:
-        t = self.mult_table
-        n = self.order
-        if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
-            raise ValueError("element 0 is not the identity")
-        for g in range(n):
-            if t[g, self.inverse[g]] != 0 or t[self.inverse[g], g] != 0:
-                raise ValueError(f"inverse of element {g} is wrong")
-        # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
-        if not np.array_equal(t[t], t[:, t]):
-            raise ValueError("multiplication table is not associative")
-
 
 @lru_cache(maxsize=1)
-def dihedral_d3() -> tuple:
-    """The six-element dihedral group in direction order: element k sends
-    direction 0 of `d3_directions` to direction k.
-
-    Returns (FiniteGroup, characters), built once per process. Elements:
-    identity, +120 and +240 degree turns about z, half turns about the
-    in-plane axes at azimuths 0, -120 and +120 degrees; classes {0}, {1, 2},
-    {3, 4, 5}. The read-only character table is indexed by (irrep, class),
-    rows (1,1,1), (1,1,-1), (2,-1,0), and its first column is each irrep's
-    dimension.
-    """
+def dihedral_d3() -> FiniteGroup:
+    """The six-element dihedral group in direction order, built once per
+    process: element k sends direction 0 of `d3_directions` to direction k.
+    Elements: identity, +120 and +240 degree turns about z, half turns about
+    the in-plane axes at azimuths 0, -120 and +120 degrees."""
     h = math.sqrt(3.0) / 2.0
-    group = FiniteGroup([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, h], [-0.5, 0.0, 0.0, h],
-                         [0.0, -1.0, 0.0, 0.0], [0.0, 0.5, h, 0.0], [0.0, 0.5, -h, 0.0]])
-    characters = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]])
-    characters.flags.writeable = False
-    return group, characters
+    return FiniteGroup([[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, h], [-0.5, 0.0, 0.0, h],
+                        [0.0, -1.0, 0.0, 0.0], [0.0, 0.5, h, 0.0], [0.0, 0.5, -h, 0.0]])
 
 
 def d3_directions() -> np.ndarray:
@@ -110,7 +79,7 @@ def d3_directions() -> np.ndarray:
     element k applied to direction 0, at polar angle 45 degrees in the xz
     plane (the upper cone at azimuths 0, +120, -120 degrees, then the lower)."""
     d0 = np.array([math.sin(math.pi / 4.0), 0.0, math.cos(math.pi / 4.0)])
-    units = dihedral_d3()[0].rotations @ d0
+    units = dihedral_d3().rotations @ d0
     units.flags.writeable = False
     return units
 

@@ -117,7 +117,7 @@ def _d3_family(num_spins: int) -> tuple:
     is a complete POVM by Schur orthogonality.
     Cached, so rep_matrices and the fiducial are read-only.
     """
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     rep = lift_to_qubits(group, num_spins)
     blocks = d3_qubit_blocks(num_spins)
     fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in blocks)
@@ -153,7 +153,7 @@ def d3_covariant_score(num_spins: int) -> ProtocolScore:
     """Covariant strategy on one or two spins: the guess is the outcome of
     the Schur-weighted fiducial's orbit POVM, and only direction hits score.
     Checked to reach `finite_group_optimum`."""
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     # the blocks come in ascending dimension, so the coefficients do too
     dims = [b.shape[1] for b in d3_qubit_blocks(num_spins)]
     optimum = finite_group_optimum(dims, group.order)

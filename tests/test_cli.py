@@ -24,6 +24,7 @@ from spindir.cli import (
     write_record,
 )
 from spindir.harness import STREAM, RunConfig, run_experiment
+from spindir.optimize import ChiDensity
 from spindir.povm import Povm
 from spindir.protocols import ProtocolSpec
 
@@ -78,6 +79,18 @@ def test_import_loads_no_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
 
 
+def pdf_cos_one_power_too_high(self, u):
+    # the coherent density with exponent 2j + 1 in place of 2j
+    tj = self.code.j_max.twice_j
+    return (tj + 1.0) / 2.0 * ((1.0 + np.asarray(u, dtype=float)) / 2.0) ** (tj + 1)
+
+
+def quantile_cos_wrong_root(self, p):
+    # the coherent inverse CDF with root 1/(2j + 2) in place of 1/(2j + 1)
+    tj = self.code.j_max.twice_j
+    return 2.0 * np.asarray(p, dtype=float) ** (1.0 / (tj + 2)) - 1.0
+
+
 class TestValidate:
     def test_all_checks_pass(self, capsys):
         code, out, err = run(capsys, "validate")
@@ -108,6 +121,20 @@ class TestValidate:
         assert code == 1
         assert any(
             l.startswith("FAIL") and "sampled direction POVM" in l
+            for l in out.splitlines()
+        )
+        assert "1 of 7 checks failed" in err
+
+    @pytest.mark.parametrize("method, mutant", [
+        ("pdf_cos", pdf_cos_one_power_too_high),
+        ("quantile_cos", quantile_cos_wrong_root),
+    ])
+    def test_chi_law_mutant_fails(self, capsys, monkeypatch, method, mutant):
+        monkeypatch.setattr(ChiDensity, method, mutant)
+        code, out, err = run(capsys, "validate")
+        assert code == 1
+        assert any(
+            l.startswith("FAIL") and "coherent chi law" in l
             for l in out.splitlines()
         )
         assert "1 of 7 checks failed" in err

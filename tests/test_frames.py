@@ -315,7 +315,25 @@ def test_naive_estimate_nan_z_z_gives_nan_theta():
     for zz in (math.nan, -math.nan):
         out = naive_euler_estimate((0.6, 0.8, zz), (0.8, -0.6, 0.0))
         assert math.isnan(out.theta)
-        assert out.psi == math.atan2(0.6, 0.8)
+        assert math.isnan(out.psi)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("axis, component", [("z", 0), ("z", 1), ("z", 2), ("x", 0), ("x", 2)])
+def test_naive_estimate_non_finite_component_gives_nan_angles(axis, component, bad):
+    # each component the decoder reads: an infinite one must not yield a
+    # plausible frame, nor a NaN x_x slip past the quadrant rule
+    axes = {"z": [0.6, 0.8, 0.0], "x": [0.8, -0.6, 0.0]}
+    axes[axis][component] = bad
+    out = naive_euler_estimate(axes["z"], axes["x"])
+    assert all(math.isnan(a) for a in out[:3])
+    assert out.failed is False
+
+
+def test_naive_estimate_does_not_read_x_y():
+    for bad in (math.inf, math.nan):
+        assert naive_euler_estimate((0.6, 0.8, 0.0), (0.8, bad, 0.0)) == \
+            naive_euler_estimate((0.6, 0.8, 0.0), (0.8, -0.6, 0.0))
 
 
 def _zx(phi: float) -> tuple[np.ndarray, np.ndarray]:

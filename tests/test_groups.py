@@ -22,41 +22,38 @@ from spindir.povm import covariant_povm_finite, validate_povm
 from spindir.protocols import _d3_family
 from spindir.states import SpinJ
 
-GROUP, CHARACTERS = dihedral_d3()
+GROUP = dihedral_d3()
+
+# reference data for D3 in direction order: TABLE[g][h] is the element g h,
+# CLASSES its conjugacy classes, and CHARACTERS, by (irrep, class), the
+# characters of A1, A2 and E, whose first column is each irrep's dimension
+TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 5, 4, 0, 2, 1],
+    [4, 3, 5, 1, 0, 2],
+    [5, 4, 3, 2, 1, 0],
+]
+CLASSES = ((0,), (1, 2), (3, 4, 5))
+CHARACTERS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]])
 
 
 def test_d3_structure():
-    GROUP.validate()
-    assert GROUP.mult_table.tolist() == [
-        [0, 1, 2, 3, 4, 5],
-        [1, 2, 0, 4, 5, 3],
-        [2, 0, 1, 5, 3, 4],
-        [3, 5, 4, 0, 2, 1],
-        [4, 3, 5, 1, 0, 2],
-        [5, 4, 3, 2, 1, 0],
-    ]
     assert GROUP.order == 6
-    assert tuple(tuple(sorted(cl)) for cl in GROUP.classes) == ((0,), (1, 2), (3, 4, 5))
-    assert GROUP.inverse[0] == 0
-    # the two turns invert each other, flips are involutions
-    assert GROUP.inverse[1] == 2 and GROUP.inverse[2] == 1
-    assert GROUP.inverse[3] == 3 and GROUP.inverse[4] == 4 and GROUP.inverse[5] == 5
-
-
-def test_d3_character_table():
-    np.testing.assert_array_equal(
-        CHARACTERS,
-        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [2.0, -1.0, 0.0]]),
-    )
-    # the identity column holds the irrep dimensions
-    assert CHARACTERS[:, 0].tolist() == [1.0, 1.0, 2.0]
-    assert not CHARACTERS.flags.writeable
-
-
-def test_character_orthogonality():
-    sizes = np.array([len(cl) for cl in GROUP.classes], dtype=float)
-    gram = (CHARACTERS * sizes) @ CHARACTERS.T / GROUP.order
-    np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
+    # the inverse of g is the column holding the identity in row g: the two
+    # turns invert each other, flips are involutions
+    inverse = [row.index(0) for row in TABLE]
+    assert inverse == [0, 2, 1, 3, 4, 5]
+    # the class of g is {h g h^-1}, from the table and from the rotations
+    classes = {tuple(sorted({TABLE[TABLE[h][g]][inverse[h]] for h in range(6)})) for g in range(6)}
+    assert sorted(classes) == sorted(CLASSES)
+    mats = GROUP.rotations
+    for cl in CLASSES:
+        for g in cl:
+            conjugates = mats @ mats[g] @ mats.transpose(0, 2, 1)  # h g h^T, one per h
+            matches = np.abs(conjugates[:, None] - mats).max(axis=(-2, -1)) < 1e-12
+            assert set(np.nonzero(matches)[1].tolist()) == set(cl)
 
 
 def vector_characters():
@@ -77,7 +74,7 @@ def test_su2_lift_is_projective():
     for g in range(6):
         for h in range(6):
             prod = us[g] @ us[h]
-            target = us[GROUP.mult_table[g, h]]
+            target = us[TABLE[g][h]]
             dev = min(
                 np.max(np.abs(prod - target)), np.max(np.abs(prod + target))
             )
@@ -89,7 +86,7 @@ def test_rotations_follow_table_exactly():
         for h in range(6):
             prod = GROUP.rotations[g] @ GROUP.rotations[h]
             np.testing.assert_allclose(
-                prod, GROUP.rotations[GROUP.mult_table[g, h]], atol=1e-12
+                prod, GROUP.rotations[TABLE[g][h]], atol=1e-12
             )
 
 
@@ -199,7 +196,7 @@ def test_block_multiplicities_match_characters():
     # E, in that order: each irrep exactly once (Schur orthogonality)
     rep = lift_to_qubits(GROUP, 2)
     per_element = np.zeros((3, GROUP.order))
-    for ci, cl in enumerate(GROUP.classes):
+    for ci, cl in enumerate(CLASSES):
         per_element[:, list(cl)] = CHARACTERS[:, [ci]]
     hits = [
         i
@@ -244,36 +241,27 @@ def test_scaled_block_breaks_completeness():
     assert not validate_povm(povm).passed
 
 
-def test_rotations_derive_table_inverses_and_classes():
+def test_rotations_and_lifts_derive_from_the_quaternions():
     group = FiniteGroup(GROUP.element_rotations)
-    np.testing.assert_array_equal(group.mult_table, GROUP.mult_table)
-    assert not group.mult_table.flags.writeable
     assert group.order == 6
-    assert group.inverse == GROUP.inverse == (0, 2, 1, 3, 4, 5)
-    # oracle from the matrices alone: the class of g is {h g h^T} matched
-    # back to the six rotations, identity class first, then ascending by size
-    mats = group.rotations
-    oracle = set()
-    for g in mats:
-        oracle.add(tuple(sorted({
-            next(k for k, m in enumerate(mats) if np.allclose(h @ g @ h.T, m, atol=1e-12))
-            for h in mats
-        })))
-    assert group.classes == tuple(sorted(oracle, key=lambda cl: (0 not in cl, len(cl))))
-    group.validate()
+    for name in ("element_rotations", "rotations", "su2"):
+        np.testing.assert_array_equal(getattr(group, name), getattr(GROUP, name))
+        assert not getattr(group, name).flags.writeable
 
 
 def test_dihedral_d3_is_built_once_with_a_read_only_table():
     assert dihedral_d3() is dihedral_d3()
-    with pytest.raises(ValueError, match="read-only"):
-        GROUP.mult_table[0, 0] = 1
+    for table in (GROUP.rotations, GROUP.su2):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1
 
 
 def test_validate_requires_the_identity_first():
+    # the swapped set is still closed under products; construction refuses it
     rotations = list(GROUP.element_rotations)
     rotations[0], rotations[1] = rotations[1], rotations[0]
     with pytest.raises(ValueError, match="element 0 is not the identity"):
-        FiniteGroup(tuple(rotations)).validate()
+        FiniteGroup(tuple(rotations))
 
 
 def test_validate_checks_rotation_consistency():
@@ -290,22 +278,3 @@ def test_table_refuses_a_rotation_set_not_closed_under_products():
     rotations = np.delete(GROUP.element_rotations, 2, axis=0)
     with pytest.raises(ValueError, match="not closed under products"):
         FiniteGroup(rotations)
-
-
-def test_validate_refuses_a_non_associative_loop():
-    # an order-5 loop: identity 0, every element its own inverse, each row and
-    # column a permutation, yet (1 1) 2 = 0 2 = 2 while 1 (1 2) = 1 3 = 4
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    # the order-5 z-turns give the order; the loop replaces their derived fields
-    group = FiniteGroup([(math.cos(math.pi * k / 5.0), 0.0, 0.0, math.sin(math.pi * k / 5.0))
-                         for k in range(5)])
-    object.__setattr__(group, "mult_table", np.array(table))
-    object.__setattr__(group, "inverse", (0, 1, 2, 3, 4))
-    with pytest.raises(ValueError, match="not associative"):
-        group.validate()

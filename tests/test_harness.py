@@ -504,7 +504,7 @@ class TestCoherentLocalFrame:
 
     @pytest.mark.parametrize("t", range(6))
     def test_rotation_sends_direction_zero_to_t_and_permutes_the_six(self, t):
-        group, _ = dihedral_d3()
+        group = dihedral_d3()
         r = group.rotations[t]
         assert np.allclose(r @ self.units[0], self.units[t], rtol=0.0, atol=1e-12)
         images = self.units @ r.T
@@ -516,7 +516,7 @@ class TestCoherentLocalFrame:
     def test_group_carries_the_direction_zero_decision_to_t(self, t):
         # element t applied to a tilt of direction 0 is nearest t exactly
         # where that tilt is a hit
-        group, _ = dihedral_d3()
+        group = dihedral_d3()
         r = group.rotations[t]
         cos_chi, azimuth = self.grid()
         est0 = _tilt(self.units[0], self.t1, self.t2, cos_chi, azimuth)
@@ -536,7 +536,7 @@ class TestCoherentLocalFrame:
     def test_decision_matches_the_tilt_and_argmax(self, t):
         # direction t tilted as a 3-vector, in the tangent pair that element
         # t carries from direction 0
-        group, _ = dihedral_d3()
+        group = dihedral_d3()
         r = group.rotations[t]
         cos_chi, azimuth = self.grid()
         est = _tilt(self.units[t], r @ self.t1, r @ self.t2, cos_chi, azimuth)

@@ -85,7 +85,7 @@ def test_two_spin_singlet_fixture():
 
 def test_lift_rotation_acts_per_qubit():
     # the runtime lift of each D3 element is its SU(2) matrix on every qubit
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     rng = np.random.default_rng(8)
     singles = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
     singles = [s / np.linalg.norm(s) for s in singles]
@@ -97,7 +97,7 @@ def test_lift_rotation_acts_per_qubit():
 
 
 def test_lift_rotation_commutes_with_projectors():
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     for lifted in lift_to_qubits(group, 3):
         for j in attainable_spins(3):
             p = total_j_projector(3, j)

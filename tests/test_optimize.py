@@ -25,7 +25,7 @@ from spindir.optimize import (
 )
 from spindir.states import SpinJ
 
-GROUP, _ = dihedral_d3()
+GROUP = dihedral_d3()
 
 
 def block_dims(num_spins):

@@ -110,7 +110,7 @@ def test_outcome_probability_dimension_mismatch():
 
 
 def test_covariant_povm_finite_six_rank_one_elements():
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0] / math.sqrt(3.0)
     povm = covariant_povm_finite(group.su2, fid)
     assert povm.operators.shape == (6, 2, 2)
@@ -127,7 +127,7 @@ def test_covariant_povm_finite_rejects_mismatched_unitaries():
 
 
 def test_covariant_povm_wrong_norm_fails_validation():
-    group, _ = dihedral_d3()
+    group = dihedral_d3()
     fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0]  # unit norm, not 1/sqrt(3)
     povm = covariant_povm_finite(group.su2, fid)
     assert not validate_povm(povm).passed

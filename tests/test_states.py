@@ -37,7 +37,7 @@ ARRAY_RECORDS = {
     "Frame": lambda: Frame(z_axis=np.array([0.0, 0.0, 1.0]),
                            x_axis=np.array([1.0, 0.0, 0.0])),
     "SphereQuadrature": lambda: sphere_quadrature(3, 4),
-    "FiniteGroup": lambda: FiniteGroup(dihedral_d3()[0].element_rotations),
+    "FiniteGroup": lambda: FiniteGroup(dihedral_d3().element_rotations),
     "EulerAngles": lambda: EulerAngles(phi=np.array([0.1, 0.2]), theta=np.array([1.0, 2.0]),
                                        psi=np.zeros(2)),
 }
