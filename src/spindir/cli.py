@@ -21,7 +21,14 @@ import numpy as np
 
 from .geometry import sphere_quadrature
 from .groups import dihedral_d3
-from .harness import STREAM, RunConfig, RunResult, reference_score, run_experiment
+from .harness import (
+    STREAM,
+    VOTE_REFERENCE_MAX_SHOTS,
+    RunConfig,
+    RunResult,
+    reference_score,
+    run_experiment,
+)
 from .multispin import attainable_spins, total_j_projector
 from .optimize import chi_density, coherent_code, gauss_legendre, optimal_direction_encoding
 from .povm import covariant_direction_povm, validate_povm
@@ -443,6 +450,8 @@ def cmd_simulate(config_path, **flags):
     ref = reference_score(config)
     if ref is not None:
         line += f" ({ref.method} reference {ref.fidelity:.6f})"
+    elif p.kind == "d3-repeated":
+        line += f" (no exact reference above N={VOTE_REFERENCE_MAX_SHOTS})"
     click.echo(line)
     if "per_axis" in est:
         expected = frame_two_axis_score(

@@ -45,11 +45,57 @@ def _wrap_pi(a):
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b with np.cross's arithmetic, without its set-up cost."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+# components k + 1 and k + 2 (mod 3) at k and k + 1: the factors of a x b's
+# component k
+_NEXT = np.array([1, 2, 0, 1])
+# the rows zz, xx and zx of Frame's (zz, zx, xz, xx) products
+_CHECKED = np.array([0, 3, 1])
+
+
+def _cross(c: np.ndarray) -> np.ndarray:
+    """The (3, ...) columns of a x b from the stacked (2, 3, ...) columns of
+    a and b, with np.cross's arithmetic a[k+1] b[k+2] - a[k+2] b[k+1],
+    without its set-up cost."""
+    c = c.take(_NEXT, axis=1)
+    out = c[0, :3] * c[1, 1:]
+    out -= np.multiply(c[0, 1:], c[1, :3], out=c[0, 1:])  # over the copy's a[k+2]
+    return out
+
+
+def _check_axes(c: np.ndarray):
+    """Frame's check of the stacked (2, 3, n) columns c of z and x: raises
+    ValueError naming the first failing check, at the first row that fails
+    it, unless |z| = |x| = 1 and z.x = 0 within ORTHO_TOL on every row."""
+    products = np.einsum("ajk,bjk->abk", c, c).reshape(4, -1)  # zz, zx, xz, xx
+    # one row per check, in the order the checks are reported:
+    # |sqrt(zz) - 1|, |sqrt(xx) - 1| and |zx|
+    misfit = products.take(_CHECKED, axis=0)
+    np.sqrt(misfit[:2], out=misfit[:2])
+    misfit[:2] -= 1.0
+    np.abs(misfit, out=misfit)
+    # written as not-within so that a NaN value fails its check: the
+    # maximum carries it
+    if not np.maximum.reduce(misfit, axis=None, initial=0.0) <= ORTHO_TOL:
+        zz, zx, _, xx = products
+        values = np.array((np.sqrt(zz), np.sqrt(xx), np.abs(zx)))
+        bad = ~(np.abs(values - _TARGETS) <= ORTHO_TOL)
+        check = int(np.argmax(bad.any(axis=1)))
+        value = float(values[check, np.argmax(bad[check])])
+        raise ValueError(_FAILURES[check].format(value))
+
+
+def _normalise(pair: np.ndarray) -> np.ndarray:
+    """The stacked (2, 3, ...) columns of two vectors, or of two stacks,
+    scaled to unit length row by row, in place."""
+    pair /= np.sqrt(np.vecdot(pair, pair, axis=1))[:, None]
+    return pair
+
+
+def _sum_and_difference(pair: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(a + b, a - b) of the stacked columns pair = (a, b), written to out."""
+    np.add(pair[0], pair[1], out=out[0])
+    np.subtract(pair[0], pair[1], out=out[1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +111,17 @@ class EulerAngles:
     psi: float | np.ndarray
 
     def __post_init__(self):
-        if not all(np.isfinite(a).all() for a in (self.phi, self.theta, self.psi)):
-            raise ValueError("Euler angles must be finite")
-        if not np.all((self.theta >= 0.0) & (self.theta <= math.pi)):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        phi, theta, psi = self.phi, self.theta, self.psi
+        # min and max carry a NaN, so a theta within [0, pi] is also finite
+        if not (
+            np.isfinite(phi).all()
+            and np.isfinite(psi).all()
+            and np.minimum.reduce(theta, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(theta, axis=None, initial=0.0) <= math.pi
+        ):
+            if not all(np.isfinite(a).all() for a in (phi, theta, psi)):
+                raise ValueError("Euler angles must be finite")
+            raise ValueError(f"theta must lie in [0, pi], got {theta}")
         object.__setattr__(self, "phi", _wrap_pi(self.phi))
         object.__setattr__(self, "psi", _wrap_pi(self.psi))
 
@@ -95,18 +148,8 @@ class Frame:
         # (axis, component, frame) columns: numpy's per-row dot over three
         # components is its slow path
         c = np.array((z.T, x.T)).reshape(2, 3, -1)
-        zz, zx, _, xx = np.einsum("ajk,bjk->abk", c, c).reshape(4, -1)
-        # one row per check, in the order the checks are reported
-        values = np.array((np.sqrt(zz), np.sqrt(xx), np.abs(zx)))
-        # written as not-within so that a NaN value fails its check
-        within = np.abs(values - _TARGETS) <= ORTHO_TOL
-        if not within.all():
-            # the first failing check, at the first row that fails it
-            bad = ~within
-            check = int(np.argmax(bad.any(axis=1)))
-            value = float(values[check, np.argmax(bad[check])])
-            raise ValueError(_FAILURES[check].format(value))
-        object.__setattr__(self, "y_axis", _cross(z, x))
+        _check_axes(c)
+        object.__setattr__(self, "y_axis", _cross(c).T.reshape(z.shape))
 
 
 def euler_to_axes(euler: EulerAngles) -> Frame:
@@ -141,13 +184,17 @@ def axes_to_euler(frame: Frame) -> EulerAngles:
     z0, z1, z2 = frame.z_axis.T
     x0, x1, x2 = frame.x_axis.T
     y2 = frame.y_axis.T[2]
-    theta = np.arccos(np.clip(z2, -1.0, 1.0))
+    theta = np.arccos(np.minimum(np.maximum(z2, -1.0), 1.0))  # np.clip's values
     pole = np.sin(theta) < GIMBAL_SIN_TOL
     # off the poles: psi from the z column; the third-row identities
     # x_z = sin(theta)sin(phi), y_z = -sin(theta)cos(phi) give phi.
     # At a pole x = (cos(psi +/- phi), -sin(psi +/- phi), 0); fold into psi.
-    psi = np.arctan2(np.where(pole, -x1, z0), np.where(pole, x0, z1))
-    phi = np.arctan2(np.where(pole, 0.0, x2), np.where(pole, 1.0, -y2))
+    if pole.any():
+        psi = np.arctan2(np.where(pole, -x1, z0), np.where(pole, x0, z1))
+        phi = np.arctan2(np.where(pole, 0.0, x2), np.where(pole, 1.0, -y2))
+    else:
+        psi = np.arctan2(z0, z1)
+        phi = np.arctan2(x2, -y2)
     return EulerAngles(phi=phi, theta=theta, psi=psi)
 
 
@@ -214,16 +261,18 @@ def best_fit_frame(z_est, x_est) -> tuple[Frame, EulerAngles]:
     neither is trusted more).  Raises ValueError if any pair is
     (anti)parallel.
     """
-    u = unit_rows(np.asarray(z_est, dtype=float))
-    v = unit_rows(np.asarray(x_est, dtype=float))
-    cross = _cross(u, v)
-    cn = np.sqrt(np.vecdot(cross, cross))
-    if (cn < DEGENERATE_CROSS_TOL).any():
+    # worked on stacked (2, 3, n) component columns, in two buffers: u, v =
+    # the unit estimates, then b, t = the unit u + v and u - v, then the
+    # fit's z, x = (b + t)/sqrt2, (b - t)/sqrt2 over u, v.  Only the axes
+    # stay alive through the Frame check: a full batch's heap peak decides
+    # how many pages it faults
+    uv = _normalise(np.array((np.transpose(z_est), np.transpose(x_est)), dtype=float))
+    cross = _cross(uv)
+    if (np.sqrt(np.vecdot(cross, cross, axis=0)) < DEGENERATE_CROSS_TOL).any():
         raise ValueError("z and x estimates are (anti)parallel; no plane is defined")
-    b = unit_rows(u + v)
-    t = unit_rows(u - v)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    frame = Frame(z_axis=(b + t) * inv_sqrt2, x_axis=(b - t) * inv_sqrt2)
+    axes = _sum_and_difference(_normalise(_sum_and_difference(uv, np.empty_like(uv))), uv)
+    axes *= 1.0 / math.sqrt(2.0)
+    frame = Frame(z_axis=axes[0].T, x_axis=axes[1].T)
     return frame, axes_to_euler(frame)
 
 
@@ -232,8 +281,13 @@ def frame_infidelity(true: Frame, est: Frame):
 
     A float for one frame pair, an (n,) array for stacks of n.
     """
-    total = 0.0
-    for name in ("x_axis", "y_axis", "z_axis"):
-        c = np.vecdot(getattr(true, name), getattr(est, name))
-        total += 0.5 * (1.0 - np.minimum(1.0, np.maximum(-1.0, c)))
+    dots = np.empty((3,) + true.z_axis.shape[:-1])
+    for i, name in enumerate(("x_axis", "y_axis", "z_axis")):
+        np.vecdot(getattr(true, name), getattr(est, name), out=dots[i, ...])
+    np.maximum(dots, -1.0, out=dots)
+    np.minimum(dots, 1.0, out=dots)
+    np.subtract(1.0, dots, out=dots)
+    dots *= 0.5
+    total = dots[0] + dots[1]
+    total += dots[2]
     return total

@@ -41,6 +41,9 @@ from .spins import SpinJ
 from .states import is_integer
 
 BATCH_TRIALS = 8192  # with CHI_GRID_POINTS (from optimize), a run's sampling settings
+# the largest d3-repeated vote reference_score computes exactly; one exact
+# reference took 0.64 s at n = 128 (lowest-index rule) and 35 s at n = 600
+VOTE_REFERENCE_MAX_SHOTS = 128
 # the batch stream, as result records name it
 STREAM = "PCG64 of SeedSequence(seed) child batch"
 _UINT64_SPAN = 2 ** 64
@@ -166,8 +169,9 @@ class _Accumulator:
 
     def add(self, values: np.ndarray):
         v = np.asarray(values, dtype=float)
-        self.sums.append(float(np.sum(v)))
-        self.sumsqs.append(float(np.sum(v * v)))
+        # np.sum's pairwise sums, without its dispatch
+        self.sums.append(float(np.add.reduce(v, axis=None)))
+        self.sumsqs.append(float(np.add.reduce(v * v, axis=None)))
         self.count += v.size
 
     def add_hits(self, hits: np.ndarray):
@@ -343,8 +347,11 @@ def _run_frame(config: RunConfig) -> tuple[dict, dict]:
             _batch_rng(config.seed, b), take, proto.chi, spec.decoder
         )
         total.add(scores)
-        axis_z.add(0.5 * (1.0 - cos_z))
-        axis_x.add(0.5 * (1.0 - cos_x))
+        for acc, cos_chi in ((axis_z, cos_z), (axis_x, cos_x)):
+            # 0.5 * (1 - cos chi) in place: the draws are not read again
+            np.subtract(1.0, cos_chi, out=cos_chi)
+            cos_chi *= 0.5
+            acc.add(cos_chi)
         failures += failed
     infidelity = total.mean()
     estimates = {
@@ -376,11 +383,15 @@ def run_experiment(config: RunConfig) -> RunResult:
 def reference_score(config: RunConfig) -> ProtocolScore | None:
     """The deterministic (exact or quadrature) score for the configured
     protocol, when one exists.  None for frame runs, whose full-frame score
-    is only defined by sampling."""
+    is only defined by sampling, and for votes of more than
+    VOTE_REFERENCE_MAX_SHOTS shots, whose exact score would take longer than
+    the run (d3_repeated_single_score itself takes any n)."""
     spec = config.protocol
     if spec.kind in ("d3-single", "d3-covariant"):
         return d3_covariant_score(spec.num_spins)
     if spec.kind == "d3-repeated":
+        if spec.num_spins > VOTE_REFERENCE_MAX_SHOTS:
+            return None
         return d3_repeated_single_score(spec.num_spins, tie_break=spec.tie_break)
     if spec.kind == "d3-coherent":
         return d3_coherent_score(spec.num_spins)

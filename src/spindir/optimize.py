@@ -163,6 +163,17 @@ def coherent_code(j: SpinJ) -> DirectionCode:
 CHI_GRID_POINTS = 2048  # points of the even cos(chi) grid that quantile_cos inverts m0 codes on
 
 
+@lru_cache(maxsize=2)
+def _even_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point even grid on [-1, 1] (linspace) and its n - 1 steps
+    (diff), read-only: every density's cumulative_in_cos(n) shares them."""
+    u = np.linspace(-1.0, 1.0, n)
+    steps = np.diff(u)
+    u.flags.writeable = False
+    steps.flags.writeable = False
+    return u, steps
+
+
 @dataclass(frozen=True, eq=False)
 class ChiDensity:
     """Distribution of the angle chi between true and estimated directions for
@@ -172,6 +183,9 @@ class ChiDensity:
     code: DirectionCode
 
     def amplitude(self, u) -> np.ndarray:
+        """The kernel sum at u = cos chi, a float or a 1-D array.  An m0
+        code runs numpy's legvander recurrence, its `+ 0.0` included, into
+        one C-contiguous (j_top + 1, n) array of P_j(u)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         code = self.code
         if code.carrier == "coherent":
@@ -179,7 +193,18 @@ class ChiDensity:
             k = ((1.0 + u) / 2.0) ** (tj / 2.0)
             return math.sqrt((tj + 1.0) / (4.0 * math.pi)) * code.amplitudes[0] * k
         j_top = code.j_max.twice_j // 2
-        rows = np.polynomial.legendre.legvander(u, j_top).T
+        x = u + 0.0  # -0.0 reads as +0.0
+        rows = np.empty((j_top + 1, x.size))
+        np.multiply(x, 0, out=rows[0])
+        rows[0] += 1  # x * 0 + 1: NaN where x is not finite
+        if j_top > 0:
+            rows[1] = x
+            tmp = np.empty_like(x)
+            for i in range(2, j_top + 1):
+                row = np.multiply(rows[i - 1], x, out=rows[i])
+                row *= 2 * i - 1
+                row -= np.multiply(rows[i - 2], i - 1, out=tmp)
+                row /= i
         scale = np.sqrt((2.0 * np.arange(j_top + 1) + 1.0) / (4.0 * math.pi))
         return (code.amplitudes * scale) @ rows
 
@@ -196,7 +221,9 @@ class ChiDensity:
     def pdf_cos(self, u) -> np.ndarray:
         """Density in u = cos chi on [-1, 1]."""
         g = self.amplitude(u)
-        return 2.0 * math.pi * g * g
+        p = g * TWO_PI
+        p *= g
+        return p
 
     @cached_property
     def gauss_rule(self) -> tuple:
@@ -209,13 +236,23 @@ class ChiDensity:
     def expected_fidelity(self) -> float:
         """<cos^2(chi/2)> = (1 + <cos chi>)/2 under this density."""
         x, w = self.gauss_rule
-        return float(np.sum(w * self.pdf_cos(x) * (1.0 + x) / 2.0))
+        p = self.pdf_cos(x)
+        p *= w
+        p *= 1.0 + x
+        p /= 2.0
+        return float(np.add.reduce(p))
 
     def cumulative_in_cos(self, n: int) -> tuple:
-        """(u grid, CDF values) on n points even in cos chi, trapezoid cumulative."""
-        u = np.linspace(-1.0, 1.0, n)
+        """(u grid, CDF values) on n points even in cos chi, trapezoid
+        cumulative.  The grid is _even_grid's shared read-only one."""
+        u, steps = _even_grid(n)
         p = self.pdf_cos(u)
-        cdf = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(u))))
+        cdf = np.empty(n)
+        cdf[0] = 0.0
+        area = np.add(p[1:], p[:-1], out=cdf[1:])
+        area *= 0.5
+        area *= steps
+        np.cumsum(area, out=area)
         cdf /= cdf[-1]
         return u, cdf
 

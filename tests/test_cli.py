@@ -23,7 +23,7 @@ from spindir.cli import (
     record_to_json,
     write_record,
 )
-from spindir.harness import STREAM, RunConfig, run_experiment
+from spindir.harness import STREAM, VOTE_REFERENCE_MAX_SHOTS, RunConfig, run_experiment
 from spindir.optimize import ChiDensity
 from spindir.povm import Povm
 from spindir.protocols import ProtocolSpec
@@ -524,6 +524,16 @@ class TestSimulate:
             "5",
         )
         assert "exact reference 0.550564" in out
+
+    def test_vote_above_the_reference_cap_says_so(self, capsys, tmp_path):
+        # 600 shots: the exact reference would take about half a minute
+        _, out = simulate_record(
+            capsys, tmp_path, "vote600.json",
+            "--kind", "d3-repeated", "--num-spins", "600", "--trials", "200", "--seed", "7",
+        )
+        line = out.splitlines()[0]
+        assert line.endswith(f"(no exact reference above N={VOTE_REFERENCE_MAX_SHOTS})")
+        assert "exact reference 0" not in out
 
     def test_frame_naive_prints_clamp_count(self, capsys, tmp_path):
         _, out = simulate_record(

@@ -8,10 +8,10 @@ from spin_fixtures import assert_same_bits, axes_matrix, unit_vector
 
 from spindir.frames import (
     GIMBAL_SIN_TOL,
+    ORTHO_TOL,
     EulerAngles,
     Frame,
     NaiveEstimate,
-    _cross,
     _wrap_pi,
     axes_to_euler,
     best_fit_frame,
@@ -82,11 +82,11 @@ def test_frame_y_is_z_cross_x():
     # y is derived, so it is right-handed: a flipped z flips y with it
     eye = np.eye(3)
     flipped = Frame(z_axis=-eye[2], x_axis=eye[0])
-    assert_same_bits(flipped.y_axis, _cross(-eye[2], eye[0]))
+    assert_same_bits(flipped.y_axis, np.cross(-eye[2], eye[0]))
     np.testing.assert_array_equal(flipped.y_axis, -eye[1])
     z, x = _frame_stack(64)
     stack = Frame(z_axis=z, x_axis=x)
-    assert_same_bits(stack.y_axis, _cross(z, x))
+    assert_same_bits(stack.y_axis, np.cross(z, x))
     for i in (0, 17, 63):
         assert_same_bits(Frame(z_axis=z[i], x_axis=x[i]).y_axis, stack.y_axis[i])
 
@@ -159,6 +159,131 @@ def test_each_frame_check_names_its_first_failing_row(check, n):
         assert math.isnan(got)
     else:
         assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+def _reference_frame_failure(z, x) -> str | None:
+    """The message of the first failing Frame check, computed as the check
+    did before it took the misfits' maximum first; None when all pass."""
+    c = np.array((z.T, x.T)).reshape(2, 3, -1)
+    zz, zx, _, xx = np.einsum("ajk,bjk->abk", c, c).reshape(4, -1)
+    values = np.array((np.sqrt(zz), np.sqrt(xx), np.abs(zx)))
+    within = np.abs(values - np.array([[1.0], [1.0], [0.0]])) <= ORTHO_TOL
+    if within.all():
+        return None
+    bad = ~within
+    check = int(np.argmax(bad.any(axis=1)))
+    value = float(values[check, np.argmax(bad[check])])
+    return (
+        "z_axis must be unit length, |v| = {}",
+        "x_axis must be unit length, |v| = {}",
+        "axes not orthogonal: |z.x| = {}",
+    )[check].format(value)
+
+
+# one row's fault: (axis, faulty axis); the last two stay within ORTHO_TOL
+_ROW_FAULTS = [
+    (0, np.array([0.0, 0.0, 1.0 + 3e-10])),
+    (1, np.array([1.0 - 3e-10, 0.0, 0.0])),
+    (1, np.array([math.cos(3e-10), 0.0, math.sin(3e-10)])),
+    (0, np.array([0.0, math.nan, 1.0])),
+    (1, np.array([math.inf, 0.0, 0.0])),
+    (1, np.array([-math.inf, 0.0, 0.0])),
+    (0, np.array([0.0, 0.0, 1.0 + 5e-11])),
+    (1, np.array([math.cos(5e-11), 0.0, math.sin(5e-11)])),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 128, 1000])
+@pytest.mark.parametrize("fault", range(len(_ROW_FAULTS)))
+def test_frame_with_one_bad_row_fails_as_the_reference(fault, n):
+    # the fault in the first, a middle or the last row of valid frames
+    axis, bad = _ROW_FAULTS[fault]
+    eye = np.eye(3)
+    for row in sorted({0, n // 2, n - 1}):
+        axes = _frame_stack(n) if n > 1 else [eye[2].copy(), eye[0].copy()]
+        if n > 1:
+            axes[0][row], axes[1][row] = eye[2], eye[0]
+            axes[axis][row] = bad
+        else:
+            axes[axis] = bad
+        want = _reference_frame_failure(axes[0], axes[1])
+        if want is None:
+            assert Frame(z_axis=axes[0], x_axis=axes[1]).y_axis.shape == axes[0].shape
+        else:
+            with pytest.raises(ValueError) as err:
+                Frame(z_axis=axes[0], x_axis=axes[1])
+            assert str(err.value) == want
+
+
+@pytest.mark.parametrize("n", [1, 128])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("phi", math.nan, "Euler angles must be finite"),
+        ("psi", math.inf, "Euler angles must be finite"),
+        ("theta", math.nan, "Euler angles must be finite"),
+        ("theta", -math.inf, "Euler angles must be finite"),
+        ("theta", -5e-324, "theta must lie in"),
+        ("theta", math.nextafter(math.pi, 4.0), "theta must lie in"),
+        ("theta", 7.0, "theta must lie in"),
+    ],
+)
+def test_euler_stack_refuses_a_bad_last_row(name, value, message, n):
+    angles = {
+        "phi": np.linspace(-3.0, 3.0, n),
+        "theta": np.linspace(0.0, math.pi, n),
+        "psi": np.linspace(3.0, -3.0, n),
+    }
+    EulerAngles(**angles)  # -0.0 and pi are within [0, pi]
+    angles[name][-1] = value
+    want = message if message.endswith("finite") else f"theta must lie in [0, pi], got {angles['theta']}"
+    with pytest.raises(ValueError) as err:
+        EulerAngles(**angles)
+    assert str(err.value) == want
+
+
+def test_euler_checks_keep_their_order_and_take_large_finite_angles():
+    # a non-finite phi is reported before a theta out of range
+    with pytest.raises(ValueError, match="finite"):
+        EulerAngles(phi=np.array([0.0, math.nan]), theta=np.array([-1.0, 1.0]), psi=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        EulerAngles(phi=0.0, theta=math.nan, psi=0.0)
+    big = EulerAngles(phi=np.array([1e308, -1e308]), theta=np.array([-0.0, math.pi]), psi=np.zeros(2))
+    assert np.all(np.abs(big.phi) <= math.pi)
+    assert EulerAngles(phi=np.empty(0), theta=np.empty(0), psi=np.empty(0)).phi.shape == (0,)
+
+
+def _where_axes_to_euler(frame: Frame) -> tuple:
+    """(phi, theta, psi) as axes_to_euler took them with np.where on every
+    row and np.clip: the reference for its pole-free branch."""
+    z0, z1, z2 = frame.z_axis.T
+    x0, x1, x2 = frame.x_axis.T
+    y2 = frame.y_axis.T[2]
+    theta = np.arccos(np.clip(z2, -1.0, 1.0))
+    pole = np.sin(theta) < GIMBAL_SIN_TOL
+    psi = np.arctan2(np.where(pole, -x1, z0), np.where(pole, x0, z1))
+    phi = np.arctan2(np.where(pole, 0.0, x2), np.where(pole, 1.0, -y2))
+    return _wrap_pi(phi), theta, _wrap_pi(psi)
+
+
+@pytest.mark.parametrize("poles", ["none", "one", "all"])
+@pytest.mark.parametrize("n", [1, 7, 128])
+def test_axes_to_euler_matches_the_where_reference(poles, n):
+    rng = np.random.default_rng(n)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, n))
+    if poles == "one":
+        theta[n // 2] = 0.0 if n % 2 else math.pi
+    elif poles == "all":
+        theta[:] = np.where(np.arange(n) % 2, 0.0, math.pi)
+        theta[0] = 1e-10  # inside GIMBAL_SIN_TOL of the pole
+    angles = EulerAngles(phi=rng.uniform(-3.0, 3.0, n), theta=theta, psi=rng.uniform(-3.0, 3.0, n))
+    frame = euler_to_axes(angles)
+    got = axes_to_euler(frame)
+    for a, b in zip((got.phi, got.theta, got.psi), _where_axes_to_euler(frame)):
+        assert_same_bits(a, b)
+    one = Frame(z_axis=frame.z_axis[0], x_axis=frame.x_axis[0])
+    for a, b in zip(axes_to_euler(one).__dict__.values(), _where_axes_to_euler(one)):
+        assert_same_bits(np.asarray(a), np.asarray(b))
 
 
 def test_best_fit_stack_rejects_one_parallel_pair():

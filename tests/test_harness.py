@@ -20,6 +20,7 @@ from spindir.geometry import Direction, quaternion_matrices
 from spindir.groups import d3_directions, d3_local_frame, dihedral_d3
 from spindir.harness import (
     BATCH_TRIALS,
+    VOTE_REFERENCE_MAX_SHOTS,
     RunConfig,
     _Accumulator,
     _batch_rng,
@@ -49,6 +50,7 @@ from spindir.optimize import (
 from spindir.protocols import (
     ProtocolSpec,
     d3_outcome_matrix,
+    d3_repeated_single_score,
     frame_two_axis_score,
 )
 from spindir.states import SpinJ
@@ -257,33 +259,42 @@ class TestReproducibility:
         assert a.stderrs == b.stderrs
 
     @pytest.mark.parametrize(
-        "protocol, pinned",
+        "protocol, trials, pinned",
         [
-            (spec(), {"fidelity": 0.3342, "stderr": 0.003335577057079507}),
-            (spec("d3-covariant", 2),
+            (spec(), 20000, {"fidelity": 0.3342, "stderr": 0.003335577057079507}),
+            (spec("d3-covariant", 2), 20000,
              {"fidelity": 0.66905, "stderr": 0.0033274101727804608}),
-            (spec("d3-repeated", 9, tie_break="random"),
+            (spec("d3-repeated", 9, tie_break="random"), 20000,
              {"fidelity": 0.49655, "stderr": 0.003535538131104489}),
-            (spec("d3-repeated", 9, tie_break="lowest-index"),
+            (spec("d3-repeated", 9, tie_break="lowest-index"), 20000,
              {"fidelity": 0.49675, "stderr": 0.0035355476067851204}),
-            (spec("d3-coherent", 1),
+            (spec("d3-coherent", 1), 20000,
              {"fidelity": 0.30585, "stderr": 0.0032581926993324535}),
-            (spec("d3-coherent", 24),
+            (spec("d3-coherent", 24), 20000,
              {"fidelity": 0.97655, "stderr": 0.0010700757581154753}),
-            (spec("frame-two-axis", 8, encoding="optimal"),
+            (spec("frame-two-axis", 8, encoding="optimal"), 20000,
              {"infidelity": 0.3629995156571387}),
-            (spec("frame-two-axis", 8, encoding="optimal", decoder="naive-euler"),
+            (spec("frame-two-axis", 8, encoding="optimal", decoder="naive-euler"), 20000,
              {"infidelity": 0.6284610671768156, "naive_failures": 4108}),
+            # the benchmark's short frame runs: one partial batch of 128
+            (spec("frame-two-axis", 8, encoding="optimal"), 128,
+             {"infidelity": 0.3228702574395948, "stderr": 0.02331925187327193,
+              "per_axis": [0.09737596329582837, 0.1123526326220419]}),
+            (spec("frame-two-axis", 8, encoding="optimal", decoder="naive-euler"), 128,
+             {"infidelity": 0.5964001048385744, "stderr": 0.04733049515893181,
+              "naive_failures": 25}),
         ],
         ids=[
             "d3-single-1", "d3-covariant-2", "d3-repeated-9-random", "d3-repeated-9-lowest-index",
             "d3-coherent-1", "d3-coherent-24", "frame-best-fit-8", "frame-naive-euler-8",
+            "frame-best-fit-8-128-trials", "frame-naive-euler-8-128-trials",
         ],
     )
-    def test_seed_7_records_are_pinned(self, protocol, pinned):
-        # seed 7 at 20000 trials, two full batches and a partial one; a
-        # change of a tally or tilt kernel or of the draws moves these bits
-        result = run_experiment(RunConfig(protocol=protocol, trials=20000, seed=7))
+    def test_seed_7_records_are_pinned(self, protocol, trials, pinned):
+        # seed 7 at 20000 trials, two full batches and a partial one, and at
+        # the 128 trials of a short run; a change of a tally or tilt kernel,
+        # of a decoder or of the draws moves these bits
+        result = run_experiment(RunConfig(protocol=protocol, trials=trials, seed=7))
         got = dict(result.estimates, stderr=result.stderrs["fidelity"])
         assert {key: got[key] for key in pinned} == pinned
 
@@ -957,6 +968,21 @@ class TestReferenceScore:
     def test_large_vote_has_exact_reference(self):
         config = RunConfig(protocol=spec("d3-repeated", 13), trials=10, seed=1)
         assert reference_score(config).method == "exact"
+
+    def test_vote_reference_stops_at_the_cap(self, monkeypatch):
+        # up to the cap the exact score; above it None, without computing it
+        at_cap = RunConfig(protocol=spec("d3-repeated", VOTE_REFERENCE_MAX_SHOTS), trials=10, seed=1)
+        assert reference_score(at_cap) == d3_repeated_single_score(VOTE_REFERENCE_MAX_SHOTS)
+        # the kernel itself still takes any n
+        assert d3_repeated_single_score(VOTE_REFERENCE_MAX_SHOTS + 1).method == "exact"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the vote reference above the cap was computed")
+
+        monkeypatch.setattr(harness, "d3_repeated_single_score", refuse)
+        for n, tie_break in ((VOTE_REFERENCE_MAX_SHOTS + 1, "random"), (600, "lowest-index")):
+            config = RunConfig(protocol=spec("d3-repeated", n, tie_break=tie_break), trials=10, seed=1)
+            assert reference_score(config) is None
 
     def test_coherent_reference_is_the_exact_integral(self):
         config = RunConfig(protocol=spec("d3-coherent", 4), trials=10, seed=1)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,10 +9,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
-from spin_fixtures import D3_ANGLE_DIRECTIONS, unit_vector
+from spin_fixtures import D3_ANGLE_DIRECTIONS, assert_same_bits, unit_vector
 from spindir.groups import d3_qubit_blocks, dihedral_d3
 from spindir.optimize import (
     BESSEL_J0_FIRST_ZERO,
+    CHI_GRID_POINTS,
     D3_ARC_NODES,
     ChiDensity,
     DirectionCode,
@@ -275,6 +278,89 @@ class TestChiDensity:
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf) >= -1e-15)
         assert u[0] == -1.0 and u[-1] == 1.0
+
+
+def _legvander_pdf_cos(density: ChiDensity, u) -> np.ndarray:
+    """pdf_cos as numpy's legvander evaluated it: the reference for the
+    package's own copy of the recurrence."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    code = density.code
+    if code.carrier == "coherent":
+        g = density.amplitude(u)
+    else:
+        j_top = code.j_max.twice_j // 2
+        rows = np.polynomial.legendre.legvander(u, j_top).T
+        scale = np.sqrt((2.0 * np.arange(j_top + 1) + 1.0) / (4.0 * math.pi))
+        g = (code.amplitudes * scale) @ rows
+    return 2.0 * math.pi * g * g
+
+
+class TestOneLegendreEvaluation:
+    """pdf_cos, cumulative_in_cos and expected_fidelity, bit for bit, against
+    the legvander, linspace and concatenate formulas they replaced."""
+
+    POINTS = np.array([-1.0, -0.75, -1e-300, -0.0, 0.0, 1e-300, 0.3, 0.999, 1.0])
+    CODES = [optimal_direction_encoding(SpinJ(n)) for n in range(2, 401, 2)] + [
+        coherent_code(SpinJ(twice_j)) for twice_j in (1, 2, 7, 60, 400)
+    ]
+
+    @staticmethod
+    def reference_cdf(density: ChiDensity, n: int) -> tuple:
+        u = np.linspace(-1.0, 1.0, n)
+        p = _legvander_pdf_cos(density, u)
+        cdf = np.concatenate(([0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(u))))
+        cdf /= cdf[-1]
+        return u, cdf
+
+    @staticmethod
+    def reference_fidelity(density: ChiDensity) -> float:
+        x, w = density.gauss_rule
+        return float(np.sum(w * _legvander_pdf_cos(density, x) * (1.0 + x) / 2.0))
+
+    def test_pdf_cos(self):
+        for code in self.CODES:
+            density = chi_density(code)
+            assert_same_bits(density.pdf_cos(self.POINTS), _legvander_pdf_cos(density, self.POINTS))
+            for u in (-0.0, 1.0, -1.0):  # a float is a batch of one
+                assert_same_bits(density.pdf_cos(u), _legvander_pdf_cos(density, u))
+
+    def test_cumulative_in_cos(self):
+        for code in self.CODES:
+            density = chi_density(code)
+            for got, want in zip(
+                density.cumulative_in_cos(CHI_GRID_POINTS),
+                self.reference_cdf(density, CHI_GRID_POINTS),
+            ):
+                assert_same_bits(got, want)
+
+    def test_expected_fidelity(self):
+        for code in self.CODES:
+            density = chi_density(code)
+            assert density.expected_fidelity() == self.reference_fidelity(density)
+
+    def test_grid_is_shared_and_read_only(self):
+        a = chi_density(self.CODES[0]).cumulative_in_cos(CHI_GRID_POINTS)[0]
+        b = chi_density(self.CODES[3]).cumulative_in_cos(CHI_GRID_POINTS)[0]
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+    def test_frame_runs_import_no_polynomial_module(self):
+        # both encodings and decoders in a fresh process: the recurrence is
+        # the package's own, so numpy.polynomial is never loaded
+        code = (
+            "import sys; from spindir.harness import RunConfig, run_experiment; "
+            "from spindir.protocols import ProtocolSpec\n"
+            "for enc in ('optimal', 'coherent'):\n"
+            "    for dec in ('best-fit', 'naive-euler'):\n"
+            "        spec = ProtocolSpec('frame-two-axis', 8, encoding=enc, decoder=dec)\n"
+            "        run_experiment(RunConfig(spec, 300, 7))\n"
+            "print('numpy.polynomial' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _d3_grid(j: SpinJ, scale: int = 1) -> SphereQuadrature:
