@@ -49,8 +49,6 @@ from .optimize import (
 from .povm import (
     Povm,
     covariant_direction_povm,
-    covariant_povm_finite,
-    state_probabilities,
     validate_povm,
 )
 from .protocols import (

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .geometry import quaternion_matrices
-from .multispin import tensor_power
 
 MATCH_TOL = 1e-9
 
@@ -103,8 +102,9 @@ def d3_local_frame() -> np.ndarray:
 
 
 def lift_to_qubits(group: FiniteGroup, num_spins: int) -> tuple:
-    """Per-element unitaries u(g)^{tensor num_spins} on the 2^N product space."""
-    return tuple(tensor_power(u, num_spins) for u in group.su2)
+    """Per-element unitaries u(g)^{tensor num_spins} on the 2^N product
+    space, the first factor most significant (numpy's kron)."""
+    return tuple(reduce(np.kron, [u] * num_spins) for u in group.su2)
 
 
 def d3_qubit_blocks(num_spins: int) -> tuple:

@@ -41,6 +41,9 @@ from .spins import SpinJ
 from .states import is_integer
 
 BATCH_TRIALS = 8192  # with CHI_GRID_POINTS (from optimize), a run's sampling settings
+# the most vote shots drawn at once: 128 rows of a full batch, 8 MiB, so a
+# vote's memory stays bounded whatever its number of shots
+SHOT_BLOCK = 2 ** 20
 # the largest d3-repeated vote reference_score computes exactly; one exact
 # reference took 0.64 s at n = 128 (lowest-index rule) and 35 s at n = 600
 VOTE_REFERENCE_MAX_SHOTS = 128
@@ -234,22 +237,27 @@ def _run_d3_finite(config: RunConfig) -> _Accumulator:
     upper = np.append(np.diagonal(bounds), np.inf)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
-    # shots are drawn trial-minor into (repeats, take) rows of one per-run
-    # buffer; random(out=) needs a contiguous array, and the leading
-    # repeats * take entries are one for the last, partial batch too
-    shot_buf = np.empty(repeats * min(config.trials, BATCH_TRIALS))
+    # shots are drawn trial-minor, in (rows, take) blocks of at most
+    # SHOT_BLOCK floats, into one per-run buffer: random(out=) needs a
+    # contiguous array, and consecutive blocks draw the doubles one call would
+    width = min(config.trials, BATCH_TRIALS)
+    rows = min(repeats, max(1, SHOT_BLOCK // width))
+    shot_buf = np.empty(rows * width)
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take)
-        draws = shot_buf[: repeats * take].reshape(repeats, take)
-        rng.random(out=draws)
         if repeats == 1:
-            hits = (draws[0] > lower[true]) & (draws[0] <= upper[true])
+            draws = shot_buf[:take]
+            rng.random(out=draws)
+            hits = (draws > lower[true]) & (draws <= upper[true])
         else:
-            counts = np.empty((6, take), dtype=np.min_scalar_type(repeats))
-            for j in range(5):  # row j + 1 holds above[j] until the differences
-                np.add.reduce(draws > bounds[j][true], axis=0, dtype=counts.dtype, out=counts[j + 1])
+            counts = np.zeros((6, take), dtype=np.min_scalar_type(repeats))
+            for start in range(0, repeats, rows):
+                draws = shot_buf[: min(rows, repeats - start) * take].reshape(-1, take)
+                rng.random(out=draws)
+                for j in range(5):  # row j + 1 holds above[j] until the differences
+                    counts[j + 1] += np.add.reduce(draws > bounds[j][true], axis=0, dtype=counts.dtype)
             np.subtract(repeats, counts[1], out=counts[0])
             counts[1:5] -= counts[2:6]
             # the tie draw is the batch's last, so skipping it moves nothing

@@ -23,14 +23,6 @@ def op_on_qubit(op: np.ndarray, k: int, num_qubits: int) -> np.ndarray:
     return np.kron(np.eye(2 ** (num_qubits - 1 - k)), np.kron(op, np.eye(2**k)))
 
 
-def tensor_power(u: np.ndarray, num_qubits: int) -> np.ndarray:
-    """u^{tensor num_qubits}, the first factor most significant (numpy's kron)."""
-    full = u
-    for _ in range(num_qubits - 1):
-        full = np.kron(full, u)
-    return full
-
-
 def total_spin_ops(num_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collective (Jx, Jy, Jz) = sum_k sigma_k/2 on the register."""
     dim = 2**num_qubits

@@ -183,9 +183,10 @@ class ChiDensity:
     code: DirectionCode
 
     def amplitude(self, u) -> np.ndarray:
-        """The kernel sum at u = cos chi, a float or a 1-D array.  An m0
-        code runs numpy's legvander recurrence, its `+ 0.0` included, into
-        one C-contiguous (j_top + 1, n) array of P_j(u)."""
+        """The kernel sum at u = cos chi, a float or an array of any shape,
+        in u's shape (at least 1-D).  An m0 code runs numpy's legvander
+        recurrence, its `+ 0.0` included, on the n flattened values into one
+        C-contiguous (j_top + 1, n) array of P_j(u)."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         code = self.code
         if code.carrier == "coherent":
@@ -193,7 +194,7 @@ class ChiDensity:
             k = ((1.0 + u) / 2.0) ** (tj / 2.0)
             return math.sqrt((tj + 1.0) / (4.0 * math.pi)) * code.amplitudes[0] * k
         j_top = code.j_max.twice_j // 2
-        x = u + 0.0  # -0.0 reads as +0.0
+        x = u.ravel() + 0.0  # -0.0 reads as +0.0
         rows = np.empty((j_top + 1, x.size))
         np.multiply(x, 0, out=rows[0])
         rows[0] += 1  # x * 0 + 1: NaN where x is not finite
@@ -206,7 +207,7 @@ class ChiDensity:
                 row -= np.multiply(rows[i - 2], i - 1, out=tmp)
                 row /= i
         scale = np.sqrt((2.0 * np.arange(j_top + 1) + 1.0) / (4.0 * math.pi))
-        return (code.amplitudes * scale) @ rows
+        return ((code.amplitudes * scale) @ rows).reshape(u.shape)
 
     def quantile_cos(self, p) -> np.ndarray:
         """cos chi at CDF values p in [0, 1): sample_chi's inverse.  The
@@ -219,7 +220,7 @@ class ChiDensity:
         return np.interp(p, cdf, grid)
 
     def pdf_cos(self, u) -> np.ndarray:
-        """Density in u = cos chi on [-1, 1]."""
+        """Density in u = cos chi on [-1, 1], in amplitude's shape."""
         g = self.amplitude(u)
         p = g * TWO_PI
         p *= g

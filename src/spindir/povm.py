@@ -1,10 +1,10 @@
-"""POVMs: validation, Born-rule probabilities, covariant constructions.
+"""POVMs: validation, rank-one elements, the sampled direction measurement.
 
 A POVM is a read-only stack of K positive d x d operators that sum to the
-identity; outcome k is operator k. Two covariant families are built here:
-the finite orbit of a fiducial projector under a unitary (group)
-representation, and the quadrature discretization of the continuous direction
-measurement on a single spin-j multiplet.
+identity; outcome k is operator k. One covariant family is built here: the
+quadrature discretization of the continuous direction measurement on a
+single spin-j multiplet.  The D3 orbit POVM is built in protocols from the
+same rank-one `projectors`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .geometry import SphereQuadrature
 from .spins import coherent_states
 from .states import SpinJ
 
-NEGATIVE_PROB_TOL = 1e-12
 POVM_TOL = 1e-10  # validate_povm's bound on completeness, positivity and hermiticity
 
 
@@ -66,37 +65,9 @@ def validate_povm(povm: Povm) -> PovmValidation:
     return PovmValidation(max_completeness_dev=dev, min_eigenvalue=min_eig)
 
 
-def state_probabilities(povm: Povm, states: np.ndarray) -> np.ndarray:
-    """Born probabilities <psi_i|E_k|psi_i> of an (M, d) stack of states, as
-    an (M, K) array, clamped into [0, 1] after a small-negative tolerance
-    check; negatives beyond the tolerance raise."""
-    psi = np.asarray(states)
-    if psi.ndim != 2 or psi.shape[1] != povm.dim:
-        raise ValueError(f"states must be an (M, {povm.dim}) stack, got shape {psi.shape}")
-    images = (povm.operators[None] @ psi[:, None, :, None])[..., 0]  # (M, K, d): E_k psi_i
-    probs = np.real(np.vecdot(psi[:, None, :], images))
-    if probs.min() < -NEGATIVE_PROB_TOL:
-        raise ValueError(f"negative probability {probs.min():.3e} from a non-positive element")
-    return np.minimum(1.0, np.maximum(0.0, probs))
-
-
-def _projectors(vecs: np.ndarray) -> np.ndarray:
+def projectors(vecs: np.ndarray) -> np.ndarray:
     """Stacked outer products |v_k><v_k| of the rows of vecs."""
     return vecs[:, :, None] * vecs.conj()[:, None, :]
-
-
-def covariant_povm_finite(unitaries, fiducial: np.ndarray) -> Povm:
-    """Orbit POVM E_g = U(g) |B><B| U(g)^dagger, outcome g, over a list of unitaries.
-
-    The fiducial's normalization is the caller's responsibility (a Schur-weighted
-    fiducial makes the orbit complete); completeness is checked by validate_povm,
-    not here.
-    """
-    unitaries = np.asarray(unitaries, dtype=complex)
-    fiducial = np.asarray(fiducial)
-    if fiducial.ndim != 1 or unitaries.shape[1:] != (fiducial.size, fiducial.size):
-        raise ValueError("unitary and fiducial dimensions differ")
-    return Povm(_projectors(unitaries @ fiducial))
 
 
 def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
@@ -115,5 +86,5 @@ def covariant_direction_povm(j: SpinJ, quad: SphereQuadrature) -> Povm:
     nodes = quad.nodes()
     vecs = coherent_states(j, [n.theta for n in nodes], [n.phi for n in nodes])
     weights = quad.weights * ((j.twice_j + 1) / (4.0 * math.pi))
-    return Povm(weights[:, None, None] * _projectors(vecs))
+    return Povm(weights[:, None, None] * projectors(vecs))
 

@@ -29,7 +29,7 @@ from .optimize import (
     finite_group_optimum,
     optimal_direction_encoding,
 )
-from .povm import Povm, covariant_povm_finite, state_probabilities, validate_povm
+from .povm import Povm, projectors, validate_povm
 from .states import SpinJ, is_integer
 
 # decoders each kind accepts; the first is its default
@@ -105,32 +105,28 @@ class ProtocolScore:
 
 
 @lru_cache(maxsize=2)
-def _d3_family(num_spins: int) -> tuple:
-    """(rep_matrices, fiducial) of the covariant strategy on one or two spins.
-
-    rep_matrices[k] is the lift of group element k, which sends direction 0
-    to direction k (`dihedral_d3` lists its elements in direction order).
-    The fiducial sum_i sqrt(d_i/6) b_i spreads Schur weight
-    over the first column b_i of each invariant block of the qubit
-    representation (`d3_qubit_blocks`): on one spin it is sqrt(1/3) times the
-    coherent spinor along direction 0, on two (e_0 + e_1)/sqrt3.  Its orbit
-    is a complete POVM by Schur orthogonality.
-    Cached, so rep_matrices and the fiducial are read-only.
-    """
+def _d3_orbit(num_spins: int) -> tuple:
+    """(orbit, dims) of the covariant strategy on one or two spins.  Row k
+    of the cached, read-only orbit is o_k = U(g_k) f: the lift of the element
+    that sends direction 0 to direction k (`dihedral_d3`'s order) applied to
+    the fiducial f, so o_0 = f.  f = sum_i sqrt(d_i/6) b_i spreads Schur
+    weight over the first column b_i of each invariant block of the qubit
+    representation (`d3_qubit_blocks`), of dimensions dims: sqrt(1/3) times
+    the coherent spinor along direction 0 on one spin, (e_0 + e_1)/sqrt3 on
+    two.  Its orbit is a complete POVM by Schur orthogonality."""
     group = dihedral_d3()
-    rep = lift_to_qubits(group, num_spins)
     blocks = d3_qubit_blocks(num_spins)
     fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in blocks)
-    for a in (*rep, fiducial):
-        a.flags.writeable = False
-    return rep, fiducial
+    orbit = np.asarray(lift_to_qubits(group, num_spins)) @ fiducial
+    orbit.flags.writeable = False
+    return orbit, tuple(b.shape[1] for b in blocks)
 
 
 @lru_cache(maxsize=2)
 def d3_covariant_povm(num_spins: int) -> Povm:
-    """Orbit POVM of the Schur fiducial on one or two spins, validated.
+    """The orbit POVM E_k = |o_k><o_k| on one or two spins, validated.
     Outcome k is direction k."""
-    povm = covariant_povm_finite(*_d3_family(num_spins))
+    povm = Povm(projectors(_d3_orbit(num_spins)[0]))
     if not validate_povm(povm).passed:
         raise RuntimeError(f"{num_spins}-spin dihedral POVM failed validation")
     return povm
@@ -139,12 +135,14 @@ def d3_covariant_povm(num_spins: int) -> Povm:
 @lru_cache(maxsize=2)
 def d3_outcome_matrix(num_spins: int) -> np.ndarray:
     """Row i: probabilities of the six guessed directions given true direction
-    i, for the covariant strategy on num_spins spins (1 or 2).  Cached and
-    read-only."""
-    rep, fid = _d3_family(num_spins)
-    norm = float(np.linalg.norm(fid))
-    signals = np.array([u @ fid / norm for u in rep])  # row i: the orbit state along i
-    matrix = state_probabilities(d3_covariant_povm(num_spins), signals)
+    i, for the covariant strategy on num_spins spins (1 or 2).  The signal
+    along i is o_i / |f|, so the table is the orbit's Gram matrix squared,
+    P(k | i) = |<o_k|o_i>|^2 / <f|f>, once `d3_covariant_povm` has
+    validated the orbit.  Cached and read-only."""
+    d3_covariant_povm(num_spins)
+    orbit, _ = _d3_orbit(num_spins)
+    gram = orbit @ orbit.conj().T
+    matrix = np.abs(gram) ** 2 / gram[0, 0].real  # <o_0|o_0> = <f|f>
     matrix.flags.writeable = False
     return matrix
 
@@ -153,10 +151,8 @@ def d3_covariant_score(num_spins: int) -> ProtocolScore:
     """Covariant strategy on one or two spins: the guess is the outcome of
     the Schur-weighted fiducial's orbit POVM, and only direction hits score.
     Checked to reach `finite_group_optimum`."""
-    group = dihedral_d3()
     # the blocks come in ascending dimension, so the coefficients do too
-    dims = [b.shape[1] for b in d3_qubit_blocks(num_spins)]
-    optimum = finite_group_optimum(dims, group.order)
+    optimum = finite_group_optimum(_d3_orbit(num_spins)[1], dihedral_d3().order)
     fid = float(np.mean(np.diag(d3_outcome_matrix(num_spins))))
     if abs(fid - optimum.fidelity) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")

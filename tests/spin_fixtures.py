@@ -1,6 +1,7 @@
 """Test oracles and fixture states, as plain complex arrays: a Direction's
 unit vector, the D3 signal directions as polar angles, a Frame's axes as a
-rotation matrix, and a bit-for-bit array comparison.
+rotation matrix, the Born rule, an orbit POVM, and a bit-for-bit array
+comparison.
 
 Spin-j amplitudes are ordered m = j down to -j. On an N-qubit register the
 leftmost symbol of a ket string like "001" is qubit 0, and qubit k is bit k of
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from spindir.geometry import Direction
+from spindir.povm import Povm
 from spindir.spins import coherent_states
 
 # the six D3 signal directions as an angle list, upper cone (theta = 45 deg)
@@ -68,6 +70,20 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def born_probabilities(povm: Povm, states) -> np.ndarray:
+    """<psi_i|E_k|psi_i> of an (M, d) stack of states, as an (M, K) array,
+    summed term by term."""
+    psi = np.asarray(states)
+    return np.einsum("ma,kab,mb->mk", psi.conj(), povm.operators, psi).real
+
+
+def orbit_povm(unitaries, fiducial) -> Povm:
+    """E_g = U(g)|f><U(g)f|, outcome g, over a list of unitaries; the
+    fiducial's norm is the caller's, so the result may be incomplete."""
+    vecs = np.asarray(unitaries) @ np.asarray(fiducial)
+    return Povm(np.einsum("ka,kb->kab", vecs, vecs.conj()))
 
 
 def axes_matrix(frame) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from spin_fixtures import (
     D3_ANGLE_DIRECTIONS,
     coherent,
+    orbit_povm,
     rotation_oracle,
     spin_matrices,
     unit_vector,
@@ -18,8 +19,8 @@ from spindir.groups import (
     dihedral_d3,
     lift_to_qubits,
 )
-from spindir.povm import covariant_povm_finite, validate_povm
-from spindir.protocols import _d3_family
+from spindir.povm import validate_povm
+from spindir.protocols import _d3_orbit, d3_covariant_povm
 from spindir.states import SpinJ
 
 GROUP = dihedral_d3()
@@ -215,12 +216,12 @@ def test_qubit_blocks_stop_at_two_qubits():
 def test_one_qubit_block_starts_at_the_direction_0_spinor():
     block = d3_qubit_blocks(1)[0]
     np.testing.assert_array_equal(block[:, 0], coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0])
-    _, fid = _d3_family(1)
+    fid = _d3_orbit(1)[0][0]  # the identity's row of the orbit
     np.testing.assert_allclose(fid, block[:, 0] / math.sqrt(3.0), rtol=0, atol=1e-15)
 
 
 def test_two_spin_fiducial_norms_and_completeness():
-    rep, fid = _d3_family(2)
+    fid = _d3_orbit(2)[0][0]
     np.testing.assert_allclose(fid, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0), atol=1e-15)
     # block projections carry norm sqrt(d_i/6)
     for block in d3_qubit_blocks(2):
@@ -229,7 +230,7 @@ def test_two_spin_fiducial_norms_and_completeness():
             math.sqrt(block.shape[1] / 6.0), abs=1e-12
         )
     assert np.linalg.norm(fid) == pytest.approx(math.sqrt(4.0 / 6.0), abs=1e-12)
-    assert validate_povm(covariant_povm_finite(rep, fid)).passed
+    assert validate_povm(d3_covariant_povm(2)).passed
 
 
 def test_scaled_block_breaks_completeness():
@@ -237,7 +238,7 @@ def test_scaled_block_breaks_completeness():
     coeffs = [math.sqrt(b.shape[1] / 6.0) for b in blocks]
     coeffs[0] *= 1.5
     amps = sum(c * b[:, 0] for c, b in zip(coeffs, blocks))
-    povm = covariant_povm_finite(lift_to_qubits(GROUP, 2), amps)
+    povm = orbit_povm(lift_to_qubits(GROUP, 2), amps)
     assert not validate_povm(povm).passed
 
 

@@ -445,6 +445,20 @@ class TestD3BatchKernels:
         assert hits.shape == (BATCH_TRIALS,)
         assert peak <= 8 * 8 * BATCH_TRIALS
 
+    def test_vote_shots_are_drawn_in_bounded_blocks(self):
+        # a full batch of 1000-shot votes draws 8192000 shots: all at once
+        # they took 62.5 MiB, and each boundary compare an eighth of that;
+        # in blocks of SHOT_BLOCK floats the buffer is 8 MiB and a compare 1
+        config = RunConfig(protocol=spec("d3-repeated", 1000), trials=BATCH_TRIALS, seed=7)
+        d3_outcome_matrix(1)  # the cached table is built before the count
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_last_boundary_is_one_to_rounding(self, num_spins):
         # the kernels compare with the first five cumulative boundaries only;

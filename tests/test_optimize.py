@@ -324,6 +324,14 @@ class TestOneLegendreEvaluation:
             for u in (-0.0, 1.0, -1.0):  # a float is a batch of one
                 assert_same_bits(density.pdf_cos(u), _legvander_pdf_cos(density, u))
 
+    def test_any_shape_is_its_flat_evaluation(self):
+        # both carriers take a grid of any shape and return it in that shape
+        grid = self.POINTS[3:].reshape(2, 3)
+        for code in self.CODES:
+            density = chi_density(code)
+            for carrier in (density.amplitude, density.pdf_cos):
+                assert_same_bits(carrier(grid), carrier(grid.ravel()).reshape(2, 3))
+
     def test_cumulative_in_cos(self):
         for code in self.CODES:
             density = chi_density(code)

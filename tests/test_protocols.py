@@ -5,10 +5,12 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from spin_fixtures import D3_ANGLE_DIRECTIONS, coherent
-from spindir.groups import d3_directions, d3_qubit_blocks
+from spin_fixtures import D3_ANGLE_DIRECTIONS, born_probabilities, coherent
+from spindir import protocols
+from spindir.groups import d3_directions, d3_qubit_blocks, dihedral_d3, lift_to_qubits
+from spindir.harness import RunConfig, run_experiment
 from spindir.optimize import finite_group_optimum
-from spindir.povm import state_probabilities, validate_povm
+from spindir.povm import validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
     FrameTwoAxisProtocol,
@@ -22,7 +24,7 @@ from spindir.protocols import (
     d3_repeated_single_score,
     d3_single_spin_score,
     frame_two_axis_score,
-    _d3_family,
+    _d3_orbit,
     _single_spin_numerators,
 )
 from spindir.states import SpinJ
@@ -106,7 +108,7 @@ class TestSingleSpin:
     def test_povm_labels_and_completeness(self):
         povm = d3_covariant_povm(1)
         # outcome k is direction k: the spinor along direction k gives k most often
-        probs = state_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS))
+        probs = born_probabilities(povm, coherent(SpinJ(1), D3_ANGLE_DIRECTIONS))
         assert np.argmax(probs, axis=1).tolist() == list(range(6))
         report = validate_povm(povm)
         assert report.max_completeness_dev <= 1e-12 and report.min_eigenvalue >= -1e-12
@@ -123,6 +125,11 @@ class TestSingleSpin:
             for k in range(6):
                 want = (1.0 + float(np.dot(units[i], units[k]))) / 6.0
                 assert matrix[i, k] == pytest.approx(want, abs=1e-12)
+                # the dots are exactly 1, 1/4, 0 or -3/4: half the sum of the
+                # azimuths' cosine (1 or -1/2) and the cones' sign
+                cos_azimuth = 1 if i % 3 == k % 3 else Fraction(-1, 2)
+                dot = (cos_azimuth + (1 if i // 3 == k // 3 else -1)) / 2
+                assert abs(matrix[i, k] - float((1 + dot) / 6)) <= 4.5e-16
 
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_outcome_matrix_is_cached_and_read_only(self, num_spins):
@@ -261,14 +268,46 @@ class TestCovariantOrbit:
     def test_cached_family_is_read_only(self, num_spins):
         # every caller shares these arrays; a write would change the POVM,
         # outcome matrix and score for the rest of the process
-        rep, fiducial = _d3_family(num_spins)
+        orbit, dims = _d3_orbit(num_spins)
         blocks = d3_qubit_blocks(num_spins)
-        arrays = [*blocks, *rep, fiducial]
-        assert len(arrays) == len(blocks) + 6 + 1
-        for a in arrays:
+        assert orbit.shape == (6, 2**num_spins)
+        assert dims == tuple(b.shape[1] for b in blocks)
+        for a in (*blocks, orbit):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] += 1.0
-        assert _d3_family(num_spins)[0] is rep
+        assert _d3_orbit(num_spins)[0] is orbit
+
+    def test_outcome_matrix_is_the_born_law(self, num_spins):
+        # <psi_i|E_k|psi_i> of the validated POVM, the signal along i being
+        # the lift of element i applied to the normalised Schur fiducial
+        fid = sum(math.sqrt(b.shape[1] / 6.0) * b[:, 0] for b in d3_qubit_blocks(num_spins))
+        signals = np.array([u @ fid for u in lift_to_qubits(dihedral_d3(), num_spins)])
+        born = born_probabilities(d3_covariant_povm(num_spins), signals / np.linalg.norm(fid))
+        assert np.max(np.abs(d3_outcome_matrix(num_spins) - born)) <= 2.3e-16
+
+    def test_run_refuses_an_incomplete_orbit(self, num_spins, monkeypatch):
+        # a fiducial whose first block carries 1.5 times its Schur weight,
+        # as test_scaled_block_breaks_completeness builds it: the run must
+        # stop at the POVM's validation, not draw from a wrong table
+        blocks = d3_qubit_blocks(num_spins)
+        coeffs = [math.sqrt(b.shape[1] / 6.0) for b in blocks]
+        coeffs[0] *= 1.5
+        amps = sum(c * b[:, 0] for c, b in zip(coeffs, blocks))
+        orbit = np.asarray(lift_to_qubits(dihedral_d3(), num_spins)) @ amps
+        dims = tuple(b.shape[1] for b in blocks)
+        cached = (d3_covariant_povm, d3_outcome_matrix)
+        monkeypatch.setattr(protocols, "_d3_orbit", lambda n: (orbit, dims))
+        kind = ("d3-single", "d3-covariant")[num_spins - 1]
+        config = RunConfig(ProtocolSpec(kind, num_spins), trials=5, seed=1)
+        try:
+            for f in cached:
+                f.cache_clear()
+            with pytest.raises(RuntimeError, match="failed validation"):
+                run_experiment(config)
+        finally:
+            monkeypatch.undo()
+            for f in cached:
+                f.cache_clear()
 
     def test_score_reaches_the_finite_group_optimum(self, num_spins):
         score = d3_covariant_score(num_spins)
@@ -310,6 +349,8 @@ class TestCovariantTwoSpin:
         zeros = [[0, 0, 0]] * 3
         want = [a + b for a, b in zip(triangle, zeros)] + [a + b for a, b in zip(zeros, triangle)]
         assert np.round(scaled).astype(int).tolist() == want
+        exact = [[float(Fraction(w, 6)) for w in row] for row in want]
+        assert np.max(np.abs(d3_outcome_matrix(2) - exact)) <= 4.5e-16
 
     def test_outcome_matrix_size_guard(self):
         with pytest.raises(ValueError):
