@@ -204,39 +204,36 @@ def _batches(trials: int):
         yield full, rem
 
 
-def _plurality(counts: np.ndarray, tie: np.ndarray | None) -> np.ndarray:
-    """The most frequent outcome of each column of (6, take) outcome counts.
-    A tie goes to the lowest index, or, given the column's uniform tie draw,
-    to the floor(tie * #leaders)-th leader, counted from 0."""
+def _vote_hits(counts: np.ndarray, true, tie: np.ndarray | None) -> np.ndarray:
+    """Whether each column of (6, take) outcome counts elects true.  A tie
+    goes to the lowest index, or, given uniform tie draws and true = 0, to
+    the floor(tie * #leaders)-th leader: direction 0 when that floor is 0."""
     lead = counts == counts.max(axis=0)
     if tie is None:
-        return np.argmax(lead, axis=0)
-    pick = (tie * lead.sum(axis=0, dtype=np.uint8)).astype(np.uint8)  # floors: tie >= 0
-    seen, winner = np.zeros((2, pick.size), dtype=np.uint8)
-    for row in lead:  # the winner is the number of outcomes with <= pick leaders up to them
-        seen += row
-        winner += seen <= pick
-    return winner
+        return np.argmax(lead, axis=0) == true
+    return lead[0] & (tie * lead.sum(axis=0, dtype=np.uint8) < 1.0)
 
 
 def _run_d3_finite(config: RunConfig) -> _Accumulator:
     """A d3-single, d3-covariant or d3-repeated run, tallied per batch.  A
     shot's outcome is the cell k = (cum[k - 1], cum[k]] of its true row's
-    cumulative outcome table that holds its draw, with cum[-1] = -inf and
-    cum[5] = +inf (the sixth boundary is 1 only to rounding).  A one-shot
-    trial hits when its draw lies in its true row's cell.  A vote's shots
-    each measure one spin, and above[j], its shots above boundary j < 5,
-    give its outcome counts repeats - above[0], above[j - 1] - above[j] and
-    above[4]."""
+    cumulative outcome table holding its draw (cum[-1] = -inf, cum[5] = +inf:
+    the sixth boundary is 1 only to rounding).  A vote's one-spin shots above
+    boundary j < 5, above[j], give repeats - above[0], above[j - 1] -
+    above[j] and above[4].  Covariance (checked: a constant diagonal and, for
+    a random-rule vote, each row row 0 permuted with the diagonal in place)
+    makes every true direction hit alike, so a run sends direction 0; only a
+    lowest-index vote, whose tie rule favours low indices, draws them."""
     spec = config.protocol
-    spins_per_shot = 1 if spec.kind == "d3-repeated" else spec.num_spins
-    bounds = np.cumsum(d3_outcome_matrix(spins_per_shot), axis=1)[:, :5].T  # [j, row]
+    matrix = d3_outcome_matrix(1 if spec.kind == "d3-repeated" else spec.num_spins)
+    bounds = np.cumsum(matrix, axis=1)[:, :5].T  # [j, row]
     if np.any(np.diff(bounds, axis=0) < 0.0):  # the cells and unsigned differences need it
         raise RuntimeError("a row of the cumulative outcome table decreases")
-    lower = np.append(-np.inf, np.diagonal(bounds, 1))  # row t's cell t is (lower[t], upper[t]]
-    upper = np.append(np.diagonal(bounds), np.inf)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
-    random_ties = spec.kind == "d3-repeated" and spec.tie_break == "random"
+    lowest_index = repeats > 1 and spec.tie_break == "lowest-index"
+    permuted = repeats == 1 or lowest_index or np.all(np.sort(matrix, axis=1) == np.sort(matrix[0]))
+    if np.any(np.diagonal(matrix) != matrix[0, 0]) or not permuted:
+        raise RuntimeError("the outcome table is not covariant")
     # shots are drawn trial-minor, in (rows, take) blocks of at most
     # SHOT_BLOCK floats, into one per-run buffer: random(out=) needs a
     # contiguous array, and consecutive blocks draw the doubles one call would
@@ -246,11 +243,11 @@ def _run_d3_finite(config: RunConfig) -> _Accumulator:
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
-        true = rng.integers(0, 6, take)
+        true = rng.integers(0, 6, take) if lowest_index else 0
         if repeats == 1:
             draws = shot_buf[:take]
             rng.random(out=draws)
-            hits = (draws > lower[true]) & (draws <= upper[true])
+            hits = draws <= bounds[0, 0]
         else:
             counts = np.zeros((6, take), dtype=np.min_scalar_type(repeats))
             for start in range(0, repeats, rows):
@@ -261,7 +258,7 @@ def _run_d3_finite(config: RunConfig) -> _Accumulator:
             np.subtract(repeats, counts[1], out=counts[0])
             counts[1:5] -= counts[2:6]
             # the tie draw is the batch's last, so skipping it moves nothing
-            hits = _plurality(counts, rng.random(take) if random_ties else None) == true
+            hits = _vote_hits(counts, true, None if lowest_index else rng.random(take))
         acc.add_hits(hits)
     return acc
 

@@ -132,28 +132,47 @@ def d3_covariant_povm(num_spins: int) -> Povm:
     return povm
 
 
+_OUTCOME_DENOMINATORS = {1: 24, 2: 6}  # of the covariant tables on one and two spins
+
+
 @lru_cache(maxsize=2)
-def d3_outcome_matrix(num_spins: int) -> np.ndarray:
-    """Row i: probabilities of the six guessed directions given true direction
-    i, for the covariant strategy on num_spins spins (1 or 2).  The signal
-    along i is o_i / |f|, so the table is the orbit's Gram matrix squared,
-    P(k | i) = |<o_k|o_i>|^2 / <f|f>, once `d3_covariant_povm` has
-    validated the orbit.  Cached and read-only."""
+def _outcome_numerators(num_spins: int) -> np.ndarray:
+    """The covariant outcome table on num_spins spins (1 or 2) times its
+    denominator, as read-only int64: the orbit's squared Gram matrix over
+    <f|f>, P(k | i) = |<o_k|o_i>|^2 / <f|f> (the signal along i is o_i / |f|),
+    once `d3_covariant_povm` has validated the orbit, and refused unless
+    within 1e-12 of integers.  A row is 8, 5, 5, 4, 1, 1 permuted on one spin
+    ((1 + n.m)/6 with dots 1, 1/4, 0 or -3/4) and 4, 1, 1, 0, 0, 0 on two."""
     d3_covariant_povm(num_spins)
     orbit, _ = _d3_orbit(num_spins)
     gram = orbit @ orbit.conj().T
-    matrix = np.abs(gram) ** 2 / gram[0, 0].real  # <o_0|o_0> = <f|f>
+    denominator = _OUTCOME_DENOMINATORS[num_spins]
+    scaled = denominator * np.abs(gram) ** 2 / gram[0, 0].real
+    rounded = np.round(scaled)
+    if np.max(np.abs(scaled - rounded)) > 1e-12:
+        raise RuntimeError(f"outcome probability is not an integer over {denominator}")
+    table = rounded.astype(np.int64)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=2)
+def d3_outcome_matrix(num_spins: int) -> np.ndarray:
+    """Row i: P(guess k | true direction i) of the covariant strategy on 1 or
+    2 spins: `_outcome_numerators` over its denominator.  Cached, read-only."""
+    matrix = _outcome_numerators(num_spins) / _OUTCOME_DENOMINATORS[num_spins]
     matrix.flags.writeable = False
     return matrix
 
 
 def d3_covariant_score(num_spins: int) -> ProtocolScore:
     """Covariant strategy on one or two spins: the guess is the outcome of
-    the Schur-weighted fiducial's orbit POVM, and only direction hits score.
-    Checked to reach `finite_group_optimum`."""
+    the Schur-weighted fiducial's orbit POVM, and only direction hits score:
+    the exact mean of the diagonal, rounded once by int / int, and checked
+    to reach `finite_group_optimum`."""
     # the blocks come in ascending dimension, so the coefficients do too
     optimum = finite_group_optimum(_d3_orbit(num_spins)[1], dihedral_d3().order)
-    fid = float(np.mean(np.diag(d3_outcome_matrix(num_spins))))
+    fid = int(np.trace(_outcome_numerators(num_spins))) / (6 * _OUTCOME_DENOMINATORS[num_spins])
     if abs(fid - optimum.fidelity) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")
     return ProtocolScore(fid, "exact", coefficients=optimum.optimal_coefficients)
@@ -167,22 +186,6 @@ def d3_single_spin_score() -> ProtocolScore:
 def d3_covariant_two_spin_score() -> ProtocolScore:
     """The covariant strategy on two spins: success probability 2/3."""
     return d3_covariant_score(2)
-
-
-@lru_cache(maxsize=1)
-def _single_spin_numerators() -> np.ndarray:
-    """The single-spin outcome table in units of 1/24, as read-only int64.
-
-    The six directions pairwise dot to 1, 1/4, 0 or -3/4, so every entry of
-    (1 + n.m)/6 is an integer over 24 (each row is a permutation of
-    8, 5, 5, 4, 1, 1); vote weights can then be summed without rounding."""
-    scaled = 24.0 * d3_outcome_matrix(1)
-    rounded = np.round(scaled)
-    if np.max(np.abs(scaled - rounded)) > 1e-12:
-        raise RuntimeError("outcome probability is not an integer over 24")
-    table = rounded.astype(np.int64)
-    table.flags.writeable = False
-    return table
 
 
 def _vote_wins(n: int, row: list, true: int, ties: bool) -> int:
@@ -230,10 +233,9 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
     if tie_break not in ("random", "lowest-index"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     n = int(n)
-    num = _single_spin_numerators().tolist()
+    num = _outcome_numerators(1).tolist()
     if tie_break == "random":
-        # every row is a permutation of 8, 5, 5, 4, 1, 1 with 8 on the
-        # diagonal, and the random rule does not see the order of the others
+        # each row is row 0 permuted, diagonal in place: one row stands for all
         wins = 6 * _vote_wins(n, num[0], 0, True)
     else:
         wins = sum(_vote_wins(n, num[t], t, False) for t in range(6))

@@ -28,10 +28,10 @@ from spindir.harness import (
     _coherent_hits,
     _frame_batch,
     _naive_frames,
-    _plurality,
     _tangent_offsets,
     _tilt,
     _tilt_draws,
+    _vote_hits,
     reference_score,
     run_experiment,
     sample_chi,
@@ -261,11 +261,11 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "protocol, trials, pinned",
         [
-            (spec(), 20000, {"fidelity": 0.3342, "stderr": 0.003335577057079507}),
+            (spec(), 20000, {"fidelity": 0.3329, "stderr": 0.0033323317244440243}),
             (spec("d3-covariant", 2), 20000,
-             {"fidelity": 0.66905, "stderr": 0.0033274101727804608}),
+             {"fidelity": 0.66385, "stderr": 0.003340391711437342}),
             (spec("d3-repeated", 9, tie_break="random"), 20000,
-             {"fidelity": 0.49655, "stderr": 0.003535538131104489}),
+             {"fidelity": 0.4976, "stderr": 0.0035355815669916094}),
             (spec("d3-repeated", 9, tie_break="lowest-index"), 20000,
              {"fidelity": 0.49675, "stderr": 0.0035355476067851204}),
             (spec("d3-coherent", 1), 20000,
@@ -322,18 +322,20 @@ class TestReproducibility:
 
 def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
     """A d3-single, d3-covariant or d3-repeated run counted shot by shot:
-    every batch draws true, then the shots trial-minor as (repeats, take),
-    then tie; each shot's outcome is the number of its true row's six
+    every batch draws true (a lowest-index vote of two or more shots; every
+    other run sends direction 0), then the shots trial-minor as (repeats,
+    take), then tie; each shot's outcome is the number of its true row's six
     cumulative boundaries below the draw, and one bincount tallies the
     outcomes of each trial."""
     spec = config.protocol
     matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
     cum = np.cumsum(matrix, axis=1)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
+    lowest_index = repeats > 1 and spec.tie_break == "lowest-index"
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
-        true = rng.integers(0, 6, take)
+        true = rng.integers(0, 6, take) if lowest_index else np.zeros(take, dtype=int)
         draws = rng.random((repeats, take)).T
         tie = rng.random(take)
         outcome = np.empty((take, repeats), dtype=np.intp)
@@ -468,30 +470,40 @@ class TestD3BatchKernels:
 
     @pytest.mark.parametrize("row", range(6))
     def test_draw_past_every_boundary_is_outcome_five(self, monkeypatch, row):
-        # some two-spin rows sum to a few ulps below 1; the largest draw
-        # random() returns passed all six boundaries of such a row, and the
-        # six-boundary compare scattered it to a seventh count (IndexError)
+        # a row may sum to a few ulps below 1; the largest draw random()
+        # returns could pass all six boundaries of such a row, and a
+        # six-boundary compare scattered it to a seventh count (IndexError).
+        # A lowest-index vote reads its true row: two such shots elect 5.
+        # A one-shot run sends direction 0, which outcome 5 misses
         top = np.nextafter(1.0, 0.0)
         monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, top))
-        result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
+        vote = spec("d3-repeated", 2, tie_break="lowest-index")
+        result = run_experiment(RunConfig(protocol=vote, trials=3, seed=1))
         assert result.estimates["fidelity"] == float(row == 5)
+        result = run_experiment(RunConfig(protocol=spec("d3-covariant", 2), trials=3, seed=1))
+        assert result.estimates["fidelity"] == 0.0
 
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_cell_test_matches_five_compares_at_the_boundaries(self, monkeypatch, num_spins):
-        # a one-shot trial is a hit when its draw lies in its true row's
-        # cell; on and next to every boundary that must agree with the
-        # outcome the five compares give
+        # on and next to every boundary a hit must agree with the outcome
+        # the five compares give: a one-shot trial sends direction 0 and
+        # hits when its draw is at most row 0's first boundary; a
+        # lowest-index vote of two equal shots elects the outcome of its
+        # true row's compares, on the single-spin table
         cum = np.cumsum(d3_outcome_matrix(num_spins), axis=1)
-        protocol = spec("d3-single" if num_spins == 1 else "d3-covariant", num_spins)
-        for row in range(6):
-            draws = {0.0, np.nextafter(1.0, 0.0)}
-            for c in cum[row]:
-                draws |= {np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)}
-            for draw in sorted(draws):
-                monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, draw))
-                config = RunConfig(protocol=protocol, trials=1, seed=1)
-                outcome = int(np.sum(draw > cum[row, :5]))
-                assert run_experiment(config).estimates["fidelity"] == float(outcome == row), draw
+        runs = [(spec("d3-single" if num_spins == 1 else "d3-covariant", num_spins), [0])]
+        if num_spins == 1:
+            runs.append((spec("d3-repeated", 2, tie_break="lowest-index"), range(6)))
+        for protocol, rows in runs:
+            for row in rows:
+                draws = {0.0, np.nextafter(1.0, 0.0)}
+                for c in cum[row]:
+                    draws |= {np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)}
+                for draw in sorted(draws):
+                    monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, draw))
+                    config = RunConfig(protocol=protocol, trials=1, seed=1)
+                    outcome = int(np.sum(draw > cum[row, :5]))
+                    assert run_experiment(config).estimates["fidelity"] == float(outcome == row), draw
 
     @pytest.mark.parametrize("kind", ["d3-single", "d3-repeated"])
     def test_decreasing_boundary_is_refused(self, monkeypatch, kind):
@@ -503,6 +515,27 @@ class TestD3BatchKernels:
         config = RunConfig(protocol=spec(kind, 1 if kind == "d3-single" else 3), trials=5, seed=1)
         with pytest.raises(RuntimeError, match="cumulative outcome table decreases"):
             run_experiment(config)
+
+    def test_non_covariant_table_is_refused(self, monkeypatch):
+        # the runs that send direction 0 stand for all six directions only
+        # when each hits alike: a constant diagonal, and for a random-rule
+        # vote each row a permutation of row 0 with the diagonal in place
+        one_shot, random_vote = spec(), spec("d3-repeated", 3)
+        lowest_vote = spec("d3-repeated", 3, tie_break="lowest-index")
+        reweighted = np.array(d3_outcome_matrix(1))
+        reweighted[1] = np.array([6, 8, 4, 4, 1, 1]) / 24  # diagonal kept, not a permutation
+        moved = np.array(d3_outcome_matrix(1))
+        moved[2, [2, 3]] = moved[2, [3, 2]]  # a permutation whose diagonal moved
+        cases = ((reweighted, {random_vote}), (moved, {one_shot, random_vote, lowest_vote}))
+        for table, refused in cases:
+            monkeypatch.setattr(harness, "d3_outcome_matrix", lambda num_spins: table)
+            for protocol in (one_shot, random_vote, lowest_vote):
+                config = RunConfig(protocol=protocol, trials=5, seed=1)
+                if protocol in refused:
+                    with pytest.raises(RuntimeError, match="not covariant"):
+                        run_experiment(config)
+                else:
+                    run_experiment(config)
 
 
 class TestCoherentLocalFrame:
@@ -599,9 +632,15 @@ class TestPlurality:
         columns = _VOTE_COLUMNS[name]
         dtype = np.min_scalar_type(len(columns[0]))  # the harness's count type
         counts = np.stack([np.bincount(c, minlength=6) for c in columns], axis=1).astype(dtype)
-        draws = None if tie is None else np.full(len(columns), tie)
-        got = _plurality(counts, draws)
-        assert got.tolist() == [_counter_vote(c, tie) for c in columns]
+        if tie is None:
+            # a lowest-index vote: each trial's own true direction
+            for true in range(6):
+                got = _vote_hits(counts, np.full(len(columns), true), None)
+                assert got.tolist() == [_counter_vote(c, None) == true for c in columns]
+        else:
+            # a random-rule vote sends direction 0
+            got = _vote_hits(counts, 0, np.full(len(columns), tie))
+            assert got.tolist() == [_counter_vote(c, tie) == 0 for c in columns]
 
 
 class _FixedStream:

@@ -25,7 +25,8 @@ from spindir.protocols import (
     d3_single_spin_score,
     frame_two_axis_score,
     _d3_orbit,
-    _single_spin_numerators,
+    _outcome_numerators,
+    _vote_wins,
 )
 from spindir.states import SpinJ
 
@@ -129,7 +130,7 @@ class TestSingleSpin:
                 # azimuths' cosine (1 or -1/2) and the cones' sign
                 cos_azimuth = 1 if i % 3 == k % 3 else Fraction(-1, 2)
                 dot = (cos_azimuth + (1 if i // 3 == k // 3 else -1)) / 2
-                assert abs(matrix[i, k] - float((1 + dot) / 6)) <= 4.5e-16
+                assert matrix[i, k] == float((1 + dot) / 6)
 
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_outcome_matrix_is_cached_and_read_only(self, num_spins):
@@ -178,7 +179,7 @@ def _int64_vote_score(n: int, tie_break: str) -> float:
     (stars and bars).  Every partial sum is at most 60 * 24^n, below 2^63
     only for n <= 12."""
     assert n <= 12
-    num = _single_spin_numerators()
+    num = _outcome_numerators(1)
     vectors = math.comb(n + 5, 5)
     bars = np.fromiter(
         combinations(range(n + 5), 5), dtype=np.dtype((np.int8, 5)), count=vectors
@@ -203,13 +204,30 @@ def _int64_vote_score(n: int, tie_break: str) -> float:
 
 class TestRepeatedVote:
     def test_integer_table_is_the_outcome_matrix(self):
-        num = _single_spin_numerators()
+        num = _outcome_numerators(1)
         assert num.dtype == np.int64
         matrix = d3_outcome_matrix(1)
         for i in range(6):
             assert num[i].sum() == 24
             assert sorted(num[i].tolist()) == [1, 1, 4, 5, 5, 8]
-            assert np.max(np.abs(num[i] / 24 - matrix[i])) <= 1e-15
+            assert (num[i] / 24).tolist() == matrix[i].tolist()
+
+    def test_random_rule_weights_are_equal_for_every_true_row(self):
+        # the random rule does not see the order of the other outcomes, so
+        # row 0 stands for all six: the harness's random-rule votes send
+        # direction 0
+        num = _outcome_numerators(1).tolist()
+        for n in range(1, 13):
+            assert len({_vote_wins(n, num[t], t, True) for t in range(6)}) == 1
+
+    def test_lowest_index_weights_tell_the_rows_apart(self):
+        # one shot is its outcome, whatever the rule; from two shots on the
+        # lowest-index rule favours low indices, so the harness draws each
+        # trial's true direction
+        num = _outcome_numerators(1).tolist()
+        assert len({_vote_wins(1, num[t], t, False) for t in range(6)}) == 1
+        for n in range(2, 13):
+            assert len({_vote_wins(n, num[t], t, False) for t in range(6)}) > 1
 
     @pytest.mark.parametrize(
         "n,rule",
@@ -283,7 +301,10 @@ class TestCovariantOrbit:
         fid = sum(math.sqrt(b.shape[1] / 6.0) * b[:, 0] for b in d3_qubit_blocks(num_spins))
         signals = np.array([u @ fid for u in lift_to_qubits(dihedral_d3(), num_spins)])
         born = born_probabilities(d3_covariant_povm(num_spins), signals / np.linalg.norm(fid))
-        assert np.max(np.abs(d3_outcome_matrix(num_spins) - born)) <= 2.3e-16
+        # the table holds the nearest doubles of its rationals; the Born
+        # probabilities carry the rounding of the lifts' +-120 degree
+        # entries, 3 ulps of 2/3 on two spins
+        assert np.max(np.abs(d3_outcome_matrix(num_spins) - born)) <= 4 * np.finfo(float).eps
 
     def test_run_refuses_an_incomplete_orbit(self, num_spins, monkeypatch):
         # a fiducial whose first block carries 1.5 times its Schur weight,
@@ -295,7 +316,7 @@ class TestCovariantOrbit:
         amps = sum(c * b[:, 0] for c, b in zip(coeffs, blocks))
         orbit = np.asarray(lift_to_qubits(dihedral_d3(), num_spins)) @ amps
         dims = tuple(b.shape[1] for b in blocks)
-        cached = (d3_covariant_povm, d3_outcome_matrix)
+        cached = (d3_covariant_povm, _outcome_numerators, d3_outcome_matrix)
         monkeypatch.setattr(protocols, "_d3_orbit", lambda n: (orbit, dims))
         kind = ("d3-single", "d3-covariant")[num_spins - 1]
         config = RunConfig(ProtocolSpec(kind, num_spins), trials=5, seed=1)
@@ -308,6 +329,20 @@ class TestCovariantOrbit:
             monkeypatch.undo()
             for f in cached:
                 f.cache_clear()
+
+    def test_table_off_its_denominator_is_refused(self, num_spins, monkeypatch):
+        monkeypatch.setitem(protocols._OUTCOME_DENOMINATORS, num_spins, 25)
+        _outcome_numerators.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not an integer over 25"):
+                _outcome_numerators(num_spins)
+        finally:
+            monkeypatch.undo()
+            _outcome_numerators.cache_clear()
+
+    def test_score_is_the_nearest_double(self, num_spins):
+        # the mean of the exact diagonal, rounded once: 1/3 and 2/3
+        assert d3_covariant_score(num_spins).fidelity == num_spins / 3
 
     def test_score_reaches_the_finite_group_optimum(self, num_spins):
         score = d3_covariant_score(num_spins)
@@ -350,7 +385,7 @@ class TestCovariantTwoSpin:
         want = [a + b for a, b in zip(triangle, zeros)] + [a + b for a, b in zip(zeros, triangle)]
         assert np.round(scaled).astype(int).tolist() == want
         exact = [[float(Fraction(w, 6)) for w in row] for row in want]
-        assert np.max(np.abs(d3_outcome_matrix(2) - exact)) <= 4.5e-16
+        assert d3_outcome_matrix(2).tolist() == exact
 
     def test_outcome_matrix_size_guard(self):
         with pytest.raises(ValueError):
