@@ -37,13 +37,11 @@ from .multispin import (
 )
 from .optimize import (
     ChiDensity,
-    CovariantOptimum,
     DirectionCode,
     chi_density,
     coherent_code,
     d3_coherent_error,
     direction_cos_matrix,
-    finite_group_optimum,
     optimal_direction_encoding,
 )
 from .povm import (

@@ -385,9 +385,7 @@ def _direction_table(num_spins, max_spins) -> list:
 
 def _dihedral_profile(num_spins) -> list:
     n = 2 if num_spins is None else num_spins
-    if n not in (1, 2):
-        raise ValueError("the dihedral profile is computed for 1 or 2 spins")
-    score = d3_covariant_score(n)
+    score = d3_covariant_score(n)  # refuses any n but 1 and 2
     return [
         f"dihedral six-signal task on {n} spin(s)",
         f"F = {score.fidelity:.12g}",

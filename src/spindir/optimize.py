@@ -1,12 +1,11 @@
-"""Optimal measurement figures of merit.
+"""Optimal measurement figures of merit for direction encoding on the sphere.
 
-Two settings share this module: the closed-form optimum for finite signal
-orbits (zero-one scoring over a group orbit, maximized jointly over signal
-coefficients and the Schur-weighted fiducial), and direction encoding on the
-sphere, where the fidelity <cos^2(chi/2)> of a multi-block code is an
-eigenvalue problem for a symmetric tridiagonal matrix, the Legendre Jacobi
-matrix, whose top eigenpair follows from the largest root of a Legendre
-polynomial.
+The fidelity <cos^2(chi/2)> of a multi-block code is an eigenvalue problem
+for a symmetric tridiagonal matrix, the Legendre Jacobi matrix, whose top
+eigenpair follows from the largest root of a Legendre polynomial.  The chi
+density of a code, which the harness samples, and the D3 nearest-direction
+error of a coherent state live here too; the D3 covariant optimum is checked
+where its orbit is built, in protocols.
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ import numpy as np
 from .geometry import TWO_PI
 from .groups import d3_local_frame
 from .states import SpinJ
-
-
-@dataclass(frozen=True)
-class CovariantOptimum:
-    fidelity: float
-    optimal_coefficients: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,20 +50,6 @@ class DirectionCode:
     @property
     def infidelity(self) -> float:
         return 1.0 - self.fidelity
-
-
-def finite_group_optimum(block_dims, order: int) -> CovariantOptimum:
-    """Best zero-one fidelity over a multiplicity-free block structure with
-    block dimensions block_dims, for a group of the given order.
-
-    Aligning the fiducial with the signal block-by-block reduces the overlap
-    to sum_i a_i sqrt(d_i/|G|); maximizing over unit (a_i) gives
-    F = sum_i d_i/|G| with a_i = sqrt(d_i / sum d).
-    """
-    dims = np.array(block_dims, dtype=float)
-    fidelity = float(np.sum(dims) / order)
-    coeffs = np.sqrt(dims / np.sum(dims))
-    return CovariantOptimum(fidelity=fidelity, optimal_coefficients=tuple(coeffs))
 
 
 def direction_cos_matrix(j_max: SpinJ) -> np.ndarray:

@@ -8,8 +8,10 @@ simulation harness's job; this module only assembles what it needs (outcome
 matrices, chi densities and per-axis references).
 
 The covariant strategy on one spin (d3-single) and on two (d3-covariant) is
-one construction: the orbit of a Schur-weighted fiducial under D3's lift to
-the qubits, with the six orbit states as signals.
+one construction, built once per spin count behind one cache: the orbit of a
+Schur-weighted fiducial under D3's lift to the qubits, with the six orbit
+states as signals; its POVM, validated before anything is read from it; and
+the exact outcome table, the orbit's squared Gram matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .optimize import (
     chi_density,
     coherent_code,
     d3_coherent_error,
-    finite_group_optimum,
     optimal_direction_encoding,
 )
 from .povm import Povm, projectors, validate_povm
@@ -104,78 +105,75 @@ class ProtocolScore:
         return 1.0 - self.fidelity
 
 
+_OUTCOME_DENOMINATORS = {1: 24, 2: 6}  # of the covariant tables on one and two spins
+
+
+def _d3_covariant(num_spins: int) -> tuple:
+    """`_build_d3_covariant(num_spins)`, refusing all but the integers 1 and 2
+    before the cache lookup: lru_cache would match True or 1.0 against 1."""
+    if not is_integer(num_spins) or num_spins not in _OUTCOME_DENOMINATORS:
+        raise ValueError(f"the covariant strategy takes 1 or 2 spins, got {num_spins!r}")
+    return _build_d3_covariant(int(num_spins))
+
+
 @lru_cache(maxsize=2)
-def _d3_orbit(num_spins: int) -> tuple:
-    """(orbit, dims) of the covariant strategy on one or two spins.  Row k
-    of the cached, read-only orbit is o_k = U(g_k) f: the lift of the element
-    that sends direction 0 to direction k (`dihedral_d3`'s order) applied to
-    the fiducial f, so o_0 = f.  f = sum_i sqrt(d_i/6) b_i spreads Schur
-    weight over the first column b_i of each invariant block of the qubit
-    representation (`d3_qubit_blocks`), of dimensions dims: sqrt(1/3) times
-    the coherent spinor along direction 0 on one spin, (e_0 + e_1)/sqrt3 on
-    two.  Its orbit is a complete POVM by Schur orthogonality."""
+def _build_d3_covariant(num_spins: int) -> tuple:
+    """(orbit, dims, povm, numerators, table) of the covariant strategy, every
+    array read-only, built in this order.  (1) Row k of the orbit is
+    o_k = U(g_k) f, the lift of the element sending direction 0 to k
+    (`dihedral_d3`'s order) applied to the fiducial f = sum_i sqrt(d_i/6) b_i,
+    which spreads Schur weight over the first column b_i of each block of
+    dimension d_i in dims (`d3_qubit_blocks`): sqrt(1/3) times the direction-0
+    spinor on one spin, (e_0 + e_1)/sqrt3 on two.  (2) The POVM |o_k><o_k|,
+    complete by Schur orthogonality, must validate.  (3) The numerators
+    |<o_k|o_i>|^2 / <f|f> times 24 or 6 (the squared Gram matrix; the signal
+    along i is o_i / |f|) must lie within 1e-12 of integers: a row is
+    8, 5, 5, 4, 1, 1 permuted on one spin ((1 + n.m)/6) and 4, 1, 1, 0, 0, 0
+    on two.  (4) The table is the numerators over 24 or 6, the nearest doubles."""
     group = dihedral_d3()
     blocks = d3_qubit_blocks(num_spins)
     fiducial = sum(math.sqrt(b.shape[1] / group.order) * b[:, 0] for b in blocks)
     orbit = np.asarray(lift_to_qubits(group, num_spins)) @ fiducial
-    orbit.flags.writeable = False
-    return orbit, tuple(b.shape[1] for b in blocks)
-
-
-@lru_cache(maxsize=2)
-def d3_covariant_povm(num_spins: int) -> Povm:
-    """The orbit POVM E_k = |o_k><o_k| on one or two spins, validated.
-    Outcome k is direction k."""
-    povm = Povm(projectors(_d3_orbit(num_spins)[0]))
+    povm = Povm(projectors(orbit))
     if not validate_povm(povm).passed:
         raise RuntimeError(f"{num_spins}-spin dihedral POVM failed validation")
-    return povm
-
-
-_OUTCOME_DENOMINATORS = {1: 24, 2: 6}  # of the covariant tables on one and two spins
-
-
-@lru_cache(maxsize=2)
-def _outcome_numerators(num_spins: int) -> np.ndarray:
-    """The covariant outcome table on num_spins spins (1 or 2) times its
-    denominator, as read-only int64: the orbit's squared Gram matrix over
-    <f|f>, P(k | i) = |<o_k|o_i>|^2 / <f|f> (the signal along i is o_i / |f|),
-    once `d3_covariant_povm` has validated the orbit, and refused unless
-    within 1e-12 of integers.  A row is 8, 5, 5, 4, 1, 1 permuted on one spin
-    ((1 + n.m)/6 with dots 1, 1/4, 0 or -3/4) and 4, 1, 1, 0, 0, 0 on two."""
-    d3_covariant_povm(num_spins)
-    orbit, _ = _d3_orbit(num_spins)
     gram = orbit @ orbit.conj().T
     denominator = _OUTCOME_DENOMINATORS[num_spins]
     scaled = denominator * np.abs(gram) ** 2 / gram[0, 0].real
     rounded = np.round(scaled)
     if np.max(np.abs(scaled - rounded)) > 1e-12:
         raise RuntimeError(f"outcome probability is not an integer over {denominator}")
-    table = rounded.astype(np.int64)
-    table.flags.writeable = False
-    return table
+    numerators = rounded.astype(np.int64)
+    table = numerators / denominator
+    for a in (orbit, numerators, table):
+        a.flags.writeable = False
+    return orbit, tuple(b.shape[1] for b in blocks), povm, numerators, table
 
 
-@lru_cache(maxsize=2)
+def d3_covariant_povm(num_spins: int) -> Povm:
+    """The orbit POVM E_k = |o_k><o_k| on one or two spins, validated.
+    Outcome k is direction k."""
+    return _d3_covariant(num_spins)[2]
+
+
 def d3_outcome_matrix(num_spins: int) -> np.ndarray:
     """Row i: P(guess k | true direction i) of the covariant strategy on 1 or
-    2 spins: `_outcome_numerators` over its denominator.  Cached, read-only."""
-    matrix = _outcome_numerators(num_spins) / _OUTCOME_DENOMINATORS[num_spins]
-    matrix.flags.writeable = False
-    return matrix
+    2 spins, the nearest doubles of integers over 24 or 6.  Cached, read-only."""
+    return _d3_covariant(num_spins)[4]
 
 
 def d3_covariant_score(num_spins: int) -> ProtocolScore:
     """Covariant strategy on one or two spins: the guess is the outcome of
     the Schur-weighted fiducial's orbit POVM, and only direction hits score:
-    the exact mean of the diagonal, rounded once by int / int, and checked
-    to reach `finite_group_optimum`."""
-    # the blocks come in ascending dimension, so the coefficients do too
-    optimum = finite_group_optimum(_d3_orbit(num_spins)[1], dihedral_d3().order)
-    fid = int(np.trace(_outcome_numerators(num_spins))) / (6 * _OUTCOME_DENOMINATORS[num_spins])
-    if abs(fid - optimum.fidelity) > 1e-9:
+    the exact mean of the diagonal, rounded once by int / int.  It is checked
+    against the Schur bound sum_i d_i / |G|: with unit block coefficients a_i
+    the overlap is sum_i a_i sqrt(d_i / |G|), largest at a_i = sqrt(d_i / sum d),
+    the coefficients returned (in ascending block dimension, as the blocks)."""
+    _, dims, _, numerators, _ = _d3_covariant(num_spins)
+    fid = int(np.trace(numerators)) / (6 * _OUTCOME_DENOMINATORS[num_spins])
+    if abs(fid - sum(dims) / dihedral_d3().order) > 1e-9:
         raise RuntimeError("orbit POVM does not realize the computed optimum")
-    return ProtocolScore(fid, "exact", coefficients=optimum.optimal_coefficients)
+    return ProtocolScore(fid, "exact", coefficients=tuple(math.sqrt(d / sum(dims)) for d in dims))
 
 
 def d3_single_spin_score() -> ProtocolScore:
@@ -233,7 +231,7 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
     if tie_break not in ("random", "lowest-index"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     n = int(n)
-    num = _outcome_numerators(1).tolist()
+    num = _d3_covariant(1)[3].tolist()
     if tie_break == "random":
         # each row is row 0 permuted, diagonal in place: one row stands for all
         wins = 6 * _vote_wins(n, num[0], 0, True)

@@ -20,7 +20,7 @@ from spindir.groups import (
     lift_to_qubits,
 )
 from spindir.povm import validate_povm
-from spindir.protocols import _d3_orbit, d3_covariant_povm
+from spindir.protocols import _d3_covariant, d3_covariant_povm
 from spindir.states import SpinJ
 
 GROUP = dihedral_d3()
@@ -216,12 +216,12 @@ def test_qubit_blocks_stop_at_two_qubits():
 def test_one_qubit_block_starts_at_the_direction_0_spinor():
     block = d3_qubit_blocks(1)[0]
     np.testing.assert_array_equal(block[:, 0], coherent(SpinJ(1), D3_ANGLE_DIRECTIONS[:1])[0])
-    fid = _d3_orbit(1)[0][0]  # the identity's row of the orbit
+    fid = _d3_covariant(1)[0][0]  # the identity's row of the orbit
     np.testing.assert_allclose(fid, block[:, 0] / math.sqrt(3.0), rtol=0, atol=1e-15)
 
 
 def test_two_spin_fiducial_norms_and_completeness():
-    fid = _d3_orbit(2)[0][0]
+    fid = _d3_covariant(2)[0][0]
     np.testing.assert_allclose(fid, np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0), atol=1e-15)
     # block projections carry norm sqrt(d_i/6)
     for block in d3_qubit_blocks(2):

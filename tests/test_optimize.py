@@ -10,7 +10,6 @@ from scipy.linalg import eigh_tridiagonal
 from spindir import optimize
 from spindir.geometry import TWO_PI, SphereQuadrature, sphere_quadrature
 from spin_fixtures import D3_ANGLE_DIRECTIONS, assert_same_bits, unit_vector
-from spindir.groups import d3_qubit_blocks, dihedral_d3
 from spindir.optimize import (
     BESSEL_J0_FIRST_ZERO,
     CHI_GRID_POINTS,
@@ -22,35 +21,27 @@ from spindir.optimize import (
     coherent_code,
     d3_coherent_error,
     direction_cos_matrix,
-    finite_group_optimum,
     gauss_legendre,
     optimal_direction_encoding,
 )
+from spindir.protocols import d3_covariant_score
 from spindir.states import SpinJ
-
-GROUP = dihedral_d3()
-
-
-def block_dims(num_spins):
-    return [b.shape[1] for b in d3_qubit_blocks(num_spins)]
 
 
 class TestFiniteGroupOptimum:
+    # the covariant score checks itself against the Schur bound
+    # sum_i d_i / |G| and returns the optimal block coefficients
     def test_single_spin_third(self):
-        opt = finite_group_optimum(block_dims(1), GROUP.order)
+        opt = d3_covariant_score(1)
         assert opt.fidelity == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert opt.optimal_coefficients == (1.0,)
+        assert opt.coefficients == (1.0,)
 
     def test_two_spins_two_thirds(self):
-        opt = finite_group_optimum(block_dims(2), GROUP.order)
+        opt = d3_covariant_score(2)
         assert opt.fidelity == pytest.approx(2.0 / 3.0, abs=1e-15)
-        got = sorted(opt.optimal_coefficients)
+        got = sorted(opt.coefficients)
         want = sorted([0.5, 0.5, math.sqrt(0.5)])
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_single_trivial_block_one_sixth(self):
-        # one one-dimensional block of a six-element group
-        assert finite_group_optimum([1], 6).fidelity == pytest.approx(1.0 / 6.0)
 
 
 class TestCosMatrix:

@@ -9,7 +9,6 @@ from spin_fixtures import D3_ANGLE_DIRECTIONS, born_probabilities, coherent
 from spindir import protocols
 from spindir.groups import d3_directions, d3_qubit_blocks, dihedral_d3, lift_to_qubits
 from spindir.harness import RunConfig, run_experiment
-from spindir.optimize import finite_group_optimum
 from spindir.povm import validate_povm
 from spindir.protocols import (
     PROTOCOL_KINDS,
@@ -24,8 +23,7 @@ from spindir.protocols import (
     d3_repeated_single_score,
     d3_single_spin_score,
     frame_two_axis_score,
-    _d3_orbit,
-    _outcome_numerators,
+    _d3_covariant,
     _vote_wins,
 )
 from spindir.states import SpinJ
@@ -179,7 +177,7 @@ def _int64_vote_score(n: int, tie_break: str) -> float:
     (stars and bars).  Every partial sum is at most 60 * 24^n, below 2^63
     only for n <= 12."""
     assert n <= 12
-    num = _outcome_numerators(1)
+    num = _d3_covariant(1)[3]
     vectors = math.comb(n + 5, 5)
     bars = np.fromiter(
         combinations(range(n + 5), 5), dtype=np.dtype((np.int8, 5)), count=vectors
@@ -204,7 +202,7 @@ def _int64_vote_score(n: int, tie_break: str) -> float:
 
 class TestRepeatedVote:
     def test_integer_table_is_the_outcome_matrix(self):
-        num = _outcome_numerators(1)
+        num = _d3_covariant(1)[3]
         assert num.dtype == np.int64
         matrix = d3_outcome_matrix(1)
         for i in range(6):
@@ -216,7 +214,7 @@ class TestRepeatedVote:
         # the random rule does not see the order of the other outcomes, so
         # row 0 stands for all six: the harness's random-rule votes send
         # direction 0
-        num = _outcome_numerators(1).tolist()
+        num = _d3_covariant(1)[3].tolist()
         for n in range(1, 13):
             assert len({_vote_wins(n, num[t], t, True) for t in range(6)}) == 1
 
@@ -224,7 +222,7 @@ class TestRepeatedVote:
         # one shot is its outcome, whatever the rule; from two shots on the
         # lowest-index rule favours low indices, so the harness draws each
         # trial's true direction
-        num = _outcome_numerators(1).tolist()
+        num = _d3_covariant(1)[3].tolist()
         assert len({_vote_wins(1, num[t], t, False) for t in range(6)}) == 1
         for n in range(2, 13):
             assert len({_vote_wins(n, num[t], t, False) for t in range(6)}) > 1
@@ -284,16 +282,21 @@ class TestCovariantOrbit:
         assert validate_povm(povm).passed
 
     def test_cached_family_is_read_only(self, num_spins):
-        # every caller shares these arrays; a write would change the POVM,
-        # outcome matrix and score for the rest of the process
-        orbit, dims = _d3_orbit(num_spins)
+        # one cache holds the orbit, POVM and tables, and every caller shares
+        # its arrays; a write would change the POVM, outcome matrix and score
+        # for the rest of the process
+        orbit, dims, povm, numerators, table = _d3_covariant(num_spins)
         blocks = d3_qubit_blocks(num_spins)
         assert orbit.shape == (6, 2**num_spins)
         assert dims == tuple(b.shape[1] for b in blocks)
-        for a in (*blocks, orbit):
+        assert povm is d3_covariant_povm(num_spins)
+        assert table is d3_outcome_matrix(num_spins)
+        for a in (*blocks, orbit, povm.operators, numerators, table):
             with pytest.raises(ValueError, match="read-only"):
-                a.flat[0] += 1.0
-        assert _d3_orbit(num_spins)[0] is orbit
+                a.flat[0] += 1
+        again = _d3_covariant(np.int64(num_spins))
+        assert all(x is y for x, y in zip(again, (orbit, dims, povm, numerators, table)))
+        assert protocols._build_d3_covariant.cache_info().currsize <= 2
 
     def test_outcome_matrix_is_the_born_law(self, num_spins):
         # <psi_i|E_k|psi_i> of the validated POVM, the signal along i being
@@ -307,51 +310,53 @@ class TestCovariantOrbit:
         assert np.max(np.abs(d3_outcome_matrix(num_spins) - born)) <= 4 * np.finfo(float).eps
 
     def test_run_refuses_an_incomplete_orbit(self, num_spins, monkeypatch):
-        # a fiducial whose first block carries 1.5 times its Schur weight,
-        # as test_scaled_block_breaks_completeness builds it: the run must
-        # stop at the POVM's validation, not draw from a wrong table
+        # blocks whose first column carries 1.5 times the Schur weight, as
+        # test_scaled_block_breaks_completeness builds the fiducial: the run
+        # must stop at the POVM's validation, not draw from a wrong table
         blocks = d3_qubit_blocks(num_spins)
-        coeffs = [math.sqrt(b.shape[1] / 6.0) for b in blocks]
-        coeffs[0] *= 1.5
-        amps = sum(c * b[:, 0] for c, b in zip(coeffs, blocks))
-        orbit = np.asarray(lift_to_qubits(dihedral_d3(), num_spins)) @ amps
-        dims = tuple(b.shape[1] for b in blocks)
-        cached = (d3_covariant_povm, _outcome_numerators, d3_outcome_matrix)
-        monkeypatch.setattr(protocols, "_d3_orbit", lambda n: (orbit, dims))
+        scaled = (np.concatenate((1.5 * blocks[0][:, :1], blocks[0][:, 1:]), axis=1), *blocks[1:])
+        monkeypatch.setattr(protocols, "d3_qubit_blocks", lambda n: scaled)
         kind = ("d3-single", "d3-covariant")[num_spins - 1]
         config = RunConfig(ProtocolSpec(kind, num_spins), trials=5, seed=1)
+        protocols._build_d3_covariant.cache_clear()
         try:
-            for f in cached:
-                f.cache_clear()
             with pytest.raises(RuntimeError, match="failed validation"):
                 run_experiment(config)
         finally:
             monkeypatch.undo()
-            for f in cached:
-                f.cache_clear()
+            protocols._build_d3_covariant.cache_clear()
 
     def test_table_off_its_denominator_is_refused(self, num_spins, monkeypatch):
         monkeypatch.setitem(protocols._OUTCOME_DENOMINATORS, num_spins, 25)
-        _outcome_numerators.cache_clear()
+        protocols._build_d3_covariant.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="not an integer over 25"):
-                _outcome_numerators(num_spins)
+                d3_outcome_matrix(num_spins)
         finally:
             monkeypatch.undo()
-            _outcome_numerators.cache_clear()
+            protocols._build_d3_covariant.cache_clear()
 
     def test_score_is_the_nearest_double(self, num_spins):
         # the mean of the exact diagonal, rounded once: 1/3 and 2/3
         assert d3_covariant_score(num_spins).fidelity == num_spins / 3
 
     def test_score_reaches_the_finite_group_optimum(self, num_spins):
+        # the Schur bound sum_i d_i / |G|, at block coefficients sqrt(d_i / sum d)
+        dims = [b.shape[1] for b in d3_qubit_blocks(num_spins)]
         score = d3_covariant_score(num_spins)
-        optimum = finite_group_optimum([b.shape[1] for b in d3_qubit_blocks(num_spins)], 6)
         assert score.method == "exact"
-        assert score.fidelity == pytest.approx(optimum.fidelity, abs=1e-15)
-        assert score.coefficients == optimum.optimal_coefficients
+        assert score.fidelity == pytest.approx(sum(dims) / 6, abs=1e-15)
+        assert score.coefficients == tuple(math.sqrt(d / sum(dims)) for d in dims)
         named = (d3_single_spin_score, d3_covariant_two_spin_score)[num_spins - 1]()
         assert named == score
+
+
+@pytest.mark.parametrize("reader", [d3_covariant_povm, d3_outcome_matrix, d3_covariant_score])
+@pytest.mark.parametrize("bad", [0, 3, True, 2.0])
+def test_covariant_readers_refuse_other_spin_counts(reader, bad):
+    # True and 2.0 would hash to a cached entry, or reach the qubit lift
+    with pytest.raises(ValueError, match=f"1 or 2 spins, got {bad!r}"):
+        reader(bad)
 
 
 class TestCovariantTwoSpin:
