@@ -509,7 +509,11 @@ def _json_report(records) -> str:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", "out_path", default=None, help="Write here instead of stdout.")
 def cmd_report(records, fmt, out_path):
-    """Tabulate result records as plot-ready CSV or JSON."""
+    """Tabulate result records as plot-ready CSV or JSON.
+
+    A D3 row's fidelity is its success probability.  A frame row's is 1
+    minus the frame infidelity, 1 - sum over the three axes of
+    sin^2(chi_i / 2), which lies in [-2, 1]: it is not a probability."""
     _refuse_empty("--out", out_path)
     if not records:
         raise click.UsageError("no input records given")

@@ -20,6 +20,8 @@ import numpy as np
 from .geometry import quaternion_matrices
 
 MATCH_TOL = 1e-9
+# 4 ulps of 1, the scale of the dot products of unit directions
+FACE_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +95,27 @@ def d3_local_frame() -> np.ndarray:
     Group element t sends direction 0 to t and permutes the six, so a tilt
     of direction t in the tangent pair it carries from direction 0 is nearest
     t exactly when the same tilt of direction 0 is nearest direction 0:
-    every decision, and every decoding cell, is read in this one frame."""
+    every decision, and every decoding cell, is read in this one frame.
+
+    Three bisector faces bound direction 0's cell: d1's and d2's, mirrors
+    of each other in t1, at cos 1/4, and d3's at cos 0 (d3 = -t2).  The
+    other two are their sums, d0 - d4 = (d0 - d1) + (d0 - d3) and
+    d0 - d5 = (d0 - d2) + (d0 - d3), so they never decide.  The decode tests
+    only the three, and a table on which this reduction does not hold to
+    FACE_TOL is refused (RuntimeError)."""
     units = d3_directions()
     d0 = units[0]
     coefficients = units @ np.array([d0, [0.0, 1.0, 0.0], [-d0[2], 0.0, d0[0]]]).T
+    c = coefficients
+    pairs = (
+        (c[0], [1.0, 0.0, 0.0]),
+        (c[3], [0.0, 0.0, -1.0]),
+        (c[2], c[1] * [1.0, -1.0, 1.0]),
+        (c[0] - c[4], (c[0] - c[1]) + (c[0] - c[3])),
+        (c[0] - c[5], (c[0] - c[2]) + (c[0] - c[3])),
+    )
+    if any(np.max(np.abs(got - want)) > FACE_TOL for got, want in pairs):
+        raise RuntimeError("direction 0's cell is not bounded by the faces of d1, d2 and d3")
     coefficients.flags.writeable = False
     return coefficients
 

@@ -157,8 +157,12 @@ def _tilt(
 
 def _tilt_draws(rng: np.random.Generator, density: ChiDensity, take: int) -> tuple:
     """cos(chi) of take tilts drawn from density, then their uniform tangent
-    azimuths."""
-    return sample_chi(density, rng, take), rng.uniform(0.0, 2.0 * math.pi, take)
+    azimuths: 2 pi u, the doubles uniform(0, 2 pi) draws (0 + 2 pi u), in
+    one pass less."""
+    cos_chi = sample_chi(density, rng, take)
+    azimuth = rng.random(take)
+    azimuth *= 2.0 * math.pi
+    return cos_chi, azimuth
 
 
 class _Accumulator:
@@ -266,29 +270,39 @@ def _run_d3_finite(config: RunConfig) -> _Accumulator:
 def _coherent_hits(cos_chi: np.ndarray, azimuth: np.ndarray) -> np.ndarray:
     """Whether each tilt by (chi, azimuth) decodes to the true direction.
 
-    Read in direction 0's frame (see groups.d3_local_frame): the tilt is
-    cos(chi) d0 + x t1 + y t2, with (x, y) its tangent offsets, and it is a
-    hit when its dot with d0 is at least its dot with each other direction
-    (argmax == 0).  The dots are taken one row at a time into one scratch
-    buffer, which keeps a full batch's heap peak near 580 KiB: at about
-    1 MiB, glibc could trim the heap top after a batch, and the next batch
-    faulted its pages back in (about 750 faults per 32768-trial run)."""
-    coefficients = d3_local_frame()
-    x, y = _tangent_offsets(cos_chi, azimuth)
-    tmp = np.empty_like(x)
-
-    def dot(c, p, q):
-        d = c * cos_chi
-        d += np.multiply(p, x, out=tmp)
-        d += np.multiply(q, y, out=tmp)
-        return d
-
-    dots = (dot(c, p, q) for c, p, q in coefficients)
-    own = next(dots)
-    rival = next(dots)
-    for d in dots:
-        np.maximum(rival, d, out=rival)
-    return own >= rival
+    Read in direction 0's frame (see groups.d3_local_frame): with
+    s = sin(chi), the tilt is (cos chi, s cos a, s sin a), and it is a hit
+    when it lies on direction 0's side of the three faces that bound the
+    cell, those of d1, d2 and d3.  With t = tan(a/2) and A = 1 + t^2,
+    (cos a, sin a) = (1 - t^2, 2t) / A, so times A > 0 the tests are
+        d3:      cos(chi) A + 2st >= 0,
+        d1, d2:  (1 - c1) cos(chi) A - q1 2st >= p1 s |1 - t^2|,
+    with (c1, p1, q1) d1's row (d2's is its mirror in t1): no divide, and no
+    offsets are formed.  At most four float arrays are live, a full batch's
+    heap peak near 260 KiB: at about 1 MiB, glibc could trim the heap top
+    after a batch, and the next batch faulted its pages back in."""
+    c1, p1, q1 = d3_local_frame()[1].tolist()
+    t = np.multiply(azimuth, 0.5)
+    np.tan(t, out=t)
+    big_a = t * t
+    big_a += 1.0
+    s = cos_chi * cos_chi
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    t *= s
+    t += t  # 2st
+    cos_a = cos_chi * big_a
+    np.subtract(2.0, big_a, out=big_a)  # 1 - t^2
+    np.abs(big_a, out=big_a)
+    big_a *= s
+    hits = np.add(cos_a, t, out=s) >= 0.0
+    cos_a *= 1.0 - c1
+    t *= q1
+    cos_a -= t
+    big_a *= p1
+    hits &= cos_a >= big_a
+    return hits
 
 
 def _run_d3_coherent(config: RunConfig) -> _Accumulator:

@@ -244,8 +244,8 @@ def d3_repeated_single_score(n: int, tie_break: str = "random") -> ProtocolScore
 def d3_coherent_score(num_spins: int) -> ProtocolScore:
     """Coherent strategy: all spins aligned with the signalled direction,
     continuous direction estimate decoded to the nearest of the six."""
-    if num_spins < 1:
-        raise ValueError("need at least one spin")
+    if not is_integer(num_spins) or num_spins < 1:
+        raise ValueError(f"need a positive integer number of spins, got {num_spins!r}")
     return ProtocolScore(1.0 - d3_coherent_error(SpinJ(num_spins)), "quadrature")
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spindir import harness
+from spindir import groups, harness
 from spindir.cli import record_from_run
 from spindir.frames import (
     EulerAngles,
@@ -371,8 +371,9 @@ def _per_batch_basis_d3_coherent(config: RunConfig) -> _Accumulator:
     + sin(a) d0 x e_y) with numpy's cos and sin of the azimuth a, and hits
     when the argmax of its six dots is direction 0.  By D3 covariance that
     is the hit of every true direction (see TestCoherentLocalFrame); the
-    harness decodes the same draws from its cached table, with the tilt's
-    offsets from the half-angle map instead."""
+    harness decodes the same draws by the three faces of direction 0's
+    cell in its cached table, with the half-angle map of the azimuth
+    instead."""
     density = chi_density(coherent_code(SpinJ(config.protocol.num_spins)))
     units = d3_directions()
     t1, t2 = _direction_zero_pair(units)
@@ -428,12 +429,11 @@ class TestD3BatchKernels:
                 assert got.stderrs == {"fidelity": want.stderr()}
 
     def test_coherent_batch_heap_peak(self):
-        # live (take,) arrays at the peak of _coherent_hits: the offsets x
-        # and y, the scratch buffer, own, rival, and two dots (the loop's
-        # last d while the generator makes the next), 7 float64 arrays, then
-        # the bool result (an eighth of one); _tangent_offsets holds at most
-        # three (sin chi, t, 1 + t^2) before x and y exist.  Eight float64
-        # arrays bound it
+        # live (take,) arrays at the peak of _coherent_hits: t = tan(a/2)
+        # (then 2st), 1 + t^2 (then s |1 - t^2|), sin chi (then
+        # cos(chi) A + 2st) and cos(chi) A, four float64 arrays, then d3's
+        # face test and the d1/d2 test as bools (an eighth of one each).
+        # Six float64 arrays bound it
         cos_chi, azimuth = _tilt_draws(
             _batch_rng(7, 0), chi_density(coherent_code(SpinJ(24))), BATCH_TRIALS
         )
@@ -445,7 +445,7 @@ class TestD3BatchKernels:
         finally:
             tracemalloc.stop()
         assert hits.shape == (BATCH_TRIALS,)
-        assert peak <= 8 * 8 * BATCH_TRIALS
+        assert peak <= 6 * 8 * BATCH_TRIALS
 
     def test_vote_shots_are_drawn_in_bounded_blocks(self):
         # a full batch of 1000-shot votes draws 8192000 shots: all at once
@@ -604,6 +604,97 @@ class TestCoherentLocalFrame:
         assert clear.sum() > cos_chi.size // 2
         assert 0 < want[clear].sum() < clear.sum()  # hits and misses
         assert np.array_equal(got[clear], want[clear])
+
+    def test_two_faces_are_sums_and_d1_d2_are_mirrors(self):
+        # the decode tests only the faces of d1, d2 and d3
+        c = d3_local_frame()
+        tol = 4.0 * np.finfo(float).eps
+        assert np.max(np.abs((c[0] - c[4]) - ((c[0] - c[1]) + (c[0] - c[3])))) <= tol
+        assert np.max(np.abs((c[0] - c[5]) - ((c[0] - c[2]) + (c[0] - c[3])))) <= tol
+        assert np.max(np.abs(c[2] - c[1] * [1.0, -1.0, 1.0])) <= tol
+        assert np.max(np.abs(c[[0, 3]] - [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])) <= tol
+        assert c[1, 0] == pytest.approx(0.25, abs=tol)
+
+    @staticmethod
+    def six_dot_decision(points):
+        """The (cos chi, azimuth) of unit points in direction 0's frame, the
+        argmax == 0 decision of the six dots of the tilt they give (numpy's
+        cos and sin of the azimuth), and that decision's margin."""
+        cos_chi = points[:, 0]
+        azimuth = np.arctan2(points[:, 2], points[:, 1]) % (2.0 * math.pi)
+        sin_chi = np.sqrt(1.0 - cos_chi * cos_chi)
+        tilt = np.stack([cos_chi, sin_chi * np.cos(azimuth), sin_chi * np.sin(azimuth)], axis=-1)
+        dots = tilt @ d3_local_frame().T
+        rival = dots[:, 1:].max(axis=1)
+        return cos_chi, azimuth, dots[:, 0] >= rival, np.abs(dots[:, 0] - rival)
+
+    @staticmethod
+    def cell_vertices():
+        """Direction 0's cell vertices in its frame, each where two of the
+        faces of d1, d2 and d3 meet, keyed by that pair."""
+        c = d3_local_frame()
+        verts = {}
+        for a, b in ((1, 2), (1, 3), (2, 3)):
+            v = np.cross(c[0] - c[a], c[0] - c[b])
+            verts[a, b] = v * (np.sign(v[0]) / np.linalg.norm(v))
+        return verts
+
+    def check_probes(self, points):
+        cos_chi, azimuth, want, margin = self.six_dot_decision(points)
+        clear = margin > 1e-13
+        got = _coherent_hits(cos_chi, azimuth)
+        assert clear.sum() > 0.9 * len(points)
+        assert 0 < want[clear].sum() < clear.sum()  # hits and misses
+        assert np.array_equal(got[clear], want[clear])
+
+    def test_decision_near_each_cell_vertex_is_the_six_dot_argmax(self):
+        rng = np.random.default_rng(43)
+        c = d3_local_frame()
+        points = []
+        for v in self.cell_vertices().values():
+            dots = c @ v
+            assert dots[0] == pytest.approx(dots.max(), abs=1e-15)  # a vertex of the cell
+            # 1e-9 to 1e-6 from the vertex, in a uniform tangent direction
+            step = rng.standard_normal((4000, 3))
+            step -= (step @ v)[:, None] * v
+            step /= np.linalg.norm(step, axis=1, keepdims=True)
+            r = 10.0 ** rng.uniform(-9.0, -6.0, len(step))
+            points.append(np.cos(r)[:, None] * v + np.sin(r)[:, None] * step)
+        self.check_probes(np.concatenate(points))
+
+    def test_decision_on_both_sides_of_each_face_is_the_six_dot_argmax(self):
+        rng = np.random.default_rng(44)
+        c = d3_local_frame()
+        verts = self.cell_vertices()
+        edges = {1: (verts[1, 2], verts[1, 3]), 2: (verts[1, 2], verts[2, 3]), 3: (verts[1, 3], verts[2, 3])}
+        points = []
+        for k, (v, w) in edges.items():
+            # points along the edge, then 1e-12 to 1e-6 off it on either side
+            f = rng.uniform(0.02, 0.98, 4000)[:, None]
+            on = (1.0 - f) * v + f * w
+            on /= np.linalg.norm(on, axis=1, keepdims=True)
+            normal = c[0] - c[k]
+            normal = normal - (on @ normal)[:, None] * on
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            off = 10.0 ** rng.uniform(-12.0, -6.0, len(on)) * rng.choice([-1.0, 1.0], len(on))
+            points.append(np.cos(off)[:, None] * on + np.sin(off)[:, None] * normal)
+        self.check_probes(np.concatenate(points))
+
+    def test_a_table_off_the_face_sums_is_refused(self, monkeypatch):
+        # d4 turned by 1e-9 about z: d0 - d4 is no longer the sum of the
+        # faces of d1 and d3, so three faces would not decide
+        units = np.array(d3_directions())
+        turn = 1e-9
+        units[4] = [[math.cos(turn), -math.sin(turn), 0.0], [math.sin(turn), math.cos(turn), 0.0],
+                    [0.0, 0.0, 1.0]] @ units[4]
+        monkeypatch.setattr(groups, "d3_directions", lambda: units)
+        d3_local_frame.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not bounded by the faces"):
+                d3_local_frame()
+        finally:
+            monkeypatch.undo()
+            d3_local_frame.cache_clear()
 
 
 def _counter_vote(column, tie) -> int:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -418,6 +419,16 @@ class TestCoherentStrategy:
     def test_rejects_empty_bundle(self):
         with pytest.raises(ValueError):
             d3_coherent_score(0)
+
+    @pytest.mark.parametrize("num_spins", ["3", None, 2.5, True, 3.0, -1])
+    def test_rejects_a_spin_count_that_is_not_a_positive_integer(self, num_spins):
+        # a string or None once raised a TypeError from `<`, and 2.5, True
+        # and 3.0 reached SpinJ, whose message is about 2j
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(num_spins))}$"):
+            d3_coherent_score(num_spins)
+
+    def test_accepts_a_numpy_integer(self):
+        assert d3_coherent_score(np.int64(3)) == d3_coherent_score(3)
 
 
 class TestFrameProtocol:
