@@ -2,10 +2,12 @@
 
 Trials are drawn in fixed-size batches; batch b of a run with seed s draws
 from PCG64 seeded by child b of SeedSequence(s), that is
-SeedSequence(s, spawn_key=(b,)), with a fixed draw order inside the batch.
-Each batch's stream depends on (s, b) alone, so results are bit-for-bit
-reproducible and the batches could run in any order.  Per-batch partial sums
-are combined with exact (fsum) accumulation.
+SeedSequence(s, spawn_key=(b,)), with a fixed draw order inside the batch;
+finite D3 runs read it as 32-bit chunks, the low then the high half of each
+word (`_chunks`), and refill a rejected chunk from the words after the
+batch's last.  Each batch's stream depends on (s, b) alone, so results are
+bit-for-bit reproducible and the batches could run in any order.  Per-batch
+partial sums are combined with exact (fsum) accumulation.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .geometry import quaternion_matrices, unit_rows
 from .groups import d3_local_frame
 from .optimize import CHI_GRID_POINTS, ChiDensity, chi_density, coherent_code
 from .protocols import (
+    _OUTCOME_DENOMINATORS,
     ProtocolScore,
     ProtocolSpec,
+    _d3_covariant,
     d3_coherent_score,
     d3_covariant_score,
     d3_outcome_matrix,
@@ -41,9 +45,15 @@ from .spins import SpinJ
 from .states import is_integer
 
 BATCH_TRIALS = 8192  # with CHI_GRID_POINTS (from optimize), a run's sampling settings
-# the most vote shots drawn at once: 128 rows of a full batch, 8 MiB, so a
-# vote's memory stays bounded whatever its number of shots
-SHOT_BLOCK = 2 ** 20
+# a finite D3 shot or tie is a chunk U < CHUNK_ACCEPT = 120 * 35791394: 120 =
+# lcm(24, 6, 60) divides it, so each outcome cell (the tables are over 24 or
+# 6) and each tie share 1/k (k <= 6) is an exact count of chunks
+CHUNK_ACCEPT = 2 ** 32 - 16
+# the most vote chunks drawn at once: 8 rows of a full batch, 256 KiB, so a
+# vote's memory stays bounded whatever its number of shots; blocks of 2^17 to
+# 2^20 chunks made the heap grow and shrink with each run, and a run re-faulted
+# up to 990 pages
+SHOT_BLOCK = 2 ** 16
 # the largest d3-repeated vote reference_score computes exactly; one exact
 # reference took 0.64 s at n = 128 (lowest-index rule) and 35 s at n = 600
 VOTE_REFERENCE_MAX_SHOTS = 128
@@ -132,7 +142,7 @@ def _tangent_offsets(cos_chi: np.ndarray, azimuth: np.ndarray) -> tuple[np.ndarr
     guard."""
     sin_chi = cos_chi * cos_chi
     np.subtract(1.0, sin_chi, out=sin_chi)
-    np.clip(sin_chi, 0.0, None, out=sin_chi)
+    np.maximum(sin_chi, 0.0, out=sin_chi)
     np.sqrt(sin_chi, out=sin_chi)
     t = np.multiply(azimuth, 0.5)
     np.tan(t, out=t)
@@ -208,62 +218,102 @@ def _batches(trials: int):
         yield full, rem
 
 
+def _chunks(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next n 32-bit chunks of rng's stream: the low, then the high half
+    of each PCG64 word (the spare half of an odd n is dropped)."""
+    return rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+
+
+def _refills(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The first count accepted chunks of rng's next words."""
+    got = np.empty(0, np.uint32)
+    while got.size < count:
+        fresh = _chunks(rng, 2 * (count - got.size))
+        got = np.concatenate([got, fresh[fresh < CHUNK_ACCEPT]])
+    return got[:count]
+
+
+def _cell_edges(num_spins: int) -> np.ndarray:
+    """(6, 6) uint32 C[row, k], the row's first k + 1 outcome numerators times
+    CHUNK_ACCEPT / denominator: chunk U is outcome k of the row when
+    C[row, k - 1] <= U < C[row, k] (C[row, -1] = 0), and C[row, 5] = CHUNK_ACCEPT."""
+    denominator = _OUTCOME_DENOMINATORS[num_spins]
+    if CHUNK_ACCEPT % denominator:
+        raise RuntimeError(f"the outcome denominator {denominator} does not divide {CHUNK_ACCEPT}")
+    numerators = _d3_covariant(num_spins)[3]
+    if numerators.min() < 0:  # the cells and unsigned differences need rising edges
+        raise RuntimeError("a row of the cumulative outcome table decreases")
+    return (np.cumsum(numerators, axis=1) * (CHUNK_ACCEPT // denominator)).astype(np.uint32)
+
+
 def _vote_hits(counts: np.ndarray, true, tie: np.ndarray | None) -> np.ndarray:
     """Whether each column of (6, take) outcome counts elects true.  A tie
-    goes to the lowest index, or, given uniform tie draws and true = 0, to
-    the floor(tie * #leaders)-th leader: direction 0 when that floor is 0."""
+    goes to the lowest index, or, given tie chunks and true = 0, to the
+    floor(tie * #leaders / CHUNK_ACCEPT)-th leader: direction 0 when
+    tie < CHUNK_ACCEPT / #leaders, an exact 1/#leaders of the chunks."""
     lead = counts == counts.max(axis=0)
     if tie is None:
         return np.argmax(lead, axis=0) == true
-    return lead[0] & (tie * lead.sum(axis=0, dtype=np.uint8) < 1.0)
+    return lead[0] & (np.multiply(tie, lead.sum(axis=0, dtype=np.uint8), dtype=np.uint64) < CHUNK_ACCEPT)
 
 
 def _run_d3_finite(config: RunConfig) -> _Accumulator:
     """A d3-single, d3-covariant or d3-repeated run, tallied per batch.  A
-    shot's outcome is the cell k = (cum[k - 1], cum[k]] of its true row's
-    cumulative outcome table holding its draw (cum[-1] = -inf, cum[5] = +inf:
-    the sixth boundary is 1 only to rounding).  A vote's one-spin shots above
-    boundary j < 5, above[j], give repeats - above[0], above[j - 1] -
-    above[j] and above[4].  Covariance (checked: a constant diagonal and, for
-    a random-rule vote, each row row 0 permuted with the diagonal in place)
-    makes every true direction hit alike, so a run sends direction 0; only a
-    lowest-index vote, whose tie rule favours low indices, draws them."""
+    batch's chunks are its shots, trial-minor as (repeats, take), then a
+    random-rule vote's tie per trial; a shot is outcome k of its true row
+    when it lies in cell k of the row's `_cell_edges`, and a vote's shots
+    below edge j < 5, below[j], give below[0], below[j] - below[j - 1] and
+    repeats - below[4].  A rejected chunk lies below no edge, and takes, in
+    order, the next accepted chunk after the batch's last.  Covariance
+    (checked: a constant diagonal and, for a random-rule vote, each row row 0
+    permuted with the diagonal in place) makes every true direction hit
+    alike, so a run sends direction 0; only a lowest-index vote, whose tie
+    rule favours low indices, draws them."""
     spec = config.protocol
-    matrix = d3_outcome_matrix(1 if spec.kind == "d3-repeated" else spec.num_spins)
-    bounds = np.cumsum(matrix, axis=1)[:, :5].T  # [j, row]
-    if np.any(np.diff(bounds, axis=0) < 0.0):  # the cells and unsigned differences need it
-        raise RuntimeError("a row of the cumulative outcome table decreases")
+    num_spins = 1 if spec.kind == "d3-repeated" else spec.num_spins
+    matrix = d3_outcome_matrix(num_spins)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     lowest_index = repeats > 1 and spec.tie_break == "lowest-index"
     permuted = repeats == 1 or lowest_index or np.all(np.sort(matrix, axis=1) == np.sort(matrix[0]))
     if np.any(np.diagonal(matrix) != matrix[0, 0]) or not permuted:
         raise RuntimeError("the outcome table is not covariant")
-    # shots are drawn trial-minor, in (rows, take) blocks of at most
-    # SHOT_BLOCK floats, into one per-run buffer: random(out=) needs a
-    # contiguous array, and consecutive blocks draw the doubles one call would
-    width = min(config.trials, BATCH_TRIALS)
-    rows = min(repeats, max(1, SHOT_BLOCK // width))
-    shot_buf = np.empty(rows * width)
+    edges = np.ascontiguousarray(_cell_edges(num_spins)[:, :5].T)  # [j, row]
+    ties = repeats > 1 and not lowest_index
+    # blocks of at most SHOT_BLOCK chunks; an even row count keeps every block
+    # but a batch's last whole words, so they draw the chunks one call would
+    rows = min(repeats + ties, max(2, SHOT_BLOCK // min(config.trials, BATCH_TRIALS) & -2))
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take) if lowest_index else 0
+        row_edges = np.take(edges, true, axis=1)  # contiguous, unlike edges[:, true]
         if repeats == 1:
-            draws = shot_buf[:take]
-            rng.random(out=draws)
-            hits = draws <= bounds[0, 0]
-        else:
-            counts = np.zeros((6, take), dtype=np.min_scalar_type(repeats))
-            for start in range(0, repeats, rows):
-                draws = shot_buf[: min(rows, repeats - start) * take].reshape(-1, take)
-                rng.random(out=draws)
-                for j in range(5):  # row j + 1 holds above[j] until the differences
-                    counts[j + 1] += np.add.reduce(draws > bounds[j][true], axis=0, dtype=counts.dtype)
-            np.subtract(repeats, counts[1], out=counts[0])
-            counts[1:5] -= counts[2:6]
-            # the tie draw is the batch's last, so skipping it moves nothing
-            hits = _vote_hits(counts, true, None if lowest_index else rng.random(take))
-        acc.add_hits(hits)
+            shots = _chunks(rng, take)
+            hits = shots < row_edges[0]
+            if shots.max() >= CHUNK_ACCEPT:
+                bad = np.flatnonzero(shots >= CHUNK_ACCEPT)
+                hits[bad] = _refills(rng, bad.size) < row_edges[0]
+            acc.add_hits(hits)
+            continue
+        counts = np.zeros((6, take), dtype=np.min_scalar_type(repeats))  # row j holds below[j]
+        rejected = []
+        for start in range(0, repeats + ties, rows):
+            block = _chunks(rng, min(rows, repeats + ties - start) * take).reshape(-1, take)
+            if block.max() >= CHUNK_ACCEPT:
+                rejected.append(np.flatnonzero(block >= CHUNK_ACCEPT) + start * take)
+            for j in range(5):
+                counts[j] += np.add.reduce(block[: repeats - start] < row_edges[j], axis=0, dtype=counts.dtype)
+        tie = block[-1] if ties else None
+        if rejected:  # their refills follow the batch's last chunk, so they wait for it
+            row, trial = np.divmod(np.concatenate(rejected), take)
+            fresh, shot = _refills(rng, row.size), row < repeats
+            if ties:
+                tie[trial[~shot]] = fresh[~shot]
+            below = fresh[shot] < np.broadcast_to(row_edges.reshape(5, -1), (5, take))[:, trial[shot]]
+            np.add.at(counts, (slice(0, 5), trial[shot]), below.astype(counts.dtype))
+        np.subtract(repeats, counts[4], out=counts[5])
+        counts[1:5] -= counts[:4]
+        acc.add_hits(_vote_hits(counts, true, tie))
     return acc
 
 

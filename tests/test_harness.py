@@ -1,11 +1,13 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spindir import groups, harness
+from spindir import groups, harness, protocols
 from spindir.cli import record_from_run
 from spindir.frames import (
     EulerAngles,
@@ -261,13 +263,13 @@ class TestReproducibility:
     @pytest.mark.parametrize(
         "protocol, trials, pinned",
         [
-            (spec(), 20000, {"fidelity": 0.3329, "stderr": 0.0033323317244440243}),
+            (spec(), 20000, {"fidelity": 0.33275, "stderr": 0.0033319554275753104}),
             (spec("d3-covariant", 2), 20000,
-             {"fidelity": 0.66385, "stderr": 0.003340391711437342}),
+             {"fidelity": 0.6688, "stderr": 0.0033280447403978364}),
             (spec("d3-repeated", 9, tie_break="random"), 20000,
-             {"fidelity": 0.4976, "stderr": 0.0035355815669916094}),
+             {"fidelity": 0.4981, "stderr": 0.003535596770309945}),
             (spec("d3-repeated", 9, tie_break="lowest-index"), 20000,
-             {"fidelity": 0.49675, "stderr": 0.0035355476067851204}),
+             {"fidelity": 0.49595, "stderr": 0.0035355063096030905}),
             (spec("d3-coherent", 1), 20000,
              {"fidelity": 0.30585, "stderr": 0.0032581926993324535}),
             (spec("d3-coherent", 24), 20000,
@@ -323,36 +325,57 @@ class TestReproducibility:
 def _per_shot_d3_finite(config: RunConfig) -> _Accumulator:
     """A d3-single, d3-covariant or d3-repeated run counted shot by shot:
     every batch draws true (a lowest-index vote of two or more shots; every
-    other run sends direction 0), then the shots trial-minor as (repeats,
-    take), then tie; each shot's outcome is the number of its true row's six
-    cumulative boundaries below the draw, and one bincount tallies the
-    outcomes of each trial."""
+    other run sends direction 0), then its words, split by shifts and masks
+    into 32-bit chunks, low half first: the shots trial-minor as (repeats,
+    take), then a random-rule vote's ties.  Each chunk at or above
+    CHUNK_ACCEPT takes, in order, the next accepted chunk of the words after
+    the batch's last, drawn here one word at a time.  A shot's outcome is
+    the number of its true row's exact cell edges C_k = cumulative numerator
+    * (CHUNK_ACCEPT / denominator) at or below it, one bincount tallies the
+    outcomes of each trial, and a tie U picks the floor(U * #leaders /
+    CHUNK_ACCEPT)-th leader."""
     spec = config.protocol
-    matrix = d3_outcome_matrix(1 if spec.kind != "d3-covariant" else 2)
-    cum = np.cumsum(matrix, axis=1)
+    num_spins = 2 if spec.kind == "d3-covariant" else 1
+    accept = harness.CHUNK_ACCEPT
+    step = accept // protocols._OUTCOME_DENOMINATORS[num_spins]
+    numerators = protocols._d3_covariant(num_spins)[3].tolist()
+    edges = np.array([[step * c for c in itertools.accumulate(row)] for row in numerators], dtype=np.uint64)
     repeats = spec.num_spins if spec.kind == "d3-repeated" else 1
     lowest_index = repeats > 1 and spec.tie_break == "lowest-index"
+    ties = repeats > 1 and not lowest_index
     acc = _Accumulator()
     for b, take in _batches(config.trials):
         rng = _batch_rng(config.seed, b)
         true = rng.integers(0, 6, take) if lowest_index else np.zeros(take, dtype=int)
-        draws = rng.random((repeats, take)).T
-        tie = rng.random(take)
-        outcome = np.empty((take, repeats), dtype=np.intp)
-        for row in range(6):
-            mask = true == row
-            outcome[mask] = np.searchsorted(cum[row], draws[mask], side="left")
+        size = (repeats + ties) * take
+        words = rng.bit_generator.random_raw(-(-size // 2))
+        chunks = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[:size]
+        spare = []
+        for i in np.flatnonzero(chunks >= accept):
+            refill = accept
+            while refill >= accept:
+                if not spare:
+                    word = int(rng.bit_generator.random_raw())
+                    spare = [word & 0xFFFFFFFF, word >> 32]
+                refill = spare.pop(0)
+            chunks[i] = refill
+        shots = chunks[: repeats * take].reshape(repeats, take)
+        if lowest_index:
+            outcome = np.empty((take, repeats), dtype=np.intp)
+            for row in range(6):
+                mask = true == row
+                outcome[mask] = np.searchsorted(edges[row], shots.T[mask], side="right")
+            outcome = outcome.T
+        else:
+            outcome = np.searchsorted(edges[0], shots, side="right")
         if outcome.max() > 5:
-            raise AssertionError("a shot passed all six boundaries of its row")
-        flat = (6 * np.arange(take))[:, None] + outcome
-        counts = np.bincount(flat.ravel(), minlength=6 * take).reshape(take, 6)
-        top = counts.max(axis=1)
-        is_win = counts == top[:, None]
-        if spec.kind == "d3-repeated" and spec.tie_break == "random":
-            n_win = is_win.sum(axis=1)
-            pick = np.floor(tie * n_win).astype(int)
-            order = np.cumsum(is_win, axis=1)
-            guess = np.argmax(order == (pick + 1)[:, None], axis=1)
+            raise AssertionError("an accepted shot passed all six cell edges")
+        flat = 6 * np.arange(take) + outcome
+        counts = np.bincount(flat.ravel(order="K"), minlength=6 * take).reshape(take, 6)
+        is_win = counts == counts.max(axis=1)[:, None]
+        if ties:
+            pick = chunks[repeats * take :] * is_win.sum(axis=1, dtype=np.uint64) // accept
+            guess = np.argmax(np.cumsum(is_win, axis=1) == (pick + 1)[:, None], axis=1)
         else:
             guess = np.argmax(is_win, axis=1)
         acc.add((guess == true).astype(float))
@@ -405,9 +428,14 @@ _D3_SPECS = (
 )
 
 
+# a multiple of 120 near 2^31: about half of all chunks are rejected
+_FORCED_ACCEPT = 120 * (2**31 // 120)
+
+
 class TestD3BatchKernels:
     # BATCH_TRIALS + 1 trials end in a one-trial batch and 20001 in a
-    # 3617-trial one, each drawn into the front of the run's shot buffers
+    # 3617-trial one; an odd take leaves an odd-length shot row, whose
+    # chunks straddle the halves of a word
     @pytest.mark.parametrize(
         "protocol", _D3_SPECS, ids=lambda p: f"{p.kind}-{p.num_spins}-{p.tie_break}"
     )
@@ -448,9 +476,10 @@ class TestD3BatchKernels:
         assert peak <= 6 * 8 * BATCH_TRIALS
 
     def test_vote_shots_are_drawn_in_bounded_blocks(self):
-        # a full batch of 1000-shot votes draws 8192000 shots: all at once
-        # they took 62.5 MiB, and each boundary compare an eighth of that;
-        # in blocks of SHOT_BLOCK floats the buffer is 8 MiB and a compare 1
+        # a full batch of 1000-shot votes draws 8192000 shots: as doubles all
+        # at once they took 62.5 MiB, and each boundary compare an eighth of
+        # that; in blocks of SHOT_BLOCK chunks a block is 256 KiB and a
+        # compare 64 KiB (1.3 MiB traced, where 2^20 doubles took 9.2 MiB)
         config = RunConfig(protocol=spec("d3-repeated", 1000), trials=BATCH_TRIALS, seed=7)
         d3_outcome_matrix(1)  # the cached table is built before the count
         tracemalloc.start()
@@ -459,23 +488,43 @@ class TestD3BatchKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("tie_break", ["random", "lowest-index"])
+    @pytest.mark.parametrize("num_spins", [9, 300])
+    @pytest.mark.parametrize("block", [1, 3 * BATCH_TRIALS, 7 * BATCH_TRIALS, 2**20])
+    def test_block_size_changes_no_record(self, monkeypatch, num_spins, tie_break, block):
+        # at BATCH_TRIALS + 7 trials, blocks of 2, 2, 6 and 128 rows (an even
+        # count, so no word is split across two blocks) over a full batch
+        # and a 7-trial one; at 7 trials, blocks of 2 rows, then one block
+        protocol = spec("d3-repeated", num_spins, tie_break=tie_break)
+        configs = [RunConfig(protocol=protocol, trials=t, seed=3) for t in (7, BATCH_TRIALS + 7)]
+        want = [run_experiment(c) for c in configs]
+        monkeypatch.setattr(harness, "SHOT_BLOCK", block)
+        for config, expected in zip(configs, want):
+            got = run_experiment(config)
+            assert (got.estimates, got.stderrs) == (expected.estimates, expected.stderrs)
 
     @pytest.mark.parametrize("num_spins", [1, 2])
-    def test_last_boundary_is_one_to_rounding(self, num_spins):
-        # the kernels compare with the first five cumulative boundaries only;
-        # a draw past a sixth that rounded below 1 is outcome 5
-        cum = np.cumsum(d3_outcome_matrix(num_spins), axis=1)
-        assert np.all(np.abs(cum[:, -1] - 1.0) <= 8 * np.finfo(float).eps)
+    def test_cell_edges_are_integers_ending_at_the_acceptance_bound(self, num_spins):
+        # C_k = (first k + 1 numerators) * (CHUNK_ACCEPT / denominator), an
+        # exact integer: each cell holds exactly numerator / denominator of
+        # the accepted chunks, and C_5 = CHUNK_ACCEPT
+        edges = harness._cell_edges(num_spins)
+        table = [[Fraction(p).limit_denominator(24) for p in row] for row in d3_outcome_matrix(num_spins)]
+        exact = [[c * harness.CHUNK_ACCEPT for c in itertools.accumulate(row)] for row in table]
+        assert all(c.denominator == 1 for row in exact for c in row)
+        assert edges.tolist() == exact
+        assert edges.dtype == np.uint32 and np.all(edges[:, 5] == harness.CHUNK_ACCEPT)
+        assert harness.CHUNK_ACCEPT % 120 == 0 and harness.CHUNK_ACCEPT < 2**32
 
     @pytest.mark.parametrize("row", range(6))
     def test_draw_past_every_boundary_is_outcome_five(self, monkeypatch, row):
-        # a row may sum to a few ulps below 1; the largest draw random()
-        # returns could pass all six boundaries of such a row, and a
-        # six-boundary compare scattered it to a seventh count (IndexError).
-        # A lowest-index vote reads its true row: two such shots elect 5.
-        # A one-shot run sends direction 0, which outcome 5 misses
-        top = np.nextafter(1.0, 0.0)
+        # the largest accepted chunk, CHUNK_ACCEPT - 1, lies past every inner
+        # edge of every row: a lowest-index vote of two such shots, whose
+        # true row is row, elects 5; a one-shot run sends direction 0, which
+        # outcome 5 misses
+        top = harness.CHUNK_ACCEPT - 1
         monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, top))
         vote = spec("d3-repeated", 2, tie_break="lowest-index")
         result = run_experiment(RunConfig(protocol=vote, trials=3, seed=1))
@@ -485,35 +534,86 @@ class TestD3BatchKernels:
 
     @pytest.mark.parametrize("num_spins", [1, 2])
     def test_cell_test_matches_five_compares_at_the_boundaries(self, monkeypatch, num_spins):
-        # on and next to every boundary a hit must agree with the outcome
-        # the five compares give: a one-shot trial sends direction 0 and
-        # hits when its draw is at most row 0's first boundary; a
-        # lowest-index vote of two equal shots elects the outcome of its
-        # true row's compares, on the single-spin table
-        cum = np.cumsum(d3_outcome_matrix(num_spins), axis=1)
+        # on and next to every edge a hit must agree with the outcome the
+        # five compares give, the number of inner edges at or below the
+        # chunk: a one-shot trial sends direction 0 and hits below row 0's
+        # first edge; a lowest-index vote of two equal shots elects the
+        # outcome of its true row's compares, on the single-spin table
+        edges = harness._cell_edges(num_spins).astype(np.int64)
         runs = [(spec("d3-single" if num_spins == 1 else "d3-covariant", num_spins), [0])]
         if num_spins == 1:
             runs.append((spec("d3-repeated", 2, tie_break="lowest-index"), range(6)))
         for protocol, rows in runs:
             for row in rows:
-                draws = {0.0, np.nextafter(1.0, 0.0)}
-                for c in cum[row]:
-                    draws |= {np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)}
-                for draw in sorted(draws):
-                    monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, draw))
+                chunks = {0, harness.CHUNK_ACCEPT - 1}
+                for c in edges[row, :5]:
+                    chunks |= {int(c) - 1, int(c), int(c) + 1}
+                for chunk in sorted(chunks - {harness.CHUNK_ACCEPT, harness.CHUNK_ACCEPT + 1}):
+                    monkeypatch.setattr(harness, "_batch_rng", lambda seed, batch: _FixedStream(row, chunk))
                     config = RunConfig(protocol=protocol, trials=1, seed=1)
-                    outcome = int(np.sum(draw > cum[row, :5]))
-                    assert run_experiment(config).estimates["fidelity"] == float(outcome == row), draw
+                    outcome = int(np.sum(chunk >= edges[row, :5]))
+                    assert run_experiment(config).estimates["fidelity"] == float(outcome == row), chunk
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [spec(), spec("d3-covariant", 2)]
+        + [spec("d3-repeated", n, tie_break=t) for n in (9, 300) for t in ("random", "lowest-index")],
+        ids=lambda p: f"{p.kind}-{p.num_spins}-{p.tie_break}",
+    )
+    def test_forced_refills_match_the_per_shot_oracle(self, monkeypatch, protocol):
+        # with CHUNK_ACCEPT near 2^31 about half the chunks are rejected, and
+        # each takes, in order, the next accepted chunk after the batch's
+        # last; in blocks of two rows a vote's early blocks wait for them
+        monkeypatch.setattr(harness, "CHUNK_ACCEPT", _FORCED_ACCEPT)
+        monkeypatch.setattr(harness, "SHOT_BLOCK", 1)
+        for seed in (0, 5):
+            for trials in (7, 41) if protocol.num_spins > 9 else (7, BATCH_TRIALS + 7):
+                config = RunConfig(protocol=protocol, trials=trials, seed=seed)
+                want = _per_shot_d3_finite(config)
+                got = run_experiment(config)
+                assert got.estimates["fidelity"] == want.mean()
+                assert got.stderrs == {"fidelity": want.stderr()}
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [spec(), spec("d3-covariant", 2)]
+        + [spec("d3-repeated", 9, tie_break=t) for t in ("random", "lowest-index")],
+        ids=lambda p: f"{p.kind}-{p.num_spins}-{p.tie_break}",
+    )
+    def test_forced_refills_keep_the_exact_law(self, monkeypatch, protocol):
+        # refills that were not uniform over the accepted chunks would bias
+        # the hit rate: over 20 seeds each run stays within 4 binomial sigma
+        # of the exact reference, and their mean z within 4 / sqrt(20)
+        monkeypatch.setattr(harness, "CHUNK_ACCEPT", _FORCED_ACCEPT)
+        trials = 20000
+        ref = reference_score(RunConfig(protocol=protocol, trials=1, seed=1)).fidelity
+        sigma = math.sqrt(ref * (1.0 - ref) / trials)
+        z = []
+        for seed in range(20):
+            result = run_experiment(RunConfig(protocol=protocol, trials=trials, seed=seed))
+            z.append((result.estimates["fidelity"] - ref) / sigma)
+        assert max(map(abs, z)) <= 4.0
+        assert abs(sum(z)) / len(z) <= 4.0 / math.sqrt(len(z))
 
     @pytest.mark.parametrize("kind", ["d3-single", "d3-repeated"])
     def test_decreasing_boundary_is_refused(self, monkeypatch, kind):
         # unsigned count differences would wrap, and the cells would overlap
-        matrix = np.full((6, 6), 1.0 / 6.0)
-        matrix[2, 3] = -0.01
-        matrix[2, 4] += 0.01
-        monkeypatch.setattr(harness, "d3_outcome_matrix", lambda num_spins: matrix)
+        numerators = np.full((6, 6), 4)
+        numerators[2, 3] = -1
+        numerators[2, 4] = 9
+        monkeypatch.setattr(harness, "_d3_covariant", lambda num_spins: (None,) * 3 + (numerators, None))
         config = RunConfig(protocol=spec(kind, 1 if kind == "d3-single" else 3), trials=5, seed=1)
         with pytest.raises(RuntimeError, match="cumulative outcome table decreases"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("kind, num_spins", [("d3-single", 1), ("d3-covariant", 2), ("d3-repeated", 3)])
+    def test_denominator_that_does_not_divide_the_acceptance_bound_is_refused(
+        self, monkeypatch, kind, num_spins
+    ):
+        # 2^32 - 8 is not a multiple of 3, so no table over 24 or 6 has exact cells
+        monkeypatch.setattr(harness, "CHUNK_ACCEPT", 2**32 - 8)
+        config = RunConfig(protocol=spec(kind, num_spins), trials=5, seed=1)
+        with pytest.raises(RuntimeError, match="does not divide"):
             run_experiment(config)
 
     def test_non_covariant_table_is_refused(self, monkeypatch):
@@ -699,11 +799,12 @@ class TestCoherentLocalFrame:
 
 def _counter_vote(column, tie) -> int:
     """The plurality of one column of shots by collections.Counter: the
-    leaders in index order, then the first, or the floor(tie * #leaders)-th."""
+    leaders in index order, then the first, or, for a tie chunk, the
+    floor(tie * #leaders / CHUNK_ACCEPT)-th."""
     counts = Counter(int(o) for o in column)
     top = max(counts.values())
     leaders = [k for k in range(6) if counts[k] == top]
-    return leaders[0] if tie is None else leaders[math.floor(tie * len(leaders))]
+    return leaders[0] if tie is None else leaders[tie * len(leaders) // harness.CHUNK_ACCEPT]
 
 
 _VOTE_COLUMNS = {
@@ -729,26 +830,26 @@ class TestPlurality:
                 got = _vote_hits(counts, np.full(len(columns), true), None)
                 assert got.tolist() == [_counter_vote(c, None) == true for c in columns]
         else:
-            # a random-rule vote sends direction 0
-            got = _vote_hits(counts, 0, np.full(len(columns), tie))
-            assert got.tolist() == [_counter_vote(c, tie) == 0 for c in columns]
+            # a random-rule vote sends direction 0; its tie chunk is the
+            # fraction tie of CHUNK_ACCEPT, from 0 to CHUNK_ACCEPT - 1
+            chunk = math.floor(tie * harness.CHUNK_ACCEPT)
+            got = _vote_hits(counts, 0, np.full(len(columns), chunk, dtype=np.uint32))
+            assert got.tolist() == [_counter_vote(c, chunk) == 0 for c in columns]
 
 
 class _FixedStream:
-    """A batch stream whose true directions are all `row` and whose uniform
-    draws are all `value`."""
+    """A batch stream whose true directions are all `row` and whose 32-bit
+    chunks are all `chunk`: each word holds it in both halves."""
 
-    def __init__(self, row: int, value: float):
-        self.row, self.value = row, value
+    def __init__(self, row: int, chunk: int):
+        self.row, self.word = row, chunk * (2**32 + 1)
+        self.bit_generator = self
 
     def integers(self, low, high, size):
         return np.full(size, self.row)
 
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.full(size, self.value)
-        out.fill(self.value)
-        return out
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 class TestAgainstReferences:
